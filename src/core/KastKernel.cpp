@@ -7,8 +7,10 @@
 #include "core/KastKernel.h"
 #include "core/Matcher.h"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
+#include <optional>
+#include <span>
 
 using namespace kast;
 
@@ -21,124 +23,127 @@ std::string KastSpectrumKernel::name() const {
 
 namespace {
 
-/// Per-string precomputation: the suffix automaton of the reversed
-/// literal sequence, i.e. the partner index findMaximalMatches needs.
+/// Per-string precomputation: the reversed literal sequence and its
+/// suffix automaton — the partner index findMaximalMatches needs, and
+/// the end-position index that lists a feature's occurrences.
 struct KastPrecomputation final : KernelPrecomputation {
   explicit KastPrecomputation(const WeightedString &X)
-      : ReversedSam(reversed(X.literalIds())) {}
+      : Reversed(reversed(X.literalIds())), ReversedSam(Reversed) {}
 
+  std::vector<uint32_t> Reversed;
   SuffixAutomaton ReversedSam;
+};
+
+/// A candidate feature: a span of A's or B's literal ids.
+using Literals = std::span<const uint32_t>;
+
+/// The qualifying occurrences of one feature in one string.
+struct Occurrences {
+  uint64_t Weight = 0;
+  size_t Count = 0;
 };
 
 } // namespace
 
-/// Collects the distinct literal sequences of all maximal match
-/// occurrences in both directions. \p RevA / \p RevB are optional
-/// cached automata of the reversed sequences.
-static std::map<std::vector<uint32_t>, KastFeature>
-collectCandidates(const WeightedString &A, const WeightedString &B,
-                  bool UseReferenceMatcher, const SuffixAutomaton *RevA,
-                  const SuffixAutomaton *RevB) {
-  const std::vector<uint32_t> &IdsA = A.literalIds();
-  const std::vector<uint32_t> &IdsB = B.literalIds();
-
-  std::vector<MaximalMatch> InA, InB;
-  if (UseReferenceMatcher) {
-    InA = findMaximalMatchesDP(IdsA, IdsB);
-    InB = findMaximalMatchesDP(IdsB, IdsA);
-  } else {
-    std::unique_ptr<SuffixAutomaton> OwnedRevA, OwnedRevB;
-    if (!RevB) {
-      OwnedRevB = std::make_unique<SuffixAutomaton>(reversed(IdsB));
-      RevB = OwnedRevB.get();
-    }
-    if (!RevA) {
-      OwnedRevA = std::make_unique<SuffixAutomaton>(reversed(IdsA));
-      RevA = OwnedRevA.get();
-    }
-    InA = findMaximalMatches(IdsA, *RevB);
-    InB = findMaximalMatches(IdsB, *RevA);
-  }
-
-  std::map<std::vector<uint32_t>, KastFeature> Candidates;
-  auto Insert = [&Candidates](const std::vector<uint32_t> &Ids,
-                              const MaximalMatch &M) {
-    std::vector<uint32_t> Key(Ids.begin() + M.Begin, Ids.begin() + M.End);
-    auto It = Candidates.find(Key);
-    if (It == Candidates.end()) {
-      KastFeature F;
-      F.Literals = Key;
-      Candidates.emplace(std::move(Key), std::move(F));
-    }
-  };
-  for (const MaximalMatch &M : InA)
-    Insert(IdsA, M);
-  for (const MaximalMatch &M : InB)
-    Insert(IdsB, M);
-  return Candidates;
-}
-
-/// Accumulates qualifying occurrences of \p Feature in \p X under the
-/// cut policy; \returns {summed weight, count}.
-static std::pair<uint64_t, size_t>
-scoreOccurrences(const WeightedString &X,
-                 const std::vector<uint32_t> &Pattern, uint64_t CutWeight,
-                 CutPolicy Policy) {
-  uint64_t Sum = 0;
-  size_t Count = 0;
-  for (size_t Begin : findOccurrences(X.literalIds(), Pattern)) {
+/// Accumulates the occurrences of \p Pattern in \p X that qualify under
+/// the cut policy. They are read off \p Prep's end-position index, or
+/// found by scanning X when \p Prep is null (the reference matcher).
+static Occurrences scoreOccurrences(const WeightedString &X,
+                                   const KastPrecomputation *Prep,
+                                   Literals Pattern,
+                                   const KastKernelOptions &Options) {
+  Occurrences Result;
+  auto Add = [&](size_t Begin) {
     uint64_t W = X.rangeWeight(Begin, Begin + Pattern.size());
-    if (Policy == CutPolicy::PerOccurrence && W < CutWeight)
-      continue;
-    Sum += W;
-    ++Count;
+    if (Options.Policy == CutPolicy::PerOccurrence && W < Options.CutWeight)
+      return;
+    Result.Weight += W;
+    ++Result.Count;
+  };
+  if (!Prep) {
+    for (size_t Begin : findOccurrences(X.literalIds(), Pattern))
+      Add(Begin);
+    return Result;
   }
-  return {Sum, Count};
+  // Read backwards, Pattern ends at E in reversed X iff it begins at
+  // |X| - 1 - E in X.
+  const SuffixAutomaton &Sam = Prep->ReversedSam;
+  int32_t State = Sam.locate(Pattern.rbegin(), Pattern.rend());
+  assert(State != -1 && "a candidate occurs in both strings");
+  for (uint32_t End : Sam.endPositions(State))
+    Add(X.size() - 1 - End);
+  return Result;
 }
 
-std::vector<KastFeature>
-KastSpectrumKernel::featuresImpl(const WeightedString &A,
-                                 const WeightedString &B,
-                                 const SuffixAutomaton *RevA,
-                                 const SuffixAutomaton *RevB) const {
-  std::vector<KastFeature> Result;
+/// Calls \p Visit(Literals, InA, InB) per feature of (A, B), in ascending
+/// lexicographic literal order (the inner product's summation order).
+/// \p PrepA / \p PrepB are optional; the reference matcher uses none.
+template <typename VisitFn>
+static void visitFeatures(const KastKernelOptions &Options,
+                          const WeightedString &A,
+                          const KastPrecomputation *PrepA,
+                          const WeightedString &B,
+                          const KastPrecomputation *PrepB, VisitFn Visit) {
   if (A.empty() || B.empty())
-    return Result;
+    return;
   assert(A.table().get() == B.table().get() &&
          "kernel arguments must share one token table");
   // §3.2: strings lighter than the cut weight are ignored entirely.
   if (A.totalWeight() < Options.CutWeight ||
       B.totalWeight() < Options.CutWeight)
-    return Result;
+    return;
 
-  std::map<std::vector<uint32_t>, KastFeature> Candidates =
-      collectCandidates(A, B, Options.UseReferenceMatcher, RevA, RevB);
-
-  for (auto &[Key, Feature] : Candidates) {
-    auto [WeightA, CountA] =
-        scoreOccurrences(A, Key, Options.CutWeight, Options.Policy);
-    auto [WeightB, CountB] =
-        scoreOccurrences(B, Key, Options.CutWeight, Options.Policy);
-    if (Options.Policy == CutPolicy::PerOccurrence) {
-      if (CountA == 0 || CountB == 0)
-        continue;
-    } else {
-      if (WeightA < Options.CutWeight || WeightB < Options.CutWeight)
-        continue;
-    }
-    Feature.WeightInA = WeightA;
-    Feature.WeightInB = WeightB;
-    Feature.CountInA = CountA;
-    Feature.CountInB = CountB;
-    Result.push_back(std::move(Feature));
+  // Maximal match occurrences in both directions.
+  const std::vector<uint32_t> &IdsA = A.literalIds(), &IdsB = B.literalIds();
+  std::vector<MaximalMatch> MatchesA, MatchesB;
+  std::optional<KastPrecomputation> OwnedA, OwnedB;
+  if (Options.UseReferenceMatcher) {
+    MatchesA = findMaximalMatchesDP(IdsA, IdsB);
+    MatchesB = findMaximalMatchesDP(IdsB, IdsA);
+    PrepA = PrepB = nullptr;
+  } else {
+    PrepA = PrepA ? PrepA : &OwnedA.emplace(A);
+    PrepB = PrepB ? PrepB : &OwnedB.emplace(B);
+    MatchesA = findMaximalMatches(PrepA->Reversed, PrepB->ReversedSam);
+    MatchesB = findMaximalMatches(PrepB->Reversed, PrepA->ReversedSam);
   }
-  return Result;
+
+  // Their distinct literal sequences, in lexicographic order.
+  std::vector<Literals> Candidates;
+  Candidates.reserve(MatchesA.size() + MatchesB.size());
+  for (const MaximalMatch &M : MatchesA)
+    Candidates.push_back(Literals(IdsA).subspan(M.Begin, M.length()));
+  for (const MaximalMatch &M : MatchesB)
+    Candidates.push_back(Literals(IdsB).subspan(M.Begin, M.length()));
+  std::ranges::sort(Candidates, [](Literals L, Literals R) {
+    return std::ranges::lexicographical_compare(L, R);
+  });
+  auto Tail = std::ranges::unique(Candidates, [](Literals L, Literals R) {
+    return std::ranges::equal(L, R);
+  });
+  Candidates.erase(Tail.begin(), Tail.end());
+
+  for (Literals Key : Candidates) {
+    Occurrences InA = scoreOccurrences(A, PrepA, Key, Options);
+    Occurrences InB = scoreOccurrences(B, PrepB, Key, Options);
+    if (Options.Policy == CutPolicy::PerOccurrence
+            ? InA.Count == 0 || InB.Count == 0
+            : InA.Weight < Options.CutWeight || InB.Weight < Options.CutWeight)
+      continue;
+    Visit(Key, InA, InB);
+  }
 }
 
 std::vector<KastFeature>
 KastSpectrumKernel::features(const WeightedString &A,
                              const WeightedString &B) const {
-  return featuresImpl(A, B, nullptr, nullptr);
+  std::vector<KastFeature> Result;
+  visitFeatures(Options, A, nullptr, B, nullptr,
+                [&Result](Literals Key, Occurrences InA, Occurrences InB) {
+                  Result.push_back({{Key.begin(), Key.end()}, InA.Weight,
+                                    InB.Weight, InA.Count, InB.Count});
+                });
+  return Result;
 }
 
 std::unique_ptr<KernelPrecomputation>
@@ -149,25 +154,20 @@ KastSpectrumKernel::precompute(const WeightedString &X) const {
   return std::make_unique<KastPrecomputation>(X);
 }
 
-static double innerProduct(const std::vector<KastFeature> &Features) {
-  double Sum = 0.0;
-  for (const KastFeature &F : Features)
-    Sum += static_cast<double>(F.WeightInA) *
-           static_cast<double>(F.WeightInB);
-  return Sum;
-}
-
 double KastSpectrumKernel::evaluate(const WeightedString &A,
                                     const WeightedString &B) const {
-  return innerProduct(featuresImpl(A, B, nullptr, nullptr));
+  return evaluatePrepared(A, nullptr, B, nullptr);
 }
 
 double KastSpectrumKernel::evaluatePrepared(
     const WeightedString &A, const KernelPrecomputation *PrepA,
     const WeightedString &B, const KernelPrecomputation *PrepB) const {
-  const auto *CachedA = static_cast<const KastPrecomputation *>(PrepA);
-  const auto *CachedB = static_cast<const KastPrecomputation *>(PrepB);
-  return innerProduct(featuresImpl(A, B,
-                                   CachedA ? &CachedA->ReversedSam : nullptr,
-                                   CachedB ? &CachedB->ReversedSam : nullptr));
+  double Sum = 0.0;
+  visitFeatures(Options, A, static_cast<const KastPrecomputation *>(PrepA),
+                B, static_cast<const KastPrecomputation *>(PrepB),
+                [&Sum](Literals, Occurrences InA, Occurrences InB) {
+                  Sum += static_cast<double>(InA.Weight) *
+                         static_cast<double>(InB.Weight);
+                });
+  return Sum;
 }

@@ -45,8 +45,6 @@
 
 namespace kast {
 
-class SuffixAutomaton;
-
 /// How the cut weight filters candidate features.
 enum class CutPolicy {
   /// An occurrence qualifies iff its weight >= cut; a feature needs a
@@ -80,15 +78,23 @@ struct KastFeature {
   /// Number of qualifying occurrences in A / in B.
   size_t CountInA = 0;
   size_t CountInB = 0;
+
+  bool operator==(const KastFeature &Rhs) const = default;
 };
 
 /// The Kast Spectrum Kernel.
 ///
 /// The kernel's features are pair-dependent (maximal matches of A
-/// *relative to B*), so it has no per-string profile; instead
-/// precompute() caches the suffix automaton of the reversed literal
-/// sequence — the partner index the matcher consults — which a Gram
-/// matrix build would otherwise reconstruct N-1 times per string.
+/// *relative to B*), so it has no per-string profile. Instead
+/// precompute() caches, per string X, the reversed literal sequence and
+/// its suffix automaton with end-position index, which a Gram matrix
+/// build would otherwise reconstruct N-1 times per string. A pair then
+/// costs O(|A| + |B|) for the matching statistics against the partner's
+/// automaton, plus sorting the candidate features, locating each
+/// distinct one in both automata (O(its length)) and O(1) per
+/// occurrence to weigh it with the prefix-sum rangeWeight — output
+/// sensitive, with no rescan of either string. UseReferenceMatcher
+/// swaps all of this for the quadratic matcher and a scan per feature.
 class KastSpectrumKernel : public StringKernel {
 public:
   explicit KastSpectrumKernel(KastKernelOptions Options = {});
@@ -111,13 +117,6 @@ public:
   const KastKernelOptions &options() const { return Options; }
 
 private:
-  /// Shared implementation; \p RevA / \p RevB are optional cached
-  /// suffix automata of the reversed literal sequences.
-  std::vector<KastFeature> featuresImpl(const WeightedString &A,
-                                        const WeightedString &B,
-                                        const SuffixAutomaton *RevA,
-                                        const SuffixAutomaton *RevB) const;
-
   KastKernelOptions Options;
 };
 

@@ -16,17 +16,16 @@ std::vector<uint32_t> kast::reversed(const std::vector<uint32_t> &Sequence) {
 }
 
 std::vector<size_t>
-kast::matchingStatisticsStarts(const std::vector<uint32_t> &Subject,
+kast::matchingStatisticsStarts(const std::vector<uint32_t> &ReversedSubject,
                                const SuffixAutomaton &PartnerOfReversed) {
   // The longest prefix of Subject[i..] occurring in Partner equals the
-  // longest suffix of reverse(Subject)[.. n-1-i] occurring in
-  // reverse(Partner): run end-based statistics on the reversal.
-  std::vector<uint32_t> Rev = reversed(Subject);
-  std::vector<size_t> Ends = PartnerOfReversed.matchingStatisticsEnds(Rev);
-  std::vector<size_t> Starts(Subject.size());
-  for (size_t I = 0; I < Subject.size(); ++I)
-    Starts[I] = Ends[Subject.size() - 1 - I];
-  return Starts;
+  // longest suffix of ReversedSubject[.. n-1-i] occurring in
+  // reverse(Partner): end-based statistics on the reversal, read back
+  // to front.
+  std::vector<size_t> Stats =
+      PartnerOfReversed.matchingStatisticsEnds(ReversedSubject);
+  std::reverse(Stats.begin(), Stats.end());
+  return Stats;
 }
 
 /// Shared tail: converts start-based matching statistics into maximal
@@ -47,10 +46,10 @@ maximalFromStatistics(const std::vector<size_t> &MS) {
 }
 
 std::vector<MaximalMatch>
-kast::findMaximalMatches(const std::vector<uint32_t> &Subject,
+kast::findMaximalMatches(const std::vector<uint32_t> &ReversedSubject,
                          const SuffixAutomaton &PartnerOfReversed) {
   return maximalFromStatistics(
-      matchingStatisticsStarts(Subject, PartnerOfReversed));
+      matchingStatisticsStarts(ReversedSubject, PartnerOfReversed));
 }
 
 std::vector<MaximalMatch>
@@ -75,7 +74,7 @@ kast::findMaximalMatchesDP(const std::vector<uint32_t> &Subject,
 
 std::vector<size_t>
 kast::findOccurrences(const std::vector<uint32_t> &Text,
-                      const std::vector<uint32_t> &Pattern) {
+                      std::span<const uint32_t> Pattern) {
   std::vector<size_t> Begins;
   if (Pattern.empty() || Pattern.size() > Text.size())
     return Begins;

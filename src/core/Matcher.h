@@ -19,9 +19,15 @@
 /// Two implementations with identical semantics:
 ///  * findMaximalMatches — matching statistics over a SuffixAutomaton,
 ///    O(|X| + |Y|) per direction (start-based statistics are obtained
-///    by running end-based statistics on the reversed strings);
+///    by running end-based statistics on the reversed strings, so both
+///    sides are passed reversed);
 ///  * findMaximalMatchesDP — an O(|X|·|Y|) dynamic program kept as the
 ///    differential-testing oracle.
+///
+/// The kernel's fast path reads each string's feature occurrences off
+/// the end-position index of that string's own reversed automaton
+/// (SuffixAutomaton::endPositions); findOccurrences is the reference
+/// matcher's scan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +38,7 @@
 #include "core/Token.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace kast {
@@ -48,18 +55,19 @@ struct MaximalMatch {
 };
 
 /// Start-based matching statistics: Result[i] = length of the longest
-/// prefix of Subject[i..] occurring (anywhere) in the partner indexed
-/// by \p PartnerOfReversed, which must be the SuffixAutomaton of the
-/// *reversed* partner sequence.
+/// prefix of Subject[i..] occurring (anywhere) in the partner. Both
+/// sides come reversed: \p ReversedSubject is the subject read back to
+/// front and \p PartnerOfReversed the SuffixAutomaton of the reversed
+/// partner sequence.
 std::vector<size_t>
-matchingStatisticsStarts(const std::vector<uint32_t> &Subject,
+matchingStatisticsStarts(const std::vector<uint32_t> &ReversedSubject,
                          const SuffixAutomaton &PartnerOfReversed);
 
-/// Maximal match occurrences of \p Subject relative to \p Partner
-/// (suffix-automaton path). \p PartnerOfReversed must index the
-/// reversed partner. Results are sorted by Begin and unique.
+/// Maximal match occurrences of the subject relative to the partner
+/// (suffix-automaton path), in subject coordinates; arguments as for
+/// matchingStatisticsStarts. Results are sorted by Begin and unique.
 std::vector<MaximalMatch>
-findMaximalMatches(const std::vector<uint32_t> &Subject,
+findMaximalMatches(const std::vector<uint32_t> &ReversedSubject,
                    const SuffixAutomaton &PartnerOfReversed);
 
 /// Reference implementation by quadratic dynamic programming.
@@ -67,11 +75,12 @@ std::vector<MaximalMatch>
 findMaximalMatchesDP(const std::vector<uint32_t> &Subject,
                      const std::vector<uint32_t> &Partner);
 
-/// All occurrences (begin indices) of \p Pattern in \p Text; naive
-/// scan, O(|Text|·|Pattern|) worst case, linear in practice on token
-/// alphabets. Overlapping occurrences are all reported.
+/// All occurrences (begin indices) of \p Pattern in \p Text by a naive
+/// O(|Text|·|Pattern|) scan; the reference path of the Kast kernel
+/// (KastKernelOptions::UseReferenceMatcher). Overlapping occurrences
+/// are all reported.
 std::vector<size_t> findOccurrences(const std::vector<uint32_t> &Text,
-                                    const std::vector<uint32_t> &Pattern);
+                                    std::span<const uint32_t> Pattern);
 
 /// Convenience: reversed copy.
 std::vector<uint32_t> reversed(const std::vector<uint32_t> &Sequence);

@@ -83,20 +83,49 @@ int32_t SuffixAutomaton::extend(int32_t Last, uint32_t Symbol) {
 SuffixAutomaton::SuffixAutomaton(const std::vector<uint32_t> &Sequence) {
   States.reserve(2 * Sequence.size() + 2);
   States.emplace_back(); // Initial state.
+  // Created[i]: the state extend() created for position i (never a
+  // clone), whose end-position set is the one that contains i.
+  std::vector<uint32_t> Created;
+  Created.reserve(Sequence.size());
   int32_t Last = 0;
-  for (uint32_t Symbol : Sequence)
+  for (uint32_t Symbol : Sequence) {
     Last = extend(Last, Symbol);
+    Created.push_back(static_cast<uint32_t>(Last));
+  }
+  indexEndPositions(Created);
 }
 
-bool SuffixAutomaton::containsFactor(
-    const std::vector<uint32_t> &Factor) const {
-  int32_t State = 0;
-  for (uint32_t Symbol : Factor) {
-    State = transition(State, Symbol);
-    if (State == -1)
-      return false;
+void SuffixAutomaton::indexEndPositions(const std::vector<uint32_t> &Created) {
+  const size_t NumStates = States.size(), N = Created.size();
+  // Counting-sort the states by Len: a suffix link always points to a
+  // shorter state, so every parent precedes its children.
+  std::vector<uint32_t> ByLen(NumStates), Slot(N + 2, 0);
+  for (const State &S : States)
+    ++Slot[S.Len + 1];
+  for (size_t L = 1; L < Slot.size(); ++L)
+    Slot[L] += Slot[L - 1];
+  for (uint32_t S = 0; S < NumStates; ++S)
+    ByLen[Slot[States[S].Len]++] = S;
+  // Run lengths, children first: a created state's own position plus
+  // the runs of its suffix-link children.
+  RunLength.assign(NumStates, 0);
+  for (uint32_t S : Created)
+    RunLength[S] = 1;
+  for (size_t I = NumStates; I-- > 1;)
+    RunLength[States[ByLen[I]].Link] += RunLength[ByLen[I]];
+  // Run starts, parents first: each child takes the next slice of its
+  // parent's run, and a created state's own position fills its last
+  // slot — a DFS (post)order of the suffix-link tree.
+  RunBegin.assign(NumStates, 0);
+  std::vector<uint32_t> Free(NumStates, 0);
+  for (size_t I = 1; I < NumStates; ++I) {
+    const uint32_t S = ByLen[I], Parent = States[S].Link;
+    RunBegin[S] = Free[S] = Free[Parent];
+    Free[Parent] += RunLength[S];
   }
-  return true;
+  Ends.resize(N);
+  for (uint32_t E = 0; E < N; ++E)
+    Ends[RunBegin[Created[E]] + RunLength[Created[E]] - 1] = E;
 }
 
 std::vector<size_t> SuffixAutomaton::matchingStatisticsEnds(

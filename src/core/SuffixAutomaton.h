@@ -13,6 +13,14 @@
 /// amortized O(1) per symbol, giving linear-time matching statistics;
 /// see Matcher.h for how those become maximal matches.
 ///
+/// The automaton also indexes end positions (Blumer et al. 1985): the
+/// factors of one state share a set of end positions, and a state's set
+/// is the union of its suffix-link children's sets plus, unless the
+/// state is a clone, the position at which it was created. Laid out in
+/// DFS order of the suffix-link tree, every state's set is one
+/// contiguous run, so locate() + endPositions() list all occurrences of
+/// a factor in O(|factor| log σ + occurrences) for alphabet size σ.
+///
 /// States are stored in a flat arena; transitions in small sorted
 /// vectors (token alphabets here are tiny, typically < 100 symbols).
 ///
@@ -23,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,14 +40,36 @@ namespace kast {
 /// Suffix automaton of a symbol sequence.
 class SuffixAutomaton {
 public:
-  /// Builds the automaton of \p Sequence.
+  /// Builds the automaton of \p Sequence and its end-position index.
   explicit SuffixAutomaton(const std::vector<uint32_t> &Sequence);
 
   /// \returns the number of states (at most 2n - 1 for n >= 2).
   size_t numStates() const { return States.size(); }
 
   /// \returns true if \p Factor occurs as a contiguous factor.
-  bool containsFactor(const std::vector<uint32_t> &Factor) const;
+  bool containsFactor(const std::vector<uint32_t> &Factor) const {
+    return locate(Factor.begin(), Factor.end()) != -1;
+  }
+
+  /// \returns the state reached by reading [First, Last) from the
+  /// initial state, or -1 if that factor does not occur. Reverse
+  /// iterators over a factor of X locate it in the automaton of
+  /// reversed X.
+  template <typename Iterator>
+  int32_t locate(Iterator First, Iterator Last) const {
+    int32_t State = 0;
+    for (; First != Last && State != -1; ++First)
+      State = transition(State, *First);
+    return State;
+  }
+
+  /// End positions (index of the last symbol) of every occurrence of
+  /// \p State's factors, in no particular order. \p State must be a
+  /// state, e.g. a successful locate().
+  std::span<const uint32_t> endPositions(int32_t State) const {
+    return std::span<const uint32_t>(Ends).subspan(RunBegin[State],
+                                                   RunLength[State]);
+  }
 
   /// Matching statistics: Result[j] = length of the longest suffix of
   /// Query[0..j] that occurs in the indexed sequence (the standard
@@ -60,8 +91,12 @@ private:
   void addTransition(int32_t From, uint32_t Symbol, int32_t To);
   void setTransition(int32_t From, uint32_t Symbol, int32_t To);
   int32_t extend(int32_t Last, uint32_t Symbol);
+  void indexEndPositions(const std::vector<uint32_t> &Created);
 
   std::vector<State> States;
+  /// End-position index: state S's end positions are
+  /// Ends[RunBegin[S], RunBegin[S] + RunLength[S]).
+  std::vector<uint32_t> Ends, RunBegin, RunLength;
 };
 
 } // namespace kast

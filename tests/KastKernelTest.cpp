@@ -239,17 +239,22 @@ TEST(KastKernelTest, NameMentionsCut) {
   EXPECT_NE(K.name().find("16"), std::string::npos);
 }
 
-// Property sweep: on random weighted strings the kernel must be
-// symmetric, agree between the SAM and DP matchers, and normalize
-// self-similarity to 1.
+// Property sweep: on random weighted strings, under both cut policies,
+// the kernel must be symmetric, produce the reference matcher's whole
+// embedding (literals, weights, counts and their order), give the same
+// value through cached precomputations, and normalize self-similarity
+// to 1. The long low-alphabet rows make occurrences overlap and nest.
 class KastKernelSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, int, CutPolicy>> {
+};
 
 TEST_P(KastKernelSweep, SymmetryAndMatcherEquivalence) {
-  auto [Length, Alphabet, Cut] = GetParam();
+  auto [Length, Alphabet, Cut, Policy] = GetParam();
   Rng R(Length * 7919 + Alphabet * 31 + Cut);
   auto Table = TokenTable::create();
-  for (int Round = 0; Round < 10; ++Round) {
+  // The reference matcher is quadratic; long rows run fewer rounds.
+  const int Rounds = Length > 100 ? 3 : 10;
+  for (int Round = 0; Round < Rounds; ++Round) {
     WeightedString S(Table), T(Table);
     for (int I = 0; I < Length; ++I)
       S.append("t" + std::to_string(R.uniformInt(0, Alphabet - 1)),
@@ -258,14 +263,21 @@ TEST_P(KastKernelSweep, SymmetryAndMatcherEquivalence) {
       T.append("t" + std::to_string(R.uniformInt(0, Alphabet - 1)),
                R.uniformInt(1, 9));
 
-    KastKernelOptions Fast{static_cast<uint64_t>(Cut)};
-    KastKernelOptions Slow{static_cast<uint64_t>(Cut)};
+    KastKernelOptions Fast{static_cast<uint64_t>(Cut), Policy};
+    KastKernelOptions Slow = Fast;
     Slow.UseReferenceMatcher = true;
     KastSpectrumKernel KFast(Fast), KSlow(Slow);
 
+    EXPECT_EQ(KFast.features(S, T), KSlow.features(S, T));
     double Kst = KFast.evaluate(S, T);
     EXPECT_DOUBLE_EQ(Kst, KFast.evaluate(T, S));
-    EXPECT_DOUBLE_EQ(Kst, KSlow.evaluate(S, T));
+    EXPECT_EQ(Kst, KSlow.evaluate(S, T));
+
+    std::unique_ptr<KernelPrecomputation> PrepS = KFast.precompute(S),
+                                          PrepT = KFast.precompute(T);
+    EXPECT_EQ(KFast.evaluatePrepared(S, PrepS.get(), T, PrepT.get()), Kst);
+    EXPECT_EQ(KFast.evaluatePrepared(S, PrepS.get(), T, nullptr), Kst);
+    EXPECT_EQ(KFast.evaluatePrepared(S, nullptr, T, PrepT.get()), Kst);
     if (S.totalWeight() >= static_cast<uint64_t>(Cut)) {
       EXPECT_NEAR(KFast.evaluateNormalized(S, S), 1.0, 1e-12);
     }
@@ -276,4 +288,14 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, KastKernelSweep,
     ::testing::Combine(::testing::Values(3, 10, 40),
                        ::testing::Values(2, 4, 8),
-                       ::testing::Values(1, 2, 8)));
+                       ::testing::Values(1, 2, 8),
+                       ::testing::Values(CutPolicy::PerOccurrence,
+                                         CutPolicy::PerFeatureTotal)));
+
+INSTANTIATE_TEST_SUITE_P(
+    LongLowAlphabet, KastKernelSweep,
+    ::testing::Combine(::testing::Values(300, 600),
+                       ::testing::Values(2, 3),
+                       ::testing::Values(2, 8),
+                       ::testing::Values(CutPolicy::PerOccurrence,
+                                         CutPolicy::PerFeatureTotal)));

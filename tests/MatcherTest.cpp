@@ -47,6 +47,21 @@ Seq randomSeq(Rng &R, size_t Length, uint32_t Alphabet) {
   return Out;
 }
 
+/// Sorted starts of the occurrences of the state \p Sam reached on
+/// reading \p Factor backwards, \p Sam indexing reversed \p Text.
+std::vector<size_t> startsViaReversedIndex(const SuffixAutomaton &Sam,
+                                           const Seq &Text,
+                                           const Seq &Factor) {
+  std::vector<size_t> Starts;
+  int32_t State = Sam.locate(Factor.rbegin(), Factor.rend());
+  if (State == -1)
+    return Starts;
+  for (uint32_t End : Sam.endPositions(State))
+    Starts.push_back(Text.size() - 1 - End);
+  std::sort(Starts.begin(), Starts.end());
+  return Starts;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -94,6 +109,46 @@ TEST(SuffixAutomatonTest, FactorPropertyOnRandomInputs) {
   }
 }
 
+TEST(SuffixAutomatonTest, EndPositionsMatchNaiveOccurrences) {
+  // Every sequence up to length 6 over the text's alphabet plus one
+  // absent symbol: present factors list exactly their naive
+  // occurrences, absent ones locate nothing. Round 0 indexes the empty
+  // sequence, whose automaton is the root alone.
+  Rng R(2024);
+  for (int Round = 0; Round < 12; ++Round) {
+    const uint32_t Alphabet = 2 + Round % 2;
+    Seq Text = Round == 0 ? Seq{} : randomSeq(R, R.uniformInt(1, 90), Alphabet);
+    SuffixAutomaton RevSam(reversed(Text));
+    if (Text.empty()) {
+      EXPECT_EQ(RevSam.numStates(), 1u);
+    }
+    Seq Factor;
+    for (size_t Length = 1; Length <= 6; ++Length) {
+      Factor.assign(Length, 0);
+      for (;;) {
+        std::vector<size_t> Naive = findOccurrences(Text, Factor);
+        EXPECT_EQ(startsViaReversedIndex(RevSam, Text, Factor), Naive);
+        if (Naive.empty()) {
+          EXPECT_EQ(RevSam.locate(Factor.rbegin(), Factor.rend()), -1);
+        }
+        // Next sequence, odometer style.
+        size_t I = 0;
+        while (I < Length && ++Factor[I] == Alphabet + 1)
+          Factor[I++] = 0;
+        if (I == Length)
+          break;
+      }
+    }
+    // The empty factor is the root, which ends everywhere.
+    std::vector<uint32_t> All(RevSam.endPositions(0).begin(),
+                              RevSam.endPositions(0).end());
+    std::sort(All.begin(), All.end());
+    ASSERT_EQ(All.size(), Text.size());
+    for (size_t E = 0; E < All.size(); ++E)
+      EXPECT_EQ(All[E], E);
+  }
+}
+
 TEST(SuffixAutomatonTest, MatchingStatisticsEndsKnownCase) {
   // Y = "ab", X = "cabd": longest suffix of X[..j] in Y: 0,1,2,0.
   SuffixAutomaton Sam(seq("ab"));
@@ -132,7 +187,8 @@ TEST(MatcherTest, StartStatisticsKnownCase) {
   // occurring in partner: a->0, bc->2, c->1, d->0.
   Seq Subject = seq("abcd");
   SuffixAutomaton RevPartner(reversed(seq("bcx")));
-  std::vector<size_t> MS = matchingStatisticsStarts(Subject, RevPartner);
+  std::vector<size_t> MS =
+      matchingStatisticsStarts(reversed(Subject), RevPartner);
   EXPECT_EQ(MS, (std::vector<size_t>{0, 2, 1, 0}));
 }
 
@@ -140,7 +196,8 @@ TEST(MatcherTest, MaximalMatchesSimple) {
   // Subject "xaby", partner "zabw": only "ab" is shared and maximal.
   Seq Subject = seq("xaby");
   SuffixAutomaton RevPartner(reversed(seq("zabw")));
-  std::vector<MaximalMatch> M = findMaximalMatches(Subject, RevPartner);
+  std::vector<MaximalMatch> M =
+      findMaximalMatches(reversed(Subject), RevPartner);
   ASSERT_EQ(M.size(), 1u);
   EXPECT_EQ(M[0].Begin, 1u);
   EXPECT_EQ(M[0].End, 3u);
@@ -151,7 +208,7 @@ TEST(MatcherTest, SelfMatchIsWholeString) {
   // maximal — the property that makes k(A,A) = weight(A)^2.
   Seq S = seq("abcabc");
   SuffixAutomaton RevSelf(reversed(S));
-  std::vector<MaximalMatch> M = findMaximalMatches(S, RevSelf);
+  std::vector<MaximalMatch> M = findMaximalMatches(reversed(S), RevSelf);
   ASSERT_EQ(M.size(), 1u);
   EXPECT_EQ(M[0].Begin, 0u);
   EXPECT_EQ(M[0].length(), S.size());
@@ -160,7 +217,7 @@ TEST(MatcherTest, SelfMatchIsWholeString) {
 TEST(MatcherTest, DisjointSequencesShareNothing) {
   Seq Subject = seq("aaa");
   SuffixAutomaton RevPartner(reversed(seq("bbb")));
-  EXPECT_TRUE(findMaximalMatches(Subject, RevPartner).empty());
+  EXPECT_TRUE(findMaximalMatches(reversed(Subject), RevPartner).empty());
 }
 
 TEST(MatcherTest, OverlappingWindowsBothReported) {
@@ -168,7 +225,8 @@ TEST(MatcherTest, OverlappingWindowsBothReported) {
   // [1,3) are each maximal ("aba" does not occur in partner "abba"?).
   Seq Subject = seq("aba");
   SuffixAutomaton RevPartner(reversed(seq("abba")));
-  std::vector<MaximalMatch> M = findMaximalMatches(Subject, RevPartner);
+  std::vector<MaximalMatch> M =
+      findMaximalMatches(reversed(Subject), RevPartner);
   ASSERT_EQ(M.size(), 2u);
   EXPECT_EQ(M[0], (MaximalMatch{0, 2}));
   EXPECT_EQ(M[1], (MaximalMatch{1, 3}));
@@ -183,7 +241,7 @@ TEST(MatcherTest, DPAndSamAgreeOnKnownCases) {
   for (const auto &[S, P] : Cases) {
     Seq Subject = seq(S), Partner = seq(P);
     SuffixAutomaton RevPartner(reversed(Partner));
-    EXPECT_EQ(findMaximalMatches(Subject, RevPartner),
+    EXPECT_EQ(findMaximalMatches(reversed(Subject), RevPartner),
               findMaximalMatchesDP(Subject, Partner))
         << "subject=" << S << " partner=" << P;
   }
@@ -206,7 +264,7 @@ TEST_P(MatcherSweep, SamMatchesDPOracle) {
     Seq Subject = randomSeq(R, P.SubjectLength, P.Alphabet);
     Seq Partner = randomSeq(R, P.PartnerLength, P.Alphabet);
     SuffixAutomaton RevPartner(reversed(Partner));
-    EXPECT_EQ(findMaximalMatches(Subject, RevPartner),
+    EXPECT_EQ(findMaximalMatches(reversed(Subject), RevPartner),
               findMaximalMatchesDP(Subject, Partner));
   }
 }
@@ -233,7 +291,7 @@ TEST(MatcherTest, MaximalWindowsAreNonExtendable) {
     Seq Partner = randomSeq(R, 40, 3);
     SuffixAutomaton RevPartner(reversed(Partner));
     for (const MaximalMatch &M :
-         findMaximalMatches(Subject, RevPartner)) {
+         findMaximalMatches(reversed(Subject), RevPartner)) {
       Seq Window(Subject.begin() + M.Begin, Subject.begin() + M.End);
       EXPECT_TRUE(containsNaive(Partner, Window));
       if (M.Begin > 0) {
