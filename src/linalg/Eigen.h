@@ -5,9 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cyclic Jacobi eigendecomposition for symmetric matrices, plus the
-/// two kernel-matrix transformations the paper's evaluation pipeline
-/// needs:
+/// Symmetric eigendecomposition, plus the two kernel-matrix
+/// transformations the paper's evaluation pipeline needs:
 ///
 ///  * PSD projection — Section 4.1: "If the matrices presented negative
 ///    eigenvalues, they were replaced by zero and the matrices
@@ -15,9 +14,14 @@
 ///  * double centering — the feature-space centering step of Kernel PCA
 ///    (Schoelkopf et al., 1997): K' = K - 1K - K1 + 1K1.
 ///
-/// Jacobi is chosen over faster tridiagonalization methods because it
-/// is simple, unconditionally stable for symmetric input, and the Gram
-/// matrices here are at most a few hundred rows.
+/// The solver is Householder tridiagonalization followed by implicit-
+/// shift QL (Golub & Van Loan, Matrix Computations, §8.3; EISPACK
+/// tred2/tql2). The QL iteration computes every eigenvalue and records
+/// its Givens rotations; eigenvectors are then rebuilt only for the
+/// eigenvalues a caller asks for, by replaying those rotations and the
+/// Householder reflections on unit vectors. Kernel PCA keeps two
+/// components and the PSD repair only the non-negative part of the
+/// spectrum, so neither pays for the full eigenvector matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,40 +40,41 @@ struct EigenDecomposition {
   std::vector<double> Values;
   /// Column j of this matrix is the eigenvector for Values[j].
   Matrix Vectors;
-  /// Number of Jacobi sweeps performed.
+  /// Number of QL iterations (implicit shifts) performed.
   size_t Sweeps = 0;
-  /// True if the off-diagonal norm converged below tolerance.
+  /// False if some eigenvalue needed more than 30 shifts (EISPACK's
+  /// limit); that eigenvalue is then accepted unconverged.
   bool Converged = false;
-};
-
-/// Options for the Jacobi solver.
-struct JacobiOptions {
-  /// Stop when the off-diagonal Frobenius norm falls below this.
-  double Tolerance = 1e-12;
-  /// Hard sweep limit; 100 is far beyond what symmetric input needs.
-  size_t MaxSweeps = 100;
 };
 
 /// Computes the full eigendecomposition of symmetric \p A.
 ///
 /// \pre A.isSymmetric(). Asserts on non-square input.
-EigenDecomposition eigenSymmetric(const Matrix &A,
-                                  const JacobiOptions &Options = {});
+EigenDecomposition eigenSymmetric(const Matrix &A);
+
+/// Computes every eigenvalue of symmetric \p A but the eigenvectors of
+/// only the \p Leading largest: Vectors is N x min(Leading, N). Values
+/// are bitwise those of the full decomposition whatever \p Leading is.
+EigenDecomposition eigenSymmetric(const Matrix &A, size_t Leading);
+
+/// The magnitude below which an eigenvalue of an N x N matrix with
+/// spectrum \p Values cannot be told from rounding: N * eps * max|lambda|.
+double eigenNoiseFloor(const std::vector<double> &Values);
 
 /// Clips negative eigenvalues to zero and rebuilds the matrix,
 /// returning the nearest (Frobenius) positive semi-definite matrix.
-/// The result is re-symmetrized to remove rounding asymmetry.
-Matrix projectToPsd(const Matrix &A, const JacobiOptions &Options = {});
+/// The result is exactly symmetric.
+Matrix projectToPsd(const Matrix &A);
 
-/// Like projectToPsd, but returns \p A unchanged when its spectrum is
-/// already non-negative — and decides that from the same single
-/// eigendecomposition the rebuild uses, where the minEigenvalue-then-
-/// projectToPsd sequence costs two.
-Matrix projectToPsdIfNeeded(const Matrix &A,
-                            const JacobiOptions &Options = {});
+/// Like projectToPsd, but returns \p A unchanged when no eigenvalue is
+/// negative beyond eigenNoiseFloor — so a PSD matrix whose zero
+/// eigenvalues came out as rounding noise is not rebuilt. The decision
+/// costs one eigenvalue-only solve; eigenvectors are computed only when
+/// the rebuild runs.
+Matrix projectToPsdIfNeeded(const Matrix &A);
 
 /// \returns the smallest eigenvalue of symmetric \p A.
-double minEigenvalue(const Matrix &A, const JacobiOptions &Options = {});
+double minEigenvalue(const Matrix &A);
 
 /// Double-centers a Gram matrix: K' = K - 1K - K1 + 1K1 where 1 is the
 /// constant 1/n matrix. After centering the implicit feature vectors

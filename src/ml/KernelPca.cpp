@@ -19,18 +19,19 @@ KernelPcaResult kast::kernelPca(const Matrix &K, size_t MaxComponents) {
   if (N == 0)
     return Result;
 
-  Matrix Centered = doubleCenter(K);
-  EigenDecomposition E = eigenSymmetric(Centered);
+  // Every eigenvalue, since ExplainedVariance is a share of the whole
+  // positive spectrum, but eigenvectors only for the leading ones.
+  EigenDecomposition E = eigenSymmetric(doubleCenter(K), MaxComponents);
 
-  // Retain positive components only.
+  // Retain components above the rounding floor only.
+  const double Floor = eigenNoiseFloor(E.Values);
   size_t Keep = 0;
   double PositiveTotal = 0.0;
   for (double Lambda : E.Values)
-    if (Lambda > 1e-12)
+    if (Lambda > Floor)
       PositiveTotal += Lambda;
-  for (size_t J = 0; J < E.Values.size() && Keep < MaxComponents; ++J)
-    if (E.Values[J] > 1e-12)
-      ++Keep;
+  while (Keep < E.Vectors.cols() && E.Values[Keep] > Floor)
+    ++Keep;
 
   Result.Projections = Matrix(N, Keep);
   Result.Eigenvalues.reserve(Keep);

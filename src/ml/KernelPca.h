@@ -10,12 +10,14 @@
 /// Given a Gram matrix K over n examples:
 ///
 ///   1. double-center K (zero-mean implicit features);
-///   2. eigendecompose the centered matrix;
+///   2. compute every eigenvalue of the centered matrix, and the
+///      eigenvectors of the retained components only;
 ///   3. the projection of example i onto component j is
 ///      sqrt(lambda_j) * v_j[i] (principal coordinates).
 ///
-/// Components with non-positive eigenvalues are dropped; indefinite
-/// input (possible for the Kast kernel before PSD repair) therefore
+/// Components whose eigenvalues do not exceed eigenNoiseFloor are
+/// dropped, so the count kept does not depend on the Gram's scale, and
+/// indefinite input (possible for the Kast kernel before PSD repair)
 /// yields fewer usable components rather than NaNs.
 ///
 //===----------------------------------------------------------------------===//

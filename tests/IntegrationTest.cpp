@@ -77,12 +77,22 @@ LabeledDataset *PaperEvaluation::NoBytes = nullptr;
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Figures 6-7: Kast kernel, byte information, cut weight 2
+// Figures 6-7 and Table 1: Kast kernel, byte information, small cuts
 //===----------------------------------------------------------------------===//
 
-TEST_F(PaperEvaluation, KastWithBytesSeparatesABandMergesCD) {
-  KastSpectrumKernel Kernel({/*CutWeight=*/2});
-  Matrix K = gram(Kernel, *WithBytes);
+/// Table 1's Kast-with-bytes rows at cut weights 2, 4 and 8, with and
+/// without the §4.1 PSD repair.
+class KastWithBytesSweep
+    : public PaperEvaluation,
+      public ::testing::WithParamInterface<std::tuple<uint64_t, bool>> {};
+
+TEST_P(KastWithBytesSweep, SeparatesABandMergesCD) {
+  auto [Cut, Repair] = GetParam();
+  KastSpectrumKernel Kernel({Cut});
+  KernelMatrixOptions Options;
+  Options.Normalize = true;
+  Options.RepairPsd = Repair;
+  Matrix K = computeKernelMatrix(Kernel, WithBytes->strings(), Options);
   std::vector<size_t> Flat = clusterCut(K, 3);
   // "both learning algorithms clearly separated the same 3 clusters"
   // with "not misplaced examples on any of the groups".
@@ -92,7 +102,13 @@ TEST_F(PaperEvaluation, KastWithBytesSeparatesABandMergesCD) {
   EXPECT_EQ(
       misplacedCount(Flat, WithBytes->labels(), {{"A"}, {"B"}, {"C", "D"}}),
       0u);
+  EXPECT_NEAR(purity(Flat, WithBytes->labels()), 0.818, 5e-4);
+  EXPECT_NEAR(adjustedRandIndex(Flat, WithBytes->labels()), 0.850, 5e-4);
 }
+
+INSTANTIATE_TEST_SUITE_P(Table1, KastWithBytesSweep,
+                         ::testing::Combine(::testing::Values(2u, 4u, 8u),
+                                            ::testing::Bool()));
 
 TEST_F(PaperEvaluation, KastWithBytesKernelPcaSeparatesGroups) {
   KastSpectrumKernel Kernel({/*CutWeight=*/2});

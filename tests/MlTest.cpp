@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "linalg/Eigen.h"
 #include "ml/ClusterMetrics.h"
 #include "ml/HierarchicalClustering.h"
 #include "ml/KernelPca.h"
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace kast;
 
@@ -26,6 +28,21 @@ Matrix gramOfPoints(const std::vector<std::pair<double, double>> &Points) {
     for (size_t J = 0; J < Points.size(); ++J)
       K.at(I, J) = Points[I].first * Points[J].first +
                    Points[I].second * Points[J].second;
+  return K;
+}
+
+/// Linear-kernel Gram matrix of \p N random points in \p Dims
+/// dimensions: centered, it has rank \p Dims.
+Matrix gramOfRandomPoints(size_t N, size_t Dims, uint64_t Seed) {
+  Rng R(Seed);
+  std::vector<std::vector<double>> X(N, std::vector<double>(Dims));
+  for (std::vector<double> &Row : X)
+    for (double &V : Row)
+      V = R.uniformReal();
+  Matrix K(N, N);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      K.at(I, J) = dot(X[I], X[J]);
   return K;
 }
 
@@ -107,6 +124,91 @@ TEST(KernelPcaTest, MaxComponentsRespected) {
       {1, 2}, {3, -1}, {-2, 0}, {0, 4}};
   KernelPcaResult R = kernelPca(gramOfPoints(Points), 1);
   EXPECT_EQ(R.Projections.cols(), 1u);
+}
+
+TEST(KernelPcaTest, ComponentCountIsScaleInvariant) {
+  // Whether a component counts as positive is decided against the
+  // spectrum's own magnitude, so rescaling the Gram changes nothing.
+  Matrix K = gramOfRandomPoints(30, 3, 5);
+  for (double Scale : {1.0, 1e-14, 1e14}) {
+    Matrix Scaled = K;
+    for (double &V : Scaled.data())
+      V *= Scale;
+    EXPECT_EQ(kernelPca(Scaled, 5).Eigenvalues.size(), 3u)
+        << "scale " << Scale;
+  }
+}
+
+TEST(KernelPcaTest, EigenvaluesAreBitwiseTheFullSolves) {
+  // perfbench's kpca_split_matches gate re-runs doubleCenter +
+  // eigenSymmetric beside kernelPca and requires the same bits.
+  Matrix K = gramOfRandomPoints(60, 8, 9);
+  EigenDecomposition Full = eigenSymmetric(doubleCenter(K));
+  for (size_t Components : {1u, 2u, 5u}) {
+    KernelPcaResult R = kernelPca(K, Components);
+    ASSERT_EQ(R.Eigenvalues.size(), Components);
+    EXPECT_EQ(std::memcmp(R.Eigenvalues.data(), Full.Values.data(),
+                          Components * sizeof(double)),
+              0)
+        << Components << " components";
+  }
+}
+
+TEST(KernelPcaTest, ProjectionsMatchFullDecompositionUpToSign) {
+  Matrix K = gramOfRandomPoints(60, 8, 13);
+  EigenDecomposition Full = eigenSymmetric(doubleCenter(K));
+  KernelPcaResult R = kernelPca(K, 3);
+  ASSERT_EQ(R.Projections.cols(), 3u);
+  for (size_t J = 0; J < 3; ++J) {
+    const double Scale = std::sqrt(Full.Values[J]);
+    double Agreement = 0.0;
+    for (size_t I = 0; I < 60; ++I)
+      Agreement += R.Projections.at(I, J) * Full.Vectors.at(I, J);
+    const double Sign = Agreement < 0.0 ? -1.0 : 1.0;
+    for (size_t I = 0; I < 60; ++I)
+      EXPECT_NEAR(R.Projections.at(I, J), Sign * Scale * Full.Vectors.at(I, J),
+                  1e-10);
+  }
+}
+
+TEST(KernelPcaTest, ExplainedVarianceIsShareOfWholePositiveSpectrum) {
+  // Two components kept out of a rank-6 spectrum: each share is still
+  // relative to all six positive eigenvalues.
+  Matrix K = gramOfRandomPoints(40, 6, 21);
+  EigenDecomposition Full = eigenSymmetric(doubleCenter(K));
+  double PositiveTotal = 0.0;
+  for (size_t J = 0; J < 6; ++J)
+    PositiveTotal += Full.Values[J];
+  KernelPcaResult R = kernelPca(K, 2);
+  ASSERT_EQ(R.ExplainedVariance.size(), 2u);
+  for (size_t J = 0; J < 2; ++J)
+    EXPECT_NEAR(R.ExplainedVariance[J], Full.Values[J] / PositiveTotal,
+                1e-12);
+  EXPECT_LT(R.ExplainedVariance[0] + R.ExplainedVariance[1], 0.99);
+}
+
+TEST(KernelPcaTest, RepeatedTopEigenvalueKeepsOrthonormalVectors) {
+  // A regular hexagon has isotropic spread in its plane, so the top
+  // eigenvalue is double; a small alternating third coordinate adds a
+  // distinct third one. The two kept components must still be
+  // orthogonal, each of squared length equal to its eigenvalue.
+  const double Pi = std::acos(-1.0);
+  std::vector<std::vector<double>> X;
+  for (int K = 0; K < 6; ++K)
+    X.push_back({std::cos(Pi * K / 3.0), std::sin(Pi * K / 3.0),
+                 K % 2 ? -0.3 : 0.3});
+  Matrix Gram(6, 6);
+  for (size_t I = 0; I < 6; ++I)
+    for (size_t J = 0; J < 6; ++J)
+      Gram.at(I, J) = dot(X[I], X[J]);
+  KernelPcaResult R = kernelPca(Gram, 2);
+  ASSERT_EQ(R.Eigenvalues.size(), 2u);
+  EXPECT_NEAR(R.Eigenvalues[0], 3.0, 1e-12);
+  EXPECT_NEAR(R.Eigenvalues[1], 3.0, 1e-12);
+  Matrix PtP = R.Projections.transposed().multiply(R.Projections);
+  EXPECT_NEAR(PtP.at(0, 0), R.Eigenvalues[0], 1e-12);
+  EXPECT_NEAR(PtP.at(1, 1), R.Eigenvalues[1], 1e-12);
+  EXPECT_NEAR(PtP.at(0, 1), 0.0, 1e-12);
 }
 
 //===----------------------------------------------------------------------===//
