@@ -10,23 +10,29 @@
 
 using namespace kast;
 
+void PreorderEncoder::add(const std::string &Literal, uint64_t Weight,
+                          size_t Depth) {
+  assert((First ? Depth == 0 : Depth <= PrevDepth + 1) &&
+         "invalid pre-order depth contour");
+  if (!First && Depth <= PrevDepth)
+    Out.append(LevelUpLiteral, PrevDepth - Depth + 1);
+  Out.append(Literal, Weight);
+  PrevDepth = Depth;
+  First = false;
+}
+
+WeightedString PreorderEncoder::finish() {
+  if (Options.EmitTrailingLevelUp && !First)
+    Out.append(LevelUpLiteral, PrevDepth + 1);
+  return std::move(Out);
+}
+
 WeightedString
 kast::encodePreorder(const std::vector<PreorderItem> &Items,
                      const std::shared_ptr<TokenTable> &Table,
                      const PreorderEncodeOptions &Options) {
-  WeightedString Out(Table);
-  size_t PrevDepth = 0;
-  bool First = true;
-  for (const PreorderItem &Item : Items) {
-    assert((First ? Item.Depth == 0 : Item.Depth <= PrevDepth + 1) &&
-           "invalid pre-order depth contour");
-    if (!First && Item.Depth <= PrevDepth)
-      Out.append(LevelUpLiteral, PrevDepth - Item.Depth + 1);
-    Out.append(Item.Literal, Item.Weight);
-    PrevDepth = Item.Depth;
-    First = false;
-  }
-  if (Options.EmitTrailingLevelUp && !First)
-    Out.append(LevelUpLiteral, PrevDepth + 1);
-  return Out;
+  PreorderEncoder Encoder(Table, Options);
+  for (const PreorderItem &Item : Items)
+    Encoder.add(Item.Literal, Item.Weight, Item.Depth);
+  return Encoder.finish();
 }

@@ -43,6 +43,27 @@ struct PreorderEncodeOptions {
   bool EmitTrailingLevelUp = false;
 };
 
+/// Incremental form of encodePreorder: items arrive one at a time, so
+/// a caller can build each literal in one reused buffer.
+class PreorderEncoder {
+public:
+  PreorderEncoder(std::shared_ptr<TokenTable> Table,
+                  const PreorderEncodeOptions &Options = {})
+      : Out(std::move(Table)), Options(Options) {}
+
+  /// Appends one pre-order item (same contract as encodePreorder).
+  void add(const std::string &Literal, uint64_t Weight, size_t Depth);
+
+  /// \returns the encoded string; call once, after the last add().
+  WeightedString finish();
+
+private:
+  WeightedString Out;
+  PreorderEncodeOptions Options;
+  size_t PrevDepth = 0;
+  bool First = true;
+};
+
 /// Encodes a pre-order node sequence as a weighted string.
 ///
 /// \pre the depth sequence is a valid pre-order contour: the first

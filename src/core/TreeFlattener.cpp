@@ -10,61 +10,58 @@
 
 using namespace kast;
 
-/// Token literal for a leaf: "name[byteSig]".
-static std::string leafLiteral(const PatternNode &Node) {
-  return Node.nameLabel() + "[" + Node.byteLabel() + "]";
-}
-
 WeightedString kast::flattenTree(const PatternTree &Tree,
                                  const std::shared_ptr<TokenTable> &Table,
                                  const FlattenOptions &Options) {
-  std::vector<PreorderItem> Items;
-  Items.reserve(Tree.size());
-  for (NodeId Id : Tree.preorder()) {
-    const PatternNode &Node = Tree.node(Id);
-    PreorderItem Item;
-    Item.Depth = Tree.depth(Id);
-    switch (Node.Kind) {
-    case NodeKind::Root:
-      Item.Literal = RootLiteral;
-      break;
-    case NodeKind::Handle:
-      Item.Literal = HandleLiteral;
-      break;
-    case NodeKind::Block:
-      Item.Literal = BlockLiteral;
-      break;
-    case NodeKind::Op:
-      Item.Literal = leafLiteral(Node);
-      Item.Weight = Node.Reps;
-      break;
-    }
-    Items.push_back(std::move(Item));
-  }
   PreorderEncodeOptions EncodeOptions;
   EncodeOptions.EmitTrailingLevelUp = Options.EmitTrailingLevelUp;
-  return encodePreorder(Items, Table, EncodeOptions);
+  PreorderEncoder Encoder(Table, EncodeOptions);
+  std::string Literal; // Every literal is built in this one buffer.
+  for (NodeId Id : Tree.preorder()) {
+    const PatternNode &Node = Tree.node(Id);
+    Literal.clear();
+    switch (Node.Kind) {
+    case NodeKind::Root:
+      Literal = RootLiteral;
+      break;
+    case NodeKind::Handle:
+      Literal = HandleLiteral;
+      break;
+    case NodeKind::Block:
+      Literal = BlockLiteral;
+      break;
+    case NodeKind::Op:
+      Tree.appendLeafLiteral(Id, Literal);
+      break;
+    }
+    Encoder.add(Literal, Node.Kind == NodeKind::Op ? Node.Reps : 1,
+                Tree.depth(Id));
+  }
+  return Encoder.finish();
 }
 
-/// Splits "name[bytes]" into signatures; returns false on mismatch.
-static bool parseLeafLiteral(const std::string &Literal, PatternNode &Node) {
+/// Splits "name[bytes]" into op ids interned in \p Tree and byte
+/// counts; returns false on mismatch.
+static bool parseLeafLiteral(const std::string &Literal, PatternTree &Tree,
+                             std::vector<uint32_t> &Ops,
+                             std::vector<uint64_t> &Bytes) {
   size_t Open = Literal.find('[');
   if (Open == std::string::npos || Literal.back() != ']' || Open == 0)
     return false;
   std::string Names = Literal.substr(0, Open);
-  std::string Bytes = Literal.substr(Open + 1, Literal.size() - Open - 2);
+  std::string ByteText = Literal.substr(Open + 1, Literal.size() - Open - 2);
   for (std::string_view Part : split(Names, '+')) {
     if (Part.empty())
       return false;
-    Node.NameSig.emplace_back(Part);
+    Ops.push_back(Tree.internOp(Part));
   }
-  for (std::string_view Part : split(Bytes, '+')) {
+  for (std::string_view Part : split(ByteText, '+')) {
     std::optional<uint64_t> Value = parseUnsigned(Part);
     if (!Value)
       return false;
-    Node.ByteSig.push_back(*Value);
+    Bytes.push_back(*Value);
   }
-  return !Node.NameSig.empty() && !Node.ByteSig.empty();
+  return !Ops.empty() && !Bytes.empty();
 }
 
 Expected<PatternTree> kast::unflattenString(const WeightedString &S) {
@@ -120,14 +117,11 @@ Expected<PatternTree> kast::unflattenString(const WeightedString &S) {
     if (Tree.node(Parent).Kind != NodeKind::Block)
       return Result::error("operation token outside a [BLOCK] at token " +
                            std::to_string(I));
-    PatternNode Leaf;
-    if (!parseLeafLiteral(Literal, Leaf))
+    std::vector<uint32_t> Ops;
+    std::vector<uint64_t> Bytes;
+    if (!parseLeafLiteral(Literal, Tree, Ops, Bytes))
       return Result::error("malformed leaf literal '" + Literal + "'");
-    Current = Tree.addOp(Parent, "", 0);
-    PatternNode &Slot = Tree.node(Current);
-    Slot.NameSig = std::move(Leaf.NameSig);
-    Slot.ByteSig = std::move(Leaf.ByteSig);
-    Slot.Reps = Weight;
+    Current = Tree.addOp(Parent, Ops, Bytes, Weight);
   }
   return Tree;
 }

@@ -7,6 +7,7 @@
 #include "trace/StraceAdapter.h"
 #include "util/StringUtil.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -15,74 +16,47 @@ using namespace kast;
 
 namespace {
 
-/// One decoded strace line.
+/// One decoded strace line; every view points into the line.
 struct StraceCall {
-  std::string Syscall;
-  std::vector<std::string> Arguments; ///< Raw argument spellings.
+  std::string_view Syscall;
+  /// The first top-level argument, trimmed; nullopt for an empty list.
+  std::optional<std::string_view> FirstArgument;
+  enum { NoReturn, Returned, OutOfRange } Return = NoReturn;
   int64_t ReturnValue = 0;
-  bool HasReturn = false;
 };
 
-/// Splits the argument list at top-level commas (quotes and nesting
-/// respected well enough for strace's renderings).
-std::vector<std::string> splitArguments(std::string_view Args) {
-  std::vector<std::string> Out;
-  std::string Current;
+/// The first argument of a list split at top-level commas (quotes and
+/// nesting respected well enough for strace's renderings).
+std::optional<std::string_view> firstArgument(std::string_view Args) {
   int Depth = 0;
   bool InString = false;
   for (size_t I = 0; I < Args.size(); ++I) {
     char C = Args[I];
     if (InString) {
-      Current += C;
-      if (C == '\\' && I + 1 < Args.size()) {
-        Current += Args[++I];
-        continue;
-      }
-      if (C == '"')
+      if (C == '\\' && I + 1 < Args.size())
+        ++I;
+      else if (C == '"')
         InString = false;
-      continue;
-    }
-    switch (C) {
-    case '"':
+    } else if (C == '"') {
       InString = true;
-      Current += C;
-      break;
-    case '(':
-    case '[':
-    case '{':
+    } else if (C == '(' || C == '[' || C == '{') {
       ++Depth;
-      Current += C;
-      break;
-    case ')':
-    case ']':
-    case '}':
+    } else if (C == ')' || C == ']' || C == '}') {
       --Depth;
-      Current += C;
-      break;
-    case ',':
-      if (Depth == 0) {
-        Out.emplace_back(trim(Current));
-        Current.clear();
-        break;
-      }
-      Current += C;
-      break;
-    default:
-      Current += C;
+    } else if (C == ',' && Depth == 0) {
+      return trim(Args.substr(0, I));
     }
   }
-  std::string_view Last = trim(Current);
-  if (!Last.empty())
-    Out.emplace_back(Last);
-  return Out;
+  std::string_view Only = trim(Args);
+  if (Only.empty())
+    return std::nullopt;
+  return Only;
 }
 
-/// Decodes "name(args) = ret ..." into a StraceCall; nullopt for lines
-/// that are not complete syscall records (signals, unfinished halves).
+/// Decodes a trimmed "name(args) = ret ..." line into a StraceCall;
+/// nullopt for lines that are not complete syscall records (signals,
+/// unfinished halves).
 std::optional<StraceCall> decodeLine(std::string_view Line) {
-  Line = trim(Line);
-  if (Line.empty())
-    return std::nullopt;
   // Optional leading PID or timestamp columns: strip leading digits,
   // dots and colons followed by whitespace, repeatedly.
   while (!Line.empty() &&
@@ -97,17 +71,16 @@ std::optional<StraceCall> decodeLine(std::string_view Line) {
     else
       break;
   }
-  if (Line.empty() || !std::isalpha(static_cast<unsigned char>(Line[0])))
-    return std::nullopt;
-  if (Line.find("unfinished") != std::string_view::npos ||
-      Line.find("resumed") != std::string_view::npos)
+  // The "<... read resumed>" half of a split call fails this test too.
+  if (Line.empty() || !std::isalpha(static_cast<unsigned char>(Line[0])) ||
+      endsWith(Line, "<unfinished ...>"))
     return std::nullopt;
 
   size_t Open = Line.find('(');
   if (Open == std::string_view::npos)
     return std::nullopt;
   StraceCall Call;
-  Call.Syscall = toLower(trim(Line.substr(0, Open)));
+  Call.Syscall = trim(Line.substr(0, Open));
 
   // Find the matching close parenthesis from the right: strace puts
   // " = ret" after it.
@@ -117,7 +90,7 @@ std::optional<StraceCall> decodeLine(std::string_view Line) {
                                      : Eq);
   if (Close == std::string_view::npos || Close < Open)
     return std::nullopt;
-  Call.Arguments = splitArguments(Line.substr(Open + 1, Close - Open - 1));
+  Call.FirstArgument = firstArgument(Line.substr(Open + 1, Close - Open - 1));
 
   if (Eq != std::string_view::npos) {
     std::string_view Ret = trim(Line.substr(Eq + 3));
@@ -131,25 +104,55 @@ std::optional<StraceCall> decodeLine(std::string_view Line) {
     bool Negative = !Value.empty() && Value[0] == '-';
     if (Negative)
       Value.remove_prefix(1);
+    // The magnitude must fit int64_t: 2^63 - 1, or 2^63 when negative.
     std::optional<uint64_t> Parsed = parseUnsigned(Value);
-    if (Parsed) {
-      Call.ReturnValue = Negative ? -static_cast<int64_t>(*Parsed)
-                                  : static_cast<int64_t>(*Parsed);
-      Call.HasReturn = true;
+    if (Parsed && *Parsed <= (uint64_t(1) << 63) - !Negative) {
+      Call.ReturnValue = static_cast<int64_t>(Negative ? 0 - *Parsed : *Parsed);
+      Call.Return = StraceCall::Returned;
+    } else if (!Value.empty() && Value.find_first_not_of("0123456789") ==
+                                     std::string_view::npos) {
+      Call.Return = StraceCall::OutOfRange;
     }
   }
   return Call;
 }
 
+/// The file-I/O syscalls parseStrace keeps, and the operation each
+/// becomes.
+struct IoSyscall {
+  std::string_view Name;
+  OpKind Kind;
+};
+constexpr IoSyscall IoSyscalls[] = {
+    {"open", OpKind::Open},     {"openat", OpKind::Open},
+    {"creat", OpKind::Open},    {"read", OpKind::Read},
+    {"pread", OpKind::Read},    {"pread64", OpKind::Read},
+    {"write", OpKind::Write},   {"pwrite", OpKind::Write},
+    {"pwrite64", OpKind::Write}, {"lseek", OpKind::Lseek},
+    {"llseek", OpKind::Lseek},  {"_llseek", OpKind::Lseek},
+    {"fsync", OpKind::Fsync},   {"fdatasync", OpKind::Fsync},
+    {"close", OpKind::Close},
+};
+
+/// Matches \p Syscall case-insensitively against IoSyscalls.
+std::optional<OpKind> classifySyscall(std::string_view Syscall) {
+  for (const IoSyscall &S : IoSyscalls)
+    if (std::ranges::equal(S.Name, Syscall, [](char Lower, char C) {
+          return Lower == std::tolower(static_cast<unsigned char>(C));
+        }))
+      return S.Kind;
+  return std::nullopt;
+}
+
 /// Parses a decimal file descriptor argument ("3" or "3</path>").
-std::optional<uint64_t> parseFd(const std::string &Argument) {
+std::optional<uint64_t> parseFd(std::string_view Argument) {
   size_t End = 0;
   while (End < Argument.size() &&
          std::isdigit(static_cast<unsigned char>(Argument[End])))
     ++End;
   if (End == 0)
     return std::nullopt;
-  return parseUnsigned(std::string_view(Argument).substr(0, End));
+  return parseUnsigned(Argument.substr(0, End));
 }
 
 } // namespace
@@ -158,94 +161,54 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
                                   StraceStats *Stats) {
   using Result = Expected<Trace>;
   Trace Out(std::move(Name));
+  Out.events().reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
   StraceStats Local;
 
-  size_t Start = 0;
   size_t LineNumber = 0;
-  while (Start <= Text.size()) {
-    size_t End = Text.find('\n', Start);
-    if (End == std::string_view::npos)
-      End = Text.size();
-    std::string_view Line = Text.substr(Start, End - Start);
+  auto Fail = [&](const std::string &Why) {
+    return Result::error("line " + std::to_string(LineNumber) + ": " + Why);
+  };
+  for (size_t Start = 0, End = 0; Start <= Text.size(); Start = End + 1) {
+    End = std::min(Text.find('\n', Start), Text.size());
+    std::string_view Line = trim(Text.substr(Start, End - Start));
     ++LineNumber;
-    size_t NextStart = End + 1;
-    if (!trim(Line).empty())
-      ++Local.LinesTotal;
+    if (Line.empty())
+      continue;
+    ++Local.LinesTotal;
 
     std::optional<StraceCall> Call = decodeLine(Line);
-    if (!Call) {
-      if (!trim(Line).empty())
-        ++Local.LinesSkipped;
-      if (End == Text.size())
-        break;
-      Start = NextStart;
-      continue;
-    }
-
-    const std::string &Sys = Call->Syscall;
-    bool IsOpen = Sys == "open" || Sys == "openat" || Sys == "creat";
-    bool IsRead = Sys == "read" || Sys == "pread" || Sys == "pread64";
-    bool IsWrite = Sys == "write" || Sys == "pwrite" || Sys == "pwrite64";
-    bool IsSeek = Sys == "lseek" || Sys == "llseek" || Sys == "_llseek";
-    bool IsSync = Sys == "fsync" || Sys == "fdatasync";
-    bool IsClose = Sys == "close";
-    if (!IsOpen && !IsRead && !IsWrite && !IsSeek && !IsSync && !IsClose) {
+    std::optional<OpKind> Kind =
+        Call ? classifySyscall(Call->Syscall) : std::nullopt;
+    if (!Kind) {
       ++Local.LinesSkipped;
-      if (End == Text.size())
-        break;
-      Start = NextStart;
       continue;
     }
-
-    if (Call->HasReturn && Call->ReturnValue < 0) {
+    if (Call->Return == StraceCall::OutOfRange)
+      return Fail("return value outside int64_t");
+    const bool HasReturn = Call->Return == StraceCall::Returned;
+    if (HasReturn && Call->ReturnValue < 0) {
       ++Local.CallsFailed;
-      if (End == Text.size())
-        break;
-      Start = NextStart;
       continue;
     }
 
-    TraceEvent Event;
-    if (IsOpen) {
-      if (!Call->HasReturn)
-        return Result::error("line " + std::to_string(LineNumber) +
-                             ": open call without return value");
-      Event.Op = "open";
+    TraceEvent Event(*Kind, 0);
+    if (*Kind == OpKind::Open) {
+      if (!HasReturn)
+        return Fail("open call without return value");
       Event.Handle = static_cast<uint64_t>(Call->ReturnValue);
     } else {
-      if (Call->Arguments.empty())
-        return Result::error("line " + std::to_string(LineNumber) +
-                             ": missing file descriptor argument");
-      std::optional<uint64_t> Fd = parseFd(Call->Arguments[0]);
+      if (!Call->FirstArgument)
+        return Fail("missing file descriptor argument");
+      std::optional<uint64_t> Fd = parseFd(*Call->FirstArgument);
       if (!Fd)
-        return Result::error("line " + std::to_string(LineNumber) +
-                             ": malformed file descriptor '" +
-                             Call->Arguments[0] + "'");
+        return Fail("malformed file descriptor '" +
+                    std::string(*Call->FirstArgument) + "'");
       Event.Handle = *Fd;
-      if (IsRead) {
-        Event.Op = "read";
-        Event.Bytes = Call->HasReturn
-                          ? static_cast<uint64_t>(Call->ReturnValue)
-                          : 0;
-      } else if (IsWrite) {
-        Event.Op = "write";
-        Event.Bytes = Call->HasReturn
-                          ? static_cast<uint64_t>(Call->ReturnValue)
-                          : 0;
-      } else if (IsSeek) {
-        Event.Op = "lseek";
-      } else if (IsSync) {
-        Event.Op = "fsync";
-      } else {
-        Event.Op = "close";
-      }
+      if ((*Kind == OpKind::Read || *Kind == OpKind::Write) && HasReturn)
+        Event.Bytes = static_cast<uint64_t>(Call->ReturnValue);
     }
     Out.append(std::move(Event));
     ++Local.EventsEmitted;
-
-    if (End == Text.size())
-      break;
-    Start = NextStart;
   }
 
   if (Stats)

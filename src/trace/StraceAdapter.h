@@ -24,9 +24,17 @@
 ///  * read/write byte counts come from the return value (actual bytes
 ///    moved); pread64/pwrite64 map to read/write;
 ///  * failed calls (return -1 or -ERRNO) are dropped;
+///  * a decimal return value must fit int64_t (-2^63 is an ordinary
+///    failure); a recognized I/O call whose return is out of that
+///    range fails the conversion;
 ///  * unrecognized syscalls are skipped (strace logs everything; only
 ///    file-I/O calls are access-pattern relevant);
-///  * "unfinished ..."/"resumed" split lines are skipped.
+///  * a line ending in strace's "<unfinished ...>" marker is skipped,
+///    and so is the "<... read resumed>" half of the split call (a
+///    quoted path that merely contains either word is kept).
+///
+/// Lines are decoded through views into the text; only the first
+/// argument, the descriptor, is ever extracted.
 ///
 //===----------------------------------------------------------------------===//
 

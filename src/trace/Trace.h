@@ -48,7 +48,10 @@ OpKind opKindFromName(const std::string &Name);
 
 /// One line of an I/O access pattern file.
 struct TraceEvent {
-  /// Operation name, lowercase ("read", "write", "lseek", ...).
+  /// Operation name, lowercase ("read", "write", "lseek", ...). Stays
+  /// a string: every spelling strace input and the generators produce
+  /// is at most 15 bytes, so it lives in the small-string buffer and
+  /// parsing allocates nothing per event.
   std::string Op;
   /// File handle the operation acts on.
   uint64_t Handle = 0;

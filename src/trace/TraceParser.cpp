@@ -7,6 +7,8 @@
 #include "trace/TraceParser.h"
 #include "util/StringUtil.h"
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <sstream>
 
@@ -16,34 +18,46 @@ Expected<std::optional<TraceEvent>>
 kast::parseTraceLine(std::string_view Line) {
   using Result = Expected<std::optional<TraceEvent>>;
 
-  // Strip trailing comment, then whitespace.
+  // Strip trailing comment, then walk whitespace-separated fields.
   size_t Hash = Line.find('#');
   if (Hash != std::string_view::npos)
     Line = Line.substr(0, Hash);
-  Line = trim(Line);
-  if (Line.empty())
+  size_t Cursor = 0;
+  auto NextField = [&]() {
+    while (Cursor < Line.size() &&
+           std::isspace(static_cast<unsigned char>(Line[Cursor])))
+      ++Cursor;
+    size_t Start = Cursor;
+    while (Cursor < Line.size() &&
+           !std::isspace(static_cast<unsigned char>(Line[Cursor])))
+      ++Cursor;
+    return Line.substr(Start, Cursor - Start);
+  };
+  std::string_view OpField = NextField();
+  if (OpField.empty())
     return Result(std::nullopt);
-
-  std::vector<std::string_view> Fields = splitWhitespace(Line);
-  if (Fields.size() < 2)
+  std::string_view HandleField = NextField();
+  if (HandleField.empty())
     return Result::error("expected '<op> <handle> [fields...]'");
 
   TraceEvent Event;
-  Event.Op = toLower(Fields[0]);
-  if (Event.Op.empty() ||
-      Event.Op.find_first_not_of(
-          "abcdefghijklmnopqrstuvwxyz0123456789_+") != std::string::npos)
-    return Result::error("malformed operation name '" +
-                         std::string(Fields[0]) + "'");
+  Event.Op.assign(OpField);
+  for (char &C : Event.Op)
+    C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  if (Event.Op.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_+") !=
+      std::string::npos)
+    return Result::error("malformed operation name '" + std::string(OpField) +
+                         "'");
 
-  std::optional<uint64_t> Handle = parseUnsigned(Fields[1]);
+  std::optional<uint64_t> Handle = parseUnsigned(HandleField);
   if (!Handle)
-    return Result::error("malformed handle '" + std::string(Fields[1]) + "'");
+    return Result::error("malformed handle '" + std::string(HandleField) +
+                         "'");
   Event.Handle = *Handle;
 
   bool SawBytes = false;
-  for (size_t I = 2; I < Fields.size(); ++I) {
-    std::string_view Field = Fields[I];
+  for (std::string_view Field = NextField(); !Field.empty();
+       Field = NextField()) {
     if (startsWith(Field, "bytes=")) {
       std::optional<uint64_t> Bytes = parseUnsigned(Field.substr(6));
       if (!Bytes)
@@ -75,25 +89,18 @@ kast::parseTraceLine(std::string_view Line) {
 
 Expected<Trace> kast::parseTrace(std::string_view Text, std::string Name) {
   Trace Out(std::move(Name));
+  Out.events().reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
   size_t LineNumber = 0;
-  size_t Start = 0;
-  while (Start <= Text.size()) {
-    size_t End = Text.find('\n', Start);
-    if (End == std::string_view::npos)
-      End = Text.size();
-    std::string_view Line = Text.substr(Start, End - Start);
+  for (size_t Start = 0, End = 0; Start <= Text.size(); Start = End + 1) {
+    End = std::min(Text.find('\n', Start), Text.size());
     ++LineNumber;
-
-    Expected<std::optional<TraceEvent>> Parsed = parseTraceLine(Line);
+    Expected<std::optional<TraceEvent>> Parsed =
+        parseTraceLine(Text.substr(Start, End - Start));
     if (!Parsed)
       return Expected<Trace>::error("line " + std::to_string(LineNumber) +
                                     ": " + Parsed.message());
     if (*Parsed)
       Out.append(std::move(**Parsed));
-
-    if (End == Text.size())
-      break;
-    Start = End + 1;
   }
   return Out;
 }

@@ -6,7 +6,10 @@
 
 #include "tree/PatternTree.h"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <stdexcept>
 
 using namespace kast;
 
@@ -24,37 +27,13 @@ const char *kast::nodeKindName(NodeKind Kind) {
   return "op";
 }
 
-std::string PatternNode::nameLabel() const {
-  std::string Label;
-  for (size_t I = 0; I < NameSig.size(); ++I) {
-    if (I != 0)
-      Label += '+';
-    Label += NameSig[I];
-  }
-  return Label;
-}
-
-std::string PatternNode::byteLabel() const {
-  std::string Label;
-  for (size_t I = 0; I < ByteSig.size(); ++I) {
-    if (I != 0)
-      Label += '+';
-    Label += std::to_string(ByteSig[I]);
-  }
-  return Label;
-}
-
-bool PatternNode::isZeroBytes() const {
-  for (uint64_t B : ByteSig)
-    if (B != 0)
-      return false;
-  return true;
-}
-
-PatternTree::PatternTree() {
+PatternTree::PatternTree(size_t Events) {
+  Nodes.reserve(Events + 1);
+  NameArena.reserve(Events);
+  ByteArena.reserve(Events);
   PatternNode Root;
   Root.Kind = NodeKind::Root;
-  Nodes.push_back(std::move(Root));
+  Nodes.push_back(Root);
 }
 
 const PatternNode &PatternTree::node(NodeId Id) const {
@@ -71,31 +50,150 @@ NodeId PatternTree::addChild(NodeId Parent, NodeKind Kind) {
   assert(Parent < Nodes.size() && "parent id out of range");
   assert(Kind != NodeKind::Root && "a tree has exactly one root");
   NodeId Id = static_cast<NodeId>(Nodes.size());
-  PatternNode N;
-  N.Kind = Kind;
-  N.Parent = Parent;
-  Nodes.push_back(std::move(N));
-  Nodes[Parent].Children.push_back(Id);
+  Nodes.emplace_back().Kind = Kind;
+  link(Parent, Id);
   return Id;
 }
 
-NodeId PatternTree::addOp(NodeId Parent, std::string Name, uint64_t Bytes,
-                          uint64_t Reps) {
+/// Appends \p Child to the children of \p Parent.
+void PatternTree::link(NodeId Parent, NodeId Child) {
+  PatternNode &P = Nodes[Parent];
+  if (P.LastChild == InvalidNodeId)
+    P.FirstChild = Child;
+  else
+    Nodes[P.LastChild].NextSibling = Child;
+  P.LastChild = Child;
+  Nodes[Child].Parent = Parent;
+  Nodes[Child].NextSibling = InvalidNodeId;
+}
+
+uint32_t PatternTree::internOp(std::string_view Name) {
+  for (uint32_t Op = 0; Op < OpNames.size(); ++Op)
+    if (OpNames[Op] == Name)
+      return Op;
+  OpNames.emplace_back(Name);
+  return static_cast<uint32_t>(OpNames.size() - 1);
+}
+
+/// Grows \p Arena by \p Length entries and returns their span.
+template <typename T>
+static SigSpan grow(std::vector<T> &Arena, size_t Length) {
+  if (Arena.size() + Length > UINT32_MAX)
+    throw std::length_error("pattern tree signature arena is full");
+  SigSpan Span{static_cast<uint32_t>(Arena.size()),
+               static_cast<uint32_t>(Length)};
+  Arena.resize(Arena.size() + Length);
+  return Span;
+}
+
+/// A ++ B in \p Arena; extends A in place when B directly follows it.
+template <typename T>
+static SigSpan concatSpans(std::vector<T> &Arena, SigSpan A, SigSpan B) {
+  if (A.Begin + A.Length == B.Begin)
+    return {A.Begin, A.Length + B.Length};
+  SigSpan Span = grow(Arena, size_t(A.Length) + B.Length);
+  std::copy_n(Arena.begin() + A.Begin, A.Length, Arena.begin() + Span.Begin);
+  std::copy_n(Arena.begin() + B.Begin, B.Length,
+              Arena.begin() + Span.Begin + A.Length);
+  return Span;
+}
+
+SigSpan PatternTree::concatNames(SigSpan A, SigSpan B) {
+  return concatSpans(NameArena, A, B);
+}
+
+SigSpan PatternTree::concatBytes(SigSpan A, SigSpan B) {
+  return concatSpans(ByteArena, A, B);
+}
+
+NodeId PatternTree::addOp(NodeId Parent, std::string_view Name,
+                          uint64_t Bytes, uint64_t Reps) {
+  uint32_t Op = internOp(Name);
+  return addOp(Parent, std::span(&Op, 1), std::span(&Bytes, 1), Reps);
+}
+
+NodeId PatternTree::addOp(NodeId Parent, std::span<const uint32_t> Ops,
+                          std::span<const uint64_t> Bytes, uint64_t Reps) {
   NodeId Id = addChild(Parent, NodeKind::Op);
   PatternNode &N = Nodes[Id];
-  N.NameSig.push_back(std::move(Name));
-  N.ByteSig.push_back(Bytes);
+  N.NameSig = grow(NameArena, Ops.size());
+  N.ByteSig = grow(ByteArena, Bytes.size());
+  std::ranges::copy(Ops, NameArena.begin() + N.NameSig.Begin);
+  std::ranges::copy(Bytes, ByteArena.begin() + N.ByteSig.Begin);
   N.Reps = Reps;
   return Id;
 }
 
-void PatternTree::setChildren(NodeId Parent, std::vector<NodeId> Children) {
+std::span<const uint32_t> PatternTree::nameSig(NodeId Id) const {
+  SigSpan S = node(Id).NameSig;
+  return std::span(NameArena).subspan(S.Begin, S.Length);
+}
+
+std::span<const uint64_t> PatternTree::byteSig(NodeId Id) const {
+  SigSpan S = node(Id).ByteSig;
+  return std::span(ByteArena).subspan(S.Begin, S.Length);
+}
+
+void PatternTree::appendNameLabel(NodeId Id, std::string &Out) const {
+  std::span<const uint32_t> Names = nameSig(Id);
+  for (size_t I = 0; I < Names.size(); ++I) {
+    if (I != 0)
+      Out += '+';
+    Out += opName(Names[I]);
+  }
+}
+
+void PatternTree::appendByteLabel(NodeId Id, std::string &Out) const {
+  std::span<const uint64_t> Bytes = byteSig(Id);
+  for (size_t I = 0; I < Bytes.size(); ++I) {
+    if (I != 0)
+      Out += '+';
+    char Digits[20];
+    Out.append(Digits, std::to_chars(Digits, Digits + 20, Bytes[I]).ptr);
+  }
+}
+
+std::string PatternTree::nameLabel(NodeId Id) const {
+  std::string Label;
+  appendNameLabel(Id, Label);
+  return Label;
+}
+
+std::string PatternTree::byteLabel(NodeId Id) const {
+  std::string Label;
+  appendByteLabel(Id, Label);
+  return Label;
+}
+
+void PatternTree::appendLeafLiteral(NodeId Id, std::string &Out) const {
+  appendNameLabel(Id, Out);
+  Out += '[';
+  appendByteLabel(Id, Out);
+  Out += ']';
+}
+
+bool PatternTree::isZeroBytes(NodeId Id) const {
+  for (uint64_t B : byteSig(Id))
+    if (B != 0)
+      return false;
+  return true;
+}
+
+std::vector<NodeId> PatternTree::children(NodeId Id) const {
+  std::vector<NodeId> Kids;
+  for (NodeId C = node(Id).FirstChild; C != InvalidNodeId;
+       C = Nodes[C].NextSibling)
+    Kids.push_back(C);
+  return Kids;
+}
+
+void PatternTree::setChildren(NodeId Parent, std::span<const NodeId> Children) {
   assert(Parent < Nodes.size() && "parent id out of range");
+  Nodes[Parent].FirstChild = Nodes[Parent].LastChild = InvalidNodeId;
   for (NodeId C : Children) {
     assert(C < Nodes.size() && "child id out of range");
-    Nodes[C].Parent = Parent;
+    link(Parent, C);
   }
-  Nodes[Parent].Children = std::move(Children);
 }
 
 size_t PatternTree::depth(NodeId Id) const {
@@ -108,16 +206,20 @@ size_t PatternTree::depth(NodeId Id) const {
 }
 
 std::vector<NodeId> PatternTree::preorder() const {
+  // Sibling and parent links give the order without a stack.
   std::vector<NodeId> Order;
   Order.reserve(Nodes.size());
-  std::vector<NodeId> Stack = {root()};
-  while (!Stack.empty()) {
-    NodeId Id = Stack.back();
-    Stack.pop_back();
+  NodeId Id = root();
+  while (Id != InvalidNodeId) {
     Order.push_back(Id);
-    const std::vector<NodeId> &Kids = Nodes[Id].Children;
-    for (auto It = Kids.rbegin(); It != Kids.rend(); ++It)
-      Stack.push_back(*It);
+    if (Nodes[Id].FirstChild != InvalidNodeId) {
+      Id = Nodes[Id].FirstChild;
+      continue;
+    }
+    while (Id != InvalidNodeId && Nodes[Id].NextSibling == InvalidNodeId)
+      Id = Nodes[Id].Parent;
+    if (Id != InvalidNodeId)
+      Id = Nodes[Id].NextSibling;
   }
   return Order;
 }
@@ -143,12 +245,16 @@ bool PatternTree::equalsStructurally(const PatternTree &Rhs) const {
   std::vector<NodeId> B = Rhs.preorder();
   if (A.size() != B.size())
     return false;
+  auto SameName = [&](uint32_t L, uint32_t R) {
+    return opName(L) == Rhs.opName(R);
+  };
   for (size_t I = 0; I < A.size(); ++I) {
     const PatternNode &NA = node(A[I]);
     const PatternNode &NB = Rhs.node(B[I]);
-    if (NA.Kind != NB.Kind || NA.NameSig != NB.NameSig ||
-        NA.ByteSig != NB.ByteSig || NA.Reps != NB.Reps ||
-        NA.Children.size() != NB.Children.size())
+    if (NA.Kind != NB.Kind || NA.Reps != NB.Reps ||
+        !std::ranges::equal(nameSig(A[I]), Rhs.nameSig(B[I]), SameName) ||
+        !std::ranges::equal(byteSig(A[I]), Rhs.byteSig(B[I])) ||
+        children(A[I]).size() != Rhs.children(B[I]).size())
       return false;
   }
   return true;

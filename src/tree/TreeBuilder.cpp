@@ -6,50 +6,68 @@
 
 #include "tree/TreeBuilder.h"
 
-#include <map>
+#include <algorithm>
 
 using namespace kast;
 
 PatternTree kast::buildTree(const Trace &T,
                             const TreeBuilderOptions &Options) {
-  PatternTree Tree;
+  PatternTree Tree(T.size());
 
-  // Per-handle state: the HANDLE node and the currently open BLOCK.
+  // Each distinct spelling is classified once: dropped, open, close,
+  // or a leaf with its op id.
+  enum class Role { Negligible, Open, Close, Leaf };
+  struct Spelling {
+    std::string_view Name;
+    Role R;
+    uint32_t Op;
+  };
+  std::vector<Spelling> Spellings;
+
+  // Per-handle state, sorted by handle: the HANDLE node and the
+  // currently open BLOCK.
   struct HandleState {
-    NodeId HandleNode = InvalidNodeId;
-    NodeId OpenBlock = InvalidNodeId;
+    uint64_t Handle;
+    NodeId HandleNode;
+    NodeId OpenBlock;
   };
-  std::map<uint64_t, HandleState> States;
-
-  auto GetHandle = [&](uint64_t Handle) -> HandleState & {
-    auto It = States.find(Handle);
-    if (It != States.end())
-      return It->second;
-    HandleState S;
-    S.HandleNode = Tree.addChild(Tree.root(), NodeKind::Handle);
-    Tree.node(S.HandleNode).Handle = Handle;
-    return States.emplace(Handle, S).first->second;
-  };
+  std::vector<HandleState> States;
 
   for (const TraceEvent &Event : T.events()) {
-    if (Options.NegligibleOps.count(Event.Op))
+    auto S = std::ranges::find(Spellings, std::string_view(Event.Op),
+                               &Spelling::Name);
+    if (S == Spellings.end()) {
+      Role R = Options.NegligibleOps.count(Event.Op) ? Role::Negligible
+               : Event.isOpen()                      ? Role::Open
+               : Event.isClose()                     ? Role::Close
+                                                     : Role::Leaf;
+      uint32_t Op = R == Role::Leaf ? Tree.internOp(Event.Op) : 0;
+      S = Spellings.insert(Spellings.end(), {Event.Op, R, Op});
+    }
+    if (S->R == Role::Negligible)
       continue;
 
-    HandleState &S = GetHandle(Event.Handle);
-    if (Event.isOpen()) {
+    auto It = std::ranges::lower_bound(States, Event.Handle, {},
+                                       &HandleState::Handle);
+    if (It == States.end() || It->Handle != Event.Handle) {
+      NodeId HandleNode = Tree.addChild(Tree.root(), NodeKind::Handle);
+      Tree.node(HandleNode).Handle = Event.Handle;
+      It = States.insert(It, {Event.Handle, HandleNode, InvalidNodeId});
+    }
+    if (S->R == Role::Open) {
       // A fresh span starts; any unclosed block on this handle ends.
-      S.OpenBlock = Tree.addChild(S.HandleNode, NodeKind::Block);
+      It->OpenBlock = Tree.addChild(It->HandleNode, NodeKind::Block);
       continue;
     }
-    if (Event.isClose()) {
-      S.OpenBlock = InvalidNodeId;
+    if (S->R == Role::Close) {
+      It->OpenBlock = InvalidNodeId;
       continue;
     }
-    if (S.OpenBlock == InvalidNodeId) // Implicit block (no open seen).
-      S.OpenBlock = Tree.addChild(S.HandleNode, NodeKind::Block);
+    if (It->OpenBlock == InvalidNodeId) // Implicit block (no open seen).
+      It->OpenBlock = Tree.addChild(It->HandleNode, NodeKind::Block);
 
     uint64_t Bytes = Options.IgnoreBytes ? 0 : Event.Bytes;
-    Tree.addOp(S.OpenBlock, Event.Op, Bytes);
+    Tree.addOp(It->OpenBlock, std::span(&S->Op, 1), std::span(&Bytes, 1));
   }
   return Tree;
 }

@@ -6,156 +6,113 @@
 
 #include "tree/TreeCompressor.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace kast;
 
-/// Concatenates two signatures (order preserving, as in "a 2-bytes
-/// integer and a 4-bytes integer" becoming the combined value 2+4).
-template <typename T>
-static std::vector<T> concatSig(const std::vector<T> &A,
-                                const std::vector<T> &B) {
-  std::vector<T> Out = A;
-  Out.insert(Out.end(), B.begin(), B.end());
-  return Out;
-}
-
-std::optional<PatternNode> kast::tryMergeRule(int Rule, const PatternNode &A,
-                                              const PatternNode &B) {
+bool kast::tryMergeRule(PatternTree &Tree, int Rule, NodeId AId, NodeId BId) {
   assert(Rule >= 1 && Rule <= 4 && "rule index out of range");
+  PatternNode &A = Tree.node(AId);
+  const PatternNode &B = Tree.node(BId);
   if (A.Kind != NodeKind::Op || B.Kind != NodeKind::Op)
-    return std::nullopt;
+    return false;
 
-  const bool SameName = A.NameSig == B.NameSig;
-  const bool SameBytes = A.ByteSig == B.ByteSig;
-
-  PatternNode Merged;
-  Merged.Kind = NodeKind::Op;
-  Merged.Reps = A.Reps + B.Reps;
+  const bool SameName =
+      std::ranges::equal(Tree.nameSig(AId), Tree.nameSig(BId));
+  const bool SameBytes =
+      std::ranges::equal(Tree.byteSig(AId), Tree.byteSig(BId));
 
   switch (Rule) {
   case 1:
     // Same name, same bytes: a loop repeating one operation.
     if (!SameName || !SameBytes)
-      return std::nullopt;
-    Merged.NameSig = A.NameSig;
-    Merged.ByteSig = A.ByteSig;
-    return Merged;
+      return false;
+    break;
   case 2:
     // Same name, different bytes: e.g. a struct read field by field.
     if (!SameName || SameBytes)
-      return std::nullopt;
-    Merged.NameSig = A.NameSig;
-    Merged.ByteSig = concatSig(A.ByteSig, B.ByteSig);
-    return Merged;
+      return false;
+    A.ByteSig = Tree.concatBytes(A.ByteSig, B.ByteSig);
+    break;
   case 3:
     // Different name, same bytes: e.g. interlaced read/write = copy.
     if (SameName || !SameBytes)
-      return std::nullopt;
-    Merged.NameSig = concatSig(A.NameSig, B.NameSig);
-    Merged.ByteSig = A.ByteSig;
-    return Merged;
+      return false;
+    A.NameSig = Tree.concatNames(A.NameSig, B.NameSig);
+    break;
   case 4: {
     // Different name, different bytes, exactly one side all-zero:
     // e.g. lseek (0 bytes) + write (n bytes).
     if (SameName || SameBytes)
-      return std::nullopt;
-    const bool AZero = A.isZeroBytes();
-    const bool BZero = B.isZeroBytes();
-    if (AZero == BZero)
-      return std::nullopt;
-    Merged.NameSig = concatSig(A.NameSig, B.NameSig);
-    Merged.ByteSig = AZero ? B.ByteSig : A.ByteSig;
-    return Merged;
+      return false;
+    const bool AZero = Tree.isZeroBytes(AId);
+    if (AZero == Tree.isZeroBytes(BId))
+      return false;
+    A.NameSig = Tree.concatNames(A.NameSig, B.NameSig);
+    if (AZero)
+      A.ByteSig = B.ByteSig;
+    break;
   }
   default:
-    return std::nullopt;
+    return false;
   }
+  A.Reps += B.Reps;
+  return true;
 }
 
-namespace {
-
-/// Applies one rule's sweep over a block's child list.
-class BlockSweeper {
-public:
-  BlockSweeper(PatternTree &Tree, CompressionStats &Stats)
-      : Tree(Tree), Stats(Stats) {}
-
-  /// Sweeps \p Children left to right with \p Rule. Rule 1 keeps the
-  /// merged node as the left operand (run collapse); rules 2-4 advance
-  /// past it (disjoint pairs). Returns the new child list.
-  std::vector<NodeId> sweep(int Rule, const std::vector<NodeId> &Children) {
-    std::vector<NodeId> Out;
-    Out.reserve(Children.size());
-    size_t I = 0;
-    while (I < Children.size()) {
-      NodeId Current = Children[I];
-      size_t J = I + 1;
-      while (J < Children.size()) {
-        std::optional<PatternNode> Merged =
-            tryMergeRule(Rule, Tree.node(Current), Tree.node(Children[J]));
-        if (!Merged)
-          break;
-        ++Stats.MergesByRule[Rule - 1];
-        Current = materialize(std::move(*Merged));
-        ++J;
-        if (Rule != 1)
-          break; // Disjoint pairs: stop after one merge.
-      }
-      Out.push_back(Current);
-      I = J;
+/// One rule's left-to-right sweep over a block's children, compacting
+/// \p Kids in place. Rule 1 keeps the merged leaf as the left operand
+/// (run collapse); rules 2-4 advance past it (disjoint pairs).
+static size_t sweep(PatternTree &Tree, int Rule, std::vector<NodeId> &Kids) {
+  size_t Merges = 0, Out = 0, I = 0;
+  while (I < Kids.size()) {
+    size_t J = I + 1;
+    while (J < Kids.size() && tryMergeRule(Tree, Rule, Kids[I], Kids[J])) {
+      ++Merges;
+      ++J;
+      if (Rule != 1)
+        break; // Disjoint pairs: stop after one merge.
     }
-    return Out;
+    Kids[Out++] = Kids[I];
+    I = J;
   }
-
-private:
-  /// Adds a merged node to the arena (detached; parent set later).
-  NodeId materialize(PatternNode Node) {
-    // addChild wants a parent; attach under root temporarily and strip
-    // the back-pointer, setChildren will fix it up.
-    NodeId Id = Tree.addChild(Tree.root(), NodeKind::Op);
-    // Remove from root's child list again (it was appended last).
-    PatternNode &Root = Tree.node(Tree.root());
-    assert(Root.Children.back() == Id && "unexpected arena state");
-    Root.Children.pop_back();
-    PatternNode &Slot = Tree.node(Id);
-    Node.Parent = InvalidNodeId;
-    Node.Children.clear();
-    Slot = std::move(Node);
-    return Id;
-  }
-
-  PatternTree &Tree;
-  CompressionStats &Stats;
-};
-
-} // namespace
+  Kids.resize(Out);
+  return Merges;
+}
 
 CompressionStats kast::compressTree(PatternTree &Tree,
                                     const CompressorOptions &Options) {
   CompressionStats Stats;
-  Stats.LeavesBefore = Tree.numLeaves();
-
-  // Collect the BLOCK nodes once; compression never adds blocks.
-  std::vector<NodeId> Blocks;
-  for (NodeId Id : Tree.preorder())
-    if (Tree.node(Id).Kind == NodeKind::Block)
-      Blocks.push_back(Id);
-
   const bool Enabled[4] = {Options.EnableRule1, Options.EnableRule2,
                            Options.EnableRule3, Options.EnableRule4};
 
-  BlockSweeper Sweeper(Tree, Stats);
-  for (size_t Pass = 0; Pass < Options.Passes; ++Pass) {
-    for (NodeId Block : Blocks) {
-      std::vector<NodeId> Children = Tree.node(Block).Children;
-      for (int Rule = 1; Rule <= 4; ++Rule)
-        if (Enabled[Rule - 1])
-          Children = Sweeper.sweep(Rule, Children);
-      Tree.setChildren(Block, std::move(Children));
+  // Blocks are independent, so each runs all its passes at once. A
+  // pass that merges nothing leaves the block at its fixpoint.
+  std::vector<NodeId> Kids; // Reused by every block.
+  for (NodeId Id : Tree.preorder()) {
+    if (Tree.node(Id).Kind == NodeKind::Op)
+      ++Stats.LeavesBefore;
+    if (Tree.node(Id).Kind != NodeKind::Block)
+      continue;
+    Kids.clear();
+    for (NodeId C = Tree.node(Id).FirstChild; C != InvalidNodeId;
+         C = Tree.node(C).NextSibling)
+      Kids.push_back(C);
+    bool Merged = Kids.size() > 1;
+    for (size_t Pass = 0; Pass < Options.Passes && Merged; ++Pass) {
+      Merged = false;
+      for (int Rule = 1; Rule <= 4; ++Rule) {
+        size_t Merges = Enabled[Rule - 1] ? sweep(Tree, Rule, Kids) : 0;
+        Stats.MergesByRule[Rule - 1] += Merges;
+        Merged |= Merges != 0;
+      }
     }
+    Tree.setChildren(Id, Kids);
   }
 
-  Stats.LeavesAfter = Tree.numLeaves();
+  Stats.LeavesAfter = Stats.LeavesBefore;
+  for (size_t Merges : Stats.MergesByRule)
+    Stats.LeavesAfter -= Merges;
   return Stats;
 }

@@ -37,14 +37,20 @@
 ///    leaf weights always count primitive operations (conserved by
 ///    compression; asserted in tests).
 ///
+/// Compression works in place. Each block's children are copied into
+/// one scratch buffer, reused across blocks, and every sweep compacts
+/// that buffer. A merge rewrites the left leaf A and drops B from the
+/// list: rule 1 adds the repetition counts and keeps A's spans, rules
+/// 2 and 3 append the concatenated signature to the tree's arena, and
+/// rule 4 concatenates the names and points at the non-zero side's
+/// byte span. The buffer is then linked back as the block's children.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_TREE_TREECOMPRESSOR_H
 #define KAST_TREE_TREECOMPRESSOR_H
 
 #include "tree/PatternTree.h"
-
-#include <optional>
 
 namespace kast {
 
@@ -80,11 +86,11 @@ struct CompressionStats {
 CompressionStats compressTree(PatternTree &Tree,
                               const CompressorOptions &Options = {});
 
-/// Attempts to merge two op nodes under rule \p Rule (1-4). Exposed for
-/// unit testing. \returns the merged node, or nullopt if the rule does
-/// not apply.
-std::optional<PatternNode> tryMergeRule(int Rule, const PatternNode &A,
-                                        const PatternNode &B);
+/// Attempts to merge op leaf \p B into op leaf \p A of \p Tree under
+/// rule \p Rule (1-4), rewriting \p A in place; \p B is left as it
+/// was, for the caller to unlink. Exposed for unit testing.
+/// \returns true if the rule applied.
+bool tryMergeRule(PatternTree &Tree, int Rule, NodeId A, NodeId B);
 
 } // namespace kast
 

@@ -8,7 +8,8 @@
 
 using namespace kast;
 
-std::string kast::nodeLabel(const PatternNode &Node) {
+std::string kast::nodeLabel(const PatternTree &Tree, NodeId Id) {
+  const PatternNode &Node = Tree.node(Id);
   switch (Node.Kind) {
   case NodeKind::Root:
     return "ROOT";
@@ -17,7 +18,8 @@ std::string kast::nodeLabel(const PatternNode &Node) {
   case NodeKind::Block:
     return "BLOCK";
   case NodeKind::Op: {
-    std::string Label = Node.nameLabel() + "[" + Node.byteLabel() + "]";
+    std::string Label;
+    Tree.appendLeafLiteral(Id, Label);
     if (Node.Reps != 1)
       Label += " x" + std::to_string(Node.Reps);
     return Label;
@@ -30,7 +32,7 @@ std::string kast::dumpTreeAscii(const PatternTree &Tree) {
   std::string Out;
   for (NodeId Id : Tree.preorder()) {
     Out.append(2 * Tree.depth(Id), ' ');
-    Out += nodeLabel(Tree.node(Id));
+    Out += nodeLabel(Tree, Id);
     Out += '\n';
   }
   return Out;
@@ -42,8 +44,8 @@ std::string kast::dumpTreeDot(const PatternTree &Tree,
   Out += "  node [shape=box, fontname=\"monospace\"];\n";
   for (NodeId Id : Tree.preorder()) {
     Out += "  n" + std::to_string(Id) + " [label=\"" +
-           nodeLabel(Tree.node(Id)) + "\"];\n";
-    for (NodeId Child : Tree.node(Id).Children)
+           nodeLabel(Tree, Id) + "\"];\n";
+    for (NodeId Child : Tree.children(Id))
       Out += "  n" + std::to_string(Id) + " -> n" + std::to_string(Child) +
              ";\n";
   }

@@ -32,7 +32,7 @@ std::string dumpTreeDot(const PatternTree &Tree,
                         const std::string &GraphName = "pattern");
 
 /// One-node label used by both renderers, e.g. "read+write[64] x3".
-std::string nodeLabel(const PatternNode &Node);
+std::string nodeLabel(const PatternTree &Tree, NodeId Id);
 
 } // namespace kast
 

@@ -107,10 +107,3 @@ bool kast::endsWith(std::string_view S, std::string_view Suffix) {
   return S.size() >= Suffix.size() &&
          S.compare(S.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
 }
-
-std::string kast::toLower(std::string_view S) {
-  std::string Out(S);
-  for (char &C : Out)
-    C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  return Out;
-}

@@ -46,9 +46,6 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// \returns true if \p S ends with \p Suffix.
 bool endsWith(std::string_view S, std::string_view Suffix);
 
-/// Lowercases ASCII characters.
-std::string toLower(std::string_view S);
-
 } // namespace kast
 
 #endif // KAST_UTIL_STRINGUTIL_H

@@ -169,9 +169,9 @@ TEST(FlattenerTest, CompressedLeafLiteralsCarrySignatures) {
   PatternTree Tree;
   NodeId H = Tree.addChild(Tree.root(), NodeKind::Handle);
   NodeId B = Tree.addChild(H, NodeKind::Block);
-  NodeId Op = Tree.addOp(B, "read", 0, 6);
-  Tree.node(Op).NameSig = {"read", "write"};
-  Tree.node(Op).ByteSig = {2, 4};
+  std::vector<uint32_t> Ops = {Tree.internOp("read"), Tree.internOp("write")};
+  std::vector<uint64_t> Bytes = {2, 4};
+  Tree.addOp(B, Ops, Bytes, 6);
   auto Table = TokenTable::create();
   WeightedString S = flattenTree(Tree, Table);
   EXPECT_EQ(S.literal(3), "read+write[2+4]");

@@ -15,6 +15,11 @@
 #include "core/KastKernel.h"
 #include "core/Pipeline.h"
 #include "trace/Trace.h"
+#include "trace/TraceParser.h"
+#include "trace/TraceWriter.h"
+#include "workloads/DatasetBuilder.h"
+#include "workloads/Mutator.h"
+#include "workloads/ParallelTrace.h"
 
 #include <gtest/gtest.h>
 
@@ -99,4 +104,67 @@ TEST(PipelineSmokeTest, WithAndWithoutBytesVariantsConvert) {
   // Both variants keep the full result inspectable.
   PipelineResult R = Bytes.convertDetailed(T);
   EXPECT_EQ(R.String.totalWeight(), WithB.totalWeight());
+}
+
+namespace {
+
+/// FNV-1a over every string and counter a conversion produces.
+struct Fnv1a {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  void bytes(const void *Data, size_t Size) {
+    for (size_t I = 0; I < Size; ++I) {
+      Hash ^= static_cast<const unsigned char *>(Data)[I];
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  void word(uint64_t V) { bytes(&V, sizeof(V)); }
+};
+
+/// Digest of formatTrace -> parseTrace -> convertDetailed over
+/// \p Corpus under both representations.
+uint64_t corpusDigest(const std::vector<Trace> &Corpus) {
+  Fnv1a D;
+  for (const Pipeline &P : {Pipeline::withBytes(), Pipeline::withoutBytes()})
+    for (const Trace &Original : Corpus) {
+      Expected<Trace> T = parseTrace(formatTrace(Original), Original.name());
+      EXPECT_TRUE(T.hasValue());
+      if (!T)
+        return 0;
+      PipelineResult R = P.convertDetailed(*T);
+      for (size_t I = 0; I < R.String.size(); ++I) {
+        const std::string &Literal = R.String.literal(I);
+        D.word(Literal.size());
+        D.bytes(Literal.data(), Literal.size());
+        D.word(R.String.weight(I));
+      }
+      D.word(R.Stats.LeavesBefore);
+      D.word(R.Stats.LeavesAfter);
+      for (size_t Merges : R.Stats.MergesByRule)
+        D.word(Merges);
+    }
+  return D.Hash;
+}
+
+} // namespace
+
+// Every token string and compression count of two whole corpora,
+// pinned to the values the conversion produced when it was last
+// changed on purpose. A digest that moves means some string did.
+TEST(PipelineSmokeTest, CorpusStringsArePinned) {
+  std::vector<Trace> Paper;
+  for (const LabeledTrace &L : generateCorpus())
+    Paper.push_back(L.T);
+  EXPECT_EQ(Paper.size(), 110u);
+  EXPECT_EQ(corpusDigest(Paper), 0x6a11c490e1360c4cULL);
+
+  // Each category at 16 and 48 ranks, plus one mutant of each.
+  std::vector<Trace> Parallel;
+  Rng R(20171017);
+  for (Category C : {Category::FlashIO, Category::RandomPosix,
+                     Category::NormalIO, Category::RandomAccess})
+    for (size_t Ranks : {16, 48}) {
+      Parallel.push_back(generateParallelTrace(C, Ranks, R));
+      Parallel.push_back(mutateTrace(Parallel.back(), R));
+    }
+  EXPECT_EQ(corpusDigest(Parallel), 0x656e660ec6bfda82ULL);
 }

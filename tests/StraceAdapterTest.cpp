@@ -88,6 +88,50 @@ TEST(StraceAdapterTest, UnfinishedResumedSkipped) {
   EXPECT_EQ(T->events()[0].Op, "close");
 }
 
+TEST(StraceAdapterTest, QuotedResumedAndUnfinishedPathsKept) {
+  // Only strace's trailing "<unfinished ...>" marker splits a call; the
+  // words inside a quoted path do not.
+  const char *Log =
+      "openat(AT_FDCWD, \"/data/resumed.bin\", O_RDONLY) = 3\n"
+      "openat(AT_FDCWD, \"/tmp/unfinished_job.dat\", O_RDONLY) = 4\n";
+  StraceStats Stats;
+  Expected<Trace> T = parseStrace(Log, "", &Stats);
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  ASSERT_EQ(T->size(), 2u);
+  EXPECT_EQ(T->events()[0], TraceEvent("open", 3));
+  EXPECT_EQ(T->events()[1], TraceEvent("open", 4));
+  EXPECT_EQ(Stats.LinesSkipped, 0u);
+}
+
+TEST(StraceAdapterTest, ReturnValuesAtInt64Limits) {
+  // -2^63 is an ordinary failed return; 2^63 - 1 an ordinary count.
+  StraceStats Stats;
+  Expected<Trace> T =
+      parseStrace("read(3, \"x\", 1) = -9223372036854775808\n"
+                  "read(3, \"x\", 1) = 9223372036854775807\n",
+                  "", &Stats);
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  ASSERT_EQ(T->size(), 1u);
+  EXPECT_EQ(T->events()[0], TraceEvent("read", 3, 9223372036854775807ULL));
+  EXPECT_EQ(Stats.CallsFailed, 1u);
+
+  // A magnitude outside int64_t is undecodable: a recognized I/O call
+  // fails and names its line...
+  for (const char *Ret : {"18446744073709551615", "9223372036854775808",
+                          "-9223372036854775809", "123456789012345678901"}) {
+    Expected<Trace> Bad = parseStrace(
+        std::string("close(3) = 0\nread(3, \"x\", 1) = ") + Ret + "\n");
+    ASSERT_FALSE(Bad.hasValue()) << Ret;
+    EXPECT_NE(Bad.message().find("line 2"), std::string::npos)
+        << Bad.message();
+  }
+  // ...and any other syscall is skipped, as before.
+  StraceStats Other;
+  ASSERT_TRUE(parseStrace("brk(NULL) = 18446744073709551615\n", "", &Other)
+                  .hasValue());
+  EXPECT_EQ(Other.LinesSkipped, 1u);
+}
+
 TEST(StraceAdapterTest, PreadMapsToRead) {
   const char *Log = "pread64(5, \"abc\", 4096, 8192) = 4096\n"
                     "pwrite64(5, \"abc\", 512, 0) = 512\n";

@@ -15,28 +15,33 @@ using namespace kast;
 
 namespace {
 
-/// Leaf helper.
-PatternNode makeOp(const std::string &Name, uint64_t Bytes,
-                   uint64_t Reps = 1) {
-  PatternNode N;
-  N.Kind = NodeKind::Op;
-  N.NameSig = {Name};
-  N.ByteSig = {Bytes};
-  N.Reps = Reps;
-  return N;
-}
+/// A ROOT -> HANDLE -> BLOCK tree to hang test leaves on.
+struct BlockFixture {
+  PatternTree Tree;
+  NodeId Block;
+
+  BlockFixture()
+      : Block(Tree.addChild(Tree.addChild(Tree.root(), NodeKind::Handle),
+                            NodeKind::Block)) {}
+
+  /// Leaf helper.
+  NodeId op(const std::string &Name, uint64_t Bytes, uint64_t Reps = 1) {
+    return Tree.addOp(Block, Name, Bytes, Reps);
+  }
+
+  /// Merges leaf \p B into leaf \p A under \p Rule.
+  bool merge(int Rule, NodeId A, NodeId B) {
+    return tryMergeRule(Tree, Rule, A, B);
+  }
+};
 
 /// The op leaves under the first BLOCK of the first HANDLE.
-std::vector<PatternNode> firstBlockLeaves(const PatternTree &Tree) {
-  const PatternNode &Root = Tree.node(Tree.root());
-  EXPECT_FALSE(Root.Children.empty());
-  const PatternNode &Handle = Tree.node(Root.Children[0]);
-  EXPECT_FALSE(Handle.Children.empty());
-  const PatternNode &Block = Tree.node(Handle.Children[0]);
-  std::vector<PatternNode> Leaves;
-  for (NodeId Id : Block.Children)
-    Leaves.push_back(Tree.node(Id));
-  return Leaves;
+std::vector<NodeId> firstBlockLeaves(const PatternTree &Tree) {
+  std::vector<NodeId> Handles = Tree.children(Tree.root());
+  EXPECT_FALSE(Handles.empty());
+  std::vector<NodeId> Blocks = Tree.children(Handles[0]);
+  EXPECT_FALSE(Blocks.empty());
+  return Tree.children(Blocks[0]);
 }
 
 } // namespace
@@ -79,16 +84,19 @@ TEST(PatternTreeTest, PreorderVisitsParentBeforeChildren) {
 }
 
 TEST(PatternTreeTest, LabelsAndSignatures) {
-  PatternNode N = makeOp("read", 1024, 5);
-  EXPECT_EQ(N.nameLabel(), "read");
-  EXPECT_EQ(N.byteLabel(), "1024");
-  N.NameSig.push_back("write");
-  N.ByteSig.push_back(2048);
-  EXPECT_EQ(N.nameLabel(), "read+write");
-  EXPECT_EQ(N.byteLabel(), "1024+2048");
-  EXPECT_FALSE(N.isZeroBytes());
-  PatternNode Z = makeOp("lseek", 0);
-  EXPECT_TRUE(Z.isZeroBytes());
+  BlockFixture F;
+  NodeId N = F.op("read", 1024, 5);
+  EXPECT_EQ(F.Tree.nameLabel(N), "read");
+  EXPECT_EQ(F.Tree.byteLabel(N), "1024");
+  std::vector<uint32_t> Ops = {F.Tree.internOp("read"),
+                               F.Tree.internOp("write")};
+  std::vector<uint64_t> Bytes = {1024, 2048};
+  NodeId M = F.Tree.addOp(F.Block, Ops, Bytes, 5);
+  EXPECT_EQ(F.Tree.nameLabel(M), "read+write");
+  EXPECT_EQ(F.Tree.byteLabel(M), "1024+2048");
+  EXPECT_FALSE(F.Tree.isZeroBytes(M));
+  NodeId Z = F.op("lseek", 0);
+  EXPECT_TRUE(F.Tree.isZeroBytes(Z));
 }
 
 TEST(PatternTreeTest, TotalRepsCountsLeaves) {
@@ -114,16 +122,15 @@ TEST(TreeBuilderTest, GroupsByHandleAndBlock) {
   T.append(OpKind::Close, 3);
   PatternTree Tree = buildTree(T);
 
-  const PatternNode &Root = Tree.node(Tree.root());
-  ASSERT_EQ(Root.Children.size(), 2u); // Two handles.
-  const PatternNode &H3 = Tree.node(Root.Children[0]);
-  EXPECT_EQ(H3.Handle, 3u);
-  ASSERT_EQ(H3.Children.size(), 1u); // One block.
-  EXPECT_EQ(Tree.node(H3.Children[0]).Children.size(), 2u); // read, write.
+  std::vector<NodeId> Handles = Tree.children(Tree.root());
+  ASSERT_EQ(Handles.size(), 2u); // Two handles.
+  EXPECT_EQ(Tree.node(Handles[0]).Handle, 3u);
+  std::vector<NodeId> H3Blocks = Tree.children(Handles[0]);
+  ASSERT_EQ(H3Blocks.size(), 1u); // One block.
+  EXPECT_EQ(Tree.children(H3Blocks[0]).size(), 2u); // read, write.
 
-  const PatternNode &H4 = Tree.node(Root.Children[1]);
-  EXPECT_EQ(H4.Handle, 4u);
-  ASSERT_EQ(H4.Children.size(), 1u); // Implicit block.
+  EXPECT_EQ(Tree.node(Handles[1]).Handle, 4u);
+  ASSERT_EQ(Tree.children(Handles[1]).size(), 1u); // Implicit block.
 }
 
 TEST(TreeBuilderTest, OpenClosePairsMakeSeparateBlocks) {
@@ -134,8 +141,8 @@ TEST(TreeBuilderTest, OpenClosePairsMakeSeparateBlocks) {
     T.append(OpKind::Close, 1);
   }
   PatternTree Tree = buildTree(T);
-  const PatternNode &H = Tree.node(Tree.node(Tree.root()).Children[0]);
-  EXPECT_EQ(H.Children.size(), 3u);
+  NodeId H = Tree.children(Tree.root())[0];
+  EXPECT_EQ(Tree.children(H).size(), 3u);
 }
 
 TEST(TreeBuilderTest, ReopenWithoutCloseStartsFreshBlock) {
@@ -145,10 +152,10 @@ TEST(TreeBuilderTest, ReopenWithoutCloseStartsFreshBlock) {
   T.append(OpKind::Open, 1); // No close before.
   T.append(OpKind::Write, 1, 10);
   PatternTree Tree = buildTree(T);
-  const PatternNode &H = Tree.node(Tree.node(Tree.root()).Children[0]);
-  ASSERT_EQ(H.Children.size(), 2u);
-  EXPECT_EQ(Tree.node(H.Children[0]).Children.size(), 1u);
-  EXPECT_EQ(Tree.node(H.Children[1]).Children.size(), 1u);
+  std::vector<NodeId> Blocks = Tree.children(Tree.children(Tree.root())[0]);
+  ASSERT_EQ(Blocks.size(), 2u);
+  EXPECT_EQ(Tree.children(Blocks[0]).size(), 1u);
+  EXPECT_EQ(Tree.children(Blocks[1]).size(), 1u);
 }
 
 TEST(TreeBuilderTest, DanglingCloseIgnored) {
@@ -176,9 +183,9 @@ TEST(TreeBuilderTest, IgnoreBytesZeroesLeaves) {
   TreeBuilderOptions Options;
   Options.IgnoreBytes = true;
   PatternTree Tree = buildTree(T, Options);
-  std::vector<PatternNode> Leaves = firstBlockLeaves(Tree);
+  std::vector<NodeId> Leaves = firstBlockLeaves(Tree);
   ASSERT_EQ(Leaves.size(), 1u);
-  EXPECT_TRUE(Leaves[0].isZeroBytes());
+  EXPECT_TRUE(Tree.isZeroBytes(Leaves[0]));
 }
 
 TEST(TreeBuilderTest, OpenCloseEmitNoLeaves) {
@@ -194,71 +201,72 @@ TEST(TreeBuilderTest, OpenCloseEmitNoLeaves) {
 //===----------------------------------------------------------------------===//
 
 TEST(MergeRuleTest, Rule1SameNameSameBytes) {
-  std::optional<PatternNode> M =
-      tryMergeRule(1, makeOp("read", 8, 2), makeOp("read", 8, 3));
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->nameLabel(), "read");
-  EXPECT_EQ(M->byteLabel(), "8");
-  EXPECT_EQ(M->Reps, 5u);
+  BlockFixture F;
+  NodeId A = F.op("read", 8, 2);
+  ASSERT_TRUE(F.merge(1, A, F.op("read", 8, 3)));
+  EXPECT_EQ(F.Tree.nameLabel(A), "read");
+  EXPECT_EQ(F.Tree.byteLabel(A), "8");
+  EXPECT_EQ(F.Tree.node(A).Reps, 5u);
 }
 
 TEST(MergeRuleTest, Rule1RejectsDifferences) {
-  EXPECT_FALSE(tryMergeRule(1, makeOp("read", 8), makeOp("read", 9)));
-  EXPECT_FALSE(tryMergeRule(1, makeOp("read", 8), makeOp("write", 8)));
+  BlockFixture F;
+  EXPECT_FALSE(F.merge(1, F.op("read", 8), F.op("read", 9)));
+  EXPECT_FALSE(F.merge(1, F.op("read", 8), F.op("write", 8)));
 }
 
 TEST(MergeRuleTest, Rule2SameNameDifferentBytes) {
   // The paper's struct example: read 2 bytes then read 4 bytes.
-  std::optional<PatternNode> M =
-      tryMergeRule(2, makeOp("read", 2), makeOp("read", 4));
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->nameLabel(), "read");
-  EXPECT_EQ(M->byteLabel(), "2+4");
-  EXPECT_EQ(M->Reps, 2u);
+  BlockFixture F;
+  NodeId A = F.op("read", 2);
+  ASSERT_TRUE(F.merge(2, A, F.op("read", 4)));
+  EXPECT_EQ(F.Tree.nameLabel(A), "read");
+  EXPECT_EQ(F.Tree.byteLabel(A), "2+4");
+  EXPECT_EQ(F.Tree.node(A).Reps, 2u);
 }
 
 TEST(MergeRuleTest, Rule2RejectsSameBytes) {
-  EXPECT_FALSE(tryMergeRule(2, makeOp("read", 2), makeOp("read", 2)));
-  EXPECT_FALSE(tryMergeRule(2, makeOp("read", 2), makeOp("write", 4)));
+  BlockFixture F;
+  EXPECT_FALSE(F.merge(2, F.op("read", 2), F.op("read", 2)));
+  EXPECT_FALSE(F.merge(2, F.op("read", 2), F.op("write", 4)));
 }
 
 TEST(MergeRuleTest, Rule3DifferentNameSameBytes) {
   // The paper's copy example: interlaced read and write of n bytes.
-  std::optional<PatternNode> M =
-      tryMergeRule(3, makeOp("read", 64), makeOp("write", 64));
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->nameLabel(), "read+write");
-  EXPECT_EQ(M->byteLabel(), "64");
-  EXPECT_EQ(M->Reps, 2u);
+  BlockFixture F;
+  NodeId A = F.op("read", 64);
+  ASSERT_TRUE(F.merge(3, A, F.op("write", 64)));
+  EXPECT_EQ(F.Tree.nameLabel(A), "read+write");
+  EXPECT_EQ(F.Tree.byteLabel(A), "64");
+  EXPECT_EQ(F.Tree.node(A).Reps, 2u);
 }
 
 TEST(MergeRuleTest, Rule4ZeroByteSideDropped) {
   // The paper's lseek+write example.
-  std::optional<PatternNode> M =
-      tryMergeRule(4, makeOp("lseek", 0), makeOp("write", 512));
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->nameLabel(), "lseek+write");
-  EXPECT_EQ(M->byteLabel(), "512");
-  EXPECT_EQ(M->Reps, 2u);
+  BlockFixture F;
+  NodeId A = F.op("lseek", 0);
+  ASSERT_TRUE(F.merge(4, A, F.op("write", 512)));
+  EXPECT_EQ(F.Tree.nameLabel(A), "lseek+write");
+  EXPECT_EQ(F.Tree.byteLabel(A), "512");
+  EXPECT_EQ(F.Tree.node(A).Reps, 2u);
 
   // Order-independent on the zero side.
-  std::optional<PatternNode> M2 =
-      tryMergeRule(4, makeOp("write", 512), makeOp("lseek", 0));
-  ASSERT_TRUE(M2.has_value());
-  EXPECT_EQ(M2->nameLabel(), "write+lseek");
-  EXPECT_EQ(M2->byteLabel(), "512");
+  NodeId A2 = F.op("write", 512);
+  ASSERT_TRUE(F.merge(4, A2, F.op("lseek", 0)));
+  EXPECT_EQ(F.Tree.nameLabel(A2), "write+lseek");
+  EXPECT_EQ(F.Tree.byteLabel(A2), "512");
 }
 
 TEST(MergeRuleTest, Rule4NeedsExactlyOneZeroSide) {
-  EXPECT_FALSE(tryMergeRule(4, makeOp("lseek", 0), makeOp("fsync", 0)));
-  EXPECT_FALSE(tryMergeRule(4, makeOp("read", 2), makeOp("write", 4)));
+  BlockFixture F;
+  EXPECT_FALSE(F.merge(4, F.op("lseek", 0), F.op("fsync", 0)));
+  EXPECT_FALSE(F.merge(4, F.op("read", 2), F.op("write", 4)));
 }
 
 TEST(MergeRuleTest, StructuralNodesNeverMerge) {
-  PatternNode Block;
-  Block.Kind = NodeKind::Block;
+  BlockFixture F;
   for (int Rule = 1; Rule <= 4; ++Rule)
-    EXPECT_FALSE(tryMergeRule(Rule, Block, makeOp("read", 8)));
+    EXPECT_FALSE(F.merge(Rule, F.Block, F.op("read", 8)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -282,10 +290,12 @@ Trace blockTrace(const std::vector<std::pair<std::string, uint64_t>> &Ops) {
 TEST(CompressorTest, Rule1CollapsesARunInOneSweep) {
   Trace T = blockTrace({{"read", 8}, {"read", 8}, {"read", 8}, {"read", 8}});
   PatternTree Tree = buildTree(T);
+  const size_t Nodes = Tree.size();
   CompressionStats Stats = compressTree(Tree);
-  std::vector<PatternNode> Leaves = firstBlockLeaves(Tree);
+  EXPECT_EQ(Tree.size(), Nodes); // Merged in place: no new nodes.
+  std::vector<NodeId> Leaves = firstBlockLeaves(Tree);
   ASSERT_EQ(Leaves.size(), 1u);
-  EXPECT_EQ(Leaves[0].Reps, 4u);
+  EXPECT_EQ(Tree.node(Leaves[0]).Reps, 4u);
   EXPECT_EQ(Stats.MergesByRule[0], 3u);
   EXPECT_EQ(Stats.LeavesBefore, 4u);
   EXPECT_EQ(Stats.LeavesAfter, 1u);
@@ -298,11 +308,11 @@ TEST(CompressorTest, AlternationCompressesAcrossPasses) {
   Trace T = blockTrace({{"read", 2}, {"read", 4}, {"read", 2}, {"read", 4}});
   PatternTree Tree = buildTree(T);
   compressTree(Tree);
-  std::vector<PatternNode> Leaves = firstBlockLeaves(Tree);
+  std::vector<NodeId> Leaves = firstBlockLeaves(Tree);
   ASSERT_EQ(Leaves.size(), 1u);
-  EXPECT_EQ(Leaves[0].nameLabel(), "read");
-  EXPECT_EQ(Leaves[0].byteLabel(), "2+4");
-  EXPECT_EQ(Leaves[0].Reps, 4u);
+  EXPECT_EQ(Tree.nameLabel(Leaves[0]), "read");
+  EXPECT_EQ(Tree.byteLabel(Leaves[0]), "2+4");
+  EXPECT_EQ(Tree.node(Leaves[0]).Reps, 4u);
 }
 
 TEST(CompressorTest, SinglePassLeavesAlternationPairs) {
@@ -311,10 +321,10 @@ TEST(CompressorTest, SinglePassLeavesAlternationPairs) {
   CompressorOptions Options;
   Options.Passes = 1;
   compressTree(Tree, Options);
-  std::vector<PatternNode> Leaves = firstBlockLeaves(Tree);
+  std::vector<NodeId> Leaves = firstBlockLeaves(Tree);
   ASSERT_EQ(Leaves.size(), 2u);
-  EXPECT_EQ(Leaves[0].byteLabel(), "2+4");
-  EXPECT_EQ(Leaves[1].byteLabel(), "2+4");
+  EXPECT_EQ(Tree.byteLabel(Leaves[0]), "2+4");
+  EXPECT_EQ(Tree.byteLabel(Leaves[1]), "2+4");
 }
 
 TEST(CompressorTest, CopyPatternUsesRule3ThenRule1) {
@@ -323,10 +333,10 @@ TEST(CompressorTest, CopyPatternUsesRule3ThenRule1) {
       {{"read", 64}, {"write", 64}, {"read", 64}, {"write", 64}});
   PatternTree Tree = buildTree(T);
   compressTree(Tree);
-  std::vector<PatternNode> Leaves = firstBlockLeaves(Tree);
+  std::vector<NodeId> Leaves = firstBlockLeaves(Tree);
   ASSERT_EQ(Leaves.size(), 1u);
-  EXPECT_EQ(Leaves[0].nameLabel(), "read+write");
-  EXPECT_EQ(Leaves[0].Reps, 4u);
+  EXPECT_EQ(Tree.nameLabel(Leaves[0]), "read+write");
+  EXPECT_EQ(Tree.node(Leaves[0]).Reps, 4u);
 }
 
 TEST(CompressorTest, SeekWriteLoopUsesRule4) {
@@ -334,11 +344,11 @@ TEST(CompressorTest, SeekWriteLoopUsesRule4) {
       {{"lseek", 0}, {"write", 512}, {"lseek", 0}, {"write", 512}});
   PatternTree Tree = buildTree(T);
   compressTree(Tree);
-  std::vector<PatternNode> Leaves = firstBlockLeaves(Tree);
+  std::vector<NodeId> Leaves = firstBlockLeaves(Tree);
   ASSERT_EQ(Leaves.size(), 1u);
-  EXPECT_EQ(Leaves[0].nameLabel(), "lseek+write");
-  EXPECT_EQ(Leaves[0].byteLabel(), "512");
-  EXPECT_EQ(Leaves[0].Reps, 4u);
+  EXPECT_EQ(Tree.nameLabel(Leaves[0]), "lseek+write");
+  EXPECT_EQ(Tree.byteLabel(Leaves[0]), "512");
+  EXPECT_EQ(Tree.node(Leaves[0]).Reps, 4u);
 }
 
 TEST(CompressorTest, RepsConservedByCompression) {

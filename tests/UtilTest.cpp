@@ -208,11 +208,6 @@ TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_FALSE(endsWith("csv", ".csv"));
 }
 
-TEST(StringUtilTest, ToLowerAsciiOnly) {
-  EXPECT_EQ(toLower("ReAd"), "read");
-  EXPECT_EQ(toLower("123_X"), "123_x");
-}
-
 //===----------------------------------------------------------------------===//
 // Error types
 //===----------------------------------------------------------------------===//
