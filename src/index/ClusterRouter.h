@@ -13,10 +13,11 @@
 ///
 /// Centroids are themselves sparse profiles — the dense accumulation
 /// of their members' unit-normalized sparse vectors, re-normalized and
-/// stored in a small ProfileStore — so centroid assignment and query
-/// routing reuse the existing merge-join kernel dot, and the router
-/// round-trips through the same blob persistence the v2 profile
-/// caches use.
+/// stored in a small ProfileStore — so query routing reuses the
+/// existing merge-join kernel dot, the fit's assignment passes score
+/// through an inverted centroid table whose every score is
+/// bit-identical to that dot, and the router round-trips through the
+/// same blob persistence the v2 profile caches use.
 ///
 /// Everything is a pure function of (store, options): seeding draws
 /// from util/Rng with a fixed seed, ties in assignment and routing
