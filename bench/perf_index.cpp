@@ -7,9 +7,9 @@
 // The corpus-growth story in numbers: extending an existing Gram matrix
 // with KernelMatrix::appendRows versus recomputing it from scratch,
 // top-k profile-index queries (single and batched over the ProfileStore
-// arena) versus the full-matrix detour they replace, and v2 block-cache
-// loads versus the per-entry v1 format. Args are {N, M}: N
-// already-indexed strings, M arriving ones.
+// arena) versus the full-matrix detour they replace, and restarts from
+// flat images. Args are {N, M}: N already-indexed strings, M arriving
+// ones.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 #include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
-#include "workloads/CorpusIO.h"
 
 #include <benchmark/benchmark.h>
 
@@ -403,54 +402,8 @@ void BM_ServiceQueryQuiesced(benchmark::State &State) {
 }
 BENCHMARK(BM_ServiceQueryQuiesced)->Arg(1024)->Arg(8192);
 
-/// Per-process scratch path: concurrent bench runs (nightly job plus
-/// a developer run) must not truncate each other's cache mid-load.
-std::string scratchCachePath(const char *Tag) {
-  return "/tmp/kast_perf_index_" + std::string(Tag) + "." +
-         std::to_string(static_cast<long>(::getpid())) + ".kpc";
-}
-
-/// Loading an N-profile cache in the v2 block format: the offset,
-/// hash and value arrays arrive as three bulk reads straight into the
-/// ProfileStore arena.
-void BM_IndexLoadV2(benchmark::State &State) {
-  const size_t N = static_cast<size_t>(State.range(0));
-  const std::vector<WeightedString> &Corpus = randomCorpus(N);
-  ProfileIndex Index = ProfileIndex::build(kernel(), Corpus);
-  std::string Path = scratchCachePath("v2");
-  if (Status S = Index.save(Path); !S) {
-    std::remove(Path.c_str());
-    State.SkipWithError(S.message().c_str());
-    return;
-  }
-  for (auto _ : State)
-    benchmark::DoNotOptimize(ProfileIndex::load(Path));
-  std::remove(Path.c_str());
-}
-BENCHMARK(BM_IndexLoadV2)->Arg(1024)->Arg(8192)
-    ->Unit(benchmark::kMillisecond);
-
-/// The same load through the per-entry v1 format — the copy-by-copy
-/// baseline the block layout replaces.
-void BM_IndexLoadV1(benchmark::State &State) {
-  const size_t N = static_cast<size_t>(State.range(0));
-  const std::vector<WeightedString> &Corpus = randomCorpus(N);
-  ProfileIndex Index = ProfileIndex::build(kernel(), Corpus);
-  std::string Path = scratchCachePath("v1");
-  if (Status S = writeProfileCacheFile(Index.toCache(), Path); !S) {
-    std::remove(Path.c_str());
-    State.SkipWithError(S.message().c_str());
-    return;
-  }
-  for (auto _ : State)
-    benchmark::DoNotOptimize(ProfileIndex::load(Path));
-  std::remove(Path.c_str());
-}
-BENCHMARK(BM_IndexLoadV1)->Arg(1024)->Arg(8192)
-    ->Unit(benchmark::kMillisecond);
-
-/// Per-process restart scratch directories, written once per (N,
-/// format) and removed at process exit. The write happens outside the
+/// Per-process restart scratch directories, written once per N and
+/// removed at process exit. The write happens outside the
 /// timed region; the benchmark measures the *reader's* path.
 struct RestartDirs {
   std::map<std::string, bool> Ready;
@@ -462,26 +415,22 @@ struct RestartDirs {
 };
 
 /// Restart-to-first-answer: everything a serving process does between
-/// exec and its first top-5 response — open the persisted shards,
-/// restore an IndexService, answer one query. The v2 leg pays the
-/// O(entries) block copy on every restart; the v3 flat-image leg
+/// exec and its first top-5 response — open the persisted shard
+/// images, restore an IndexService, answer one query. The open
 /// validates headers and O(N) metadata, mmaps the entry arrays, and
 /// faults in only the pages the first query touches — so it stays
-/// roughly flat as N grows. Args are {N, v3}.
+/// roughly flat as N grows.
 void BM_RestartToFirstQuery(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
-  const bool V3 = State.range(1) != 0;
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
   const std::string Dir = "/tmp/kast_perf_index_restart." +
                           std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(N) + (V3 ? ".v3" : ".v2");
+                          std::to_string(N);
   static RestartDirs Dirs;
   if (!Dirs.Ready.count(Dir)) {
     IndexService Service = IndexService::fromIndex(
         ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
-    std::vector<ProfileStoreCache> Caches = Service.toShardCaches();
-    Status S = V3 ? writeShardedProfileImages(Caches, Dir)
-                  : writeShardedProfileCaches(Caches, Dir);
+    Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
     if (!S) {
       State.SkipWithError(S.message().c_str());
       return;
@@ -491,14 +440,14 @@ void BM_RestartToFirstQuery(benchmark::State &State) {
   const KernelProfile Query = kernel().profile(Corpus[N]);
   // The timed total is the whole restart-to-first-answer path; the
   // open/query split rides along as counters because the first top-5
-  // answer is an O(N) exact scan both formats pay identically — the
-  // format gap lives in open_ms.
+  // answer is an O(N) exact scan, while the restart cost lives in
+  // open_ms.
   double OpenMs = 0.0, QueryMs = 0.0;
   using Clock = std::chrono::steady_clock;
   for (auto _ : State) {
     const Clock::time_point T0 = Clock::now();
     Expected<std::vector<ProfileStoreCache>> Caches =
-        V3 ? loadShardedProfileImages(Dir) : loadShardedProfileCaches(Dir);
+        loadShardedProfileImages(Dir);
     if (!Caches) {
       State.SkipWithError(Caches.message().c_str());
       return;
@@ -521,42 +470,31 @@ void BM_RestartToFirstQuery(benchmark::State &State) {
       benchmark::Counter(QueryMs, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RestartToFirstQuery)
-    ->ArgNames({"n", "v3"})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({32768, 0})
-    ->Args({32768, 1})
+    ->ArgName("n")
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Arg(32768)
     ->Unit(benchmark::kMillisecond);
 
-/// Routed restart-to-first-routed-answer: Args are {n, mapped}. The
-/// sidecar leg (mapped=0) restores v2 caches, then replays the .route
-/// sidecars — the router state deserializes, but the posting lists are
-/// rebuilt O(N) on every restart. The mapped leg (mapped=1) opens flat
-/// images whose routing arenas are first-class sections: validate
-/// headers and O(centroids) metadata, mmap, alias — no k-means refit,
-/// no posting rebuild — so its open cost stays roughly flat in N.
-/// The fits / posting_rebuilds counters are per-iteration probe-counter
+/// Routed restart-to-first-routed-answer over n profiles: open flat
+/// images whose routing arenas are first-class sections — validate
+/// headers and O(centroids) metadata, mmap, alias; no k-means refit,
+/// no posting rebuild — so the open cost stays roughly flat in N. The
+/// fits / posting_rebuilds counters are per-iteration probe-counter
 /// deltas pinning that claim in BENCH_index.json.
 void BM_RoutedRestartToFirstQuery(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
-  const bool Mapped = State.range(1) != 0;
   const std::vector<WeightedString> &Corpus =
       clusteredCorpus(N + RoutedQueryCount);
   const std::string Dir = "/tmp/kast_perf_index_routed." +
                           std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(N) + (Mapped ? ".kfi" : ".kpc");
+                          std::to_string(N);
   static RestartDirs Dirs;
   if (!Dirs.Ready.count(Dir)) {
     IndexService Service = IndexService::fromIndex(
         ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
     Service.rebuildRouting(sweepRouting(/*DfPct=*/100));
-    std::vector<ProfileStoreCache> Caches = Service.toShardCaches();
-    Status S = Mapped ? writeShardedProfileImages(Caches, Dir)
-                      : writeShardedProfileCaches(Caches, Dir);
-    if (S && !Mapped)
-      S = Service.saveShardRouting(Dir);
+    Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
     if (!S) {
       State.SkipWithError(S.message().c_str());
       return;
@@ -571,7 +509,7 @@ void BM_RoutedRestartToFirstQuery(benchmark::State &State) {
   for (auto _ : State) {
     const Clock::time_point T0 = Clock::now();
     Expected<std::vector<ProfileStoreCache>> Caches =
-        Mapped ? loadShardedProfileImages(Dir) : loadShardedProfileCaches(Dir);
+        loadShardedProfileImages(Dir);
     if (!Caches) {
       State.SkipWithError(Caches.message().c_str());
       return;
@@ -581,12 +519,6 @@ void BM_RoutedRestartToFirstQuery(benchmark::State &State) {
     if (!Service) {
       State.SkipWithError(Service.message().c_str());
       return;
-    }
-    if (!Mapped) {
-      if (Status S = Service->loadShardRouting(Dir); !S) {
-        State.SkipWithError(S.message().c_str());
-        return;
-      }
     }
     const Clock::time_point T1 = Clock::now();
     benchmark::DoNotOptimize(Service->queryApprox(Query, 5, true, 0, 1));
@@ -606,13 +538,10 @@ void BM_RoutedRestartToFirstQuery(benchmark::State &State) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RoutedRestartToFirstQuery)
-    ->ArgNames({"n", "mapped"})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({32768, 0})
-    ->Args({32768, 1})
+    ->ArgName("n")
+    ->Arg(1024)
+    ->Arg(8192)
+    ->Arg(32768)
     ->Unit(benchmark::kMillisecond);
 
 #ifdef __linux__
@@ -660,8 +589,8 @@ std::pair<uint64_t, uint64_t> smapsRssPss(const std::string &PathSuffix) {
 /// the per-process *proportional* set (Pss) collapses while each
 /// process's Rss reports the full arena. Counters: summed Rss and Pss
 /// over the children in MiB, and the sharing factor between them. A
-/// v2 restart has no shared mode — every process owns a private copy,
-/// i.e. the rss_mb number per process, with no collapse.
+/// read-into-memory restart would instead give every process a private
+/// copy: the rss_mb number per process, with no collapse.
 void BM_MappedImageSharedRss(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   constexpr int Procs = 4;

@@ -86,8 +86,7 @@ RUN_DATE_UTC="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 # are served from a warm page cache and the numbers measure restart
 # *software* cost, not disk latency. A truly cold restart (after
 # `echo 3 > /proc/sys/vm/drop_caches`, which needs root) would add
-# device read time on first fault for the v3 leg while the v2 leg pays
-# the same read inside its full-file copy. The context records which
+# device read time on each first fault. The context records which
 # regime produced the artifact so committed numbers are comparable.
 PAGE_CACHE_STATE="${PAGE_CACHE_STATE:-warm}"
 
@@ -106,7 +105,7 @@ doc["context"]["page_cache_state"] = os.environ["PAGE_CACHE_STATE"]
 doc["context"]["page_cache_note"] = (
     "restart/mmap benchmarks write their files in setup, so 'warm' means "
     "mapped pages come from the page cache; cold-cache restarts add device "
-    "read latency to first-fault (v3) or to the full-file copy (v2)")
+    "read latency to first faults")
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

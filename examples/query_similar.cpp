@@ -10,12 +10,12 @@
 // Gram matrix, no re-profiling of the corpus.
 //
 // One mutated copy of every base example is held out as the query set;
-// the rest is indexed. With --cache the index round-trips through the
-// versioned binary profile cache (core/ProfileSerializer), so a second
-// run skips profiling entirely.
+// the rest is indexed. With --cache the index round-trips through one
+// flat image (core/FlatImage), so a second run maps the profiles
+// instead of computing them.
 //
 //   $ ./query_similar
-//   $ ./query_similar --cache /tmp/kast.kpc --k 5
+//   $ ./query_similar --cache /tmp/kast.kfi --k 5
 //   $ ./query_similar --no-bytes --cut 8
 //   $ ./query_similar --approx --nprobe 2
 //
@@ -30,7 +30,6 @@
 #include "kernels/SpectrumKernels.h"
 #include "util/StringUtil.h"
 #include "util/TextTable.h"
-#include "workloads/CorpusIO.h"
 #include "workloads/DatasetBuilder.h"
 
 #include <algorithm>
@@ -137,8 +136,8 @@ int main(int ArgC, char **ArgV) {
                         : "built from corpus",
               Index.kernelName().c_str());
   // The profiles live in one structure-of-arrays arena (three flat
-  // arrays + CSR offsets), which is also exactly what the v2 cache
-  // file stores as contiguous blobs.
+  // arrays + CSR offsets), which is also exactly what the flat image
+  // stores, one page-aligned section per array.
   const ProfileStore &Store = Index.store();
   std::printf("arena: %zu features in %zu + %zu + %zu byte blobs\n",
               Store.entryCount(), Store.hashes().size() * sizeof(uint64_t),

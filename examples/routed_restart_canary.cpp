@@ -24,13 +24,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/FlatImage.h"
 #include "index/ClusterRouter.h"
 #include "index/IndexService.h"
 #include "index/InvertedIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/StringUtil.h"
-#include "workloads/CorpusIO.h"
-#include "workloads/Generators.h"
+#include "workloads/DatasetBuilder.h"
 
 #include <cstdio>
 #include <filesystem>

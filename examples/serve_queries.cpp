@@ -13,13 +13,12 @@
 // Every reader works off immutable snapshots: queries taken mid-ingest
 // re-verify against their own snapshot at the end, demonstrating that
 // a snapshot's answers never change once taken. After the churn the
-// service compacts, saves one v2 cache per shard, and restarts itself
-// from those files.
+// service compacts, saves one flat image per shard, and restarts
+// itself from those files by mapping them.
 //
 //   $ ./serve_queries
 //   $ ./serve_queries --writers 4 --readers 4 --shards 16 --k 5
 //   $ ./serve_queries --dir /tmp/kast_shards
-//   $ ./serve_queries --v3        # also restart from mmapped flat images
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,6 @@
 #include "runtime/QueryServer.h"
 #include "util/StringUtil.h"
 #include "util/TextTable.h"
-#include "workloads/CorpusIO.h"
 #include "workloads/DatasetBuilder.h"
 
 #include <atomic>
@@ -46,7 +44,6 @@ int main(int ArgC, char **ArgV) {
   size_t Readers = 2;
   size_t Shards = 8;
   size_t TopK = 3;
-  bool V3Restart = false;
   std::string Dir = std::filesystem::temp_directory_path().string() +
                     "/kast_serve_queries";
   for (int I = 1; I < ArgC; ++I) {
@@ -62,14 +59,12 @@ int main(int ArgC, char **ArgV) {
       Shards = static_cast<size_t>(*N), ++I;
     } else if (Arg == "--k" && N) {
       TopK = static_cast<size_t>(*N), ++I;
-    } else if (Arg == "--v3") {
-      V3Restart = true;
     } else if (Arg == "--dir" && I + 1 < ArgC) {
       Dir = ArgV[++I];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--writers N] [--readers N] [--shards N] "
-                   "[--k N] [--v3] [--dir PATH]\n",
+                   "[--k N] [--dir PATH]\n",
                    ArgV[0]);
       return 2;
     }
@@ -176,23 +171,29 @@ int main(int ArgC, char **ArgV) {
               Correct, Queries.size(), TopK, Final.size(),
               Final.entryCount(), Service.shardCount());
 
-  // Compact (drop tombstones), persist one v2 block cache per shard,
-  // and restart a second service from the files — the crash-recovery
-  // path a long-lived serving process depends on.
+  // Compact (drop tombstones), persist one page-aligned flat image
+  // per shard ("shard-NNN.kfi"), and restart a second service from the
+  // files — the crash-recovery path a long-lived serving process
+  // depends on. The restore maps the images, so the restored service
+  // serves straight off the page cache.
   Service.compact();
-  if (Status S = writeShardedProfileCaches(Service.toShardCaches(), Dir);
+  if (Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
       !S) {
     std::fprintf(stderr, "error: %s\n", S.message().c_str());
     return 1;
   }
-  Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir, Kernel);
-  if (!Caches) {
-    std::fprintf(stderr, "error: %s\n", Caches.message().c_str());
+  Expected<std::vector<ProfileStoreCache>> Images =
+      loadShardedProfileImages(Dir, Kernel.name());
+  if (!Images) {
+    std::fprintf(stderr, "error: %s\n", Images.message().c_str());
     return 1;
   }
+  size_t Mapped = 0;
+  for (const ProfileStoreCache &Image : *Images)
+    Mapped += Image.Store.isMapped();
+  const size_t ImageCount = Images->size();
   Expected<IndexService> Restored =
-      IndexService::fromShardCaches(Caches.take());
+      IndexService::fromShardCaches(Images.take());
   if (!Restored) {
     std::fprintf(stderr, "error: %s\n", Restored.message().c_str());
     return 1;
@@ -200,45 +201,10 @@ int main(int ArgC, char **ArgV) {
   // Hits was computed from Final above, and a snapshot's answers never
   // change — no need to re-score the original side of the comparison.
   bool Identical = Restored->queryBatch(Queries, TopK) == Hits;
-  std::printf("restart: %zu entries reloaded from %s; answers %s\n",
-              Restored->size(), Dir.c_str(),
+  std::printf("restart: %zu entries from %zu flat images (%zu mmapped) in "
+              "%s; answers %s\n",
+              Restored->size(), ImageCount, Mapped, Dir.c_str(),
               Identical ? "identical" : "DIFFER (bug!)");
-
-  // --v3: the same restart through the flat-image format. The save
-  // writes one page-aligned "shard-NNN.kfi" image per shard; the
-  // restore mmaps them, so the restored service serves straight off
-  // the page cache (O(1) restart, shared pages across processes) and
-  // must still answer bit-identically to the v2 path above.
-  bool V3Identical = true;
-  if (V3Restart) {
-    const std::string V3Dir = Dir + "_v3";
-    if (Status S = writeShardedProfileImages(Service.toShardCaches(), V3Dir);
-        !S) {
-      std::fprintf(stderr, "error: %s\n", S.message().c_str());
-      return 1;
-    }
-    Expected<std::vector<ProfileStoreCache>> Images =
-        loadShardedProfileImages(V3Dir, Kernel.name());
-    if (!Images) {
-      std::fprintf(stderr, "error: %s\n", Images.message().c_str());
-      return 1;
-    }
-    size_t Mapped = 0;
-    for (const ProfileStoreCache &Image : *Images)
-      Mapped += Image.Store.isMapped();
-    const size_t ImageCount = Images->size();
-    Expected<IndexService> FromImages =
-        IndexService::fromShardCaches(Images.take());
-    if (!FromImages) {
-      std::fprintf(stderr, "error: %s\n", FromImages.message().c_str());
-      return 1;
-    }
-    V3Identical = FromImages->queryBatch(Queries, TopK) == Hits;
-    std::printf("v3 restart: %zu entries from %zu flat images (%zu mmapped) "
-                "in %s; answers %s\n",
-                FromImages->size(), ImageCount, Mapped, V3Dir.c_str(),
-                V3Identical ? "identical" : "DIFFER (bug!)");
-  }
 
   // The async batched runtime over the same service: an open-loop
   // client pipelines the query stream through QueryServer's bounded
@@ -323,7 +289,7 @@ int main(int ArgC, char **ArgV) {
   // All headline claims gate the exit code, so a CI smoke run of the
   // demo fails if snapshot isolation, the restart, or the async
   // runtime's exactness contract breaks.
-  return Identical && V3Identical && Consistent == Observed.size() &&
+  return Identical && Consistent == Observed.size() &&
                  AsyncIdentical && LedgerOk &&
                  Served == Rounds * Queries.size()
              ? 0

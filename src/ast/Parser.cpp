@@ -11,6 +11,15 @@ using namespace kast;
 
 namespace {
 
+/// The deepest nesting a program may have: blocks, if/else-if links,
+/// parenthesized groups, call argument lists, unary operators and
+/// binary-operator links each count one level. Parsing recurses once
+/// per level and the tree grows at most a few nodes deeper per level,
+/// so this bound also bounds the recursion of every later tree walk
+/// (the encoder, the interpreter) — deep input is an error, never a
+/// stack overflow.
+constexpr size_t MaxNestingDepth = 256;
+
 /// Binding power of a binary operator spelling; 0 = not binary.
 int precedenceOf(const std::string &Op) {
   if (Op == "||")
@@ -71,6 +80,33 @@ private:
               std::to_string(peek().Column);
   }
 
+  /// Enters one nesting level, or fails with a "nesting too deep"
+  /// error at the current token once MaxNestingDepth levels are open.
+  bool enter() {
+    if (Depth < MaxNestingDepth) {
+      ++Depth;
+      return true;
+    }
+    if (!Failed) {
+      Failed = true;
+      Message = "nesting too deep at " + std::to_string(peek().Line) + ":" +
+                std::to_string(peek().Column) + " (more than " +
+                std::to_string(MaxNestingDepth) + " levels)";
+    }
+    return false;
+  }
+
+  /// One nesting level held for the scope of a recursive production.
+  struct Nested {
+    explicit Nested(Parser &P) : P(P), Entered(P.enter()) {}
+    ~Nested() {
+      if (Entered)
+        --P.Depth;
+    }
+    Parser &P;
+    const bool Entered;
+  };
+
   /// Consumes a token of \p Kind or fails.
   bool expect(TokKind Kind) {
     if (at(Kind)) {
@@ -103,7 +139,8 @@ private:
   }
 
   void parseBlock(AstNodeId Parent) {
-    if (!expect(TokKind::LBrace))
+    Nested Level(*this);
+    if (!Level.Entered || !expect(TokKind::LBrace))
       return;
     AstNodeId Block = Tree.addNode(Parent, AstKind::Block);
     while (!Failed && !at(TokKind::RBrace) && !at(TokKind::EndOfFile))
@@ -167,6 +204,10 @@ private:
   }
 
   void parseIf(AstNodeId Parent) {
+    // Else-if links nest in the else slot, so each link is a level.
+    Nested Level(*this);
+    if (!Level.Entered)
+      return;
     advance(); // 'if'
     AstNodeId If = Tree.addNode(Parent, AstKind::If);
     if (!expect(TokKind::LParen))
@@ -193,11 +234,15 @@ private:
   /// Precedence climbing over detached nodes; left-associative.
   AstNodeId parseUnaryAndClimb(int MinPrecedence) {
     AstNodeId Lhs = parseUnary();
+    const size_t Entered = Depth;
     while (!Failed) {
       int Precedence = peek().Kind == TokKind::Operator
                            ? precedenceOf(peek().Text)
                            : 0;
       if (Precedence < MinPrecedence)
+        break;
+      // Each link puts the expression so far one level deeper.
+      if (!enter())
         break;
       std::string Op = advance().Text;
       AstNodeId Rhs = parseUnaryAndClimb(Precedence + 1);
@@ -208,12 +253,16 @@ private:
       reparent(Rhs, Bin);
       Lhs = Bin;
     }
+    Depth = Entered;
     return Lhs;
   }
 
   /// Parses a unary expression, detached from any parent.
   AstNodeId parseUnary() {
     if (atOperator("!") || atOperator("-")) {
+      Nested Level(*this);
+      if (!Level.Entered)
+        return makeDetached(AstKind::Number, "0"); // Error placeholder.
       std::string Op = advance().Text;
       AstNodeId Un = makeDetached(AstKind::Unary, Op);
       AstNodeId Operand = parseUnary();
@@ -231,8 +280,11 @@ private:
       std::string Name = advance().Text;
       if (!at(TokKind::LParen))
         return makeDetached(AstKind::Var, Name);
-      advance(); // '('
+      Nested Level(*this);
       AstNodeId Call = makeDetached(AstKind::Call, Name);
+      if (!Level.Entered)
+        return Call;
+      advance(); // '('
       if (!at(TokKind::RParen)) {
         do {
           AstNodeId Arg = parseUnaryAndClimb(1);
@@ -245,6 +297,9 @@ private:
       return Call;
     }
     if (at(TokKind::LParen)) {
+      Nested Level(*this);
+      if (!Level.Entered)
+        return makeDetached(AstKind::Number, "0"); // Error placeholder.
       advance();
       // Parenthesized expressions do not produce a node; the detached
       // chain from the climb is the result.
@@ -277,6 +332,8 @@ private:
 
   std::vector<LexToken> Tokens;
   size_t Position = 0;
+  /// Nesting levels currently open (see MaxNestingDepth).
+  size_t Depth = 0;
   Ast Tree;
   bool Failed = false;
   std::string Message;

@@ -24,6 +24,10 @@
 ///   primary  := number | ident | ident '(' args? ')' | '(' expr ')'
 ///
 /// Errors carry line:column positions and the expected construct.
+/// Nesting is bounded: past 256 levels (blocks, else-if links,
+/// parentheses, call arguments, unary operators, binary-operator
+/// links) the parse fails with a "nesting too deep" error, so no input
+/// can exhaust the stack here or in a later walk over the tree.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- core/FlatImage.cpp - v3 flat-image profile cache --------------------===//
+//===- core/FlatImage.cpp - The on-disk profile format --------------------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -8,11 +8,15 @@
 
 #include "util/Hashing.h"
 #include "util/MappedImage.h"
+#include "util/StringUtil.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string_view>
 
 using namespace kast;
@@ -52,8 +56,6 @@ const char *sectionName(FlatSectionId Id) {
     return "quantized-values";
   case FlatSectionId::QuantScales:
     return "quantized-scales";
-  case FlatSectionId::Route:
-    return "route";
   case FlatSectionId::RouteMeta:
     return "routing-meta";
   case FlatSectionId::RouteAssignments:
@@ -255,23 +257,21 @@ Status validateStringTable(const unsigned char *Data, uint64_t Size,
 
 /// The shared writer over either string-column shape
 /// (vector<std::string> or StringColumn), optionally embedding routing
-/// arenas — which is what flips the written version to 4.
+/// arenas — which is what flips the written version to 4. Writes
+/// exactly \p Path; the public entry points decide the staging name.
 template <typename Column>
-Status writeImageImpl(const std::string &KernelName, const Column &Names,
-                      const Column &Labels, const ProfileStore &Store,
-                      const std::string &Path, const std::string &RouteBlob,
-                      const RoutingArenas *Routing) {
+Status writeImageAt(const std::string &KernelName, const Column &Names,
+                    const Column &Labels, const ProfileStore &Store,
+                    const RoutingArenas *Routing, const std::string &Path) {
   if constexpr (std::endian::native != std::endian::little)
-    return Status::error("flat image writer requires a little-endian host; "
-                         "use the v2 cache format");
+    return Status::error("flat image writer requires a little-endian host");
   if (Names.size() != Store.size() || Labels.size() != Store.size())
     return Status::error("flat image has " + std::to_string(Store.size()) +
                          " profiles but " + std::to_string(Names.size()) +
                          " names / " + std::to_string(Labels.size()) +
                          " labels");
   // Empty routing (an unfitted or empty-corpus router) carries no
-  // information a restore could use; write a plain v3 image and let
-  // the restore path fall back.
+  // information a restore could use; write a plain v3 image.
   if (Routing && (Routing->Covered == 0 || Routing->Centroids.size() == 0))
     Routing = nullptr;
   if (Routing) {
@@ -316,13 +316,6 @@ Status writeImageImpl(const std::string &KernelName, const Column &Names,
     Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantScales,
                                             Quant->scales().data(), N * 8));
   }
-  // The legacy opaque blob and the arena sections are exclusive: the
-  // arenas carry strictly more (they restore without a rebuild), so a
-  // v4 image never wastes pages on the blob form.
-  if (!RouteBlob.empty() && !Routing)
-    Sections.push_back(SectionOut::borrowed(FlatSectionId::Route,
-                                            RouteBlob.data(),
-                                            RouteBlob.size()));
   if (Routing) {
     const RoutingArenas &R = *Routing;
     const uint64_t C = R.Centroids.size();
@@ -421,23 +414,58 @@ Status writeImageImpl(const std::string &KernelName, const Column &Names,
   return Status();
 }
 
+/// A single-file save never truncates the file it replaces: the
+/// source arrays may alias a mapping of that very file (a loaded image
+/// saved back to its own path), so the bytes go to "<Path>.tmp", which
+/// is renamed over \p Path only once complete and removed on failure.
+template <typename Column>
+Status writeImageStaged(const std::string &KernelName, const Column &Names,
+                        const Column &Labels, const ProfileStore &Store,
+                        const RoutingArenas *Routing, const std::string &Path) {
+  const std::string Staging = Path + ".tmp";
+  Status S = writeImageAt(KernelName, Names, Labels, Store, Routing, Staging);
+  std::error_code Ec;
+  if (S) {
+    std::filesystem::rename(Staging, Path, Ec);
+    if (!Ec)
+      return S;
+    S = Status::error("cannot rename '" + Staging + "' into place: " +
+                      Ec.message());
+  }
+  std::filesystem::remove(Staging, Ec);
+  return S;
+}
+
 } // namespace
+
+Status kast::validateCsrOffsets(const uint64_t *Offsets, size_t Count,
+                                uint64_t Total) {
+  if (Count == 0)
+    return Status::error("corrupt flat image: empty offset array");
+  if (Offsets[0] != 0)
+    return Status::error("corrupt flat image: offsets must start at 0");
+  for (size_t I = 1; I < Count; ++I)
+    if (Offsets[I] < Offsets[I - 1])
+      return Status::error("corrupt flat image: offsets not monotonic");
+  if (Offsets[Count - 1] != Total)
+    return Status::error("corrupt flat image: offsets disagree with "
+                         "entry total");
+  return Status();
+}
 
 Status kast::writeProfileStoreImageFile(const std::string &KernelName,
                                         const std::vector<std::string> &Names,
                                         const std::vector<std::string> &Labels,
                                         const ProfileStore &Store,
                                         const std::string &Path,
-                                        const std::string &RouteBlob) {
-  return writeImageImpl(KernelName, Names, Labels, Store, Path, RouteBlob,
-                        nullptr);
+                                        const RoutingArenas *Routing) {
+  return writeImageStaged(KernelName, Names, Labels, Store, Routing, Path);
 }
 
 Status kast::writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                         const std::string &Path) {
-  return writeImageImpl(Cache.KernelName, Cache.Names, Cache.Labels,
-                        Cache.Store, Path, Cache.RouteBlob,
-                        Cache.Routing.get());
+  return writeImageStaged(Cache.KernelName, Cache.Names, Cache.Labels,
+                          Cache.Store, Cache.Routing.get(), Path);
 }
 
 Expected<ProfileStoreCache>
@@ -445,8 +473,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
                                 const FlatImageReadOptions &Options) {
   using Result = Expected<ProfileStoreCache>;
   if constexpr (std::endian::native != std::endian::little)
-    return Result::error("flat image reader requires a little-endian host; "
-                         "use the v2 cache format");
+    return Result::error("flat image reader requires a little-endian host");
 
   Expected<std::shared_ptr<const MappedImage>> Opened =
       MappedImage::open(Path, Options.ForceBuffered);
@@ -463,9 +490,6 @@ kast::readProfileStoreImageFile(const std::string &Path,
     return Result::error("'" + Path + "': " + Message);
   };
 
-  if (Size >= 8 && std::memcmp(Data, ProfileCacheMagic, 8) == 0)
-    return fail("this is a v1/v2 profile cache; read it with "
-                "readProfileStoreCacheFile (core/ProfileSerializer)");
   if (Size < HeaderBytes)
     return fail("truncated flat image: missing header");
   if (std::memcmp(Data, FlatImageMagic, 8) != 0)
@@ -516,11 +540,13 @@ kast::readProfileStoreImageFile(const std::string &Path,
     // The routing-arena ids only exist from version 4 on; seeing one
     // under version 3 is skew (a patched header or a mixed-up writer),
     // not a format this reader can trust.
-    const uint32_t MaxId = Version >= FlatImageVersionRouted
-                               ? static_cast<uint32_t>(
-                                     FlatSectionId::PostingValues)
-                               : static_cast<uint32_t>(FlatSectionId::Route);
-    if (Id == 0 || Id > MaxId)
+    const bool StoreId =
+        Id >= 1 && Id <= static_cast<uint32_t>(FlatSectionId::QuantScales);
+    const bool RoutingId =
+        Version >= FlatImageVersionRouted &&
+        Id >= static_cast<uint32_t>(FlatSectionId::RouteMeta) &&
+        Id <= static_cast<uint32_t>(FlatSectionId::PostingValues);
+    if (!StoreId && !RoutingId)
       return fail("corrupt flat image: unknown section id " +
                   std::to_string(Id) + " for version " +
                   std::to_string(Version));
@@ -587,7 +613,7 @@ kast::readProfileStoreImageFile(const std::string &Path,
        {FlatSectionId::KernelName, FlatSectionId::Offsets,
         FlatSectionId::SelfDots, FlatSectionId::Norms, FlatSectionId::Names,
         FlatSectionId::Labels, FlatSectionId::QuantScales,
-        FlatSectionId::Route, FlatSectionId::RouteMeta,
+        FlatSectionId::RouteMeta,
         FlatSectionId::RouteAssignments, FlatSectionId::CentroidOffsets,
         FlatSectionId::CentroidSelfDots, FlatSectionId::CentroidNorms,
         FlatSectionId::PostingClusterBegin, FlatSectionId::PostingBegin})
@@ -669,12 +695,6 @@ kast::readProfileStoreImageFile(const std::string &Path,
                 sectionData(FlatSectionId::QuantScales)),
             static_cast<size_t>(N), static_cast<size_t>(Total), Backing)));
   }
-
-  const SectionIn &Route = section(FlatSectionId::Route);
-  if (Route.Present)
-    Cache.RouteBlob.assign(
-        reinterpret_cast<const char *>(sectionData(FlatSectionId::Route)),
-        static_cast<size_t>(Route.Size));
 
   // v4 routing arenas: all twelve sections or none. Structural checks
   // here are the always-on tier — everything an in-bounds query walk
@@ -810,4 +830,185 @@ kast::readProfileStoreImageFile(const std::string &Path,
   // query stream; tell the kernel not to read ahead aggressively.
   Image->adviseRandom();
   return Cache;
+}
+
+//===----------------------------------------------------------------------===//
+// Sharded images
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr std::string_view ShardExt = ".kfi";
+constexpr std::string_view StagingExt = ".kfi.tmp";
+
+/// \p Shard zero-padded to at least three digits.
+std::string paddedShardNumber(uint64_t Shard) {
+  std::string Number = std::to_string(Shard);
+  while (Number.size() < 3)
+    Number.insert(Number.begin(), '0');
+  return Number;
+}
+
+/// "<Dir>/shard-NNN.kfi"; writer, sweeper and loader agree through
+/// this formatter and parseShardNumber.
+std::string shardFilePath(const std::string &Dir, size_t Shard) {
+  return Dir + "/shard-" + paddedShardNumber(Shard) + std::string(ShardExt);
+}
+
+/// The inverse of shardFilePath's file-name half: the shard number of
+/// a "shard-NNN.kfi" name, nullopt for anything else — including
+/// staging files and non-canonical spellings like "shard-7.kfi",
+/// which would otherwise alias the writer's "shard-007.kfi" in sweep
+/// and contiguity decisions.
+std::optional<uint64_t> parseShardNumber(std::string_view File) {
+  if (!File.starts_with("shard-") || !endsWith(File, ShardExt))
+    return std::nullopt;
+  std::string_view Digits =
+      File.substr(6, File.size() - 6 - ShardExt.size());
+  std::optional<uint64_t> Number = parseUnsigned(Digits);
+  if (!Number || Digits != paddedShardNumber(*Number))
+    return std::nullopt;
+  return Number;
+}
+
+bool isStagingFile(std::string_view File) {
+  return File.starts_with("shard-") && endsWith(File, StagingExt);
+}
+
+} // namespace
+
+Status
+kast::writeShardedProfileImages(const std::vector<ProfileStoreCache> &Shards,
+                                const std::string &Dir) {
+  // An empty shard list would write nothing and then sweep *every*
+  // existing shard file as stale — a degenerate input silently erasing
+  // the previous generation. No real service produces it (a service
+  // always has at least one shard), so refuse loudly.
+  if (Shards.empty())
+    return Status::error("refusing to write an empty sharded profile cache "
+                         "to '" + Dir + "'");
+  std::error_code Ec;
+  std::filesystem::create_directories(Dir, Ec);
+  if (Ec)
+    return Status::error("cannot create directory '" + Dir +
+                         "': " + Ec.message());
+  // Three-phase save — write staging files, sweep stale files, rename
+  // into place — ordered so that *no* crash point leaves a directory
+  // that loads silently wrong: the loader refuses any directory with
+  // leftover staging files, and until the very last rename at least
+  // one staging file exists.
+  //
+  // Phase 1: write every shard under its staging name (an ENOSPC here
+  // leaves the previous generation untouched).
+  for (size_t S = 0; S < Shards.size(); ++S) {
+    const ProfileStoreCache &Cache = Shards[S];
+    if (Status W = writeImageAt(Cache.KernelName, Cache.Names, Cache.Labels,
+                                Cache.Store, Cache.Routing.get(),
+                                shardFilePath(Dir, S) + ".tmp");
+        !W)
+      return W;
+  }
+  // Phase 2: sweep files of the previous generation the new one will
+  // not overwrite — higher-numbered shards (their numbering would stay
+  // contiguous and silently restore the old corpus alongside the new)
+  // and staging leftovers of older interrupted saves. A file the sweep
+  // cannot delete fails the save loudly for the same reason.
+  std::filesystem::directory_iterator It(Dir, Ec);
+  if (Ec)
+    return Status::error("cannot re-read directory '" + Dir +
+                         "': " + Ec.message());
+  for (const std::filesystem::directory_entry &Entry : It) {
+    if (!Entry.is_regular_file())
+      continue;
+    const std::string File = Entry.path().filename().string();
+    bool Stale = false;
+    if (isStagingFile(File)) {
+      // Our own phase-1 files are "shard-<canonical 0..N-1>.kfi.tmp";
+      // anything else staging-shaped is a leftover.
+      std::optional<uint64_t> Number =
+          parseShardNumber(std::string_view(File).substr(0, File.size() - 4));
+      Stale = !Number || *Number >= Shards.size();
+    } else if (std::optional<uint64_t> Number = parseShardNumber(File)) {
+      Stale = *Number >= Shards.size();
+    }
+    if (!Stale)
+      continue;
+    std::filesystem::remove(Entry.path(), Ec);
+    if (Ec)
+      return Status::error("cannot remove stale shard image '" +
+                           Entry.path().string() + "': " + Ec.message());
+  }
+  // Phase 3: rename the staging files into place (atomic per file;
+  // each rename overwrites the same-numbered previous-generation file,
+  // so partial progress only ever mixes with a loud staging leftover).
+  for (size_t S = 0; S < Shards.size(); ++S) {
+    const std::string Path = shardFilePath(Dir, S);
+    std::filesystem::rename(Path + ".tmp", Path, Ec);
+    if (Ec)
+      return Status::error("cannot rename '" + Path + ".tmp' into place: " +
+                           Ec.message());
+  }
+  return Status();
+}
+
+Expected<std::vector<ProfileStoreCache>>
+kast::loadShardedProfileImages(const std::string &Dir,
+                               const std::string &ExpectedKernelName,
+                               const FlatImageReadOptions &Options) {
+  using Result = Expected<std::vector<ProfileStoreCache>>;
+  std::error_code Ec;
+  std::filesystem::directory_iterator It(Dir, Ec);
+  if (Ec)
+    return Result::error("cannot read directory '" + Dir +
+                         "': " + Ec.message());
+
+  // Collect the shard numbers actually present, then demand the
+  // contiguous range 0..N-1: a hole means the corpus on disk is
+  // partial, and serving a partial corpus silently would skew every
+  // query that restart answers.
+  std::vector<uint64_t> Numbers;
+  for (const std::filesystem::directory_entry &Entry : It) {
+    if (!Entry.is_regular_file())
+      continue;
+    const std::string File = Entry.path().filename().string();
+    // A staging file means a save is in flight or died mid-way; the
+    // shard files beside it may mix generations, so refuse the whole
+    // directory rather than restore them silently (a completed re-save
+    // sweeps the leftovers and unblocks).
+    if (isStagingFile(File))
+      return Result::error("interrupted save: staging file '" + File +
+                           "' present in '" + Dir +
+                           "'; re-save the shards or remove it");
+    if (!File.starts_with("shard-") || !endsWith(File, ShardExt))
+      continue;
+    std::optional<uint64_t> Number = parseShardNumber(File);
+    if (!Number)
+      return Result::error("unparseable shard image name '" + File +
+                           "' in '" + Dir + "'");
+    Numbers.push_back(*Number);
+  }
+  if (Numbers.empty())
+    return Result::error("no shard-*.kfi images in '" + Dir + "'");
+  std::sort(Numbers.begin(), Numbers.end());
+  for (size_t S = 0; S < Numbers.size(); ++S)
+    if (Numbers[S] != S)
+      return Result::error("shard images in '" + Dir +
+                           "' are not contiguous: missing shard " +
+                           std::to_string(S));
+
+  std::vector<ProfileStoreCache> Shards;
+  Shards.reserve(Numbers.size());
+  for (size_t S = 0; S < Numbers.size(); ++S) {
+    const std::string Path = shardFilePath(Dir, S);
+    Expected<ProfileStoreCache> Cache = readProfileStoreImageFile(Path, Options);
+    if (!Cache)
+      return Result::error(Cache.message());
+    if (!ExpectedKernelName.empty() &&
+        Cache->KernelName != ExpectedKernelName)
+      return Result::error("shard image '" + Path +
+                           "' was built by kernel '" + Cache->KernelName +
+                           "', expected '" + ExpectedKernelName + "'");
+    Shards.push_back(Cache.take());
+  }
+  return Shards;
 }

@@ -1,27 +1,28 @@
-//===- core/FlatImage.h - v3 flat-image profile cache ----------*- C++ -*-===//
+//===- core/FlatImage.h - The on-disk profile format -----------*- C++ -*-===//
 //
 // Part of KAST, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The v3 "flat image" cache format: a ProfileStore serialized so that
-/// the on-disk layout *is* the in-memory layout. Where the v2 block
-/// format (core/ProfileSerializer) is read-then-own — three bulk reads
-/// into freshly allocated arenas, O(entries) load time and a private
-/// resident copy per process — a flat image is mmap-then-view: the
-/// reader maps the file read-only, validates the header and metadata
-/// sections, and hands back a ProfileStore whose arrays alias the
-/// mapping (ProfileStore::fromMapped). Restart cost is validation plus
-/// first-page faults, independent of entry count; every process
-/// serving the same image shares one set of clean page-cache pages;
-/// and corpora larger than RAM are served by letting the kernel page.
+/// The "flat image": KAST's one on-disk format for kernel profiles. A
+/// ProfileStore is serialized so that the on-disk layout *is* the
+/// in-memory layout, so a profile paid for once is reloaded by mapping,
+/// not parsing: the reader maps the file read-only, validates the
+/// header and metadata sections, and hands back a ProfileStore whose
+/// arrays alias the mapping (ProfileStore::fromMapped). Restart cost is
+/// validation plus first-page faults, independent of entry count;
+/// every process serving the same image shares one set of clean
+/// page-cache pages; and corpora larger than RAM are served by letting
+/// the kernel page.
 ///
 /// Wire layout (all integers little-endian; doubles as IEEE-754 bit
-/// patterns; byte offsets from the start of the file):
+/// patterns; byte offsets from the start of the file). Images are
+/// written and read only on little-endian hosts, where the wire bytes
+/// are the in-memory bytes; both entry points refuse to run elsewhere.
 ///
 ///   0    magic          8 bytes  "KASTFLAT"
-///   8    version        u32      3
+///   8    version        u32      3, or 4 with routing arenas
 ///   12   sectionCount   u32
 ///   16   kernelHash     u64      checksumBytes(kernel name bytes)
 ///   24   profileCount   u64      N
@@ -45,18 +46,15 @@
 ///   M NORMS       N x f64       cached norms (sqrt of self-dot)
 ///   M NAMES       (N+1) x u64 string offsets, then the byte blob
 ///   M LABELS      same shape as NAMES
-///     QVALUES     total x i8    QuantizedStore codes (sidecar)
+///     QVALUES     total x i8    QuantizedStore codes (int8 sidecar)
 ///     QSCALES     N x f64       QuantizedStore per-profile scales
-///     ROUTE       opaque "KASTRTNG" routing-sidecar bytes (v3 legacy:
-///                 restoring from it still rebuilds posting lists)
 ///
-/// Version 4 adds the routing tier as first-class flat arenas — the
-/// canonical in-memory CSR layout of index/ClusterRouter and
-/// index/InvertedIndex serialized directly, so a routed restore is
-/// validate-and-view like the store itself (no k-means refit, no
-/// posting rebuild). All twelve sections appear together or not at
-/// all; a writer emits version 4 iff they are present, so unrouted
-/// images remain bit-identical to v3:
+/// Version 4 adds the routing tier as flat arenas — the canonical
+/// in-memory CSR layout of index/ClusterRouter and index/InvertedIndex
+/// serialized directly, so a routed restore is validate-and-view like
+/// the store itself (no k-means refit, no posting rebuild). All twelve
+/// sections appear together or not at all; a writer emits version 4
+/// iff they are present, so unrouted images stay version 3:
 ///
 ///     RMETA       128 bytes     "KASTIVIX": the routing options and
 ///                               arena counts (layout in FlatImage.cpp)
@@ -72,21 +70,22 @@
 ///     PIDS        P x u32       posting profile ids
 ///     PVALUES     P x f64       posting values (impact-ordered)
 ///
-/// SELFDOTS and NORMS ride in the image because recomputing them is
-/// the O(entries) pass that makes the v2 load linear; QVALUES/QSCALES
+/// The routing covers the first `covered` profiles (all of them for an
+/// image written by IndexService; a ProfileIndex with an unrouted tail
+/// writes its routed prefix). SELFDOTS and NORMS ride in the image
+/// because recomputing them is an O(entries) pass; QVALUES/QSCALES
 /// (present iff the store had a built sidecar at write time) and the
 /// routing sections let a routed, quantized index restore with no
 /// rebuild at all.
 ///
 /// Validation. Opening always verifies the header checksum (which
 /// covers the section table), section bounds and alignment, the
-/// kernel-name hash, the CSR offset invariants (the shared
-/// validateCsrOffsets seam with the v2 reader), and the checksums of
+/// kernel-name hash, the CSR offset invariants, and the checksums of
 /// every metadata-sized section (everything O(N): offsets, self-dots,
-/// norms, names, labels, scales, route, and the routing meta /
-/// assignment / CSR-offset sections). The entry-sized sections
-/// (HASHES/VALUES/QVALUES and the routing payload arrays
-/// CHASHES/CVALUES/PFEATURES/PIDS/PVALUES) are checksummed only under
+/// norms, names, labels, scales, and the routing meta / assignment /
+/// CSR-offset sections). The entry-sized sections (HASHES/VALUES/
+/// QVALUES and the routing payload arrays CHASHES/CVALUES/PFEATURES/
+/// PIDS/PVALUES) are checksummed only under
 /// FlatImageReadOptions::DeepValidate — verifying them eagerly would
 /// fault every page and reintroduce the O(entries) open the format
 /// exists to avoid. The buffered fallback (no mmap, or
@@ -98,30 +97,41 @@
 /// sealed segment) keeps the mapping alive, and the mapping survives
 /// unlink/rename of the path. The first mutation of the store promotes
 /// it to owned arrays and drops the image reference (see
-/// core/ProfileStore.h).
+/// core/ProfileStore.h). Because every save writes a sibling staging
+/// file and renames it into place, saving over the path an image was
+/// mapped from is safe: the mapping keeps the old file's bytes.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_CORE_FLATIMAGE_H
 #define KAST_CORE_FLATIMAGE_H
 
-#include "core/ProfileSerializer.h"
+#include "core/ProfileStore.h"
+#include "core/StringColumn.h"
 #include "util/Error.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace kast {
+
+inline constexpr char FlatImageMagic[8] = {'K', 'A', 'S', 'T',
+                                           'F', 'L', 'A', 'T'};
+/// Version 3 is an image without routing sections; version 4 carries
+/// the routing arenas.
+inline constexpr uint32_t FlatImageVersion = 3;
+inline constexpr uint32_t FlatImageVersionRouted = 4;
 
 /// Section alignment (and the x86-64/aarch64 page size): sections
 /// start page-aligned so each is independently mappable/advisable and
 /// any 8-byte element view into it is well-aligned.
 inline constexpr uint64_t FlatImageAlignment = 4096;
 
-/// Section identifiers. Values are wire constants; ids above Route are
-/// the version-4 routing arenas and are rejected in version-3 files
-/// (version skew), so a v3-era reader and a v4 file fail loudly in
-/// both directions.
+/// Section identifiers. Values are wire constants; ids from RouteMeta
+/// on are the version-4 routing arenas and are rejected in version-3
+/// files (version skew), so a v3-era reader and a v4 file fail loudly
+/// in both directions. Id 11 is unassigned.
 enum class FlatSectionId : uint32_t {
   KernelName = 1,
   Offsets = 2,
@@ -133,7 +143,6 @@ enum class FlatSectionId : uint32_t {
   Labels = 8,
   QuantValues = 9,
   QuantScales = 10,
-  Route = 11,
   // v4 routing arenas (all-or-nothing):
   RouteMeta = 12,
   RouteAssignments = 13,
@@ -149,6 +158,76 @@ enum class FlatSectionId : uint32_t {
   PostingValues = 23,
 };
 
+/// CSR validation for every offset array the reader views: \p Offsets
+/// must hold \p Count elements (profile count + 1) with a leading 0,
+/// non-decreasing values, and a final element equal to \p Total (the
+/// entry count the header promised). Runs *before* any entry blob is
+/// aliased, so a corrupt offset array can never become an
+/// out-of-bounds profile view. Returns a corruption diagnostic naming
+/// the first violation.
+Status validateCsrOffsets(const uint64_t *Offsets, size_t Count,
+                          uint64_t Total);
+
+/// The routing tier flattened into serialization-neutral CSR arenas —
+/// the interchange form between the index layer (which fits and
+/// queries routing) and the v4 flat image (which maps it). Every array
+/// is an ArrayView aiming either into index-layer owned vectors
+/// (export: kept alive by Backing aliasing the live routing object) or
+/// into a mapped image (restore: kept alive by Backing holding the
+/// MappedImage). core carries and serializes this struct; only the
+/// index layer interprets it.
+struct RoutingArenas {
+  // Routing options, flattened to scalars (the "KASTIVIX" meta).
+  double MaxDocFrequency = 1.0;
+  uint64_t RerankBudget = 0;
+  uint64_t DefaultNProbe = 0;
+  bool QuantizedShortlist = true;
+  uint64_t ClusterNumCentroids = 0;
+  uint64_t ClusterMaxIterations = 8;
+  uint64_t ClusterTrainingSample = 0;
+  uint64_t ClusterSeed = 0;
+
+  /// Profiles covered by the routing (== Assignments.size()): the
+  /// store's first Covered profiles.
+  uint64_t Covered = 0;
+  /// Distinct features dropped by the df threshold at build time
+  /// (diagnostic; rides along so a restored index reports it).
+  uint64_t PrunedFeatures = 0;
+
+  /// Cluster id per covered profile, values < Centroids.size().
+  ArrayView<uint32_t> Assignments;
+  /// Unit-norm sparse centroids (a small ProfileStore, owned or
+  /// mapped).
+  ProfileStore Centroids;
+
+  // The inverted-index posting CSR (see index/InvertedIndex):
+  /// Surviving feature hashes, cluster-major, sorted per cluster.
+  ArrayView<uint64_t> FeatureHashes;
+  /// Cluster C's features span FeatureHashes[ClusterBegin[C],
+  /// ClusterBegin[C+1]); size Centroids.size() + 1.
+  ArrayView<uint64_t> ClusterBegin;
+  /// Feature F's postings span [PostingBegin[F], PostingBegin[F+1]);
+  /// size FeatureHashes.size() + 1.
+  ArrayView<uint64_t> PostingBegin;
+  ArrayView<uint32_t> PostingIds;
+  ArrayView<double> PostingValues;
+
+  /// Keep-alive for whatever the views aim into.
+  std::shared_ptr<const void> Backing;
+};
+
+/// One image's contents: per-profile names/labels alongside one
+/// ProfileStore, plus the routing tier when the image carries one.
+struct ProfileStoreCache {
+  std::string KernelName;
+  StringColumn Names;  ///< size() == Store.size()
+  StringColumn Labels; ///< size() == Store.size()
+  ProfileStore Store;
+  /// The routing tier as flat arenas (version-4 sections). Null when
+  /// the image has no routing.
+  std::shared_ptr<const RoutingArenas> Routing;
+};
+
 struct FlatImageReadOptions {
   /// Also verify the checksums of the entry-sized sections (hashes,
   /// values, quantized codes) — an O(entries) sweep that faults every
@@ -161,33 +240,55 @@ struct FlatImageReadOptions {
 };
 
 /// Writes \p Store (with its names/labels, its quantized sidecar if
-/// one is built, and \p RouteBlob if non-empty) as a v3 flat image at
-/// \p Path. The writer emits little-endian bytes on any host; the
-/// zero-copy *reader* additionally requires a little-endian host.
+/// one is built, and \p Routing's arenas if non-null) as a flat image
+/// at \p Path. The bytes go to "<Path>.tmp" first, which is then
+/// renamed over \p Path, so a failed save leaves any previous image
+/// intact and saving over the file the store is mapped from is safe.
 Status writeProfileStoreImageFile(const std::string &KernelName,
                                   const std::vector<std::string> &Names,
                                   const std::vector<std::string> &Labels,
                                   const ProfileStore &Store,
                                   const std::string &Path,
-                                  const std::string &RouteBlob = {});
+                                  const RoutingArenas *Routing = nullptr);
 
-/// Struct form: uses Cache.Store's sidecar, and embeds the routing
-/// tier. Cache.Routing (arena sections, version 4) takes precedence;
-/// a legacy Cache.RouteBlob without arenas still writes a v3 ROUTE
-/// section.
+/// Struct form: writes Cache.Store with its sidecar and Cache.Routing.
 Status writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                   const std::string &Path);
 
-/// Opens, validates, and views a v3/v4 flat image. On success the
-/// returned cache's Store (and quantized sidecar, when the image
-/// carries one) alias the mapping, Names/Labels are lazily decoded
-/// section-backed columns (core/StringColumn), and — for a v4 image —
-/// Cache.Routing views the routing arenas in place. Rejects v1/v2
-/// caches with a pointer at the right reader, and any structural or
-/// checksum violation with a diagnostic naming the section.
+/// Opens, validates, and views a flat image. On success the returned
+/// cache's Store (and quantized sidecar, when the image carries one)
+/// alias the mapping, Names/Labels are lazily decoded section-backed
+/// columns (core/StringColumn), and — for a v4 image — Cache.Routing
+/// views the routing arenas in place. Any structural or checksum
+/// violation is rejected with a diagnostic naming the section.
 Expected<ProfileStoreCache>
 readProfileStoreImageFile(const std::string &Path,
                           const FlatImageReadOptions &Options = {});
+
+/// Writes one flat image per shard — "<Dir>/shard-NNN.kfi", zero-padded
+/// to at least three digits — creating \p Dir if missing. This is how
+/// an index/IndexService persists (toShardCaches); a restart loads the
+/// files back with loadShardedProfileImages and
+/// IndexService::fromShardCaches. The save is three-phase — every
+/// shard is written under its "<name>.tmp" staging name, stale files
+/// of a previous save are swept, then the staging files are renamed
+/// into place — so a crash at any point leaves either the previous
+/// generation plus a staging leftover (which the loader refuses), or
+/// the new generation. An empty shard list is refused.
+Status writeShardedProfileImages(const std::vector<ProfileStoreCache> &Shards,
+                                 const std::string &Dir);
+
+/// Loads every "<Dir>/shard-NNN.kfi" written by
+/// writeShardedProfileImages, in shard order. The numbering must be
+/// contiguous from 0 (a missing middle shard is a hard error — serving
+/// a partial corpus silently would skew every query), and a staging
+/// leftover of an interrupted save fails the load. A non-empty
+/// \p ExpectedKernelName is verified against every shard. The returned
+/// stores alias their file mappings until first mutation.
+Expected<std::vector<ProfileStoreCache>>
+loadShardedProfileImages(const std::string &Dir,
+                         const std::string &ExpectedKernelName = "",
+                         const FlatImageReadOptions &Options = {});
 
 } // namespace kast
 

@@ -26,8 +26,8 @@
 /// cached self-norm) triple — and the merge-join dot over two views
 /// streams the dense hash arrays, touching values only on a hash
 /// match. This is the storage behind the Gram fast path
-/// (core/KernelMatrix), retrieval (index/ProfileIndex), and the cache
-/// formats (core/ProfileSerializer, core/FlatImage).
+/// (core/KernelMatrix), retrieval (index/ProfileIndex), and the
+/// on-disk flat image (core/FlatImage).
 ///
 /// Backing modes. Internally every array is addressed through a span
 /// (pointer + count), and the spans aim at one of two places:
@@ -276,7 +276,7 @@ public:
   size_t appendFrom(const ProfileStore &Other, size_t I);
 
   /// Bulk variant of append: adopts entry arrays wholesale (e.g. the
-  /// blobs of a v2 cache file). Entries of each profile must be sorted
+  /// centroids a k-means round accumulates). Entries of each profile must be sorted
   /// by strictly increasing hash — the finalize() invariant; use
   /// isFinalized() to validate untrusted input first. \p Offsets must
   /// be a CSR offset array: size N+1, leading 0, non-decreasing, last
@@ -331,11 +331,11 @@ public:
   void reserve(size_t Profiles, size_t Entries);
 
   /// Copies profile \p I back out as a staging-type KernelProfile
-  /// (compatibility paths: v1 serialization, record-wise caches).
+  /// (e.g. to re-query an index with one of its own entries).
   KernelProfile materialize(size_t I) const;
 
   /// Checks the finalize() invariant (strictly increasing hashes) for
-  /// every profile — the validation gate for adopt() on file input.
+  /// every profile — the validation gate for untrusted arrays.
   bool isFinalized() const;
 
   /// Builds (or rebuilds) the int8 quantized sidecar from the current

@@ -12,9 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
-#include <fstream>
-#include <optional>
 
 using namespace kast;
 
@@ -33,9 +30,6 @@ uint64_t kast::kmeansFitCount() {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-constexpr char RouterMagic[8] = {'K', 'A', 'S', 'T', 'R', 'O', 'U', 'T'};
-constexpr uint32_t RouterVersion = 1;
 
 /// The shift that addresses a power-of-two open-addressed table of at
 /// least 2 * \p Keys slots (and at least two): with the load factor at
@@ -380,164 +374,4 @@ void ClusterRouter::route(const FlatProfile &Query, size_t NProbe,
   Probes.reserve(Take);
   for (size_t I = 0; I < Take; ++I)
     Probes.push_back(Scored[I].second);
-}
-
-//===----------------------------------------------------------------------===//
-// Persistence
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void writeU32(std::ostream &Out, uint32_t V) {
-  char Bytes[4];
-  for (int I = 0; I < 4; ++I)
-    Bytes[I] = static_cast<char>((V >> (8 * I)) & 0xFF);
-  Out.write(Bytes, sizeof(Bytes));
-}
-
-void writeU64(std::ostream &Out, uint64_t V) {
-  char Bytes[8];
-  for (int I = 0; I < 8; ++I)
-    Bytes[I] = static_cast<char>((V >> (8 * I)) & 0xFF);
-  Out.write(Bytes, sizeof(Bytes));
-}
-
-std::optional<uint32_t> readU32(std::istream &In) {
-  unsigned char Bytes[4];
-  if (!In.read(reinterpret_cast<char *>(Bytes), sizeof(Bytes)))
-    return std::nullopt;
-  uint32_t V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Bytes[I]) << (8 * I);
-  return V;
-}
-
-std::optional<uint64_t> readU64(std::istream &In) {
-  unsigned char Bytes[8];
-  if (!In.read(reinterpret_cast<char *>(Bytes), sizeof(Bytes)))
-    return std::nullopt;
-  uint64_t V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Bytes[I]) << (8 * I);
-  return V;
-}
-
-/// Bounded pre-reserve against corrupt count fields: an honest larger
-/// count still loads (push_back growth), a hostile 2^60 surfaces as a
-/// truncation error instead of std::bad_alloc.
-constexpr uint64_t MaxReserve = 1u << 20;
-
-} // namespace
-
-Status ClusterRouter::write(std::ostream &Out) const {
-  Out.write(RouterMagic, sizeof(RouterMagic));
-  writeU32(Out, RouterVersion);
-  writeU64(Out, Centroids.size());
-  writeU64(Out, static_cast<uint64_t>(NumAssigned));
-  for (uint32_t A : assignments())
-    writeU32(Out, A);
-  for (uint64_t Offset : Centroids.offsets())
-    writeU64(Out, Offset);
-  for (uint64_t Hash : Centroids.hashes())
-    writeU64(Out, Hash);
-  for (double Value : Centroids.values()) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Value, sizeof(Bits));
-    writeU64(Out, Bits);
-  }
-  if (!Out)
-    return Status::error("failed to write cluster routing data");
-  return Status();
-}
-
-Expected<ClusterRouter> ClusterRouter::read(std::istream &In) {
-  using Result = Expected<ClusterRouter>;
-  char Magic[8];
-  if (!In.read(Magic, sizeof(Magic)) ||
-      std::memcmp(Magic, RouterMagic, sizeof(Magic)) != 0)
-    return Result::error("not a KAST routing file (bad magic)");
-  std::optional<uint32_t> Version = readU32(In);
-  if (!Version)
-    return Result::error("truncated routing header");
-  if (*Version != RouterVersion)
-    return Result::error("unsupported routing version " +
-                         std::to_string(*Version));
-  std::optional<uint64_t> NumCentroids = readU64(In);
-  std::optional<uint64_t> NumProfiles = readU64(In);
-  if (!NumCentroids || !NumProfiles)
-    return Result::error("truncated routing header");
-
-  ClusterRouter Router;
-  Router.AssignmentsOwned.reserve(
-      static_cast<size_t>(std::min(*NumProfiles, MaxReserve)));
-  for (uint64_t I = 0; I < *NumProfiles; ++I) {
-    std::optional<uint32_t> A = readU32(In);
-    if (!A)
-      return Result::error("truncated routing assignments at entry " +
-                           std::to_string(I));
-    if (*A >= *NumCentroids)
-      return Result::error("routing assignment " + std::to_string(I) +
-                           " names centroid " + std::to_string(*A) +
-                           " of " + std::to_string(*NumCentroids));
-    Router.AssignmentsOwned.push_back(*A);
-  }
-  Router.syncOwned();
-
-  std::vector<uint64_t> Offsets;
-  Offsets.reserve(
-      static_cast<size_t>(std::min(*NumCentroids + 1, MaxReserve)));
-  for (uint64_t I = 0; I <= *NumCentroids; ++I) {
-    std::optional<uint64_t> O = readU64(In);
-    if (!O)
-      return Result::error("truncated centroid offsets");
-    if ((I == 0 && *O != 0) || (I > 0 && *O < Offsets.back()))
-      return Result::error("malformed centroid offsets");
-    Offsets.push_back(*O);
-  }
-  if (*NumCentroids == 0) {
-    if (*NumProfiles != 0)
-      return Result::error("routing names profiles but no centroids");
-    return Result(std::move(Router));
-  }
-  const uint64_t Total = Offsets.back();
-  std::vector<uint64_t> Hashes;
-  std::vector<double> Values;
-  Hashes.reserve(static_cast<size_t>(std::min(Total, MaxReserve)));
-  Values.reserve(static_cast<size_t>(std::min(Total, MaxReserve)));
-  for (uint64_t I = 0; I < Total; ++I) {
-    std::optional<uint64_t> H = readU64(In);
-    if (!H)
-      return Result::error("truncated centroid hashes");
-    Hashes.push_back(*H);
-  }
-  for (uint64_t I = 0; I < Total; ++I) {
-    std::optional<uint64_t> Bits = readU64(In);
-    if (!Bits)
-      return Result::error("truncated centroid values");
-    double Value;
-    std::memcpy(&Value, &*Bits, sizeof(Value));
-    Values.push_back(Value);
-  }
-  ProfileStore Centroids =
-      ProfileStore::adopt(std::move(Hashes), std::move(Values),
-                          std::move(Offsets));
-  if (!Centroids.isFinalized())
-    return Result::error("centroid features are not sorted/coalesced");
-  Router.Centroids = std::move(Centroids);
-  return Result(std::move(Router));
-}
-
-Status ClusterRouter::saveFile(const std::string &Path) const {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out)
-    return Status::error("cannot open '" + Path + "' for writing");
-  return write(Out);
-}
-
-Expected<ClusterRouter> ClusterRouter::loadFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<ClusterRouter>::error("cannot open '" + Path +
-                                          "' for reading");
-  return read(In);
 }

@@ -16,16 +16,14 @@
 /// stored in a small ProfileStore — so query routing reuses the
 /// existing merge-join kernel dot, the fit's assignment passes score
 /// through an inverted centroid table whose every score is
-/// bit-identical to that dot, and the router round-trips through the
-/// same blob persistence the v2 profile caches use.
+/// bit-identical to that dot, and a fitted router persists as the
+/// centroid and assignment sections of a core/FlatImage.
 ///
 /// Everything is a pure function of (store, options): seeding draws
 /// from util/Rng with a fixed seed, ties in assignment and routing
 /// break toward the lower centroid id, and the optional training
 /// sample is a deterministic shuffle. Rebuilding a router over the
-/// same arena therefore reproduces the same assignments bit-for-bit,
-/// which is what lets the inverted tier be rebuilt from persisted
-/// assignments instead of serialized posting lists.
+/// same arena therefore reproduces the same assignments bit-for-bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,12 +31,9 @@
 #define KAST_INDEX_CLUSTERROUTER_H
 
 #include "core/ProfileStore.h"
-#include "util/Error.h"
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -127,14 +122,7 @@ public:
              std::vector<std::pair<double, uint32_t>> &Scored,
              std::vector<uint32_t> &Probes) const;
 
-  /// Binary round-trip (magic "KASTROUT", little-endian, doubles as
-  /// IEEE-754 bit patterns): centroid blobs + the assignment array.
-  Status write(std::ostream &Out) const;
-  static Expected<ClusterRouter> read(std::istream &In);
-  Status saveFile(const std::string &Path) const;
-  static Expected<ClusterRouter> loadFile(const std::string &Path);
-
-  // Assignments live in AssignmentsOwned (built/read routers) or in an
+  // Assignments live in AssignmentsOwned (built routers) or in an
   // external arena through Backing (mapped routers); either way the
   // active storage is (AssignmentsP, NumAssigned), so copies and moves
   // must re-aim the pointer — memberwise defaults would leave it at

@@ -11,9 +11,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <filesystem>
 #include <functional>
-#include <sstream>
 #include <thread>
 
 using namespace kast;
@@ -648,90 +646,6 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
 }
 
 //===----------------------------------------------------------------------===//
-// Service: routing persistence
-//===----------------------------------------------------------------------===//
-
-/// "<Dir>/shard-NNN.route", numbered like workloads/CorpusIO's
-/// "shard-NNN.kpc" so a routed shard's sidecar sits beside its cache.
-static std::string shardRoutePath(const std::string &Dir, size_t Shard) {
-  std::string Number = std::to_string(Shard);
-  while (Number.size() < 3)
-    Number.insert(Number.begin(), '0');
-  return Dir + "/shard-" + Number + ".route";
-}
-
-Status IndexService::saveShardRouting(const std::string &Dir) const {
-  IndexSnapshot Snap = snapshot();
-  for (size_t S = 0; S < Snap.Shards.size(); ++S) {
-    const detail::IndexShard &Shard = *Snap.Shards[S];
-    const std::string Path = shardRoutePath(Dir, S);
-    const bool Routed = Shard.Routing && !Shard.Segments.empty() &&
-                        Shard.Segments[0] == Shard.RoutedSegment;
-    if (Routed) {
-      if (Status W = writeRoutingFile(Shard.Routing->Router,
-                                      Shard.Routing->Options, Path);
-          !W.ok())
-        return W;
-      continue;
-    }
-    // Unrouted shard: sweep a stale sidecar so a later restore cannot
-    // pair it with contents it was not fitted on.
-    std::error_code Ec;
-    std::filesystem::remove(Path, Ec);
-  }
-  return Status();
-}
-
-Status IndexService::loadShardRouting(const std::string &Dir) {
-  for (size_t S = 0; S < Shards.size(); ++S) {
-    const std::string Path = shardRoutePath(Dir, S);
-    std::error_code Ec;
-    if (!std::filesystem::exists(Path, Ec))
-      continue;
-    Expected<RoutingCache> Route = readRoutingFile(Path);
-    if (!Route)
-      return Status::error(Route.message());
-    RoutingCache Loaded = Route.take();
-    ShardState &Shard = *Shards[S];
-    std::lock_guard<std::mutex> Lock(Shard.WriterMutex);
-    ShardWriter &W = Shard.Writer;
-    if (W.Routing) {
-      // The shard is already routed (typically embedded arenas from a
-      // v4 flat image). A sidecar carrying the same fit is a harmless
-      // leftover of the pre-image layout — keep the embedded tier and
-      // skip the posting rebuild. A *disagreeing* sidecar means two
-      // generations of routing point at the same shard; refuse rather
-      // than silently pick one.
-      if (Loaded.Router.numProfiles() == W.Routing->Router.numProfiles() &&
-          Loaded.Router.assignments() == W.Routing->Router.assignments())
-        continue;
-      return Status::error("shard " + std::to_string(S) +
-                           " carries embedded routing that disagrees with "
-                           "sidecar '" + Path +
-                           "'; remove the stale sidecar or re-save");
-    }
-    if (W.Sealed.empty() || Loaded.Router.numProfiles() != W.Sealed[0]->size())
-      return Status::error("routing sidecar '" + Path +
-                           "' does not match shard " + std::to_string(S) +
-                           "'s first segment");
-    auto R = std::make_shared<detail::IndexRouting>();
-    R->Options = Loaded.Options;
-    R->Router = std::move(Loaded.Router);
-    R->Inverted = InvertedIndex::build(W.Sealed[0]->Store,
-                                       R->Router.assignments(),
-                                       R->Router.numCentroids(),
-                                       R->Options.MaxDocFrequency);
-    if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist)
-      R->Quant = std::make_shared<const QuantizedStore>(
-          QuantizedStore::build(W.Sealed[0]->Store));
-    W.Routing = std::move(R);
-    W.RoutedSegment = W.Sealed[0];
-    publishLocked(Shard, Options.SealThreshold);
-  }
-  return Status();
-}
-
-//===----------------------------------------------------------------------===//
 // Service: bulk import/export
 //===----------------------------------------------------------------------===//
 
@@ -793,72 +707,20 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
     W.EntryCount = W.LiveCount = Seg->size();
     W.Sealed.push_back(Seg);
     W.SealedTombs.push_back(nullptr);
-    // A cache carrying flat routing arenas (the v4 flat image's CSR
-    // sections, or a live export from toShardCaches) restores its
-    // routed tier by *view*: the router and the posting lists alias
-    // the arenas directly — no k-means refit, no posting rebuild.
-    // Holding the RoutingArenas struct itself keeps both the views
-    // and their backing mapping alive.
+    // Routing arenas (an image's v4 sections, or a live export from
+    // toShardCaches) restore the routed tier by view. They must cover
+    // exactly this segment to route it; a covered prefix cannot, since
+    // the routed segment is the whole first segment, so the shard then
+    // serves unrouted.
     if (std::shared_ptr<const RoutingArenas> A = Caches[S].Routing) {
-      if (A->Covered != Seg->size())
+      if (A->Covered > Seg->size())
         return Result::error("shard cache " + std::to_string(S) +
                              "'s embedded routing does not match its "
                              "profile count");
-      auto R = std::make_shared<detail::IndexRouting>();
-      R->Options.MaxDocFrequency = A->MaxDocFrequency;
-      R->Options.RerankBudget = A->RerankBudget;
-      R->Options.DefaultNProbe = A->DefaultNProbe;
-      R->Options.QuantizedShortlist = A->QuantizedShortlist;
-      R->Options.Cluster.NumCentroids = A->ClusterNumCentroids;
-      R->Options.Cluster.MaxIterations = A->ClusterMaxIterations;
-      R->Options.Cluster.TrainingSample = A->ClusterTrainingSample;
-      R->Options.Cluster.Seed = A->ClusterSeed;
-      std::shared_ptr<const void> Keep = A;
-      R->Router = ClusterRouter::fromArenas(A->Centroids, A->Assignments,
-                                            Keep);
-      R->Inverted = InvertedIndex::fromArenas(
-          A->Covered, A->PrunedFeatures, A->FeatureHashes, A->ClusterBegin,
-          A->PostingBegin, A->PostingIds, A->PostingValues, Keep);
-      if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist) {
-        R->Quant = Seg->Store.quantizedShared();
-        if (!R->Quant)
-          R->Quant = std::make_shared<const QuantizedStore>(
-              QuantizedStore::build(Seg->Store));
+      if (A->Covered == Seg->size()) {
+        W.Routing = detail::routingFromArenas(A, Seg->Store);
+        W.RoutedSegment = Seg;
       }
-      W.Routing = std::move(R);
-      W.RoutedSegment = Seg;
-    } else if (!Caches[S].RouteBlob.empty()) {
-      // Legacy carrier: the opaque "KASTRTNG" sidecar bytes (the ROUTE
-      // section of a sectionless-v3 flat image) restore exactly as
-      // loadShardRouting does from a "shard-NNN.route" file — the
-      // fitted router comes off the wire, and the inverted index
-      // rebuilds deterministically. The quantized shortlist store
-      // reuses the image's sidecar when the store carries one
-      // (zero-copy) instead of requantizing.
-      std::istringstream In(Caches[S].RouteBlob);
-      Expected<RoutingCache> Route = readRouting(In);
-      if (!Route)
-        return Result::error("shard cache " + std::to_string(S) +
-                             ": " + Route.message());
-      RoutingCache Loaded = Route.take();
-      if (Loaded.Router.numProfiles() != Seg->size())
-        return Result::error("shard cache " + std::to_string(S) +
-                             "'s embedded routing sidecar does not match its "
-                             "profile count");
-      auto R = std::make_shared<detail::IndexRouting>();
-      R->Options = Loaded.Options;
-      R->Router = std::move(Loaded.Router);
-      R->Inverted = InvertedIndex::build(Seg->Store, R->Router.assignments(),
-                                         R->Router.numCentroids(),
-                                         R->Options.MaxDocFrequency);
-      if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist) {
-        R->Quant = Seg->Store.quantizedShared();
-        if (!R->Quant)
-          R->Quant = std::make_shared<const QuantizedStore>(
-              QuantizedStore::build(Seg->Store));
-      }
-      W.Routing = std::move(R);
-      W.RoutedSegment = Seg;
     }
     std::lock_guard<std::mutex> Lock(Service.Shards[S]->WriterMutex);
     publishLocked(*Service.Shards[S], Service.Options.SealThreshold);
@@ -894,40 +756,18 @@ std::vector<ProfileStoreCache> IndexService::toShardCaches() const {
     // segment, so the fitted router and the quantized shortlist store
     // stay valid for the exported arena: export the routing tier as
     // flat arena views (what core/FlatImage serializes as the v4 CSR
-    // sections) and hang the quantized sidecar on the exported store,
-    // so fromShardCaches restores the routed, quantized tier with no
-    // refit, no posting rebuild, and no requantize. Any other shape
+    // sections; they pin the live routing, so snapshots and
+    // compactions cannot invalidate them) and hang the quantized
+    // sidecar on the exported store, so fromShardCaches restores the
+    // routed, quantized tier with no refit, no posting rebuild, and no
+    // requantize. Any other shape
     // leaves Routing null — the router's assignments would not line
     // up with the exported profile numbering.
     const bool ExactRoutedCopy =
         Shard.Routing && Shard.Segments.size() == 1 &&
         Shard.Segments[0] == Shard.RoutedSegment && !Shard.Tombstones[0];
     if (ExactRoutedCopy) {
-      const detail::IndexRouting &R = *Shard.Routing;
-      auto Arenas = std::make_shared<RoutingArenas>();
-      Arenas->MaxDocFrequency = R.Options.MaxDocFrequency;
-      Arenas->RerankBudget = R.Options.RerankBudget;
-      Arenas->DefaultNProbe = R.Options.DefaultNProbe;
-      Arenas->QuantizedShortlist = R.Options.QuantizedShortlist;
-      Arenas->ClusterNumCentroids = R.Options.Cluster.NumCentroids;
-      Arenas->ClusterMaxIterations = R.Options.Cluster.MaxIterations;
-      Arenas->ClusterTrainingSample = R.Options.Cluster.TrainingSample;
-      Arenas->ClusterSeed = R.Options.Cluster.Seed;
-      Arenas->Covered = R.covered();
-      Arenas->PrunedFeatures = R.Inverted.prunedFeatureCount();
-      Arenas->Assignments = R.Router.assignments();
-      Arenas->Centroids = R.Router.centroids();
-      Arenas->FeatureHashes = R.Inverted.featureHashes();
-      Arenas->ClusterBegin = R.Inverted.clusterBegin();
-      Arenas->PostingBegin = R.Inverted.postingBegin();
-      Arenas->PostingIds = R.Inverted.postingIds();
-      Arenas->PostingValues = R.Inverted.postingValues();
-      // The views alias the live routing structures (the centroid
-      // store is a cheap copy — mapped centroids share, owned ones are
-      // small); pinning the IndexRouting keeps every view valid for
-      // the cache's lifetime, snapshots and compactions be damned.
-      Arenas->Backing = std::shared_ptr<const void>(Shard.Routing);
-      Cache.Routing = std::move(Arenas);
+      Cache.Routing = detail::routingArenas(Shard.Routing);
       if (Shard.Routing->Quant)
         Cache.Store.adoptQuantized(Shard.Routing->Quant);
     }

@@ -43,7 +43,7 @@
 #ifndef KAST_INDEX_INDEXSERVICE_H
 #define KAST_INDEX_INDEXSERVICE_H
 
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringColumn.h"
 #include "index/ProfileIndex.h"
@@ -227,14 +227,18 @@ public:
   static IndexService fromIndex(const ProfileIndex &Index,
                                 IndexServiceOptions Options = {});
 
-  /// Restarts a service from sharded v2 caches (workloads/CorpusIO's
-  /// loadShardedProfileCaches): each cache becomes one shard, adopted
+  /// Restarts a service from sharded images (core/FlatImage's
+  /// loadShardedProfileImages): each cache becomes one shard, adopted
   /// wholesale by arena move. The shard count is taken from the cache
   /// list (Options.Shards is ignored); all caches must agree on the
   /// kernel name. Caches written by toShardCaches() restore the exact
   /// name-hash routing they were saved with; a layout with off-route
   /// entries still restores, but remove() downgrades to sweeping
-  /// every shard (see remove()).
+  /// every shard (see remove()). A cache's routing arenas restore by
+  /// view — no k-means fit, no posting rebuild — when they cover the
+  /// whole shard; arenas covering only a prefix (a ProfileIndex saved
+  /// with an unrouted tail) leave the shard unrouted, and arenas
+  /// covering more profiles than the shard holds fail the restore.
   static Expected<IndexService>
   fromShardCaches(std::vector<ProfileStoreCache> Caches,
                   IndexServiceOptions Options = {});
@@ -286,20 +290,6 @@ public:
   /// True if any published shard currently carries applicable routing.
   bool routed() const { return snapshot().routedShardCount() > 0; }
 
-  /// Persists each routed shard's router as "<Dir>/shard-NNN.route"
-  /// beside the v2 caches toShardCaches/CorpusIO write there, and
-  /// removes stale .route files of unrouted shards. Load order at
-  /// restart: fromShardCaches(loadShardedProfileCaches(Dir)), then
-  /// loadShardRouting(Dir).
-  Status saveShardRouting(const std::string &Dir) const;
-
-  /// Restores per-shard routing written by saveShardRouting: posting
-  /// lists are rebuilt deterministically from the persisted
-  /// assignments. Shards without a .route file stay unrouted; a
-  /// sidecar that does not match the shard's published first segment
-  /// (wrong entry count) fails loudly.
-  Status loadShardRouting(const std::string &Dir);
-
   /// The current published state; never blocks on writers.
   IndexSnapshot snapshot() const;
 
@@ -335,7 +325,9 @@ public:
 
   /// Exports the published state as one compacted ProfileStoreCache
   /// per shard (tombstoned entries dropped), ready for
-  /// workloads/CorpusIO's writeShardedProfileCaches.
+  /// writeShardedProfileImages. A shard whose whole published state is
+  /// its routed segment exports its routing arenas and int8 sidecar
+  /// too.
   std::vector<ProfileStoreCache> toShardCaches() const;
 
 private:

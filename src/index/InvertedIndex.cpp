@@ -8,11 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <unordered_map>
 
 namespace kast {
@@ -267,138 +264,6 @@ void InvertedIndex::collectImpl(size_t QuerySize, HashAt QueryHash,
       }
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Routing cache persistence
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr char RoutingMagic[8] = {'K', 'A', 'S', 'T', 'R', 'T', 'N', 'G'};
-/// v1: options + router. v2 appends a flags word after the fixed
-/// option fields (bit 0: QuantizedShortlist); v1 files still load with
-/// the flag at its default.
-constexpr uint32_t RoutingVersion = 2;
-constexpr uint64_t RoutingFlagQuantizedShortlist = 1u << 0;
-
-void writeU32(std::ostream &Out, uint32_t V) {
-  unsigned char Buf[4];
-  for (int I = 0; I < 4; ++I)
-    Buf[I] = static_cast<unsigned char>((V >> (8 * I)) & 0xFF);
-  Out.write(reinterpret_cast<const char *>(Buf), sizeof(Buf));
-}
-
-void writeU64(std::ostream &Out, uint64_t V) {
-  unsigned char Buf[8];
-  for (int I = 0; I < 8; ++I)
-    Buf[I] = static_cast<unsigned char>((V >> (8 * I)) & 0xFF);
-  Out.write(reinterpret_cast<const char *>(Buf), sizeof(Buf));
-}
-
-bool readU32(std::istream &In, uint32_t &V) {
-  unsigned char Buf[4];
-  if (!In.read(reinterpret_cast<char *>(Buf), sizeof(Buf)))
-    return false;
-  V = 0;
-  for (int I = 0; I < 4; ++I)
-    V |= static_cast<uint32_t>(Buf[I]) << (8 * I);
-  return true;
-}
-
-bool readU64(std::istream &In, uint64_t &V) {
-  unsigned char Buf[8];
-  if (!In.read(reinterpret_cast<char *>(Buf), sizeof(Buf)))
-    return false;
-  V = 0;
-  for (int I = 0; I < 8; ++I)
-    V |= static_cast<uint64_t>(Buf[I]) << (8 * I);
-  return true;
-}
-
-} // namespace
-
-Status writeRouting(const ClusterRouter &Router, const RoutingOptions &Options,
-                    std::ostream &Out) {
-  Out.write(RoutingMagic, sizeof(RoutingMagic));
-  writeU32(Out, RoutingVersion);
-  writeU64(Out, std::bit_cast<uint64_t>(Options.MaxDocFrequency));
-  writeU64(Out, Options.RerankBudget);
-  writeU64(Out, Options.DefaultNProbe);
-  writeU64(Out, Options.Cluster.NumCentroids);
-  writeU64(Out, Options.Cluster.MaxIterations);
-  writeU64(Out, Options.Cluster.TrainingSample);
-  writeU64(Out, Options.Cluster.Seed);
-  writeU64(Out, Options.QuantizedShortlist ? RoutingFlagQuantizedShortlist : 0);
-  if (Status S = Router.write(Out); !S.ok())
-    return S;
-  Out.flush();
-  if (!Out)
-    return Status::error("failed writing routing data");
-  return Status();
-}
-
-Expected<RoutingCache> readRouting(std::istream &In) {
-  char Magic[8];
-  if (!In.read(Magic, sizeof(Magic)) ||
-      std::memcmp(Magic, RoutingMagic, sizeof(Magic)) != 0)
-    return Expected<RoutingCache>::error("not a routing sidecar (bad magic)");
-  uint32_t Version = 0;
-  if (!readU32(In, Version) || Version < 1 || Version > RoutingVersion)
-    return Expected<RoutingCache>::error("unsupported routing version");
-  RoutingCache Cache;
-  uint64_t MaxDfBits = 0, RerankBudget = 0, DefaultNProbe = 0;
-  uint64_t NumCentroids = 0, MaxIterations = 0, TrainingSample = 0, Seed = 0;
-  if (!readU64(In, MaxDfBits) || !readU64(In, RerankBudget) ||
-      !readU64(In, DefaultNProbe) || !readU64(In, NumCentroids) ||
-      !readU64(In, MaxIterations) || !readU64(In, TrainingSample) ||
-      !readU64(In, Seed))
-    return Expected<RoutingCache>::error("truncated routing sidecar");
-  Cache.Options.MaxDocFrequency = std::bit_cast<double>(MaxDfBits);
-  if (!(Cache.Options.MaxDocFrequency >= 0.0) ||
-      Cache.Options.MaxDocFrequency > 1.0)
-    return Expected<RoutingCache>::error("corrupt df threshold in routing "
-                                         "sidecar");
-  Cache.Options.RerankBudget = RerankBudget;
-  Cache.Options.DefaultNProbe = DefaultNProbe;
-  Cache.Options.Cluster.NumCentroids = NumCentroids;
-  Cache.Options.Cluster.MaxIterations = MaxIterations;
-  Cache.Options.Cluster.TrainingSample = TrainingSample;
-  Cache.Options.Cluster.Seed = Seed;
-  if (Version >= 2) {
-    uint64_t Flags = 0;
-    if (!readU64(In, Flags))
-      return Expected<RoutingCache>::error("truncated routing sidecar");
-    Cache.Options.QuantizedShortlist =
-        (Flags & RoutingFlagQuantizedShortlist) != 0;
-  }
-  Expected<ClusterRouter> Router = ClusterRouter::read(In);
-  if (!Router.hasValue())
-    return Expected<RoutingCache>::error(Router.message());
-  Cache.Router = Router.take();
-  return Cache;
-}
-
-Status writeRoutingFile(const ClusterRouter &Router,
-                        const RoutingOptions &Options,
-                        const std::string &Path) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out)
-    return Status::error("cannot open routing file for writing: " + Path);
-  if (Status S = writeRouting(Router, Options, Out); !S.ok())
-    return Status::error(S.message() + " ('" + Path + "')");
-  return Status();
-}
-
-Expected<RoutingCache> readRoutingFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<RoutingCache>::error("cannot open routing file: " + Path);
-  Expected<RoutingCache> Cache = readRouting(In);
-  if (!Cache)
-    return Expected<RoutingCache>::error(Cache.message() + " ('" + Path +
-                                         "')");
-  return Cache;
 }
 
 } // namespace kast

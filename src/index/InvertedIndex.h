@@ -37,13 +37,10 @@
 #include "core/KernelProfile.h"
 #include "core/ProfileStore.h"
 #include "index/ClusterRouter.h"
-#include "util/Error.h"
 #include "util/SimdDot.h"
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -144,8 +141,8 @@ public:
   /// store when routing predates appended entries). Features with
   /// document frequency above MaxDocFrequency × covered are pruned;
   /// pruning never drops a feature held by a single profile. The
-  /// build is a pure function of its arguments, so an index rebuilt
-  /// from persisted assignments reproduces the original exactly.
+  /// build is a pure function of its arguments, so rebuilding from the
+  /// same assignments reproduces the original exactly.
   static InvertedIndex build(const ProfileStore &Store,
                              ArrayView<uint32_t> Assignments,
                              size_t NumClusters,
@@ -263,31 +260,6 @@ public:
     return *this;
   }
 };
-
-/// On-disk routing cache: the fitted router plus the options needed to
-/// rebuild the posting lists deterministically. Persisted alongside
-/// the v2 profile caches (ProfileIndex writes "<cache>.route",
-/// IndexService one "shard-NNN.route" per routed shard); the inverted
-/// index itself is never serialized — it is a pure function of
-/// (store, assignments, MaxDocFrequency) and rebuilds on load.
-struct RoutingCache {
-  ClusterRouter Router;
-  RoutingOptions Options;
-};
-
-/// Stream forms of the routing sidecar's "KASTRTNG" wire format. The
-/// file functions below are these over a file stream; the v3 flat
-/// image (core/FlatImage) embeds the identical bytes as its ROUTE
-/// section (ProfileStoreCache::RouteBlob), so a routed shard restores
-/// from either carrier with one parser.
-Status writeRouting(const ClusterRouter &Router, const RoutingOptions &Options,
-                    std::ostream &Out);
-Expected<RoutingCache> readRouting(std::istream &In);
-
-Status writeRoutingFile(const ClusterRouter &Router,
-                        const RoutingOptions &Options,
-                        const std::string &Path);
-Expected<RoutingCache> readRoutingFile(const std::string &Path);
 
 } // namespace kast
 

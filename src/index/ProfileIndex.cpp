@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <filesystem>
 #include <thread>
 
 using namespace kast;
@@ -33,24 +32,6 @@ ProfileIndex ProfileIndex::build(const ProfiledStringKernel &Kernel,
     Index.Names.push_back(Strings[I].name());
     Index.Labels.push_back(Labels.empty() ? "" : Labels[I]);
   }
-  return Index;
-}
-
-ProfileIndex ProfileIndex::fromCache(ProfileCache Cache) {
-  ProfileIndex Index(std::move(Cache.KernelName));
-  for (ProfileRecord &R : Cache.Records)
-    Index.add(std::move(R.Name), std::move(R.Label), R.Profile);
-  return Index;
-}
-
-ProfileIndex ProfileIndex::fromStoreCache(ProfileStoreCache Cache) {
-  ProfileIndex Index(std::move(Cache.KernelName));
-  // The cache's columns may be lazy views over a mapped image;
-  // ProfileIndex mutates its name/label lists (add()), so it
-  // materializes them up front rather than holding views.
-  Index.Names = Cache.Names.takeVector();
-  Index.Labels = Cache.Labels.takeVector();
-  Index.Store = std::move(Cache.Store);
   return Index;
 }
 
@@ -331,63 +312,82 @@ ProfileIndex::majorityLabel(const std::vector<Neighbor> &Neighbors) const {
       [&](size_t I) -> const std::string & { return Labels[Neighbors[I].Index]; });
 }
 
-ProfileCache ProfileIndex::toCache() const {
-  ProfileCache Cache;
-  Cache.KernelName = KernelName;
-  Cache.Records.reserve(size());
-  for (size_t I = 0; I < size(); ++I)
-    Cache.Records.push_back({Names[I], Labels[I], Store.materialize(I)});
-  return Cache;
+std::shared_ptr<const RoutingArenas>
+detail::routingArenas(const std::shared_ptr<const IndexRouting> &R) {
+  auto A = std::make_shared<RoutingArenas>();
+  A->MaxDocFrequency = R->Options.MaxDocFrequency;
+  A->RerankBudget = R->Options.RerankBudget;
+  A->DefaultNProbe = R->Options.DefaultNProbe;
+  A->QuantizedShortlist = R->Options.QuantizedShortlist;
+  A->ClusterNumCentroids = R->Options.Cluster.NumCentroids;
+  A->ClusterMaxIterations = R->Options.Cluster.MaxIterations;
+  A->ClusterTrainingSample = R->Options.Cluster.TrainingSample;
+  A->ClusterSeed = R->Options.Cluster.Seed;
+  A->Covered = R->covered();
+  A->PrunedFeatures = R->Inverted.prunedFeatureCount();
+  A->Assignments = R->Router.assignments();
+  // A cheap copy: mapped centroids share their views, owned ones are
+  // small.
+  A->Centroids = R->Router.centroids();
+  A->FeatureHashes = R->Inverted.featureHashes();
+  A->ClusterBegin = R->Inverted.clusterBegin();
+  A->PostingBegin = R->Inverted.postingBegin();
+  A->PostingIds = R->Inverted.postingIds();
+  A->PostingValues = R->Inverted.postingValues();
+  A->Backing = R;
+  return A;
+}
+
+std::shared_ptr<const detail::IndexRouting>
+detail::routingFromArenas(const std::shared_ptr<const RoutingArenas> &A,
+                          const ProfileStore &Store) {
+  assert(A->Covered <= Store.size() && "routing covers missing profiles");
+  auto R = std::make_shared<IndexRouting>();
+  R->Options.MaxDocFrequency = A->MaxDocFrequency;
+  R->Options.RerankBudget = A->RerankBudget;
+  R->Options.DefaultNProbe = A->DefaultNProbe;
+  R->Options.QuantizedShortlist = A->QuantizedShortlist;
+  R->Options.Cluster.NumCentroids = A->ClusterNumCentroids;
+  R->Options.Cluster.MaxIterations = A->ClusterMaxIterations;
+  R->Options.Cluster.TrainingSample = A->ClusterTrainingSample;
+  R->Options.Cluster.Seed = A->ClusterSeed;
+  // Holding the arenas struct keeps both its views and their backing
+  // (a mapped image or a live routing tier) alive.
+  std::shared_ptr<const void> Keep = A;
+  R->Router = ClusterRouter::fromArenas(A->Centroids, A->Assignments, Keep);
+  R->Inverted = InvertedIndex::fromArenas(
+      A->Covered, A->PrunedFeatures, A->FeatureHashes, A->ClusterBegin,
+      A->PostingBegin, A->PostingIds, A->PostingValues, Keep);
+  if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist) {
+    R->Quant = Store.quantizedShared();
+    if (!R->Quant)
+      R->Quant =
+          std::make_shared<const QuantizedStore>(QuantizedStore::build(Store));
+  }
+  return R;
 }
 
 Status ProfileIndex::save(const std::string &Path) const {
-  // v2 block layout straight from the arena: the three arrays go out
-  // as contiguous blobs, no per-profile materialization or copy.
-  Status S = writeProfileStoreCacheFile(KernelName, Names, Labels, Store, Path);
-  if (!S.ok())
-    return S;
-  const std::string RoutePath = Path + ".route";
+  std::shared_ptr<const RoutingArenas> Arenas;
   if (Routing)
-    return writeRoutingFile(Routing->Router, Routing->Options, RoutePath);
-  // No routing: drop any stale sidecar so a later load cannot pair it
-  // with contents it was not fitted on.
-  std::error_code Ec;
-  std::filesystem::remove(RoutePath, Ec);
-  return Status();
+    Arenas = detail::routingArenas(Routing);
+  return writeProfileStoreImageFile(KernelName, Names, Labels, Store, Path,
+                                    Arenas.get());
 }
 
 Expected<ProfileIndex> ProfileIndex::load(const std::string &Path) {
-  Expected<ProfileStoreCache> Cache = readProfileStoreCacheFile(Path);
-  if (!Cache)
-    return Expected<ProfileIndex>::error(Cache.message());
-  ProfileIndex Index = fromStoreCache(Cache.take());
-  const std::string RoutePath = Path + ".route";
-  std::error_code Ec;
-  if (!std::filesystem::exists(RoutePath, Ec))
-    return Index;
-  Expected<RoutingCache> Route = readRoutingFile(RoutePath);
-  if (!Route)
-    return Expected<ProfileIndex>::error(Route.message());
-  RoutingCache Loaded = Route.take();
-  if (Loaded.Router.numProfiles() > Index.size())
-    return Expected<ProfileIndex>::error(
-        "routing sidecar covers more profiles than the cache: " + RoutePath);
-  auto R = std::make_shared<detail::IndexRouting>();
-  R->Options = Loaded.Options;
-  R->Router = std::move(Loaded.Router);
-  // The posting lists are a pure function of (arena prefix,
-  // assignments, df threshold); rebuilding reproduces the saved
-  // index's tier exactly, so only the router is ever serialized.
-  R->Inverted =
-      InvertedIndex::build(Index.Store, R->Router.assignments(),
-                           R->Router.numCentroids(),
-                           R->Options.MaxDocFrequency);
-  // Like the posting lists, the quantized sidecar is a pure function
-  // of the arena — rebuilt, never persisted.
-  if (R->Options.RerankBudget > 0 && R->Options.QuantizedShortlist) {
-    Index.Store.buildQuantized();
-    R->Quant = Index.Store.quantizedShared();
-  }
-  Index.Routing = std::move(R);
+  Expected<ProfileStoreCache> Read = readProfileStoreImageFile(Path);
+  if (!Read)
+    return Expected<ProfileIndex>::error(Read.message());
+  ProfileStoreCache Cache = Read.take();
+  ProfileIndex Index(std::move(Cache.KernelName));
+  // The image's columns are lazy views; ProfileIndex mutates its
+  // name/label lists (add()), so it materializes them up front. The
+  // store stays mapped until the first add() promotes it.
+  Index.Names = Cache.Names.takeVector();
+  Index.Labels = Cache.Labels.takeVector();
+  Index.Store = std::move(Cache.Store);
+  if (Cache.Routing)
+    Index.Routing = detail::routingFromArenas(Cache.Routing, Index.Store);
   return Index;
 }

@@ -17,18 +17,18 @@
 /// and batched queries parallelize per query reusing one scratch
 /// buffer per worker thread.
 ///
-/// Indexes round-trip through the versioned binary profile cache
-/// (core/ProfileSerializer; saved in the v2 block format, v1 caches
-/// still load), so a served corpus profiles each trace exactly once —
-/// build, save(), and every later process load()s and queries without
-/// touching a kernel.
+/// Indexes round-trip through one flat image (core/FlatImage) with
+/// their routing tier and int8 sidecar embedded, so a served corpus
+/// profiles each trace exactly once — build, save(), and every later
+/// process load()s (by mapping, with no k-means fit and no posting
+/// rebuild) and queries without touching a kernel.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_INDEX_PROFILEINDEX_H
 #define KAST_INDEX_PROFILEINDEX_H
 
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringKernel.h"
 #include "index/InvertedIndex.h"
@@ -64,6 +64,21 @@ struct IndexRouting {
 
   size_t covered() const { return Router.numProfiles(); }
 };
+
+/// The routing tier as the flat arenas core/FlatImage writes as its
+/// version-4 sections. The arenas view \p R's structures and pin \p R
+/// through their Backing.
+std::shared_ptr<const RoutingArenas>
+routingArenas(const std::shared_ptr<const IndexRouting> &R);
+
+/// The inverse of routingArenas: a routing tier over the first
+/// A->Covered profiles of \p Store (at most Store.size()) that views
+/// \p A's arenas in place — no k-means fit, no posting rebuild. The
+/// int8 shortlist store is \p Store's sidecar when it carries one and
+/// the options ask for it; otherwise it is built.
+std::shared_ptr<const IndexRouting>
+routingFromArenas(const std::shared_ptr<const RoutingArenas> &A,
+                  const ProfileStore &Store);
 
 } // namespace detail
 
@@ -126,13 +141,6 @@ public:
                             const std::vector<WeightedString> &Strings,
                             const std::vector<std::string> &Labels = {},
                             size_t Threads = 0);
-
-  /// Adopts an in-memory record-wise profile cache.
-  static ProfileIndex fromCache(ProfileCache Cache);
-
-  /// Adopts an in-memory arena cache (the v2 load path: the store
-  /// moves in wholesale, no per-profile copying).
-  static ProfileIndex fromStoreCache(ProfileStoreCache Cache);
 
   /// Appends one finalized profile (copied into the arena).
   void add(std::string Name, std::string Label,
@@ -223,16 +231,13 @@ public:
   /// the nearer neighbor. Empty for an empty neighbor list.
   std::string majorityLabel(const std::vector<Neighbor> &Neighbors) const;
 
-  /// Copies the index contents into a record-wise cache.
-  ProfileCache toCache() const;
-
-  /// Round-trip through core/ProfileSerializer's binary format: save
-  /// writes the v2 block layout straight from the arena; load accepts
-  /// v1 and v2 files. A routed index also writes a "<path>.route"
-  /// sidecar (and removes a stale one when unrouted); load restores
-  /// routing from the sidecar when present — the posting lists are
-  /// rebuilt deterministically from the persisted assignments — and
-  /// fails loudly on a corrupt or mismatched sidecar.
+  /// Round-trip through one flat image: save writes the arena, the
+  /// int8 sidecar when built, and the routing tier (covering the
+  /// routed prefix) straight from memory, staging the file beside
+  /// \p Path and renaming it into place — so saving back to the path
+  /// the index was loaded from is safe. load maps the image and views
+  /// the routing arenas in place: a loaded index answers query() and
+  /// queryApprox() bit-identically to the saved one.
   Status save(const std::string &Path) const;
   static Expected<ProfileIndex> load(const std::string &Path);
 

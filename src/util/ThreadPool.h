@@ -109,7 +109,7 @@ private:
 /// thread, which keeps single-threaded determinism for tests. Body
 /// must be thread-safe for distinct indices. Kept as a free function
 /// so the pre-pool call sites (core/KernelMatrix, index/ProfileIndex,
-/// index/IndexService, workloads/CorpusIO) compile unchanged.
+/// index/IndexService) compile unchanged.
 void parallelFor(size_t Count, const std::function<void(size_t)> &Body,
                  size_t NumThreads = 0);
 

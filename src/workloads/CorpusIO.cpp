@@ -8,12 +8,10 @@
 #include "trace/TraceParser.h"
 #include "trace/TraceWriter.h"
 #include "util/StringUtil.h"
-#include "util/ThreadPool.h"
 
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <functional>
 #include <optional>
 
 using namespace kast;
@@ -129,288 +127,4 @@ kast::loadCorpusDirectory(const std::string &Dir) {
   for (ParsedTrace &Entry : Parsed)
     Corpus.push_back(std::move(Entry.Example));
   return Corpus;
-}
-
-Status kast::writeCorpusProfileCache(const std::string &Path,
-                                     const ProfiledStringKernel &Kernel,
-                                     const LabeledDataset &Data,
-                                     size_t Threads) {
-  std::vector<KernelProfile> Profiles(Data.size());
-  parallelFor(
-      Data.size(),
-      [&](size_t I) { Profiles[I] = Kernel.profile(Data.string(I)); },
-      Threads);
-
-  ProfileStoreCache Cache;
-  Cache.KernelName = Kernel.name();
-  Cache.Names.reserve(Data.size());
-  Cache.Labels.reserve(Data.size());
-  Cache.Store.appendAll(Profiles);
-  for (size_t I = 0; I < Data.size(); ++I) {
-    Cache.Names.push_back(Data.string(I).name());
-    Cache.Labels.push_back(Data.label(I));
-  }
-  return writeProfileStoreCacheFile(Cache, Path);
-}
-
-Expected<ProfileCache>
-kast::loadCorpusProfileCache(const std::string &Path,
-                             const ProfiledStringKernel &Kernel) {
-  using Result = Expected<ProfileCache>;
-  Expected<ProfileCache> Cache = readProfileCacheFile(Path);
-  if (!Cache)
-    return Cache;
-  if (Cache->KernelName != Kernel.name())
-    return Result::error("profile cache '" + Path + "' was built by kernel '" +
-                         Cache->KernelName + "', expected '" + Kernel.name() +
-                         "'");
-  return Cache;
-}
-
-Expected<ProfileStoreCache>
-kast::loadCorpusProfileStore(const std::string &Path,
-                             const ProfiledStringKernel &Kernel) {
-  using Result = Expected<ProfileStoreCache>;
-  Expected<ProfileStoreCache> Cache = readProfileStoreCacheFile(Path);
-  if (!Cache)
-    return Cache;
-  if (Cache->KernelName != Kernel.name())
-    return Result::error("profile cache '" + Path + "' was built by kernel '" +
-                         Cache->KernelName + "', expected '" + Kernel.name() +
-                         "'");
-  return Cache;
-}
-
-/// "<Dir>/shard-NNN<Ext>" with at least three digits; writer, sweeper
-/// and loader agree through this formatter and parseShardNumber. Ext
-/// is ".kpc" (v2 block caches) or ".kfi" (v3 flat images) — the two
-/// sharded persistence formats share every naming, staging, sweeping
-/// and contiguity rule, differing only in extension and per-file
-/// codec.
-static std::string shardFilePath(const std::string &Dir, size_t Shard,
-                                 const std::string &Ext) {
-  std::string Number = std::to_string(Shard);
-  while (Number.size() < 3)
-    Number.insert(Number.begin(), '0');
-  return Dir + "/shard-" + Number + Ext;
-}
-
-/// The inverse of shardFilePath's file-name half: the shard number of
-/// a "shard-NNN<Ext>" name, nullopt for anything else — including the
-/// "<Ext>.tmp" staging files of an in-flight save and non-canonical
-/// spellings like "shard-7.kpc", which would otherwise alias the
-/// writer's "shard-007.kpc" in sweep and contiguity decisions.
-static std::optional<uint64_t> parseShardNumber(const std::string &File,
-                                                const std::string &Ext) {
-  if (!File.starts_with("shard-") || !endsWith(File, Ext))
-    return std::nullopt;
-  std::string_view Digits =
-      std::string_view(File).substr(6, File.size() - 6 - Ext.size());
-  std::optional<uint64_t> Number = parseUnsigned(Digits);
-  if (!Number)
-    return std::nullopt;
-  std::string Canonical = std::to_string(*Number);
-  while (Canonical.size() < 3)
-    Canonical.insert(Canonical.begin(), '0');
-  return Digits == Canonical ? Number : std::nullopt;
-}
-
-/// The extension-generic three-phase sharded save behind both
-/// writeShardedProfileCaches (.kpc) and writeShardedProfileImages
-/// (.kfi). \p WriteShard writes shard S to a path.
-static Status writeShardedFiles(
-    size_t Count, const std::string &Dir, const std::string &Ext,
-    const std::function<Status(size_t, const std::string &)> &WriteShard) {
-  // An empty shard list would write nothing and then sweep *every*
-  // existing shard file as stale — a degenerate input silently erasing
-  // the previous generation. No real service produces it (a service
-  // always has at least one shard), so refuse loudly.
-  if (Count == 0)
-    return Status::error("refusing to write an empty sharded profile cache "
-                         "to '" + Dir + "'");
-  std::error_code Ec;
-  std::filesystem::create_directories(Dir, Ec);
-  if (Ec)
-    return Status::error("cannot create directory '" + Dir +
-                         "': " + Ec.message());
-  // Three-phase save — write staging files, sweep stale files, rename
-  // into place — ordered so that *no* crash point leaves a directory
-  // that loads silently wrong: the loader refuses any directory with
-  // leftover "<Ext>.tmp" staging files, and until the very last rename
-  // at least one staging file exists. A crash therefore yields either
-  // the intact previous generation plus a loud diagnostic, never a
-  // quietly loadable mix of generations.
-  //
-  // Phase 1: write every shard under its "<Ext>.tmp" staging name (an
-  // ENOSPC here leaves the previous generation untouched).
-  for (size_t S = 0; S < Count; ++S)
-    if (Status W = WriteShard(S, shardFilePath(Dir, S, Ext) + ".tmp"); !W)
-      return W;
-  // Phase 2: sweep files of the previous generation the new one will
-  // not overwrite — higher-numbered "shard-NNN<Ext>" (their numbering
-  // would stay contiguous and silently restore the old corpus
-  // alongside the new) and staging leftovers of older interrupted
-  // saves. A file the sweep cannot delete fails the save loudly for
-  // the same reason.
-  std::filesystem::directory_iterator It(Dir, Ec);
-  if (Ec)
-    return Status::error("cannot re-read directory '" + Dir +
-                         "': " + Ec.message());
-  for (const std::filesystem::directory_entry &Entry : It) {
-    if (!Entry.is_regular_file())
-      continue;
-    std::string File = Entry.path().filename().string();
-    bool Stale = false;
-    if (File.starts_with("shard-") && endsWith(File, Ext + ".tmp")) {
-      // Our own phase-1 files are "shard-<canonical 0..N-1><Ext>.tmp";
-      // anything else tmp-shaped is a leftover.
-      std::optional<uint64_t> Number =
-          parseShardNumber(File.substr(0, File.size() - 4), Ext);
-      Stale = !Number || *Number >= Count;
-    } else if (std::optional<uint64_t> Number = parseShardNumber(File, Ext)) {
-      Stale = *Number >= Count;
-    }
-    if (!Stale)
-      continue;
-    std::filesystem::remove(Entry.path(), Ec);
-    if (Ec)
-      return Status::error("cannot remove stale shard cache '" +
-                           Entry.path().string() + "': " + Ec.message());
-  }
-  // Phase 3: rename the staging files into place (atomic per file;
-  // each rename overwrites the same-numbered previous-generation
-  // file, so partial progress only ever mixes with a loud staging
-  // leftover, which the loader rejects).
-  for (size_t S = 0; S < Count; ++S) {
-    std::string Path = shardFilePath(Dir, S, Ext);
-    std::filesystem::rename(Path + ".tmp", Path, Ec);
-    if (Ec)
-      return Status::error("cannot rename '" + Path + ".tmp' into place: " +
-                           Ec.message());
-  }
-  return Status();
-}
-
-/// The extension-generic sharded loader behind both
-/// loadShardedProfileCaches (.kpc) and loadShardedProfileImages
-/// (.kfi). \p ReadShard reads one shard file into a cache.
-static Expected<std::vector<ProfileStoreCache>> loadShardedFiles(
-    const std::string &Dir, const std::string &Ext,
-    const std::string &ExpectedKernelName,
-    const std::function<Expected<ProfileStoreCache>(const std::string &)>
-        &ReadShard) {
-  using Result = Expected<std::vector<ProfileStoreCache>>;
-  std::error_code Ec;
-  std::filesystem::directory_iterator It(Dir, Ec);
-  if (Ec)
-    return Result::error("cannot read directory '" + Dir +
-                         "': " + Ec.message());
-
-  // Collect the shard numbers actually present, then demand the
-  // contiguous range 0..N-1: a hole means the corpus on disk is
-  // partial, and serving a partial corpus silently would skew every
-  // query that restart answers.
-  std::vector<uint64_t> Numbers;
-  for (const std::filesystem::directory_entry &Entry : It) {
-    if (!Entry.is_regular_file())
-      continue;
-    std::string File = Entry.path().filename().string();
-    // A "<Ext>.tmp" staging file means a save is in flight or died
-    // mid-way; the shard files beside it may mix generations, so
-    // refuse the whole directory rather than restore them silently
-    // (a completed re-save sweeps the leftovers and unblocks).
-    if (File.starts_with("shard-") && endsWith(File, Ext + ".tmp"))
-      return Result::error("interrupted save: staging file '" + File +
-                           "' present in '" + Dir +
-                           "'; re-save the shards or remove it");
-    if (!File.starts_with("shard-") || !endsWith(File, Ext))
-      continue;
-    std::optional<uint64_t> Number = parseShardNumber(File, Ext);
-    if (!Number)
-      return Result::error("unparseable shard cache name '" + File +
-                           "' in '" + Dir + "'");
-    Numbers.push_back(*Number);
-  }
-  if (Numbers.empty())
-    return Result::error("no shard-*" + Ext + " caches in '" + Dir + "'");
-  std::sort(Numbers.begin(), Numbers.end());
-  for (size_t S = 0; S < Numbers.size(); ++S)
-    if (Numbers[S] != S)
-      return Result::error("shard caches in '" + Dir +
-                           "' are not contiguous: missing shard " +
-                           std::to_string(S));
-
-  std::vector<ProfileStoreCache> Shards;
-  Shards.reserve(Numbers.size());
-  for (size_t S = 0; S < Numbers.size(); ++S) {
-    std::string Path = shardFilePath(Dir, S, Ext);
-    Expected<ProfileStoreCache> Cache = ReadShard(Path);
-    if (!Cache)
-      return Result::error(Cache.message());
-    if (!ExpectedKernelName.empty() &&
-        Cache->KernelName != ExpectedKernelName)
-      return Result::error("shard cache '" + Path +
-                           "' was built by kernel '" + Cache->KernelName +
-                           "', expected '" + ExpectedKernelName + "'");
-    Shards.push_back(Cache.take());
-  }
-  return Shards;
-}
-
-Status
-kast::writeShardedProfileCaches(const std::vector<ProfileStoreCache> &Shards,
-                                const std::string &Dir) {
-  return writeShardedFiles(Shards.size(), Dir, ".kpc",
-                           [&](size_t S, const std::string &Path) {
-                             return writeProfileStoreCacheFile(Shards[S],
-                                                               Path);
-                           });
-}
-
-Expected<std::vector<ProfileStoreCache>>
-kast::loadShardedProfileCaches(const std::string &Dir,
-                               const std::string &ExpectedKernelName) {
-  return loadShardedFiles(Dir, ".kpc", ExpectedKernelName,
-                          readProfileStoreCacheFile);
-}
-
-Status
-kast::writeShardedProfileImages(const std::vector<ProfileStoreCache> &Shards,
-                                const std::string &Dir) {
-  Status W = writeShardedFiles(Shards.size(), Dir, ".kfi",
-                               [&](size_t S, const std::string &Path) {
-                                 return writeProfileStoreImageFile(Shards[S],
-                                                                   Path);
-                               });
-  if (!W.ok())
-    return W;
-  // An image that embeds its shard's routing (v4 arenas, or the legacy
-  // ROUTE blob) supersedes any "shard-NNN.route" sidecar left from a
-  // pre-image save of the same directory: sweep it, or a later
-  // loadShardRouting could pair the stale fit with contents it was not
-  // fitted on. Sidecars of shards whose image carries no routing are
-  // left alone — the .kpc + .route layout still owns them.
-  for (size_t S = 0; S < Shards.size(); ++S) {
-    if (!Shards[S].Routing && Shards[S].RouteBlob.empty())
-      continue;
-    std::error_code Ec;
-    std::filesystem::remove(shardFilePath(Dir, S, ".route"), Ec);
-  }
-  return Status();
-}
-
-Expected<std::vector<ProfileStoreCache>>
-kast::loadShardedProfileImages(const std::string &Dir,
-                               const std::string &ExpectedKernelName,
-                               const FlatImageReadOptions &Options) {
-  return loadShardedFiles(Dir, ".kfi", ExpectedKernelName,
-                          [&](const std::string &Path) {
-                            return readProfileStoreImageFile(Path, Options);
-                          });
-}
-
-Expected<std::vector<ProfileStoreCache>>
-kast::loadShardedProfileCaches(const std::string &Dir,
-                               const ProfiledStringKernel &Kernel) {
-  return loadShardedProfileCaches(Dir, Kernel.name());
 }

@@ -12,20 +12,14 @@
 /// alphabetic category label ("A3.2.trace" is a category-A example),
 /// a base-example index, and the mutated-copy index after the dot.
 /// Loading rejects names that break the convention with a diagnostic
-/// error rather than guessing at labels.
-///
-/// Next to the plain-text traces, a corpus can carry a binary profile
-/// cache (core/ProfileSerializer): per-string kernel profiles computed
-/// once and reused by every later Gram build or index query.
+/// error rather than guessing at labels. Profiles computed from a
+/// corpus persist as flat images (core/FlatImage).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_WORKLOADS_CORPUSIO_H
 #define KAST_WORKLOADS_CORPUSIO_H
 
-#include "core/FlatImage.h"
-#include "core/ProfileSerializer.h"
-#include "core/StringKernel.h"
 #include "util/Error.h"
 #include "workloads/DatasetBuilder.h"
 
@@ -49,77 +43,6 @@ Status writeCorpusDirectory(const std::vector<LabeledTrace> &Corpus,
 /// size.
 Expected<std::vector<LabeledTrace>>
 loadCorpusDirectory(const std::string &Dir);
-
-/// Profiles every string of \p Data with \p Kernel (in parallel),
-/// gathers the results into one ProfileStore arena, and writes the
-/// versioned binary profile cache (v2 block layout) to \p Path,
-/// tagged with the kernel's name.
-Status writeCorpusProfileCache(const std::string &Path,
-                               const ProfiledStringKernel &Kernel,
-                               const LabeledDataset &Data,
-                               size_t Threads = 0);
-
-/// Loads a profile cache (v1 or v2) into record-wise form and verifies
-/// it was produced by a kernel named like \p Kernel — profiles from
-/// different kernels (or the same kernel under different options) are
-/// not comparable, and the mismatch surfaces here instead of as
-/// silently wrong similarities.
-Expected<ProfileCache>
-loadCorpusProfileCache(const std::string &Path,
-                       const ProfiledStringKernel &Kernel);
-
-/// loadCorpusProfileCache in arena form: a v2 file loads as three bulk
-/// blob reads straight into the ProfileStore, with the same
-/// kernel-name verification.
-Expected<ProfileStoreCache>
-loadCorpusProfileStore(const std::string &Path,
-                       const ProfiledStringKernel &Kernel);
-
-/// Writes one v2 block-cache file per shard — "<Dir>/shard-NNN.kpc",
-/// zero-padded, one per element of \p Shards — creating \p Dir if
-/// missing. This is the persistence format of index/IndexService's
-/// toShardCaches(): a service restart loads the files back with
-/// loadShardedProfileCaches and adopts each shard's arena wholesale.
-Status writeShardedProfileCaches(const std::vector<ProfileStoreCache> &Shards,
-                                 const std::string &Dir);
-
-/// Loads every "<Dir>/shard-NNN.kpc" written by
-/// writeShardedProfileCaches, in shard order. The numbering must be
-/// contiguous from 0 (a missing middle shard is a hard error — serving
-/// a partial corpus silently would skew every query). A non-empty
-/// \p ExpectedKernelName is verified against every shard's cache;
-/// pass "" to skip verification and check KernelName yourself.
-Expected<std::vector<ProfileStoreCache>>
-loadShardedProfileCaches(const std::string &Dir,
-                         const std::string &ExpectedKernelName = "");
-
-/// loadShardedProfileCaches verified against \p Kernel's name.
-Expected<std::vector<ProfileStoreCache>>
-loadShardedProfileCaches(const std::string &Dir,
-                         const ProfiledStringKernel &Kernel);
-
-/// Writes one flat image per shard — "<Dir>/shard-NNN.kfi" — with
-/// the same three-phase atomic save, staging-file and sweep rules as
-/// writeShardedProfileCaches. Each image carries the shard's
-/// quantized sidecar (when built) and its routing arenas as v4
-/// sections, so a routed service restores via
-/// loadShardedProfileImages + IndexService::fromShardCaches with
-/// zero-copy stores and no refit or posting rebuild. Leftover
-/// "shard-NNN.route" sidecars of routed shards are swept — the
-/// embedded arenas supersede them, and a stale sidecar beside a
-/// later image would trip loadShardRouting's mismatch diagnostic.
-Status writeShardedProfileImages(const std::vector<ProfileStoreCache> &Shards,
-                                 const std::string &Dir);
-
-/// Loads every "<Dir>/shard-NNN.kfi" written by
-/// writeShardedProfileImages, in shard order, with the same
-/// contiguity and staging-leftover rules as loadShardedProfileCaches.
-/// The returned stores alias their file mappings (see core/FlatImage)
-/// until first mutation.
-Expected<std::vector<ProfileStoreCache>>
-loadShardedProfileImages(const std::string &Dir,
-                         const std::string &ExpectedKernelName = "",
-                         const FlatImageReadOptions &Options = {});
 
 } // namespace kast
 

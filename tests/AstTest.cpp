@@ -207,6 +207,60 @@ TEST(ParserTest, RejectsMalformedPrograms) {
   EXPECT_FALSE(parseProgram("fn f() {").hasValue());
 }
 
+/// Parses \p Source expecting the nesting-depth error, with a
+/// line:column position.
+void expectTooDeep(const std::string &Source, const char *Shape) {
+  Expected<Ast> Tree = parseProgram(Source);
+  ASSERT_FALSE(Tree.hasValue()) << Shape;
+  EXPECT_NE(Tree.message().find("nesting too deep at 1:"), std::string::npos)
+      << Shape << ": " << Tree.message();
+}
+
+std::string repeat(const std::string &S, size_t Times) {
+  std::string Out;
+  Out.reserve(S.size() * Times);
+  for (size_t I = 0; I < Times; ++I)
+    Out += S;
+  return Out;
+}
+
+// Each shape nests once per repetition, so 100,000 repetitions would
+// recurse 100,000 deep in the parser or, for the else-if chain, in the
+// encoder; the parser must refuse them with a positioned error.
+TEST(ParserTest, DeepParenthesesAreRejected) {
+  expectTooDeep("fn f() { return " + repeat("(", 100000) + "1" +
+                    repeat(")", 100000) + "; }",
+                "parentheses");
+}
+
+TEST(ParserTest, DeepBlocksAreRejected) {
+  expectTooDeep("fn f() " + repeat("{", 100000) + repeat("}", 100000),
+                "blocks");
+}
+
+TEST(ParserTest, DeepUnaryChainsAreRejected) {
+  expectTooDeep("fn f() { return " + repeat("-", 100000) + "1; }", "unary");
+}
+
+TEST(ParserTest, LongElseIfChainsAreRejected) {
+  expectTooDeep("fn f(x) { if (x) { } " + repeat("else if (x) { } ", 100000) +
+                    "}",
+                "else-if chain");
+  // A left-associative operator chain nests the same way in the tree.
+  expectTooDeep("fn f() { return 1" + repeat(" + 1", 100000) + "; }",
+                "binary chain");
+}
+
+TEST(ParserTest, NestingBelowTheLimitParsesAndEncodes) {
+  // 120 parenthesized binary links are 240 levels, inside the bound;
+  // the encoder walks the resulting tree.
+  Expected<Ast> Tree = parseProgram("fn f(x) { return " + repeat("(x + ", 120) +
+                                    "1" + repeat(")", 120) + "; }");
+  ASSERT_TRUE(Tree.hasValue()) << Tree.message();
+  auto Table = TokenTable::create();
+  EXPECT_GT(encodeAst(*Tree, Table).size(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Encoder
 //===----------------------------------------------------------------------===//

@@ -1,4 +1,4 @@
-//===- tests/FlatImageTest.cpp - v3 flat-image cache format ----------------===//
+//===- tests/FlatImageTest.cpp - the flat-image profile format -------------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -7,8 +7,9 @@
 // The zero-copy persistence contract of core/FlatImage: a flat image
 // round-trips a ProfileStoreCache bit-exactly whether it is mmapped or
 // read through the buffered fallback, the mapping survives unlink and
-// writer mutation (copy-on-write promotion), the quantized and routing
-// sidecars ride along, and every corruption mode — truncation, flipped
+// writer mutation (copy-on-write promotion) and a save over the mapped
+// file itself, the int8 sidecar and the routing arenas ride along, and
+// every corruption mode — truncation, flipped
 // section bytes, a tampered section table, a wrong kernel hash, a
 // misaligned section — fails loudly with a diagnostic naming the
 // problem instead of serving garbage.
@@ -16,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FlatImage.h"
-#include "core/ProfileSerializer.h"
 #include "core/ProfileStore.h"
 #include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
@@ -153,7 +153,7 @@ TEST(FlatImageTest, RoundTripsStoreBitExactly) {
   EXPECT_EQ(Loaded->KernelName, "blended");
   EXPECT_EQ(Loaded->Names, Cache.Names);
   EXPECT_EQ(Loaded->Labels, Cache.Labels);
-  EXPECT_TRUE(Loaded->RouteBlob.empty());
+  EXPECT_EQ(Loaded->Routing, nullptr);
   expectStoresBitExact(Loaded->Store, Cache.Store);
   EXPECT_TRUE(Loaded->Store.isFinalized());
 
@@ -187,31 +187,6 @@ TEST(FlatImageTest, BufferedFallbackMatchesMappedRead) {
   // into owned arenas.
   EXPECT_TRUE(Mapped->Store.isMapped());
   EXPECT_TRUE(Heap->Store.isMapped());
-}
-
-TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
-  Rng R(90909);
-  ProfileStoreCache Cache = makeStoreCache(R, 15, "k");
-  Cache.Store.buildQuantized();
-  ASSERT_NE(Cache.Store.quantized(), nullptr);
-  Cache.RouteBlob = std::string("opaque\0route\xFF bytes", 19);
-  const std::string Path = tempImagePath("sidecars");
-  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
-
-  FlatImageReadOptions Deep;
-  Deep.DeepValidate = true;
-  Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path, Deep);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-  EXPECT_EQ(Loaded->RouteBlob, Cache.RouteBlob);
-  const QuantizedStore *Q = Loaded->Store.quantized();
-  ASSERT_NE(Q, nullptr);
-  const QuantizedStore *Truth = Cache.Store.quantized();
-  ASSERT_EQ(Q->size(), Truth->size());
-  ASSERT_EQ(Q->entryCount(), Truth->entryCount());
-  EXPECT_EQ(Q->values(), Truth->values());
-  for (size_t I = 0; I < Q->size(); ++I)
-    EXPECT_EQ(std::bit_cast<uint64_t>(Q->scale(I)),
-              std::bit_cast<uint64_t>(Truth->scale(I)));
 }
 
 TEST(FlatImageTest, EmptyStoreRoundTrips) {
@@ -430,29 +405,6 @@ TEST(FlatImageTest, RejectsCorruptCsrOffsets) {
   Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
   ASSERT_FALSE(E.hasValue());
   EXPECT_NE(E.message().find("offsets"), std::string::npos) << E.message();
-}
-
-TEST(FlatImageTest, FormatsRejectEachOtherWithPointers) {
-  Rng R(323334);
-  ProfileStoreCache Cache = makeStoreCache(R, 4, "k");
-  const std::string V2Path = testing::TempDir() + "/kast_cross.kpc";
-  const std::string V3Path = tempImagePath("cross");
-  ASSERT_TRUE(writeProfileStoreCacheFile(Cache, V2Path).ok());
-  ASSERT_TRUE(writeProfileStoreImageFile(Cache, V3Path).ok());
-
-  // The flat-image reader names the v2 entry point for v2 bytes...
-  Expected<ProfileStoreCache> V2AsImage = readProfileStoreImageFile(V2Path);
-  ASSERT_FALSE(V2AsImage.hasValue());
-  EXPECT_NE(V2AsImage.message().find("readProfileStoreCacheFile"),
-            std::string::npos)
-      << V2AsImage.message();
-  // ...and the v2 reader names the flat-image entry point for v3
-  // bytes.
-  Expected<ProfileStoreCache> V3AsCache = readProfileStoreCacheFile(V3Path);
-  ASSERT_FALSE(V3AsCache.hasValue());
-  EXPECT_NE(V3AsCache.message().find("readProfileStoreImageFile"),
-            std::string::npos)
-      << V3AsCache.message();
 }
 
 TEST(FlatImageTest, RejectsMissingFile) {
@@ -700,10 +652,66 @@ TEST(FlatImageTest, RoutedSectionsRejectedUnderVersionSkew) {
   }
 }
 
+TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
+  Rng R(90909);
+  const std::string Path = tempImagePath("sidecars");
+  IndexService Service = writeRoutedImage(R, 15, Path);
+  const ProfileStoreCache Truth = Service.toShardCaches()[0];
+  ASSERT_NE(Truth.Store.quantized(), nullptr);
+
+  FlatImageReadOptions Deep;
+  Deep.DeepValidate = true;
+  Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path, Deep);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  const QuantizedStore *Q = Loaded->Store.quantized();
+  ASSERT_NE(Q, nullptr);
+  const QuantizedStore *TruthQ = Truth.Store.quantized();
+  ASSERT_EQ(Q->size(), TruthQ->size());
+  ASSERT_EQ(Q->entryCount(), TruthQ->entryCount());
+  EXPECT_EQ(Q->values(), TruthQ->values());
+  for (size_t I = 0; I < Q->size(); ++I)
+    EXPECT_EQ(std::bit_cast<uint64_t>(Q->scale(I)),
+              std::bit_cast<uint64_t>(TruthQ->scale(I)));
+  ASSERT_NE(Loaded->Routing, nullptr);
+  const RoutingArenas &A = *Loaded->Routing;
+  const RoutingArenas &B = *Truth.Routing;
+  EXPECT_EQ(A.Covered, B.Covered);
+  EXPECT_EQ(A.RerankBudget, B.RerankBudget);
+  EXPECT_EQ(A.Assignments, B.Assignments);
+  expectStoresBitExact(A.Centroids, B.Centroids);
+  EXPECT_EQ(A.FeatureHashes, B.FeatureHashes);
+  EXPECT_EQ(A.PostingBegin, B.PostingBegin);
+  EXPECT_EQ(A.PostingIds, B.PostingIds);
+}
+
+TEST(FlatImageTest, SavingOverTheMappedSourceKeepsIt) {
+  // The loaded cache's arrays alias the mapping of Path itself; the
+  // save must stage beside it and rename, never truncate what it is
+  // still reading.
+  Rng R(505050);
+  ProfileStoreCache Cache = makeStoreCache(R, 4000, "k");
+  const std::string Path = tempImagePath("self_save");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  const std::string Before = readFileBytes(Path);
+
+  Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  Status S = writeProfileStoreImageFile(*Loaded, Path);
+  ASSERT_TRUE(S.ok()) << S.message();
+  EXPECT_EQ(readFileBytes(Path), Before);
+  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp"));
+  // The old mapping still reads the original bytes...
+  expectStoresBitExact(Loaded->Store, Cache.Store);
+  // ...and the rewritten file re-reads bit-identically.
+  Expected<ProfileStoreCache> Again = readProfileStoreImageFile(Path);
+  ASSERT_TRUE(Again.hasValue()) << Again.message();
+  EXPECT_EQ(Again->Names, Cache.Names);
+  expectStoresBitExact(Again->Store, Cache.Store);
+}
+
 TEST(FlatImageTest, SectionlessV3ImagesStillLoadUnrouted) {
-  // An unrouted cache writes the bit-stable version-3 layout; opening
-  // it yields no routing arenas and the caller falls back to a
-  // rebuild (or stays unrouted) exactly as before v4 existed.
+  // An unrouted cache writes the version-3 layout; opening it yields
+  // no routing arenas.
   Rng R(474849);
   ProfileStoreCache Cache = makeStoreCache(R, 10, "k");
   const std::string Path = tempImagePath("v3_fallback");

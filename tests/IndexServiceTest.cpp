@@ -7,7 +7,7 @@
 // The serving contract of index/IndexService: adds and removes publish
 // atomically and agree with ProfileIndex ground truth, snapshots are
 // immutable (they answer identically forever, through concurrent
-// writes and compactions), sharded caches restart a service bit-exactly,
+// writes and compactions), sharded images restart a service bit-exactly,
 // and the whole thing holds up under ASan/UBSan with writers and
 // readers interleaving freely.
 //
@@ -17,7 +17,6 @@
 #include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
-#include "workloads/CorpusIO.h"
 
 #include <gtest/gtest.h>
 
@@ -243,10 +242,10 @@ TEST(IndexServiceTest, ShardCachesRestartTheServiceBitExactly) {
   std::string Dir = testing::TempDir() + "/kast_service_restart";
   std::filesystem::remove_all(Dir);
   ASSERT_TRUE(
-      writeShardedProfileCaches(Service.toShardCaches(), Dir).ok());
+      writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
 
   Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir, kernel().name());
+      loadShardedProfileImages(Dir, kernel().name());
   ASSERT_TRUE(Caches.hasValue()) << Caches.message();
   Expected<IndexService> Restored =
       IndexService::fromShardCaches(Caches.take());
@@ -313,13 +312,13 @@ TEST(IndexServiceTest, ResavingFewerShardsSweepsStaleCacheFiles) {
   std::string Dir = testing::TempDir() + "/kast_shard_resave";
   std::filesystem::remove_all(Dir);
   IndexService Wide = MakeService(3, 6);
-  ASSERT_TRUE(writeShardedProfileCaches(Wide.toShardCaches(), Dir).ok());
+  ASSERT_TRUE(writeShardedProfileImages(Wide.toShardCaches(), Dir).ok());
   IndexService Narrow = MakeService(2, 4);
-  ASSERT_TRUE(writeShardedProfileCaches(Narrow.toShardCaches(), Dir).ok());
+  ASSERT_TRUE(writeShardedProfileImages(Narrow.toShardCaches(), Dir).ok());
 
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-002.kpc"));
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-002.kfi"));
   Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir, "k");
+      loadShardedProfileImages(Dir, "k");
   ASSERT_TRUE(Caches.hasValue()) << Caches.message();
   ASSERT_EQ(Caches->size(), 2u);
   Expected<IndexService> Restored =
@@ -329,7 +328,7 @@ TEST(IndexServiceTest, ResavingFewerShardsSweepsStaleCacheFiles) {
 }
 
 //===----------------------------------------------------------------------===//
-// v3 flat-image restart
+// Flat-image restart: mapped and buffered, routed and not
 //===----------------------------------------------------------------------===//
 
 TEST(IndexServiceTest, V3ImagesRestartTheServiceBitExactly) {
@@ -342,35 +341,34 @@ TEST(IndexServiceTest, V3ImagesRestartTheServiceBitExactly) {
     Service.add(P.Names[I], P.Labels[I], P.Profiles[I]);
   ASSERT_EQ(Service.remove("s5"), 1u);
 
-  // The same export, persisted through both formats.
-  std::string V2Dir = testing::TempDir() + "/kast_restart_v2";
-  std::string V3Dir = testing::TempDir() + "/kast_restart_v3";
-  std::filesystem::remove_all(V2Dir);
-  std::filesystem::remove_all(V3Dir);
-  std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
-  ASSERT_TRUE(writeShardedProfileCaches(Exported, V2Dir).ok());
-  ASSERT_TRUE(writeShardedProfileImages(Exported, V3Dir).ok());
+  std::string Dir = testing::TempDir() + "/kast_restart_v3";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
 
-  Expected<std::vector<ProfileStoreCache>> V2 =
-      loadShardedProfileCaches(V2Dir, kernel().name());
-  ASSERT_TRUE(V2.hasValue()) << V2.message();
-  Expected<std::vector<ProfileStoreCache>> V3 =
-      loadShardedProfileImages(V3Dir, kernel().name());
-  ASSERT_TRUE(V3.hasValue()) << V3.message();
+  // The same images restored through the mapping and through the
+  // buffered read.
+  Expected<std::vector<ProfileStoreCache>> Mapped =
+      loadShardedProfileImages(Dir, kernel().name());
+  ASSERT_TRUE(Mapped.hasValue()) << Mapped.message();
+  FlatImageReadOptions Buffered;
+  Buffered.ForceBuffered = true;
+  Expected<std::vector<ProfileStoreCache>> Heap =
+      loadShardedProfileImages(Dir, kernel().name(), Buffered);
+  ASSERT_TRUE(Heap.hasValue()) << Heap.message();
 
-  Expected<IndexService> FromV2 = IndexService::fromShardCaches(V2.take());
-  ASSERT_TRUE(FromV2.hasValue()) << FromV2.message();
-  Expected<IndexService> FromV3 = IndexService::fromShardCaches(V3.take());
-  ASSERT_TRUE(FromV3.hasValue()) << FromV3.message();
+  Expected<IndexService> FromMap = IndexService::fromShardCaches(Mapped.take());
+  ASSERT_TRUE(FromMap.hasValue()) << FromMap.message();
+  Expected<IndexService> FromHeap = IndexService::fromShardCaches(Heap.take());
+  ASSERT_TRUE(FromHeap.hasValue()) << FromHeap.message();
 
-  // The mmap-restored service answers bit-identically to the v2
-  // restore and to the original.
-  EXPECT_EQ(FromV3->size(), Service.size());
+  // Both restored services answer bit-identically to the original.
+  EXPECT_EQ(FromMap->size(), Service.size());
+  EXPECT_EQ(FromHeap->size(), Service.size());
   NamedProfiles Q = makeProfiles(kernel(), 6, "q", 62);
   for (const KernelProfile &Query : Q.Profiles) {
     std::vector<ServiceHit> Truth = Service.query(Query, 6, true, 1);
-    EXPECT_EQ(FromV2->query(Query, 6, true, 1), Truth);
-    EXPECT_EQ(FromV3->query(Query, 6, true, 1), Truth);
+    EXPECT_EQ(FromMap->query(Query, 6, true, 1), Truth);
+    EXPECT_EQ(FromHeap->query(Query, 6, true, 1), Truth);
   }
 }
 
@@ -392,7 +390,7 @@ TEST(IndexServiceTest, V3ImagesCarryRoutingAndSurviveWriters) {
   ASSERT_EQ(Service.snapshot().routedShardCount(), Options.Shards);
 
   // The export carries the routing tier as flat arena views and the
-  // quantized store — no separate "shard-NNN.route" files needed.
+  // quantized store, which the images embed.
   std::vector<ProfileStoreCache> Exported = Service.toShardCaches();
   for (const ProfileStoreCache &Cache : Exported) {
     ASSERT_NE(Cache.Routing, nullptr);
@@ -438,6 +436,39 @@ TEST(IndexServiceTest, V3ImagesCarryRoutingAndSurviveWriters) {
     std::vector<ServiceHit> Exact = Restored->query(Query, 5, true, 1);
     EXPECT_EQ(Restored->queryApprox(Query, 5, true, 0, 1), Exact);
   }
+}
+
+TEST(IndexServiceTest, PrefixRoutingRestoresTheShardUnrouted) {
+  // Arenas covering only a prefix of a shard (what a ProfileIndex with
+  // an unrouted tail saves) cannot route the shard's single segment:
+  // it restores unrouted, and approximate queries scan it exactly.
+  ProfileIndex Index(kernel().name());
+  NamedProfiles P = makeProfiles(kernel(), 12, "s", 81);
+  for (size_t I = 0; I < 10; ++I)
+    Index.add(P.Names[I], P.Labels[I], P.Profiles[I]);
+  RoutingOptions Route;
+  Route.Cluster.NumCentroids = 2;
+  Index.buildRouting(Route, 1);
+  for (size_t I = 10; I < P.Profiles.size(); ++I)
+    Index.add(P.Names[I], P.Labels[I], P.Profiles[I]);
+  const std::string Path = testing::TempDir() + "/kast_prefix_routed.kfi";
+  ASSERT_TRUE(Index.save(Path).ok());
+  Expected<ProfileStoreCache> Image = readProfileStoreImageFile(Path);
+  ASSERT_TRUE(Image.hasValue()) << Image.message();
+  ASSERT_NE(Image->Routing, nullptr);
+  EXPECT_EQ(Image->Routing->Covered, 10u);
+
+  std::vector<ProfileStoreCache> Caches;
+  Caches.push_back(Image.take());
+  Expected<IndexService> Restored =
+      IndexService::fromShardCaches(std::move(Caches));
+  ASSERT_TRUE(Restored.hasValue()) << Restored.message();
+  EXPECT_EQ(Restored->size(), P.Profiles.size());
+  EXPECT_EQ(Restored->snapshot().routedShardCount(), 0u);
+  NamedProfiles Q = makeProfiles(kernel(), 4, "q", 82);
+  for (const KernelProfile &Query : Q.Profiles)
+    EXPECT_EQ(Restored->queryApprox(Query, 5, true, 0, 1),
+              Restored->query(Query, 5, true, 1));
 }
 
 TEST(IndexServiceTest, EmbeddedRoutingMismatchFailsRestore) {

@@ -22,7 +22,7 @@
 #include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
-#include "workloads/CorpusIO.h"
+#include "workloads/DatasetBuilder.h"
 #include "workloads/Generators.h"
 
 #include <gtest/gtest.h>
@@ -306,7 +306,7 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistence: the sidecar restores the tier bit-for-bit
+// Persistence: the image restores the tier bit-for-bit
 //===----------------------------------------------------------------------===//
 
 TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingSidecar) {
@@ -322,13 +322,22 @@ TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingSidecar) {
   Opts.DefaultNProbe = 3;
   Index.buildRouting(Opts, 1);
 
-  const std::string Path = testing::TempDir() + "/kast_routed_index.kpc";
-  ASSERT_TRUE(Index.save(Path).ok());
-  ASSERT_TRUE(std::filesystem::exists(Path + ".route"));
+  ASSERT_NE(Index.store().quantized(), nullptr);
 
+  // One file: the routing arenas and the int8 sidecar ride inside the
+  // image, and loading them fits nothing and rebuilds nothing.
+  const std::string Path = testing::TempDir() + "/kast_routed_index.kfi";
+  ASSERT_TRUE(Index.save(Path).ok());
+  const uint64_t Fits = kmeansFitCount();
+  const uint64_t Rebuilds = postingRebuildCount();
   Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  EXPECT_EQ(kmeansFitCount(), Fits);
+  EXPECT_EQ(postingRebuildCount(), Rebuilds);
   ASSERT_TRUE(Loaded->routed());
+  ASSERT_NE(Loaded->store().quantized(), nullptr);
+  EXPECT_EQ(Loaded->store().quantized()->values(),
+            Index.store().quantized()->values());
   EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
   EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
   EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
@@ -336,11 +345,14 @@ TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingSidecar) {
   EXPECT_EQ(Loaded->routingOptions()->RerankBudget, Opts.RerankBudget);
   EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
 
-  // Same pruned-path answers (bitwise), same exhaustive answers.
+  // Same pruned-path answers (bitwise), same exhaustive and exact
+  // answers.
   for (size_t I = 0; I < Index.size(); I += 5) {
     KernelProfile Q = Index.profile(I);
     expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
                        "pruned reload " + std::to_string(I));
+    expectBitIdentical(Loaded->query(Q, 5), Index.query(Q, 5),
+                       "exact reload " + std::to_string(I));
     expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
                                            Loaded->router()->numCentroids()),
                        Index.queryApprox(Q, 5, true,
@@ -348,10 +360,9 @@ TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingSidecar) {
                        "exhaustive reload " + std::to_string(I));
   }
 
-  // Saving the index unrouted sweeps the stale sidecar.
+  // Saving the index unrouted drops the routing sections with it.
   Index.clearRouting();
   ASSERT_TRUE(Index.save(Path).ok());
-  EXPECT_FALSE(std::filesystem::exists(Path + ".route"));
   Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
   ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
   EXPECT_FALSE(Unrouted->routed());
@@ -469,18 +480,15 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
   Service.rebuildRouting(Opts, 1);
 
   const std::string Dir = testing::TempDir() + "/kast_svc_routing";
-  std::filesystem::create_directories(Dir);
-  ASSERT_TRUE(writeShardedProfileCaches(Service.toShardCaches(), Dir).ok());
-  ASSERT_TRUE(Service.saveShardRouting(Dir).ok());
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
 
   Expected<std::vector<ProfileStoreCache>> Caches =
-      loadShardedProfileCaches(Dir);
+      loadShardedProfileImages(Dir);
   ASSERT_TRUE(Caches.hasValue()) << Caches.message();
   Expected<IndexService> Restored =
       IndexService::fromShardCaches(Caches.take(), SvcOpts);
   ASSERT_TRUE(Restored.hasValue()) << Restored.message();
-  Status L = Restored->loadShardRouting(Dir);
-  ASSERT_TRUE(L.ok()) << L.message();
   EXPECT_EQ(Restored->snapshot().routedShardCount(), SvcOpts.Shards);
 
   for (size_t I = 0; I < Corpus.size(); I += 6) {
@@ -490,113 +498,28 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
                            "restored pruned " + std::to_string(I));
   }
 
-  // A sidecar paired with the wrong contents fails loudly: drop one
-  // entry and re-save the caches but not the routing.
+  // Routing travels with the contents it was fitted on: after a remove
+  // and a compaction (which drops the fit), the re-saved images carry
+  // no routing, and the restart serves those shards exactly.
   ASSERT_GT(Restored->remove(Corpus[1].name()), 0u);
   Restored->compact(1);
   ASSERT_TRUE(
-      writeShardedProfileCaches(Restored->toShardCaches(), Dir).ok());
-  Expected<std::vector<ProfileStoreCache>> Stale =
-      loadShardedProfileCaches(Dir);
-  ASSERT_TRUE(Stale.hasValue()) << Stale.message();
-  Expected<IndexService> Mismatch =
-      IndexService::fromShardCaches(Stale.take(), SvcOpts);
-  ASSERT_TRUE(Mismatch.hasValue()) << Mismatch.message();
-  Status Bad = Mismatch->loadShardRouting(Dir);
-  ASSERT_FALSE(Bad.ok());
-  EXPECT_NE(Bad.message().find("does not match"), std::string::npos)
-      << Bad.message();
-}
-
-TEST(InvertedIndexTest, ImageSaveSweepsStaleRouteSidecars) {
-  Rng R(7272);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 40, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 2;
-  IndexService Service =
-      IndexService::fromIndex(ProfileIndex::build(Kernel, Corpus, {}, 1),
-                              SvcOpts);
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 3;
-  Service.rebuildRouting(Opts, 1);
-
-  const std::string Dir = testing::TempDir() + "/kast_route_sweep";
-  std::filesystem::create_directories(Dir);
-  ASSERT_TRUE(Service.saveShardRouting(Dir).ok());
-  ASSERT_TRUE(std::filesystem::exists(Dir + "/shard-000.route"));
-  ASSERT_TRUE(std::filesystem::exists(Dir + "/shard-001.route"));
-
-  // A v3 image save embeds routing as sections; the now-redundant
-  // sidecars would otherwise linger and bite a later restore whose
-  // contents drifted. The save sweeps them.
-  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-000.route"));
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-001.route"));
-
-  // The swept directory restores routed from the images alone.
-  Expected<std::vector<ProfileStoreCache>> Caches =
+      writeShardedProfileImages(Restored->toShardCaches(), Dir).ok());
+  Expected<std::vector<ProfileStoreCache>> Resaved =
       loadShardedProfileImages(Dir);
-  ASSERT_TRUE(Caches.hasValue()) << Caches.message();
-  Expected<IndexService> Restored =
-      IndexService::fromShardCaches(Caches.take(), SvcOpts);
-  ASSERT_TRUE(Restored.hasValue()) << Restored.message();
-  EXPECT_EQ(Restored->snapshot().routedShardCount(), SvcOpts.Shards);
-}
-
-TEST(InvertedIndexTest, EmbeddedRoutingToleratesAgreeingSidecarOnly) {
-  Rng R(7373);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 40, "c");
-  BlendedSpectrumKernel Kernel = testKernel();
-  IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 2;
-  IndexService Service =
-      IndexService::fromIndex(ProfileIndex::build(Kernel, Corpus, {}, 1),
-                              SvcOpts);
-  RoutingOptions Opts;
-  Opts.Cluster.NumCentroids = 3;
-  Service.rebuildRouting(Opts, 1);
-
-  const std::string Dir = testing::TempDir() + "/kast_route_agree";
-  std::filesystem::create_directories(Dir);
-  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
-
-  auto restore = [&]() {
-    Expected<std::vector<ProfileStoreCache>> Caches =
-        loadShardedProfileImages(Dir);
-    EXPECT_TRUE(Caches.hasValue()) << Caches.message();
-    Expected<IndexService> Restored =
-        IndexService::fromShardCaches(Caches.take(), SvcOpts);
-    EXPECT_TRUE(Restored.hasValue()) << Restored.message();
-    return Restored.take();
-  };
-
-  // An agreeing sidecar beside an embedded-routing image is a no-op:
-  // loadShardRouting recognises the match and rebuilds nothing.
-  IndexService Restored = restore();
-  ASSERT_EQ(Restored.snapshot().routedShardCount(), SvcOpts.Shards);
-  ASSERT_TRUE(Service.saveShardRouting(Dir).ok());
-  const uint64_t Rebuilds = postingRebuildCount();
-  Status Agree = Restored.loadShardRouting(Dir);
-  EXPECT_TRUE(Agree.ok()) << Agree.message();
-  EXPECT_EQ(postingRebuildCount(), Rebuilds);
-  EXPECT_EQ(Restored.snapshot().routedShardCount(), SvcOpts.Shards);
-
-  // A *disagreeing* sidecar (a different fit left behind by another
-  // run) fails loudly instead of silently shadowing the embedded
-  // arenas.
-  IndexService Refit = restore();
-  RoutingOptions Other;
-  Other.Cluster.NumCentroids = 2;
-  Refit.rebuildRouting(Other, 1);
-  ASSERT_TRUE(Refit.saveShardRouting(Dir).ok());
-  IndexService Victim = restore();
-  Status Clash = Victim.loadShardRouting(Dir);
-  ASSERT_FALSE(Clash.ok());
-  EXPECT_NE(Clash.message().find("disagrees"), std::string::npos)
-      << Clash.message();
+  ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
+  for (const ProfileStoreCache &Cache : *Resaved)
+    EXPECT_EQ(Cache.Routing, nullptr);
+  Expected<IndexService> Unrouted =
+      IndexService::fromShardCaches(Resaved.take(), SvcOpts);
+  ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
+  EXPECT_EQ(Unrouted->snapshot().routedShardCount(), 0u);
+  for (size_t I = 0; I < Corpus.size(); I += 6) {
+    KernelProfile Q = Kernel.profile(Corpus[I]);
+    expectHitsBitIdentical(Unrouted->queryApprox(Q, 5, true, 0, 1),
+                           Restored->query(Q, 5, true, 1),
+                           "re-saved " + std::to_string(I));
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,21 +4,33 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// A mutation fuzzer for the two parsers of untrusted text, parseTrace
-// and parseStrace. Each has a libFuzzer-shaped entry point, fuzzOne,
-// that checks the parser's invariants on one input. A util/Rng-seeded
+// A mutation fuzzer for every reader of untrusted bytes: the trace and
+// strace parsers, the Mini-language lexer and parser, and the flat
+// image reader. Each has a libFuzzer-shaped entry point, fuzzOne, that
+// checks the reader's invariants on one input. A util/Rng-seeded
 // mutator drives it for a fixed budget, so every run sees the same
 // inputs; the sanitizer build turns the same run into a memory-safety
 // check.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ast/AstEncoder.h"
+#include "ast/Lexer.h"
+#include "ast/Parser.h"
+#include "core/FlatImage.h"
+#include "index/IndexService.h"
+#include "kernels/SpectrumKernels.h"
 #include "trace/StraceAdapter.h"
 #include "trace/TraceParser.h"
 #include "trace/TraceWriter.h"
+#include "util/Hashing.h"
 #include "workloads/ParallelTrace.h"
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <fstream>
+#include <iterator>
 
 using namespace kast;
 
@@ -63,6 +75,248 @@ int fuzzOne(const uint8_t *Data, size_t Size) {
 }
 } // namespace strace_adapter
 
+namespace mini_language {
+/// True if \p Message names a position as "<line>:<column>".
+bool namesPosition(const std::string &Message) {
+  for (size_t Colon = Message.find(':'); Colon != std::string::npos;
+       Colon = Message.find(':', Colon + 1))
+    if (Colon > 0 && Colon + 1 < Message.size() &&
+        std::isdigit(static_cast<unsigned char>(Message[Colon - 1])) &&
+        std::isdigit(static_cast<unsigned char>(Message[Colon + 1])))
+      return true;
+  return false;
+}
+
+/// The parser rejects exactly what the lexer rejects and more, every
+/// error names a line:column, and an accepted program encodes.
+int fuzzOne(const uint8_t *Data, size_t Size) {
+  const std::string_view Source = asText(Data, Size);
+  Expected<std::vector<LexToken>> Tokens = lexProgram(Source);
+  Expected<Ast> Tree = parseProgram(Source);
+  if (!Tree) {
+    EXPECT_TRUE(namesPosition(Tree.message())) << Tree.message();
+    if (!Tokens) {
+      EXPECT_EQ(Tree.message(), Tokens.message());
+    }
+    return 0;
+  }
+  EXPECT_TRUE(Tokens.hasValue());
+  static const std::shared_ptr<TokenTable> Table = TokenTable::create();
+  WeightedString Encoded = encodeAst(*Tree, Table);
+  EXPECT_GT(Encoded.size(), 0u);
+  return 0;
+}
+
+/// The AstTest programs.
+std::vector<std::string> seeds() {
+  return {
+      "fn main() { }",
+      "fn f(a, b) { let c = a + b; return c; }",
+      "fn f() { return 1 + 2 * 3 - 4; }",
+      "fn f() { return (1 + 2) * 3; }",
+      "fn f(a, b) { return a < 3 && b >= 2 || !a; }",
+      "fn f(x) { if (x < 0) { return 0; } else if (x == 0) { return 1; } "
+      "else { return 2; } }",
+      "fn f(n) { let i = 0; while (i < n) { i = i + 1; } }",
+      "fn f() { g(1, h(2), 3); }",
+      "fn a() { } fn b() { }",
+      "fn f() { let = 3; }",
+      "fn f( { }",
+      "fn f() { return 1 + ; }",
+      "fn f() { while i < 3 { } }",
+      "fn f(x) { return x + 1; }",
+      "fn f(a) { a = a + 1; a = a + 1; a = a + 1; }",
+      "fn f(a) { a = 1; a = 1; }",
+      "fn f() { return 1; } fn g(x) { }",
+      "fn foo let iffy if <= >= == != && || < > = !",
+      "f(1, 23); a // rest ignored\nb",
+      "ab\n  cd x\n  @ a $ b a & b",
+  };
+}
+
+const std::vector<std::string> Dictionary = {
+    "fn ", "let ", "if ", "else ", "while ", "return ", "(", ")", "{", "}",
+    ";", ",", "&&", "||", "==", "!", "-", "//", "\n", "x", "9"};
+} // namespace mini_language
+
+namespace flat_image {
+/// Kernel and queries shared by the seed image and every probe.
+const BlendedSpectrumKernel &kernel() {
+  static const BlendedSpectrumKernel Kernel(3, 0.8, /*Weighted=*/true,
+                                            /*CutWeight=*/2);
+  return Kernel;
+}
+
+WeightedString randomString(const std::shared_ptr<TokenTable> &Table, Rng &R,
+                            size_t Length) {
+  WeightedString S(Table);
+  for (size_t I = 0; I < Length; ++I)
+    S.append("t" + std::to_string(R.uniformInt(0, 5)), R.uniformInt(1, 16));
+  return S;
+}
+
+const std::vector<KernelProfile> &queries() {
+  static const std::vector<KernelProfile> Queries = [] {
+    auto Table = TokenTable::create();
+    Rng R(2024);
+    std::vector<KernelProfile> Out;
+    for (int I = 0; I < 3; ++I)
+      Out.push_back(kernel().profile(randomString(Table, R, 20)));
+    return Out;
+  }();
+  return Queries;
+}
+
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A routed, quantized single-shard image and an unrouted one.
+std::vector<std::string> seeds() {
+  auto Table = TokenTable::create();
+  Rng R(31337);
+  IndexService Service(kernel().name(), {.Shards = 1, .SealThreshold = 8});
+  for (int I = 0; I < 24; ++I)
+    Service.add("s" + std::to_string(I), I % 2 ? "odd" : "even",
+                kernel().profile(randomString(Table, R, R.uniformInt(1, 24))));
+  RoutingOptions Route;
+  Route.Cluster.NumCentroids = 4;
+  Route.MaxDocFrequency = 0.9;
+  Route.DefaultNProbe = 2;
+  Route.RerankBudget = 8;
+  Service.rebuildRouting(Route, 1);
+  const std::string Path = testing::TempDir() + "/kast_fuzz_seed.kfi";
+  std::vector<ProfileStoreCache> Caches = Service.toShardCaches();
+  EXPECT_NE(Caches[0].Routing, nullptr);
+  EXPECT_NE(Caches[0].Store.quantized(), nullptr);
+  EXPECT_TRUE(writeProfileStoreImageFile(Caches[0], Path).ok());
+  std::vector<std::string> Seeds = {readBytes(Path)};
+  Caches[0].Routing.reset();
+  EXPECT_TRUE(writeProfileStoreImageFile(Caches[0], Path).ok());
+  Seeds.push_back(readBytes(Path));
+  return Seeds;
+}
+
+/// Little-endian u64s that sit on the edges of the format's checks.
+std::vector<std::string> dictionary() {
+  std::vector<std::string> Out;
+  for (uint64_t V : {uint64_t(0), uint64_t(1), uint64_t(3), uint64_t(4),
+                     uint64_t(64), uint64_t(4096), uint64_t(1) << 32,
+                     uint64_t(1) << 48, ~uint64_t(0)}) {
+    std::string Bytes(8, '\0');
+    for (int I = 0; I < 8; ++I)
+      Bytes[static_cast<size_t>(I)] = static_cast<char>((V >> (8 * I)) & 0xFF);
+    Out.push_back(Bytes);
+  }
+  Out.push_back("KASTFLAT");
+  Out.push_back("KASTIVIX");
+  return Out;
+}
+
+uint64_t u64At(const std::string &Bytes, size_t At) {
+  uint64_t V = 0;
+  for (size_t I = 0; I < 8; ++I)
+    V |= uint64_t(static_cast<unsigned char>(Bytes[At + I])) << (8 * I);
+  return V;
+}
+
+void setU64(std::string &Bytes, size_t At, uint64_t V) {
+  for (size_t I = 0; I < 8; ++I)
+    Bytes[At + I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+}
+
+/// The section table's extent in \p Bytes, clamped to the input.
+size_t tableEnd(const std::string &Bytes) {
+  if (Bytes.size() < 64)
+    return Bytes.size();
+  const uint64_t Count = u64At(Bytes, 8) >> 32;
+  return static_cast<size_t>(
+      std::min<uint64_t>(Bytes.size(), 64 + std::min<uint64_t>(Count, 64) * 32));
+}
+
+/// A few in-place edits that keep the section layout: a u64 of the
+/// header or the section table, a u64 at the start of a section (where
+/// the CSR offset arrays and the routing meta live) replaced by a
+/// value from \p Dict, or a bit flipped anywhere in a section. Half of
+/// the inputs are then re-signed — every in-bounds section checksum
+/// and the header checksum recomputed — so the structural checks
+/// behind the checksums get exercised.
+void editSections(std::string &Bytes, const std::vector<std::string> &Dict,
+                  Rng &R) {
+  if (Bytes.size() < 96)
+    return;
+  const size_t End = tableEnd(Bytes);
+  const size_t Sections = (End - 64) / 32;
+  if (Sections == 0)
+    return;
+  for (uint64_t Edit = R.uniformInt(1, 4); Edit > 0; --Edit) {
+    const size_t Entry = 64 + 32 * R.uniformInt(0, Sections - 1);
+    const uint64_t Offset = u64At(Bytes, Entry + 8);
+    const uint64_t Size = u64At(Bytes, Entry + 16);
+    const bool InBounds = Offset <= Bytes.size() && Size > 0 &&
+                          Size <= Bytes.size() - Offset;
+    switch (R.uniformInt(0, 2)) {
+    case 0: // Header or table field.
+      Bytes.replace(8 * R.uniformInt(0, End / 8 - 1), 8, R.pick(Dict));
+      break;
+    case 1: // Section head.
+      if (InBounds && Size >= 8)
+        Bytes.replace(static_cast<size_t>(Offset) +
+                          8 * R.uniformInt(0, std::min<uint64_t>(Size / 8, 8) - 1),
+                      8, R.pick(Dict));
+      break;
+    default: // Payload bit.
+      if (InBounds) {
+        const size_t At = static_cast<size_t>(Offset + R.uniformInt(0, Size - 1));
+        Bytes[At] = static_cast<char>(Bytes[At] ^ (1 << R.uniformInt(0, 7)));
+      }
+    }
+  }
+  if (R.uniformInt(0, 1) == 0)
+    return;
+  for (size_t Entry = 64; Entry + 32 <= End; Entry += 32) {
+    const uint64_t Offset = u64At(Bytes, Entry + 8);
+    const uint64_t Size = u64At(Bytes, Entry + 16);
+    if (Offset <= Bytes.size() && Size <= Bytes.size() - Offset)
+      setU64(Bytes, Entry + 24,
+             checksumBytes(Bytes.data() + Offset, static_cast<size_t>(Size)));
+  }
+  const std::string Covered = Bytes.substr(0, 48) + Bytes.substr(64, End - 64);
+  setU64(Bytes, 48, checksumBytes(Covered.data(), Covered.size()));
+}
+
+/// An accepted image restores into a service that answers exact and
+/// routed queries; a rejected one says why.
+int fuzzOne(const uint8_t *Data, size_t Size) {
+  static const std::string Path = testing::TempDir() + "/kast_fuzz_image.kfi";
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out.write(reinterpret_cast<const char *>(Data),
+              static_cast<std::streamsize>(Size));
+  }
+  Expected<ProfileStoreCache> Image = readProfileStoreImageFile(Path);
+  if (!Image) {
+    EXPECT_FALSE(Image.message().empty());
+    return 0;
+  }
+  std::vector<ProfileStoreCache> Caches;
+  Caches.push_back(Image.take());
+  Expected<IndexService> Service =
+      IndexService::fromShardCaches(std::move(Caches), {.Shards = 1});
+  EXPECT_TRUE(Service.hasValue()) << Service.message();
+  if (!Service)
+    return 0;
+  const size_t Want = std::min<size_t>(5, Service->size());
+  for (const KernelProfile &Q : queries()) {
+    EXPECT_EQ(Service->query(Q, 5, true, 1).size(), Want);
+    EXPECT_LE(Service->queryApprox(Q, 5, true, 0, 1).size(), Want);
+  }
+  return 0;
+}
+} // namespace flat_image
+
 /// The StraceAdapterTest and TraceTest inputs, plus one rendered
 /// generated trace.
 std::vector<std::string> seeds() {
@@ -95,11 +349,13 @@ std::vector<std::string> seeds() {
   return Seeds;
 }
 
+const std::vector<std::string> TraceDictionary = {
+    "= -9223372036854775808", "<unfinished ...>", "\"", "\\", "(", ",",
+    "#", "bytes=", "addr=0x"};
+
 /// One input derived from the seeds by a few random edits.
-std::string mutate(const std::vector<std::string> &Seeds, Rng &R) {
-  static const std::vector<std::string> Dictionary = {
-      "= -9223372036854775808", "<unfinished ...>", "\"", "\\", "(", ",",
-      "#", "bytes=", "addr=0x"};
+std::string mutate(const std::vector<std::string> &Seeds,
+                   const std::vector<std::string> &Dictionary, Rng &R) {
   std::string S = R.pick(Seeds);
   for (uint64_t Edit = R.uniformInt(1, 6); Edit > 0; --Edit) {
     size_t Pos = R.uniformInt(0, S.size());
@@ -129,25 +385,53 @@ std::string mutate(const std::vector<std::string> &Seeds, Rng &R) {
   return S;
 }
 
-/// Feeds \p Inputs mutated inputs to \p FuzzOne, stopping at the first
-/// failure so one broken invariant reports once.
-template <typename Target> void drive(Target FuzzOne, uint64_t Inputs) {
-  const std::vector<std::string> Seeds = seeds();
+/// Feeds \p Seeds and then \p Inputs inputs made by \p Mutate to
+/// \p FuzzOne, stopping at the first failure so one broken invariant
+/// reports once.
+template <typename Target, typename MutateFn>
+void drive(Target FuzzOne, const std::vector<std::string> &Seeds,
+           uint64_t Inputs, MutateFn Mutate) {
   for (const std::string &Seed : Seeds)
     FuzzOne(reinterpret_cast<const uint8_t *>(Seed.data()), Seed.size());
   Rng R(20171017);
   for (uint64_t I = 0; I < Inputs && !::testing::Test::HasFailure(); ++I) {
-    std::string Input = mutate(Seeds, R);
+    std::string Input = Mutate(R);
     FuzzOne(reinterpret_cast<const uint8_t *>(Input.data()), Input.size());
   }
+}
+
+/// drive() with the text mutator over \p Seeds and \p Dictionary.
+template <typename Target>
+void driveText(Target FuzzOne, const std::vector<std::string> &Seeds,
+               const std::vector<std::string> &Dictionary, uint64_t Inputs) {
+  drive(FuzzOne, Seeds, Inputs,
+        [&](Rng &R) { return mutate(Seeds, Dictionary, R); });
 }
 
 } // namespace
 
 TEST(ParserFuzzTest, TraceParserRoundTripsWhatItAccepts) {
-  drive(trace_parser::fuzzOne, 20000);
+  driveText(trace_parser::fuzzOne, seeds(), TraceDictionary, 20000);
 }
 
 TEST(ParserFuzzTest, StraceAdapterStatsAccountForEveryLine) {
-  drive(strace_adapter::fuzzOne, 20000);
+  driveText(strace_adapter::fuzzOne, seeds(), TraceDictionary, 20000);
+}
+
+TEST(ParserFuzzTest, MiniParserAgreesWithLexerAndEncodes) {
+  driveText(mini_language::fuzzOne, mini_language::seeds(),
+            mini_language::Dictionary, 20000);
+}
+
+TEST(ParserFuzzTest, FlatImagesThatOpenRestoreAndAnswer) {
+  // A quarter of the inputs take the text mutator's layout-breaking
+  // edits first; every input then gets layout-keeping section edits.
+  const std::vector<std::string> Seeds = flat_image::seeds();
+  const std::vector<std::string> Dictionary = flat_image::dictionary();
+  drive(flat_image::fuzzOne, Seeds, 4000, [&](Rng &R) {
+    std::string Input = R.uniformInt(0, 3) == 0 ? mutate(Seeds, Dictionary, R)
+                                                : R.pick(Seeds);
+    flat_image::editSections(Input, Dictionary, R);
+    return Input;
+  });
 }

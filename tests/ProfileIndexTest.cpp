@@ -4,28 +4,29 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The persistence contract of the retrieval subsystem: profiles written
-// through core/ProfileSerializer reload bit-exactly (hashes, value bit
-// patterns, and therefore every dot product), malformed caches fail
-// with diagnostics instead of garbage similarities, and ProfileIndex
-// queries agree with the Gram-matrix ground truth produced by
-// computeKernelMatrix over the same kernel.
+// The retrieval subsystem's contracts: ProfileIndex queries agree with
+// the Gram-matrix ground truth produced by computeKernelMatrix over the
+// same kernel, and an index saved as a flat image (core/FlatImage)
+// reloads bit-exactly (hashes, value bit patterns, and therefore every
+// dot product) — also when saved back over the image it was loaded
+// from.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/KernelMatrix.h"
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
+#include "index/IndexService.h"
 #include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
-#include "workloads/CorpusIO.h"
 #include "workloads/DatasetBuilder.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 using namespace kast;
 
@@ -59,116 +60,6 @@ void expectBitExact(const KernelProfile &A, const KernelProfile &B) {
     EXPECT_EQ(std::bit_cast<uint64_t>(A.entries()[I].Value),
               std::bit_cast<uint64_t>(B.entries()[I].Value))
         << "entry " << I;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Serializer: bit-exact round-trips, versioning, corruption
-//===----------------------------------------------------------------------===//
-
-TEST(ProfileSerializerTest, RoundTripsBitExactAgainstFreshProfiles) {
-  Rng R(90210);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 24, "s");
-  BlendedSpectrumKernel Kernel(3, 0.8, /*Weighted=*/true, /*CutWeight=*/2);
-
-  ProfileCache Cache;
-  Cache.KernelName = Kernel.name();
-  for (const WeightedString &S : Corpus)
-    Cache.Records.push_back({S.name(), "L", Kernel.profile(S)});
-
-  std::string Path = testing::TempDir() + "/kast_profiles_rt.kpc";
-  Status W = writeProfileCacheFile(Cache, Path);
-  ASSERT_TRUE(W.ok()) << W.message();
-  Expected<ProfileCache> Loaded = readProfileCacheFile(Path);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-
-  ASSERT_EQ(Loaded->Records.size(), Corpus.size());
-  EXPECT_EQ(Loaded->KernelName, Kernel.name());
-  for (size_t I = 0; I < Corpus.size(); ++I) {
-    EXPECT_EQ(Loaded->Records[I].Name, Corpus[I].name());
-    EXPECT_EQ(Loaded->Records[I].Label, "L");
-    // Bit-exact against a *freshly built* profile, not just the one we
-    // serialized: cache hits and cache misses must be indistinguishable.
-    expectBitExact(Loaded->Records[I].Profile, Kernel.profile(Corpus[I]));
-  }
-  // Consequently every pairwise dot is bit-identical too.
-  for (size_t I = 0; I < Corpus.size(); ++I)
-    for (size_t J = I; J < Corpus.size(); ++J) {
-      double Fresh =
-          Kernel.profile(Corpus[I]).dot(Kernel.profile(Corpus[J]));
-      double Cached =
-          Loaded->Records[I].Profile.dot(Loaded->Records[J].Profile);
-      EXPECT_EQ(std::bit_cast<uint64_t>(Fresh),
-                std::bit_cast<uint64_t>(Cached))
-          << I << "," << J;
-    }
-}
-
-TEST(ProfileSerializerTest, EmptyProfileAndEmptyCacheRoundTrip) {
-  std::stringstream Buffer;
-  writeProfile(KernelProfile(), Buffer);
-  Expected<KernelProfile> P = readProfile(Buffer);
-  ASSERT_TRUE(P.hasValue()) << P.message();
-  EXPECT_TRUE(P->empty());
-
-  std::stringstream CacheBuffer;
-  ProfileCache Empty;
-  Empty.KernelName = "k";
-  ASSERT_TRUE(writeProfileCache(Empty, CacheBuffer).ok());
-  Expected<ProfileCache> Loaded = readProfileCache(CacheBuffer);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-  EXPECT_EQ(Loaded->KernelName, "k");
-  EXPECT_TRUE(Loaded->Records.empty());
-}
-
-TEST(ProfileSerializerTest, RejectsBadMagicVersionAndTruncation) {
-  ProfileCache Cache;
-  Cache.KernelName = "blended";
-  KernelProfile P;
-  P.add(42, 1.5);
-  P.finalize();
-  Cache.Records.push_back({"a1.0", "a", std::move(P)});
-
-  std::stringstream Good;
-  ASSERT_TRUE(writeProfileCache(Cache, Good).ok());
-  std::string Bytes = Good.str();
-
-  {
-    std::string Bad = Bytes;
-    Bad[0] = 'X';
-    std::stringstream In(Bad);
-    Expected<ProfileCache> E = readProfileCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("magic"), std::string::npos) << E.message();
-  }
-  {
-    std::string Bad = Bytes;
-    Bad[8] = 99; // Version field (little-endian low byte).
-    std::stringstream In(Bad);
-    Expected<ProfileCache> E = readProfileCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("version"), std::string::npos) << E.message();
-  }
-  for (size_t Cut : {Bytes.size() - 1, Bytes.size() - 9, size_t(10)}) {
-    std::stringstream In(Bytes.substr(0, Cut));
-    Expected<ProfileCache> E = readProfileCache(In);
-    EXPECT_FALSE(E.hasValue()) << "cut at " << Cut;
-  }
-
-  {
-    // A corrupt (absurdly large) record count must come back as a
-    // truncation diagnostic, not an allocation failure: layout is
-    // magic(8) + version(4) + kernel name(4 + 7), so the count's high
-    // bytes start at offset 23.
-    std::string Bad = Bytes;
-    for (size_t I = 23; I < 31; ++I)
-      Bad[I] = '\xFF';
-    std::stringstream In(Bad);
-    Expected<ProfileCache> E = readProfileCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("truncated"), std::string::npos)
-        << E.message();
   }
 }
 
@@ -272,41 +163,6 @@ TEST(ProfileIndexTest, EdgeCasesReturnCleanly) {
   // k beyond size() clamps to size().
   EXPECT_EQ(Index.query(P, 100).size(), 2u);
   EXPECT_EQ(Index.queryBatch({P}, 100, true, 1)[0].size(), 2u);
-}
-
-TEST(ProfileIndexTest, SaveWritesV2AndLoadsEitherVersion) {
-  Rng R(515151);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 10, "c");
-  BlendedSpectrumKernel Kernel(3);
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-
-  // save() emits the v2 block format...
-  std::string V2Path = testing::TempDir() + "/kast_index_v2.kpc";
-  ASSERT_TRUE(Index.save(V2Path).ok());
-  {
-    std::ifstream In(V2Path, std::ios::binary);
-    char Magic[8];
-    ASSERT_TRUE(In.read(Magic, 8).good());
-    unsigned char VersionByte;
-    ASSERT_TRUE(
-        In.read(reinterpret_cast<char *>(&VersionByte), 1).good());
-    EXPECT_EQ(VersionByte, ProfileCacheVersionV2);
-  }
-
-  // ...and load() accepts both a v2 file and a legacy v1 file of the
-  // same records, with identical query behavior.
-  std::string V1Path = testing::TempDir() + "/kast_index_v1.kpc";
-  ASSERT_TRUE(writeProfileCacheFile(Index.toCache(), V1Path).ok());
-  Expected<ProfileIndex> FromV2 = ProfileIndex::load(V2Path);
-  Expected<ProfileIndex> FromV1 = ProfileIndex::load(V1Path);
-  ASSERT_TRUE(FromV2.hasValue()) << FromV2.message();
-  ASSERT_TRUE(FromV1.hasValue()) << FromV1.message();
-  ASSERT_EQ(FromV2->size(), Index.size());
-  ASSERT_EQ(FromV1->size(), Index.size());
-  KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
-  EXPECT_EQ(FromV2->query(Query, 4), Index.query(Query, 4));
-  EXPECT_EQ(FromV1->query(Query, 4), Index.query(Query, 4));
 }
 
 TEST(ProfileIndexTest, AgreesWithGramMatrixGroundTruth) {
@@ -432,25 +288,100 @@ TEST(ProfileIndexTest, SaveLoadPreservesQueries) {
   BlendedSpectrumKernel Kernel(3);
 
   ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, Labels, 1);
-  std::string Path = testing::TempDir() + "/kast_index_rt.kpc";
+  std::string Path = testing::TempDir() + "/kast_index_rt.kfi";
   Status S = Index.save(Path);
   ASSERT_TRUE(S.ok()) << S.message();
+  // An unrouted index is a plain version-3 flat image.
+  {
+    std::ifstream In(Path, std::ios::binary);
+    char Header[12];
+    ASSERT_TRUE(In.read(Header, sizeof(Header)).good());
+    EXPECT_EQ(std::string(Header, 8), std::string(FlatImageMagic, 8));
+    EXPECT_EQ(Header[8], static_cast<char>(FlatImageVersion));
+  }
+  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp"));
 
   Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
   ASSERT_EQ(Loaded->size(), Index.size());
   EXPECT_EQ(Loaded->kernelName(), Index.kernelName());
+  EXPECT_FALSE(Loaded->routed());
   for (size_t I = 0; I < Index.size(); ++I) {
     EXPECT_EQ(Loaded->name(I), Index.name(I));
     EXPECT_EQ(Loaded->label(I), Index.label(I));
     EXPECT_EQ(Loaded->norm(I), Index.norm(I));
+    expectBitExact(Loaded->profile(I), Index.profile(I));
   }
   KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
   EXPECT_EQ(Loaded->query(Query, 5), Index.query(Query, 5));
 }
 
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ProfileIndexTest, SavingOverTheLoadedImageKeepsIt) {
+  // A loaded index views the mapping of its own file — the store, the
+  // int8 sidecar and the routing arenas. Saving back to that path must
+  // not truncate the bytes it is still reading from.
+  Rng R(4242);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 4000, "c");
+  BlendedSpectrumKernel Kernel(3);
+  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 8;
+  Opts.MaxDocFrequency = 0.5;
+  Opts.RerankBudget = 32;
+  Opts.DefaultNProbe = 3;
+  Index.buildRouting(Opts, 1);
+  const std::string Path = testing::TempDir() + "/kast_index_self.kfi";
+  ASSERT_TRUE(Index.save(Path).ok());
+  const std::string Saved = fileBytes(Path);
+
+  std::vector<KernelProfile> Queries;
+  for (int I = 0; I < 6; ++I)
+    Queries.push_back(Kernel.profile(randomString(Table, R, 24, 6)));
+
+  // Unchanged: load, save back over the same path, re-read.
+  {
+    Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+    Status S = Loaded->save(Path);
+    ASSERT_TRUE(S.ok()) << S.message();
+    EXPECT_EQ(fileBytes(Path), Saved);
+    Expected<ProfileIndex> Again = ProfileIndex::load(Path);
+    ASSERT_TRUE(Again.hasValue()) << Again.message();
+    for (const KernelProfile &Q : Queries) {
+      EXPECT_EQ(Again->query(Q, 5), Index.query(Q, 5));
+      EXPECT_EQ(Again->queryApprox(Q, 5), Index.queryApprox(Q, 5));
+    }
+  }
+
+  // After an add(): the grown index is saved over its source image and
+  // re-reads bit-identically, its new entry in the unrouted tail.
+  Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  Loaded->add("extra", "x", Kernel.profile(randomString(Table, R, 30, 6)));
+  Index.add("extra", "x", Loaded->profile(Loaded->size() - 1));
+  ASSERT_TRUE(Loaded->save(Path).ok());
+  Expected<ProfileIndex> Grown = ProfileIndex::load(Path);
+  ASSERT_TRUE(Grown.hasValue()) << Grown.message();
+  ASSERT_EQ(Grown->size(), Index.size());
+  EXPECT_EQ(Grown->routedCount(), Index.routedCount());
+  EXPECT_EQ(Grown->name(Index.size() - 1), "extra");
+  for (size_t I = 0; I < Index.size(); ++I)
+    expectBitExact(Grown->profile(I), Index.profile(I));
+  for (const KernelProfile &Q : Queries) {
+    EXPECT_EQ(Grown->query(Q, 5), Index.query(Q, 5));
+    EXPECT_EQ(Grown->queryApprox(Q, 5), Index.queryApprox(Q, 5));
+  }
+}
+
 //===----------------------------------------------------------------------===//
-// Corpus profile cache (workloads/CorpusIO)
+// Corpus profiles as sharded images
 //===----------------------------------------------------------------------===//
 
 TEST(ProfileIndexTest, CorpusProfileCacheVerifiesKernelName) {
@@ -465,44 +396,48 @@ TEST(ProfileIndexTest, CorpusProfileCacheVerifiesKernelName) {
   ASSERT_GT(Data.size(), 0u);
 
   BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
-  std::string Path = testing::TempDir() + "/kast_corpus_profiles.kpc";
-  Status W = writeCorpusProfileCache(Path, Kernel, Data, /*Threads=*/1);
+  std::vector<WeightedString> Strings;
+  std::vector<std::string> Labels;
+  for (size_t I = 0; I < Data.size(); ++I) {
+    Strings.push_back(Data.string(I));
+    Labels.push_back(Data.label(I));
+  }
+  IndexService Service = IndexService::fromIndex(
+      ProfileIndex::build(Kernel, Strings, Labels, /*Threads=*/1),
+      {.Shards = 2});
+  std::string Dir = testing::TempDir() + "/kast_corpus_profiles";
+  std::filesystem::remove_all(Dir);
+  Status W = writeShardedProfileImages(Service.toShardCaches(), Dir);
   ASSERT_TRUE(W.ok()) << W.message();
 
-  Expected<ProfileCache> Good = loadCorpusProfileCache(Path, Kernel);
+  // Every corpus profile comes back with its provenance and bit
+  // patterns.
+  Expected<std::vector<ProfileStoreCache>> Good =
+      loadShardedProfileImages(Dir, Kernel.name());
   ASSERT_TRUE(Good.hasValue()) << Good.message();
-  ASSERT_EQ(Good->Records.size(), Data.size());
-  for (size_t I = 0; I < Data.size(); ++I) {
-    EXPECT_EQ(Good->Records[I].Name, Data.string(I).name());
-    EXPECT_EQ(Good->Records[I].Label, Data.label(I));
-    expectBitExact(Good->Records[I].Profile, Kernel.profile(Data.string(I)));
-  }
-
-  // The arena form of the same load: identical provenance and
-  // bit-identical profiles, straight into a ProfileStore.
-  Expected<ProfileStoreCache> Arena = loadCorpusProfileStore(Path, Kernel);
-  ASSERT_TRUE(Arena.hasValue()) << Arena.message();
-  ASSERT_EQ(Arena->Store.size(), Data.size());
-  for (size_t I = 0; I < Data.size(); ++I) {
-    EXPECT_EQ(Arena->Names[I], Data.string(I).name());
-    EXPECT_EQ(Arena->Labels[I], Data.label(I));
-    expectBitExact(Arena->Store.materialize(I),
-                   Kernel.profile(Data.string(I)));
-  }
+  size_t Seen = 0;
+  for (const ProfileStoreCache &Shard : *Good)
+    for (size_t I = 0; I < Shard.Store.size(); ++I, ++Seen) {
+      const std::string Name = Shard.Names.str(I);
+      size_t At = 0;
+      while (At < Data.size() && Data.string(At).name() != Name)
+        ++At;
+      ASSERT_LT(At, Data.size()) << Name;
+      EXPECT_EQ(Shard.Labels.str(I), Data.label(At));
+      expectBitExact(Shard.Store.materialize(I),
+                     Kernel.profile(Data.string(At)));
+    }
+  EXPECT_EQ(Seen, Data.size());
 
   // A differently-configured kernel names itself differently, and the
-  // mismatch is a load-time error, not a silent wrong similarity —
-  // through both load forms.
+  // mismatch is a load-time error, not a silent wrong similarity.
   BlendedSpectrumKernel Other(4, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
   ASSERT_NE(Other.name(), Kernel.name());
-  Expected<ProfileCache> Bad = loadCorpusProfileCache(Path, Other);
+  Expected<std::vector<ProfileStoreCache>> Bad =
+      loadShardedProfileImages(Dir, Other.name());
   ASSERT_FALSE(Bad.hasValue());
   EXPECT_NE(Bad.message().find(Kernel.name()), std::string::npos)
       << Bad.message();
-  Expected<ProfileStoreCache> BadArena = loadCorpusProfileStore(Path, Other);
-  ASSERT_FALSE(BadArena.hasValue());
-  EXPECT_NE(BadArena.message().find(Kernel.name()), std::string::npos)
-      << BadArena.message();
 }
 
 } // namespace

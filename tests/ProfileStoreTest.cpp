@@ -1,4 +1,4 @@
-//===- tests/ProfileStoreTest.cpp - arena storage and v2 cache -------------===//
+//===- tests/ProfileStoreTest.cpp - arena storage and its image ------------===//
 //
 // Part of KAST, under the MIT License.
 //
@@ -7,16 +7,17 @@
 // The structure-of-arrays storage contract: profiles copied into a
 // ProfileStore come back bit-exactly (views, materialized staging
 // copies, and every pairwise dot), the Gram fast path over store views
-// matches the per-pair baseline across tile boundaries, and the v2
-// block cache format round-trips stores bit-exactly while remaining
-// interchangeable with v1 files in both directions.
+// matches the per-pair baseline across tile boundaries, and a
+// ProfileStoreCache written as a flat image is validated on the way
+// back in.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/KernelMatrix.h"
-#include "core/ProfileSerializer.h"
+#include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "kernels/SpectrumKernels.h"
+#include "util/Hashing.h"
 #include "util/Rng.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@
 #include <bit>
 #include <cmath>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 using namespace kast;
 
@@ -244,7 +245,7 @@ TEST(ProfileStoreTest, NonProfiledKernelsKeepTheHandlePath) {
 }
 
 //===----------------------------------------------------------------------===//
-// v2 block cache format
+// ProfileStoreCache through the flat image
 //===----------------------------------------------------------------------===//
 
 ProfileStoreCache makeStoreCache(Rng &R, size_t N,
@@ -262,117 +263,87 @@ ProfileStoreCache makeStoreCache(Rng &R, size_t N,
   return Cache;
 }
 
-TEST(ProfileStoreCacheTest, V2RoundTripsStoresBitExactly) {
-  Rng R(20202);
-  ProfileStoreCache Cache = makeStoreCache(R, 17, "blended");
-
-  std::stringstream Buffer;
-  ASSERT_TRUE(writeProfileStoreCache(Cache, Buffer).ok());
-  Expected<ProfileStoreCache> Loaded = readProfileStoreCache(Buffer);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
-
-  EXPECT_EQ(Loaded->KernelName, "blended");
-  ASSERT_EQ(Loaded->Store.size(), Cache.Store.size());
-  EXPECT_EQ(Loaded->Names, Cache.Names);
-  EXPECT_EQ(Loaded->Labels, Cache.Labels);
-  // The three arrays survive byte-for-byte: hashes, value bit
-  // patterns, offsets — and therefore norms and every dot.
-  EXPECT_EQ(Loaded->Store.hashes(), Cache.Store.hashes());
-  EXPECT_EQ(Loaded->Store.offsets(), Cache.Store.offsets());
-  ASSERT_EQ(Loaded->Store.values().size(), Cache.Store.values().size());
-  for (size_t I = 0; I < Cache.Store.values().size(); ++I)
-    EXPECT_EQ(std::bit_cast<uint64_t>(Loaded->Store.values()[I]),
-              std::bit_cast<uint64_t>(Cache.Store.values()[I]));
-  for (size_t I = 0; I < Cache.Store.size(); ++I)
-    EXPECT_EQ(std::bit_cast<uint64_t>(Loaded->Store.norm(I)),
-              std::bit_cast<uint64_t>(Cache.Store.norm(I)));
+std::string imagePath(const std::string &Stem) {
+  return testing::TempDir() + "/kast_store_" + Stem + ".kfi";
 }
 
-TEST(ProfileStoreCacheTest, V1AndV2LoadInterchangeably) {
-  Rng R(30303);
-  ProfileStoreCache StoreCache = makeStoreCache(R, 9, "k");
+std::string readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
 
-  // The same collection in both formats.
-  std::stringstream V2;
-  ASSERT_TRUE(writeProfileStoreCache(StoreCache, V2).ok());
-  ProfileCache Records;
-  Records.KernelName = StoreCache.KernelName;
-  for (size_t I = 0; I < StoreCache.Store.size(); ++I)
-    Records.Records.push_back({StoreCache.Names.str(I),
-                               StoreCache.Labels.str(I),
-                               StoreCache.Store.materialize(I)});
-  std::stringstream V1;
-  ASSERT_TRUE(writeProfileCache(Records, V1).ok());
+void writeBytes(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
 
-  // v1 bytes into a store (the upgrade path)...
-  Expected<ProfileStoreCache> V1AsStore = readProfileStoreCache(V1);
-  ASSERT_TRUE(V1AsStore.hasValue()) << V1AsStore.message();
-  EXPECT_EQ(V1AsStore->Store.hashes(), StoreCache.Store.hashes());
-  EXPECT_EQ(V1AsStore->Store.offsets(), StoreCache.Store.offsets());
-  EXPECT_EQ(V1AsStore->Names, StoreCache.Names);
+uint64_t u64At(const std::string &Bytes, size_t At) {
+  uint64_t V = 0;
+  for (size_t I = 0; I < 8; ++I)
+    V |= uint64_t(static_cast<unsigned char>(Bytes[At + I])) << (8 * I);
+  return V;
+}
 
-  // ...and v2 bytes into records (the downgrade path); both agree
-  // with the originals bit-exactly.
-  Expected<ProfileCache> V2AsRecords = readProfileCache(V2);
-  ASSERT_TRUE(V2AsRecords.hasValue()) << V2AsRecords.message();
-  ASSERT_EQ(V2AsRecords->Records.size(), Records.Records.size());
-  for (size_t I = 0; I < Records.Records.size(); ++I) {
-    EXPECT_EQ(V2AsRecords->Records[I].Name, Records.Records[I].Name);
-    EXPECT_EQ(V2AsRecords->Records[I].Label, Records.Records[I].Label);
-    expectBitExact(V2AsRecords->Records[I].Profile,
-                   Records.Records[I].Profile);
-  }
+void setU64(std::string &Bytes, size_t At, uint64_t V) {
+  for (size_t I = 0; I < 8; ++I)
+    Bytes[At + I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+}
+
+/// Re-signs the header (bytes [0,48) plus the section table) after a
+/// deliberate edit of a covered field, so the edit itself is what the
+/// reader judges.
+void resignHeader(std::string &Bytes) {
+  const size_t Table = static_cast<size_t>(u64At(Bytes, 8) >> 32) * 32;
+  const std::string Covered = Bytes.substr(0, 48) + Bytes.substr(64, Table);
+  setU64(Bytes, 48, checksumBytes(Covered.data(), Covered.size()));
 }
 
 TEST(ProfileStoreCacheTest, RejectsBadMagicTruncationAndCorruptOffsets) {
   Rng R(40404);
   ProfileStoreCache Cache = makeStoreCache(R, 5, "k");
-  std::stringstream Good;
-  ASSERT_TRUE(writeProfileStoreCache(Cache, Good).ok());
-  std::string Bytes = Good.str();
+  const std::string Path = imagePath("reject");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  const std::string Bytes = readBytes(Path);
 
+  auto Reject = [&](const std::string &Bad) {
+    writeBytes(Path, Bad);
+    Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
+    EXPECT_FALSE(E.hasValue());
+    return E.hasValue() ? std::string() : E.message();
+  };
   {
     std::string Bad = Bytes;
     Bad[0] = 'X';
-    std::stringstream In(Bad);
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("magic"), std::string::npos) << E.message();
+    EXPECT_NE(Reject(Bad).find("magic"), std::string::npos);
   }
   {
     std::string Bad = Bytes;
     Bad[8] = 99; // Version field (little-endian low byte).
-    std::stringstream In(Bad);
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    ASSERT_FALSE(E.hasValue());
-    EXPECT_NE(E.message().find("version"), std::string::npos) << E.message();
+    resignHeader(Bad);
+    EXPECT_NE(Reject(Bad).find("version"), std::string::npos);
   }
-  // Truncation anywhere — inside the header, the name table, the
-  // offset array, or the value blob — is a diagnostic, not garbage.
-  for (size_t Cut : {Bytes.size() - 1, Bytes.size() - 9,
-                     Bytes.size() / 2, size_t(30), size_t(10)}) {
-    std::stringstream In(Bytes.substr(0, Cut));
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    EXPECT_FALSE(E.hasValue()) << "cut at " << Cut;
-  }
+  // Truncation anywhere — inside the header, the section table, or a
+  // section — is a diagnostic, not garbage.
+  for (size_t Cut : {Bytes.size() - 1, Bytes.size() - 9, Bytes.size() / 2,
+                     size_t(30), size_t(10)})
+    EXPECT_NE(Reject(Bytes.substr(0, Cut)).find("truncated"),
+              std::string::npos)
+        << "cut at " << Cut;
 
   // An entry total inconsistent with the offsets is rejected before
-  // any profile is served. The total lives right after the profile
-  // count: magic(8) + version(4) + kernel "k"(4 + 1) + count(8).
+  // any profile is served.
   {
     std::string Bad = Bytes;
-    const size_t TotalOffset = 8 + 4 + 4 + 1 + 8;
-    Bad[TotalOffset] = static_cast<char>(Bad[TotalOffset] + 1);
-    std::stringstream In(Bad);
-    Expected<ProfileStoreCache> E = readProfileStoreCache(In);
-    ASSERT_FALSE(E.hasValue());
+    setU64(Bad, 32, u64At(Bytes, 32) + 1);
+    resignHeader(Bad);
+    EXPECT_FALSE(Reject(Bad).empty());
   }
 }
 
 TEST(ProfileStoreCacheTest, CorruptOffsetsDiagnoseBeforeEntryAdoption) {
   // A tiny store with known arrays so the CSR offsets {0, 2, 3} have a
-  // unique 24-byte encoding in the v2 file (the hashes are huge, the
-  // value bit patterns unrelated).
+  // unique 24-byte encoding in the image.
   ProfileStoreCache Cache;
   Cache.KernelName = "k";
   Cache.Names = std::vector<std::string>{"a", "b"};
@@ -381,12 +352,13 @@ TEST(ProfileStoreCacheTest, CorruptOffsetsDiagnoseBeforeEntryAdoption) {
                                      0x2222222222222222ULL,
                                      0x3333333333333333ULL},
                                     {3.0, 4.0, 1.0}, {0, 2, 3});
-  std::stringstream Good;
-  ASSERT_TRUE(writeProfileStoreCache(Cache, Good).ok());
-  std::string Bytes = Good.str();
+  const std::string Path = imagePath("csr");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  const std::string Bytes = readBytes(Path);
 
-  // Locate the offsets blob by its unique byte pattern and break
-  // monotonicity: {0, 2, 3} -> {0, 7, 3}.
+  // Locate the offsets section by its unique byte pattern, break
+  // monotonicity ({0, 2, 3} -> {0, 7, 3}), and fix its table checksum
+  // so the CSR validation — not the checksum — is what fires.
   std::string Pattern(24, '\0');
   Pattern[8] = 2;
   Pattern[16] = 3;
@@ -395,12 +367,16 @@ TEST(ProfileStoreCacheTest, CorruptOffsetsDiagnoseBeforeEntryAdoption) {
   ASSERT_EQ(Bytes.find(Pattern, At + 1), std::string::npos);
   std::string Bad = Bytes;
   Bad[At + 8] = 7;
+  const size_t Sections = static_cast<size_t>(u64At(Bytes, 8) >> 32);
+  for (size_t I = 0; I < Sections; ++I) {
+    const size_t Entry = 64 + I * 32;
+    if (u64At(Bad, Entry + 8) == At)
+      setU64(Bad, Entry + 24, checksumBytes(Bad.data() + At, 24));
+  }
+  resignHeader(Bad);
+  writeBytes(Path, Bad);
 
-  // The pre-adoption CSR validation (validateCsrOffsets, shared with
-  // the v3 flat-image reader) rejects the file with a diagnostic
-  // naming the offsets, before any entry blob is served.
-  std::stringstream In(Bad);
-  Expected<ProfileStoreCache> E = readProfileStoreCache(In);
+  Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
   ASSERT_FALSE(E.hasValue());
   EXPECT_NE(E.message().find("offsets"), std::string::npos) << E.message();
   EXPECT_NE(E.message().find("monotonic"), std::string::npos) << E.message();
@@ -409,19 +385,23 @@ TEST(ProfileStoreCacheTest, CorruptOffsetsDiagnoseBeforeEntryAdoption) {
 TEST(ProfileStoreCacheTest, FileRoundTripAndWriterValidation) {
   Rng R(50505);
   ProfileStoreCache Cache = makeStoreCache(R, 6, "k");
-  std::string Path = testing::TempDir() + "/kast_store_rt.kpc";
-  ASSERT_TRUE(writeProfileStoreCacheFile(Cache, Path).ok());
-  Expected<ProfileStoreCache> Loaded = readProfileStoreCacheFile(Path);
+  const std::string Path = imagePath("rt");
+  ASSERT_TRUE(writeProfileStoreImageFile(Cache, Path).ok());
+  Expected<ProfileStoreCache> Loaded = readProfileStoreImageFile(Path);
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
   EXPECT_EQ(Loaded->Store.hashes(), Cache.Store.hashes());
+  EXPECT_EQ(Loaded->Names, Cache.Names);
 
   // A cache whose name/label tables disagree with the store is a
-  // writer-side error, not a corrupt file.
+  // writer-side error, not a corrupt file — and the failed save leaves
+  // the previous image in place.
   Cache.Names.pop_back();
-  std::stringstream Out;
-  Status S = writeProfileStoreCache(Cache, Out);
+  Status S = writeProfileStoreImageFile(Cache, Path);
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.message().find("names"), std::string::npos) << S.message();
+  Expected<ProfileStoreCache> Kept = readProfileStoreImageFile(Path);
+  ASSERT_TRUE(Kept.hasValue()) << Kept.message();
+  EXPECT_EQ(Kept->Store.size(), 6u);
 }
 
 } // namespace

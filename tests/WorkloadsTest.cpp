@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/FlatImage.h"
 #include "workloads/CorpusIO.h"
 #include "workloads/DatasetBuilder.h"
 #include "workloads/Generators.h"
@@ -330,9 +331,9 @@ TEST(CorpusIOTest, LoadsInNumericLineageOrderNotLexicographic) {
 
 TEST(CorpusIOTest, ShardedProfileCachesRoundTrip) {
   // Three uneven shards of hand-built profiles round-trip through
-  // "<dir>/shard-NNN.kpc" files with order, provenance and bit
-  // patterns intact; kernel-name verification and hole detection are
-  // hard errors.
+  // "<dir>/shard-NNN.kfi" images with order, provenance and bit
+  // patterns intact; kernel-name verification, hole detection and
+  // staging leftovers are hard errors.
   auto MakeCache = [](const std::string &Prefix, size_t Count) {
     ProfileStoreCache Cache;
     Cache.KernelName = "sharded-kernel";
@@ -354,11 +355,11 @@ TEST(CorpusIOTest, ShardedProfileCachesRoundTrip) {
 
   std::string Dir = testing::TempDir() + "/kast_sharded_caches";
   std::filesystem::remove_all(Dir);
-  Status W = writeShardedProfileCaches(Shards, Dir);
+  Status W = writeShardedProfileImages(Shards, Dir);
   ASSERT_TRUE(W.ok()) << W.message();
 
   Expected<std::vector<ProfileStoreCache>> Loaded =
-      loadShardedProfileCaches(Dir, "sharded-kernel");
+      loadShardedProfileImages(Dir, "sharded-kernel");
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
   ASSERT_EQ(Loaded->size(), Shards.size());
   for (size_t S = 0; S < Shards.size(); ++S) {
@@ -372,15 +373,15 @@ TEST(CorpusIOTest, ShardedProfileCachesRoundTrip) {
 
   // Wrong kernel name: load-time error naming the culprit.
   Expected<std::vector<ProfileStoreCache>> Bad =
-      loadShardedProfileCaches(Dir, "other-kernel");
+      loadShardedProfileImages(Dir, "other-kernel");
   ASSERT_FALSE(Bad.hasValue());
   EXPECT_NE(Bad.message().find("sharded-kernel"), std::string::npos)
       << Bad.message();
 
   // A hole in the shard numbering (partial corpus) is a hard error.
-  std::filesystem::remove(Dir + "/shard-001.kpc");
+  std::filesystem::remove(Dir + "/shard-001.kfi");
   Expected<std::vector<ProfileStoreCache>> Holey =
-      loadShardedProfileCaches(Dir, "sharded-kernel");
+      loadShardedProfileImages(Dir, "sharded-kernel");
   ASSERT_FALSE(Holey.hasValue());
   EXPECT_NE(Holey.message().find("missing shard 1"), std::string::npos)
       << Holey.message();
@@ -388,47 +389,45 @@ TEST(CorpusIOTest, ShardedProfileCachesRoundTrip) {
   // An empty directory is "nothing to restore", not an empty service.
   std::string Empty = testing::TempDir() + "/kast_sharded_empty";
   std::filesystem::create_directories(Empty);
-  EXPECT_FALSE(loadShardedProfileCaches(Empty).hasValue());
+  EXPECT_FALSE(loadShardedProfileImages(Empty).hasValue());
 
   // An empty shard list is refused outright — writing it would sweep
   // every existing shard file as stale and erase the previous
   // generation while reporting success.
-  EXPECT_FALSE(writeShardedProfileCaches({}, Dir).ok());
-  EXPECT_TRUE(std::filesystem::exists(Dir + "/shard-000.kpc"));
-  EXPECT_TRUE(std::filesystem::exists(Dir + "/shard-002.kpc"));
+  EXPECT_FALSE(writeShardedProfileImages({}, Dir).ok());
+  EXPECT_TRUE(std::filesystem::exists(Dir + "/shard-000.kfi"));
+  EXPECT_TRUE(std::filesystem::exists(Dir + "/shard-002.kfi"));
 
-  // A leftover ".kpc.tmp" staging file marks an interrupted save whose
-  // .kpc neighbors may mix generations: the loader refuses the whole
+  // A leftover ".kfi.tmp" staging file marks an interrupted save whose
+  // .kfi neighbors may mix generations: the loader refuses the whole
   // directory, and a completed re-save sweeps the leftover and
   // unblocks it.
-  { std::ofstream Tmp(Dir + "/shard-000.kpc.tmp"); Tmp << "partial"; }
+  { std::ofstream Tmp(Dir + "/shard-000.kfi.tmp"); Tmp << "partial"; }
   Expected<std::vector<ProfileStoreCache>> Interrupted =
-      loadShardedProfileCaches(Dir, "sharded-kernel");
+      loadShardedProfileImages(Dir, "sharded-kernel");
   ASSERT_FALSE(Interrupted.hasValue());
   EXPECT_NE(Interrupted.message().find("interrupted"), std::string::npos)
       << Interrupted.message();
-  ASSERT_TRUE(writeShardedProfileCaches({MakeCache("z", 2)}, Dir).ok());
-  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-000.kpc.tmp"));
+  ASSERT_TRUE(writeShardedProfileImages({MakeCache("z", 2)}, Dir).ok());
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-000.kfi.tmp"));
   Expected<std::vector<ProfileStoreCache>> Swept =
-      loadShardedProfileCaches(Dir, "sharded-kernel");
+      loadShardedProfileImages(Dir, "sharded-kernel");
   ASSERT_TRUE(Swept.hasValue()) << Swept.message();
   EXPECT_EQ(Swept->size(), 1u);
 
-  // Non-canonical spellings ("shard-7.kpc") never alias the writer's
+  // Non-canonical spellings ("shard-7.kfi") never alias the writer's
   // padded names: the loader reports them instead of miscounting.
-  { std::ofstream Alias(Dir + "/shard-7.kpc"); Alias << "alias"; }
+  { std::ofstream Alias(Dir + "/shard-7.kfi"); Alias << "alias"; }
   Expected<std::vector<ProfileStoreCache>> Aliased =
-      loadShardedProfileCaches(Dir, "sharded-kernel");
+      loadShardedProfileImages(Dir, "sharded-kernel");
   ASSERT_FALSE(Aliased.hasValue());
-  EXPECT_NE(Aliased.message().find("shard-7.kpc"), std::string::npos)
+  EXPECT_NE(Aliased.message().find("shard-7.kfi"), std::string::npos)
       << Aliased.message();
 }
 
 TEST(CorpusIOTest, ShardedProfileImagesRoundTrip) {
-  // The v3 flat-image sharded save ("<dir>/shard-NNN.kfi") shares the
-  // .kpc writer's atomicity machinery: same numbering, same staging
-  // rules, same contiguity check — but the loaded stores view their
-  // file mappings.
+  // The loaded stores view their file mappings, and the shards round
+  // trip whichever shard the hole or the staging leftover is in.
   auto MakeCache = [](const std::string &Prefix, size_t Count) {
     ProfileStoreCache Cache;
     Cache.KernelName = "image-kernel";
@@ -468,7 +467,7 @@ TEST(CorpusIOTest, ShardedProfileImagesRoundTrip) {
     EXPECT_EQ((*Loaded)[S].Store.offsets(), Shards[S].Store.offsets());
   }
 
-  // Same hole detection as the .kpc loader...
+  // A hole at shard 0...
   std::filesystem::remove(Dir + "/shard-000.kfi");
   Expected<std::vector<ProfileStoreCache>> Holey =
       loadShardedProfileImages(Dir, "image-kernel");
@@ -476,7 +475,7 @@ TEST(CorpusIOTest, ShardedProfileImagesRoundTrip) {
   EXPECT_NE(Holey.message().find("missing shard 0"), std::string::npos)
       << Holey.message();
 
-  // ...and the same staging-leftover refusal, on the .kfi extension.
+  // ...and a staging leftover beside an intact generation.
   ASSERT_TRUE(writeShardedProfileImages(Shards, Dir).ok());
   { std::ofstream Tmp(Dir + "/shard-001.kfi.tmp"); Tmp << "partial"; }
   Expected<std::vector<ProfileStoreCache>> Interrupted =
@@ -486,15 +485,10 @@ TEST(CorpusIOTest, ShardedProfileImagesRoundTrip) {
       << Interrupted.message();
   ASSERT_TRUE(writeShardedProfileImages(Shards, Dir).ok());
   EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-001.kfi.tmp"));
-
-  // The two sharded formats live in separate namespaces: a .kpc save
-  // into the same directory does not disturb the images, and each
-  // loader sees only its own extension.
-  ASSERT_TRUE(writeShardedProfileCaches(Shards, Dir).ok());
-  Expected<std::vector<ProfileStoreCache>> StillThere =
+  Expected<std::vector<ProfileStoreCache>> Resaved =
       loadShardedProfileImages(Dir, "image-kernel");
-  ASSERT_TRUE(StillThere.hasValue()) << StillThere.message();
-  EXPECT_EQ(StillThere->size(), Shards.size());
+  ASSERT_TRUE(Resaved.hasValue()) << Resaved.message();
+  EXPECT_EQ(Resaved->size(), Shards.size());
 }
 
 TEST(CorpusIOTest, MalformedNamesAreDiagnosedErrors) {
