@@ -123,8 +123,9 @@ BENCHMARK(BM_IndexQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
 /// Batched top-k queries over the arena: Args are {N, B} — B queries
 /// against an N-string index through queryBatch, which scores views
-/// straight off the store's flat hash/value arrays and reuses one
-/// O(N) candidate buffer per worker thread across the whole batch.
+/// straight off the store's flat hash/value arrays and keeps a K-hit
+/// selection per query, reusing each worker chunk's scratch across the
+/// whole batch.
 void BM_IndexQueryBatchTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const size_t B = static_cast<size_t>(State.range(1));

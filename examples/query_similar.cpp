@@ -167,7 +167,9 @@ int main(int ArgC, char **ArgV) {
   std::vector<std::vector<Neighbor>> Exact =
       Index.queryBatch(Queries, TopK);
   std::vector<std::vector<Neighbor>> Hits =
-      Approx ? Index.queryBatchApprox(Queries, TopK, true, NProbe) : Exact;
+      Approx ? Index.queryBatch(Queries, TopK, true, /*Threads=*/0,
+                                /*Approx=*/true, NProbe)
+             : Exact;
 
   TextTable Table;
   std::vector<std::string> Header = {"query",  "label",     "nearest",

@@ -113,6 +113,10 @@ int main(int ArgC, char **ArgV) {
   std::vector<KernelProfile> Queries;
   for (const Entry &E : QueryStream)
     Queries.push_back(E.Profile);
+  // The batch call borrows its profiles.
+  std::vector<const KernelProfile *> Batch;
+  for (const KernelProfile &Q : Queries)
+    Batch.push_back(&Q);
 
   std::vector<std::thread> Threads;
   for (size_t W = 0; W < Writers; ++W) {
@@ -129,7 +133,7 @@ int main(int ArgC, char **ArgV) {
     Threads.emplace_back([&, R] {
       do {
         IndexSnapshot Snap = Service.snapshot();
-        Observed[R] = {Snap, Snap.queryBatch(Queries, TopK)};
+        Observed[R] = {Snap, Snap.queryBatch(Batch, TopK)};
         QueriesServed.fetch_add(Queries.size());
       } while (WritersDone.load() < Writers);
     });
@@ -139,15 +143,14 @@ int main(int ArgC, char **ArgV) {
 
   size_t Consistent = 0;
   for (const Observation &O : Observed)
-    Consistent += O.Snap.queryBatch(Queries, TopK) == O.Results;
+    Consistent += O.Snap.queryBatch(Batch, TopK) == O.Results;
   std::printf("served %zu queries across %zu readers during ingest; "
               "%zu/%zu retained snapshots re-answer identically\n",
               QueriesServed.load(), Readers, Consistent, Observed.size());
 
   // Quiesced accuracy over the final corpus, through one snapshot.
   IndexSnapshot Final = Service.snapshot();
-  std::vector<std::vector<ServiceHit>> Hits =
-      Final.queryBatch(Queries, TopK);
+  std::vector<std::vector<ServiceHit>> Hits = Final.queryBatch(Batch, TopK);
   TextTable Table;
   Table.setHeader({"query", "label", "nearest", "cosine", "predicted", "ok"});
   size_t Correct = 0;
@@ -200,7 +203,7 @@ int main(int ArgC, char **ArgV) {
   }
   // Hits was computed from Final above, and a snapshot's answers never
   // change — no need to re-score the original side of the comparison.
-  bool Identical = Restored->queryBatch(Queries, TopK) == Hits;
+  bool Identical = Restored->snapshot().queryBatch(Batch, TopK) == Hits;
   std::printf("restart: %zu entries from %zu flat images (%zu mmapped) in "
               "%s; answers %s\n",
               Restored->size(), ImageCount, Mapped, Dir.c_str(),
@@ -258,7 +261,7 @@ int main(int ArgC, char **ArgV) {
   std::vector<std::vector<ServiceHit>> Async;
   for (std::future<QueryResponse> &F : Futures)
     Async.push_back(F.get().Hits);
-  bool AsyncIdentical = Async == Service.queryBatch(Queries, TopK);
+  bool AsyncIdentical = Async == Service.snapshot().queryBatch(Batch, TopK);
   Server.shutdown();
 
   const ServerStats::Snapshot Stats = Server.stats().snapshot();

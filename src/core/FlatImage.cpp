@@ -310,7 +310,15 @@ Status writeImageAt(const std::string &KernelName, const Column &Names,
       SectionOut::owned(FlatSectionId::Names, buildStringTable(Names)));
   Sections.push_back(
       SectionOut::owned(FlatSectionId::Labels, buildStringTable(Labels)));
-  if (const QuantizedStore *Quant = Store.quantized()) {
+  // Routing that ranks its shortlist by the int8 dot gets the sidecar
+  // written even when the store dropped it (an append since the fit),
+  // so a restore never re-quantizes.
+  const QuantizedStore *Quant = Store.quantized();
+  QuantizedStore Rebuilt;
+  if (!Quant && Routing && Routing->RerankBudget > 0 &&
+      Routing->QuantizedShortlist)
+    Quant = &(Rebuilt = QuantizedStore::build(Store));
+  if (Quant) {
     Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantValues,
                                             Quant->values().data(), Total));
     Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantScales,

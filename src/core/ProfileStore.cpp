@@ -42,17 +42,14 @@ void FlatProfile::assign(const KernelProfile &P) {
   Hashes.resize(Entries.size());
   Values.resize(Entries.size());
   double SelfDot = 0.0;
-  double AbsSum = 0.0;
   // Entry order, like KernelProfile::norm(), so Norm is bit-identical
-  // to the staged profile's — both retrieval layers divide by it.
+  // to the staged profile's — the retrieval engine divides by it.
   for (size_t I = 0; I < Entries.size(); ++I) {
     Hashes[I] = Entries[I].Hash;
     Values[I] = Entries[I].Value;
     SelfDot += Entries[I].Value * Entries[I].Value;
-    AbsSum += std::abs(Entries[I].Value);
   }
   Norm = std::sqrt(SelfDot);
-  L1 = AbsSum;
 }
 
 //===----------------------------------------------------------------------===//

@@ -134,10 +134,6 @@ struct FlatProfile {
   /// sqrt(selfDot), summed in entry order — bit-identical to
   /// KernelProfile::norm() on the source profile.
   double Norm = 0.0;
-  /// Sum of |value|, accumulated in entry order. The quantized scan's
-  /// error bound is Scale/2 * L1 (see QuantizedStore), so the bound is
-  /// one multiply away wherever a flattened query travels.
-  double L1 = 0.0;
 
   FlatProfile() = default;
   explicit FlatProfile(const KernelProfile &P) { assign(P); }

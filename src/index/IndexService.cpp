@@ -5,14 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "index/IndexService.h"
-#include "util/SimdDot.h"
 #include "util/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <functional>
-#include <thread>
 
 using namespace kast;
 
@@ -22,16 +18,7 @@ using namespace kast;
 
 namespace {
 
-/// One scored candidate inside a shard. Pos is the flattened insertion
-/// position across the shard's segments — the deterministic tie-break
-/// within a shard (older entries win ties, mirroring ProfileIndex's
-/// smaller-index rule).
-struct ShardHit {
-  double Sim = 0.0;
-  size_t Pos = 0;
-  size_t Seg = 0;
-  size_t Off = 0;
-};
+using detail::ShardHit;
 
 /// Visits (segment, offset) of every live entry across parallel
 /// segment/tombstone lists — the one definition of "live" shared by
@@ -51,180 +38,13 @@ void forEachLiveEntry(
   }
 }
 
-/// Scores every live entry of \p Shard against the flattened \p Query
-/// into \p Scratch (caller-owned so batches reuse the allocation) and
-/// leaves the shard's top-K, best first, in \p TopK. Callers flatten
-/// each query once (IndexSnapshot::query / queryBatch) so every
-/// shard's scan streams the dense arrays through the vectorized dot.
-void scoreShard(const detail::IndexShard &Shard, const FlatProfile &Query,
-                size_t K, bool Normalize, double QNorm,
-                simd::ExactScan &Scan, std::vector<ShardHit> &Scratch,
-                std::vector<ShardHit> &TopK) {
-  TopK.clear();
-  if (K == 0 || Shard.LiveCount == 0)
-    return;
-  Scan.assign(Query.Hashes.data(), Query.Values.data(), Query.size());
-  Scratch.clear();
-  size_t Pos = 0;
-  for (size_t S = 0; S < Shard.Segments.size(); ++S) {
-    const detail::IndexSegment &Seg = *Shard.Segments[S];
-    const std::vector<uint8_t> *Tombs = Shard.Tombstones[S].get();
-    for (size_t I = 0; I < Seg.size(); ++I, ++Pos) {
-      if (Tombs && (*Tombs)[I])
-        continue;
-      const ProfileView V = Seg.Store.view(I);
-      double Sim = Scan.dot(V.Hashes, V.Values, V.Size);
-      if (Normalize) {
-        double Denominator = QNorm * V.Norm;
-        Sim = Denominator > 0.0 ? Sim / Denominator : 0.0;
-      }
-      Scratch.push_back({Sim, Pos, S, I});
-    }
-  }
-  const size_t Take = std::min(K, Scratch.size());
-  std::partial_sort(Scratch.begin(), Scratch.begin() + Take, Scratch.end(),
-                    [](const ShardHit &L, const ShardHit &R) {
-                      if (L.Sim != R.Sim)
-                        return L.Sim > R.Sim;
-                      return L.Pos < R.Pos;
-                    });
-  TopK.assign(Scratch.begin(), Scratch.begin() + Take);
-}
-
-/// scoreShard through the shard's candidate-generation tier. The
-/// routed first segment contributes only posting-list candidates
-/// (exact re-ranked, so a survivor's similarity is bit-identical to
-/// the exact scan's); every later segment — sealed after the fit, or
-/// the staging tail — is scanned exactly. When fewer than K hits
-/// score above zero, live unmarked entries of the routed segment pad
-/// the tail at similarity exactly +0.0 in position order, which is
-/// what the exact scan computes for a profile sharing no feature with
-/// the query — the bit-identity argument of ProfileIndex's
-/// approxQueryInto, with Pos as the tie-break. Shards without
-/// applicable routing (never routed, or compacted since) fall back to
-/// scoreShard.
-void scoreShardApprox(const detail::IndexShard &Shard,
-                      const FlatProfile &Query, size_t K, bool Normalize,
-                      double QNorm, size_t NProbe, InvertedScratch &IS,
-                      simd::ExactScan &Scan, std::vector<ShardHit> &Scratch,
-                      std::vector<ShardHit> &TopK) {
-  const bool Routed = Shard.Routing && !Shard.Segments.empty() &&
-                      Shard.Segments[0] == Shard.RoutedSegment;
-  if (!Routed) {
-    scoreShard(Shard, Query, K, Normalize, QNorm, Scan, Scratch, TopK);
-    return;
-  }
-  TopK.clear();
-  if (K == 0 || Shard.LiveCount == 0)
-    return;
-  const detail::IndexRouting &R = *Shard.Routing;
-  const detail::IndexSegment &Seg0 = *Shard.Segments[0];
-  const std::vector<uint8_t> *Tombs0 = Shard.Tombstones[0].get();
-  const size_t Covered = R.covered();
-  assert(Covered == Seg0.size() && "routing must cover the first segment");
-
-  const size_t Probe = NProbe != 0 ? NProbe : R.Options.DefaultNProbe;
-  R.Router.route(Query, Probe, IS.RouteScored, IS.Probes);
-  IS.begin(Covered);
-  R.Inverted.collectCandidates(Query, IS.Probes, IS);
-  // Shortlist selection mirrors ProfileIndex's approxQueryInto: the
-  // quantized dot over the full candidate profile when the sidecar
-  // exists, the accumulated partial score otherwise. Tombstoned
-  // candidates are filtered below either way, so scoring them here
-  // only costs a few wasted int8 dots.
-  const size_t Budget = R.Options.RerankBudget;
-  if (Budget > 0 && IS.Candidates.size() > Budget) {
-    if (const QuantizedStore *Quant = R.Quant.get()) {
-      for (uint32_t Id : IS.Candidates) {
-        const ProfileView V = Seg0.Store.view(Id);
-        const QuantizedStore::View QV = Quant->view(Id);
-        double Sim =
-            simd::dotQuantized(Query.Hashes.data(), Query.Values.data(),
-                               Query.size(), V.Hashes, QV.Values, QV.Size,
-                               QV.Scale);
-        if (Normalize)
-          Sim = V.Norm > 0.0 ? Sim / V.Norm : 0.0;
-        IS.Acc[Id] = Sim;
-      }
-    }
-    std::partial_sort(IS.Candidates.begin(), IS.Candidates.begin() + Budget,
-                      IS.Candidates.end(), [&](uint32_t L, uint32_t R2) {
-                        if (IS.Acc[L] != IS.Acc[R2])
-                          return IS.Acc[L] > IS.Acc[R2];
-                        return L < R2;
-                      });
-    IS.Candidates.resize(Budget);
-  }
-
-  Scan.assign(Query.Hashes.data(), Query.Values.data(), Query.size());
-  const auto Score = [&](const ProfileView &V) {
-    double Sim = Scan.dot(V.Hashes, V.Values, V.Size);
-    if (Normalize) {
-      double Denominator = QNorm * V.Norm;
-      Sim = Denominator > 0.0 ? Sim / Denominator : 0.0;
-    }
-    return Sim;
-  };
-  Scratch.clear();
-  for (uint32_t Id : IS.Candidates) {
-    if (Tombs0 && (*Tombs0)[Id])
-      continue;
-    Scratch.push_back({Score(Seg0.Store.view(Id)), Id, 0, Id});
-  }
-  size_t Pos = Seg0.size();
-  for (size_t S = 1; S < Shard.Segments.size(); ++S) {
-    const detail::IndexSegment &Seg = *Shard.Segments[S];
-    const std::vector<uint8_t> *Tombs = Shard.Tombstones[S].get();
-    for (size_t I = 0; I < Seg.size(); ++I, ++Pos) {
-      if (Tombs && (*Tombs)[I])
-        continue;
-      Scratch.push_back({Score(Seg.Store.view(I)), Pos, S, I});
-    }
-  }
-  const size_t Take = std::min(K, Scratch.size());
-  std::partial_sort(Scratch.begin(), Scratch.begin() + Take, Scratch.end(),
-                    [](const ShardHit &L, const ShardHit &R2) {
-                      if (L.Sim != R2.Sim)
-                        return L.Sim > R2.Sim;
-                      return L.Pos < R2.Pos;
-                    });
-  if (Take == K && Scratch[K - 1].Sim > 0.0) {
-    TopK.assign(Scratch.begin(), Scratch.begin() + Take);
-    return;
-  }
-
-  // Merge the ranked survivors with the zero stream: live, unmarked
-  // entries of the routed segment, ascending position, exactly +0.0.
-  size_t Zero = 0;
-  const auto AdvanceZero = [&] {
-    while (Zero < Covered &&
-           (IS.marked(Zero) || (Tombs0 && (*Tombs0)[Zero])))
-      ++Zero;
-  };
-  AdvanceZero();
-  size_t Next = 0;
-  while (TopK.size() < K) {
-    const bool HaveScored = Next < Take;
-    const bool HaveZero = Zero < Covered;
-    if (!HaveScored && !HaveZero)
-      break;
-    bool TakeScored;
-    if (!HaveZero) {
-      TakeScored = true;
-    } else if (!HaveScored) {
-      TakeScored = false;
-    } else {
-      const ShardHit &H = Scratch[Next];
-      TakeScored = H.Sim > 0.0 || (H.Sim == 0.0 && H.Pos < Zero);
-    }
-    if (TakeScored) {
-      TopK.push_back(Scratch[Next++]);
-    } else {
-      TopK.push_back({0.0, Zero, 0, Zero});
-      ++Zero;
-      AdvanceZero();
-    }
-  }
+/// The shard's routing tier while it still applies — it covers the
+/// first segment, the one it was fitted on — else null.
+const detail::IndexRouting *routingOf(const detail::IndexShard &Shard) {
+  return Shard.Routing && !Shard.Segments.empty() &&
+                 Shard.Segments[0] == Shard.RoutedSegment
+             ? Shard.Routing.get()
+             : nullptr;
 }
 
 /// K-way merge of per-shard top-k lists into the global top-K. Lists
@@ -277,141 +97,48 @@ size_t IndexSnapshot::entryCount() const {
 std::vector<ServiceHit> IndexSnapshot::query(const KernelProfile &Query,
                                              size_t K, bool Normalize,
                                              size_t Threads) const {
-  if (K == 0 || Shards.empty())
-    return {};
-  // Flattened once; the per-shard workers share it read-only.
-  const FlatProfile Flat(Query);
-  const double QNorm = Normalize ? Flat.Norm : 1.0;
-  std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-  parallelFor(
-      Shards.size(),
-      [&](size_t S) {
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        scoreShard(*Shards[S], Flat, K, Normalize, QNorm, Scan, Scratch,
-                   PerShard[S]);
-      },
-      Threads);
-  return mergeTopK(Shards, PerShard, K);
-}
-
-std::vector<std::vector<ServiceHit>>
-IndexSnapshot::queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
-                          bool Normalize, size_t Threads) const {
-  std::vector<const KernelProfile *> Borrowed(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I)
-    Borrowed[I] = &Queries[I];
-  return queryBatch(Borrowed, K, Normalize, Threads);
-}
-
-std::vector<std::vector<ServiceHit>>
-IndexSnapshot::queryBatch(const std::vector<const KernelProfile *> &Queries,
-                          size_t K, bool Normalize, size_t Threads) const {
-  std::vector<std::vector<ServiceHit>> Results(Queries.size());
-  if (Shards.empty())
-    return Results;
-  // Same striding scheme as ProfileIndex::queryBatch: each chunk owns
-  // one scoring scratch and one set of per-shard top-k lists, reused
-  // for every query the chunk scores.
-  const size_t Workers =
-      Threads != 0 ? Threads
-                   : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t Chunks = std::min(Queries.size(), Workers);
-  parallelFor(
-      Chunks,
-      [&](size_t Chunk) {
-        FlatProfile Flat;
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-        for (size_t I = Chunk; I < Queries.size(); I += Chunks) {
-          Flat.assign(*Queries[I]);
-          const double QNorm = Normalize ? Flat.Norm : 1.0;
-          for (size_t S = 0; S < Shards.size(); ++S)
-            scoreShard(*Shards[S], Flat, K, Normalize, QNorm, Scan, Scratch,
-                       PerShard[S]);
-          Results[I] = mergeTopK(Shards, PerShard, K);
-        }
-      },
-      Threads);
-  return Results;
-}
-
-std::vector<std::vector<ServiceHit>> IndexSnapshot::queryBatchApprox(
-    const std::vector<KernelProfile> &Queries, size_t K, bool Normalize,
-    size_t NProbe, size_t Threads) const {
-  std::vector<const KernelProfile *> Borrowed(Queries.size());
-  for (size_t I = 0; I < Queries.size(); ++I)
-    Borrowed[I] = &Queries[I];
-  return queryBatchApprox(Borrowed, K, Normalize, NProbe, Threads);
-}
-
-std::vector<std::vector<ServiceHit>> IndexSnapshot::queryBatchApprox(
-    const std::vector<const KernelProfile *> &Queries, size_t K,
-    bool Normalize, size_t NProbe, size_t Threads) const {
-  std::vector<std::vector<ServiceHit>> Results(Queries.size());
-  if (Shards.empty())
-    return Results;
-  const size_t Workers =
-      Threads != 0 ? Threads
-                   : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t Chunks = std::min(Queries.size(), Workers);
-  parallelFor(
-      Chunks,
-      [&](size_t Chunk) {
-        FlatProfile Flat;
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-        // One InvertedScratch per shard, kept across the whole chunk:
-        // InvertedScratch::begin() only reallocates when the covered
-        // size changes, and a shard's routed segment size is fixed
-        // within a snapshot, so queries after the first pay an epoch
-        // bump instead of allocating and zeroing ~N doubles per shard.
-        // This amortization is what makes batched admission beat
-        // call-per-query serving.
-        std::vector<InvertedScratch> IS(Shards.size());
-        for (size_t I = Chunk; I < Queries.size(); I += Chunks) {
-          Flat.assign(*Queries[I]);
-          const double QNorm = Normalize ? Flat.Norm : 1.0;
-          for (size_t S = 0; S < Shards.size(); ++S)
-            scoreShardApprox(*Shards[S], Flat, K, Normalize, QNorm, NProbe,
-                             IS[S], Scan, Scratch, PerShard[S]);
-          Results[I] = mergeTopK(Shards, PerShard, K);
-        }
-      },
-      Threads);
-  return Results;
+  return queryBatch({&Query}, K, Normalize, Threads)[0];
 }
 
 std::vector<ServiceHit> IndexSnapshot::queryApprox(const KernelProfile &Query,
                                                    size_t K, bool Normalize,
                                                    size_t NProbe,
                                                    size_t Threads) const {
-  if (K == 0 || Shards.empty())
-    return {};
-  const FlatProfile Flat(Query);
-  const double QNorm = Normalize ? Flat.Norm : 1.0;
-  std::vector<std::vector<ShardHit>> PerShard(Shards.size());
-  parallelFor(
-      Shards.size(),
-      [&](size_t S) {
-        InvertedScratch IS;
-        simd::ExactScan Scan;
-        std::vector<ShardHit> Scratch;
-        scoreShardApprox(*Shards[S], Flat, K, Normalize, QNorm, NProbe, IS,
-                         Scan, Scratch, PerShard[S]);
-      },
-      Threads);
-  return mergeTopK(Shards, PerShard, K);
+  return queryBatch({&Query}, K, Normalize, Threads, /*Approx=*/true,
+                    NProbe)[0];
+}
+
+std::vector<std::vector<ServiceHit>>
+IndexSnapshot::queryBatch(const std::vector<const KernelProfile *> &Queries,
+                          size_t K, bool Normalize, size_t Threads,
+                          bool Approx, size_t NProbe) const {
+  // Each shard as the engine scores it. A routed query probes the
+  // shards whose routing still applies; every other segment — later
+  // seals, the staging tail, never-routed or compacted shards — is
+  // scanned exactly. A shard with no live entry is skipped.
+  std::vector<detail::ScoredShard> Scored(Shards.size());
+  for (size_t S = 0; S < Shards.size(); ++S) {
+    const detail::IndexShard &Shard = *Shards[S];
+    if (Shard.LiveCount == 0)
+      continue;
+    for (size_t G = 0; G < Shard.Segments.size(); ++G)
+      Scored[S].Segments.push_back(
+          {&Shard.Segments[G]->Store, Shard.Tombstones[G].get()});
+    Scored[S].Routing = Approx ? routingOf(Shard) : nullptr;
+  }
+  std::vector<std::vector<ServiceHit>> Results(Queries.size());
+  detail::scoreBatch(
+      Scored, Queries, K, Normalize, NProbe, Threads,
+      [&](size_t I, const std::vector<std::vector<ShardHit>> &PerShard) {
+        Results[I] = mergeTopK(Shards, PerShard, K);
+      });
+  return Results;
 }
 
 size_t IndexSnapshot::routedShardCount() const {
   size_t Count = 0;
   for (const std::shared_ptr<const detail::IndexShard> &S : Shards)
-    if (S->Routing && !S->Segments.empty() &&
-        S->Segments[0] == S->RoutedSegment)
-      ++Count;
+    Count += routingOf(*S) != nullptr;
   return Count;
 }
 
@@ -625,20 +352,9 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
     ShardWriter &W = Shard.Writer;
     compactShardLocked(W);
     if (!W.Sealed.empty()) {
-      auto R = std::make_shared<detail::IndexRouting>();
-      R->Options = RoutingOpts;
-      const ProfileStore &Store = W.Sealed[0]->Store;
-      R->Router = ClusterRouter::build(Store, RoutingOpts.Cluster, Threads);
-      R->Inverted =
-          InvertedIndex::build(Store, R->Router.assignments(),
-                               R->Router.numCentroids(),
-                               RoutingOpts.MaxDocFrequency);
-      // Segment stores are shared-const, so the sidecar is built
+      // Segment stores are shared-const, so the int8 sidecar is built
       // standalone and owned by the routing structure.
-      if (RoutingOpts.RerankBudget > 0 && RoutingOpts.QuantizedShortlist)
-        R->Quant =
-            std::make_shared<const QuantizedStore>(QuantizedStore::build(Store));
-      W.Routing = std::move(R);
+      W.Routing = detail::fitRouting(W.Sealed[0]->Store, RoutingOpts, Threads);
       W.RoutedSegment = W.Sealed[0];
     }
     publishLocked(Shard, Options.SealThreshold);

@@ -34,9 +34,10 @@
 ///     shard into one fresh arena without tombstones (old snapshots
 ///     keep the pre-compaction segments alive).
 ///
-/// Queries fan out across shards through parallelFor and k-way merge
-/// the per-shard top-k lists; ordering is deterministic for a given
-/// snapshot (similarity desc, then shard, then insertion position).
+/// Each shard is ranked by the one retrieval engine
+/// (index/ScoringEngine) and the per-shard top-k lists are k-way
+/// merged; ordering is deterministic for a given snapshot (similarity
+/// desc, then shard, then insertion position).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -149,38 +150,18 @@ public:
                                 bool Normalize = true,
                                 size_t Threads = 0) const;
 
-  /// query() for a batch: queries are strided across worker chunks so
-  /// each chunk reuses one scoring scratch buffer; every query scans
-  /// the snapshot's shards and merges exactly as query() does.
-  std::vector<std::vector<ServiceHit>>
-  queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
-             bool Normalize = true, size_t Threads = 0) const;
-
-  /// queryBatch over borrowed profiles — the admission seam the
-  /// serving runtime executes through, so a batch gathered from many
-  /// producers is scored without copying any profile. Null entries are
-  /// not allowed. Results[I] is bit-identical to query(*Queries[I],
-  /// ...) on this snapshot.
+  /// query() — or, with \p Approx, queryApprox() at \p NProbe — for a
+  /// batch of borrowed profiles (null entries are not allowed): the
+  /// admission seam the serving runtime executes through, so a batch
+  /// gathered from many producers is scored without copying any
+  /// profile. Queries are strided across worker chunks that each reuse
+  /// one scoring scratch (and one candidate scratch per shard), and
+  /// Results[I] is bit-identical to the single-query call on
+  /// *Queries[I] on this snapshot.
   std::vector<std::vector<ServiceHit>>
   queryBatch(const std::vector<const KernelProfile *> &Queries, size_t K,
-             bool Normalize = true, size_t Threads = 0) const;
-
-  /// queryApprox() for a batch of borrowed profiles: same chunk
-  /// striding as queryBatch, but each chunk additionally keeps one
-  /// InvertedScratch per shard alive across all its queries — the
-  /// per-query allocation that dominates routed serving cost is paid
-  /// once per chunk instead of once per query. Results[I] is
-  /// bit-identical to queryApprox(*Queries[I], ...) on this snapshot.
-  std::vector<std::vector<ServiceHit>>
-  queryBatchApprox(const std::vector<const KernelProfile *> &Queries,
-                   size_t K, bool Normalize = true, size_t NProbe = 0,
-                   size_t Threads = 0) const;
-
-  /// queryBatchApprox over owned profiles.
-  std::vector<std::vector<ServiceHit>>
-  queryBatchApprox(const std::vector<KernelProfile> &Queries, size_t K,
-                   bool Normalize = true, size_t NProbe = 0,
-                   size_t Threads = 0) const;
+             bool Normalize = true, size_t Threads = 0, bool Approx = false,
+             size_t NProbe = 0) const;
 
   /// query() through each routed shard's candidate-generation tier
   /// (see IndexService::rebuildRouting): the routed segment is probed
@@ -213,7 +194,7 @@ private:
 /// Sharded, thread-safe serving layer over mutable profile retrieval.
 ///
 /// Any number of reader threads may call snapshot()/query()/
-/// queryBatch() concurrently with any number of writer threads calling
+/// queryApprox() concurrently with any number of writer threads calling
 /// add()/remove()/compact(); writers serialize per shard, readers
 /// never block. See the file comment for the publication scheme.
 class IndexService {
@@ -300,27 +281,12 @@ public:
     return snapshot().query(Query, K, Normalize, Threads);
   }
 
-  /// snapshot().queryBatch(...): the whole batch sees one snapshot.
-  std::vector<std::vector<ServiceHit>>
-  queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
-             bool Normalize = true, size_t Threads = 0) const {
-    return snapshot().queryBatch(Queries, K, Normalize, Threads);
-  }
-
   /// snapshot().queryApprox(...) — the candidate-generation tier.
   std::vector<ServiceHit> queryApprox(const KernelProfile &Query, size_t K,
                                       bool Normalize = true,
                                       size_t NProbe = 0,
                                       size_t Threads = 0) const {
     return snapshot().queryApprox(Query, K, Normalize, NProbe, Threads);
-  }
-
-  /// snapshot().queryBatchApprox(...): one snapshot, amortized scratch.
-  std::vector<std::vector<ServiceHit>>
-  queryBatchApprox(const std::vector<KernelProfile> &Queries, size_t K,
-                   bool Normalize = true, size_t NProbe = 0,
-                   size_t Threads = 0) const {
-    return snapshot().queryBatchApprox(Queries, K, Normalize, NProbe, Threads);
   }
 
   /// Exports the published state as one compacted ProfileStoreCache

@@ -204,29 +204,11 @@ InvertedIndex InvertedIndex::build(const ProfileStore &Store,
   return Index;
 }
 
-void InvertedIndex::collectCandidates(const KernelProfile &Query,
-                                      const std::vector<uint32_t> &Probes,
-                                      InvertedScratch &S) const {
-  const auto &Entries = Query.entries();
-  collectImpl(
-      Entries.size(), [&](size_t Q) { return Entries[Q].Hash; },
-      [&](size_t Q) { return Entries[Q].Value; }, Probes, S);
-}
-
 void InvertedIndex::collectCandidates(const FlatProfile &Query,
                                       const std::vector<uint32_t> &Probes,
                                       InvertedScratch &S) const {
-  collectImpl(
-      Query.size(), [&](size_t Q) { return Query.Hashes[Q]; },
-      [&](size_t Q) { return Query.Values[Q]; }, Probes, S);
-}
-
-template <typename HashAt, typename ValueAt>
-void InvertedIndex::collectImpl(size_t QuerySize, HashAt QueryHash,
-                                ValueAt QueryValue,
-                                const std::vector<uint32_t> &Probes,
-                                InvertedScratch &S) const {
   assert(S.Epoch.size() == NumProfiles && "call S.begin(numProfiles()) first");
+  const size_t QuerySize = Query.size();
   if (QuerySize == 0)
     return;
   for (uint32_t C : Probes) {
@@ -238,14 +220,14 @@ void InvertedIndex::collectImpl(size_t QuerySize, HashAt QueryHash,
     // Merge-join the query's (sorted) feature hashes against this
     // cluster's (sorted) surviving features.
     while (Q < QuerySize && F < FEnd) {
-      const uint64_t QHash = QueryHash(Q);
+      const uint64_t QHash = Query.Hashes[Q];
       const uint64_t FHash = FeatureHashes[F];
       if (QHash < FHash) {
         ++Q;
       } else if (FHash < QHash) {
         ++F;
       } else {
-        const double QValue = QueryValue(Q);
+        const double QValue = Query.Values[Q];
         for (size_t P = PostingBegin[F]; P < PostingBegin[F + 1]; ++P) {
           const uint32_t Id = PostingIds[P];
           // A mapped arena that skipped deep validation could carry a

@@ -24,7 +24,7 @@
 ///
 /// Candidate generation only *finds and pre-scores* survivors; final
 /// scores always come from the exact merge-join dot over the full
-/// profiles (the re-rank step in ProfileIndex / IndexService), so the
+/// profiles (the re-rank step of index/ScoringEngine), so the
 /// approximate tier can be bit-identical to the exact scan when run
 /// exhaustively (all centroids probed, no df-pruning, no re-rank
 /// budget) — the contract the differential tests pin.
@@ -37,7 +37,6 @@
 #include "core/KernelProfile.h"
 #include "core/ProfileStore.h"
 #include "index/ClusterRouter.h"
-#include "util/SimdDot.h"
 
 #include <cstdint>
 #include <memory>
@@ -113,15 +112,6 @@ struct InvertedScratch {
   /// Accumulated partial score per candidate id (query value × posting
   /// value over matched, surviving features).
   std::vector<double> Acc;
-  /// The query flattened to dense hash/value arrays — the shape the
-  /// vectorized kernels (util/SimdDot) stream. Assigned once per query
-  /// by the retrieval layers and reused for routing, candidate
-  /// generation, shortlist scoring, and the exact re-rank.
-  FlatProfile Query;
-  /// Probe-table scan over the flattened query for the exact re-rank
-  /// (one table build per query, one branchless probe pass per
-  /// candidate); bit-identical to the merge-join dot.
-  simd::ExactScan Scan;
   /// Centroid-scoring scratch for ClusterRouter::route, reused across
   /// a batch so the per-query sweep allocates nothing once warm.
   std::vector<std::pair<double, uint32_t>> RouteScored;
@@ -187,31 +177,15 @@ public:
   ArrayView<double> postingValues() const { return PostingValues; }
 
   /// Marks every profile of the probed clusters sharing a surviving
-  /// feature with \p Query into \p S (first-touch order) and
-  /// accumulates its partial score. \p Probes are cluster ids (from
+  /// feature with the flattened \p Query into \p S (first-touch order)
+  /// and accumulates its partial score. \p Probes are cluster ids (from
   /// ClusterRouter::route); out-of-range ids are ignored. The caller
   /// must have called S.begin(numProfiles()).
-  void collectCandidates(const KernelProfile &Query,
-                         const std::vector<uint32_t> &Probes,
-                         InvertedScratch &S) const;
-
-  /// collectCandidates for a flattened query: merge-joins the dense
-  /// hash array instead of striding interleaved entries. Same marks,
-  /// same accumulation order, same results.
   void collectCandidates(const FlatProfile &Query,
                          const std::vector<uint32_t> &Probes,
                          InvertedScratch &S) const;
 
 private:
-  /// The shared merge-join behind both collectCandidates overloads,
-  /// parameterized over the query's element accessors (AoS entries or
-  /// dense flattened arrays). Defined in the .cpp — only instantiated
-  /// there.
-  template <typename HashAt, typename ValueAt>
-  void collectImpl(size_t QuerySize, HashAt QueryHash, ValueAt QueryValue,
-                   const std::vector<uint32_t> &Probes,
-                   InvertedScratch &S) const;
-
   /// Re-aims the active views at the owned vectors (after build or a
   /// deep copy).
   void syncOwned();

@@ -9,13 +9,13 @@
 /// as fingerprints" claim served directly. A ProfileIndex holds N
 /// prepared profiles in a core/ProfileStore arena (one flat
 /// structure-of-arrays, not N heap vectors) with names, labels and
-/// cached self-norms, and answers top-k nearest-neighbor queries by
-/// merge-join dot products of the query against each stored
-/// ProfileView. No Gram matrix is built: one query costs O(N · dot)
-/// instead of the O(N² · dot) a full-matrix detour would, the scan
-/// streams one contiguous hash array instead of chasing N pointers,
-/// and batched queries parallelize per query reusing one scratch
-/// buffer per worker thread.
+/// cached self-norms, and answers top-k nearest-neighbor queries
+/// through the one retrieval engine (index/ScoringEngine), which sees
+/// the index as a single tombstone-free segment. No Gram matrix is
+/// built: one query costs O(N · dot) instead of the O(N² · dot) a
+/// full-matrix detour would, the scan streams one contiguous hash
+/// array instead of chasing N pointers, and selection keeps K hits,
+/// not N.
 ///
 /// Indexes round-trip through one flat image (core/FlatImage) with
 /// their routing tier and int8 sidecar embedded, so a served corpus
@@ -31,7 +31,7 @@
 #include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringKernel.h"
-#include "index/InvertedIndex.h"
+#include "index/ScoringEngine.h"
 #include "util/Error.h"
 
 #include <memory>
@@ -45,25 +45,13 @@ namespace kast {
 
 namespace detail {
 
-/// The immutable routing tier over a prefix of an index's arena: the
-/// fitted coarse router, the posting lists rebuilt from its
-/// assignments, and the options both were built with. Shared by
-/// pointer so copied indexes (and service snapshots) alias one fitted
-/// structure; entries appended after the fit form the unrouted tail
-/// (ids >= covered()) and are always scanned exactly.
-struct IndexRouting {
-  ClusterRouter Router;
-  InvertedIndex Inverted;
-  RoutingOptions Options;
-  /// The int8 scan tier over the routed arena, built when the options
-  /// ask for a quantized shortlist (RerankBudget > 0 &&
-  /// QuantizedShortlist); null otherwise. Self-contained (values and
-  /// CSR copied at build), so it stays valid for ids < covered() even
-  /// after the owning store appends an unrouted tail.
-  std::shared_ptr<const QuantizedStore> Quant;
-
-  size_t covered() const { return Router.numProfiles(); }
-};
+/// Fits the routing tier (index/ClusterRouter + index/InvertedIndex,
+/// plus the int8 shortlist store when \p Options ask for one) over all
+/// of \p Store. Deterministic for fixed options regardless of
+/// \p Threads.
+std::shared_ptr<const IndexRouting>
+fitRouting(const ProfileStore &Store, const RoutingOptions &Options,
+           size_t Threads);
 
 /// The routing tier as the flat arenas core/FlatImage writes as its
 /// version-4 sections. The arenas view \p R's structures and pin \p R
@@ -79,10 +67,6 @@ routingArenas(const std::shared_ptr<const IndexRouting> &R);
 std::shared_ptr<const IndexRouting>
 routingFromArenas(const std::shared_ptr<const RoutingArenas> &A,
                   const ProfileStore &Store);
-
-} // namespace detail
-
-namespace detail {
 
 /// Single-pass majority vote over \p Count labels addressed
 /// most-similar-first by \p LabelAt (an index → const std::string&
@@ -170,16 +154,19 @@ public:
   /// first; ties break toward the smaller index for determinism.
   /// \p Normalize selects cosine similarity (entries or queries with
   /// vanishing norm score 0) over the raw profile dot. K == 0 and an
-  /// empty index both return an empty list.
+  /// empty index both return an empty list. Scored by the one engine
+  /// (index/ScoringEngine) as a single tombstone-free segment.
   std::vector<Neighbor> query(const KernelProfile &Query, size_t K,
                               bool Normalize = true) const;
 
-  /// query() for a batch, one query per parallelFor item; candidate
-  /// scratch (the O(N) similarity buffer) is allocated once per worker
-  /// thread and reused across that thread's queries.
+  /// query() — or, with \p Approx, queryApprox() at \p NProbe — for a
+  /// batch: queries are strided across worker chunks that each reuse
+  /// one scoring scratch, and Results[I] is bit-identical to the
+  /// single-query call on Queries[I] for every \p Threads.
   std::vector<std::vector<Neighbor>>
   queryBatch(const std::vector<KernelProfile> &Queries, size_t K,
-             bool Normalize = true, size_t Threads = 0) const;
+             bool Normalize = true, size_t Threads = 0, bool Approx = false,
+             size_t NProbe = 0) const;
 
   /// Fits the two-tier retrieval structures (index/ClusterRouter +
   /// index/InvertedIndex) over the current contents. Entries added
@@ -220,20 +207,15 @@ public:
                                     bool Normalize = true,
                                     size_t NProbe = 0) const;
 
-  /// queryApprox() for a batch; mirrors queryBatch's chunked
-  /// parallelism with one InvertedScratch per worker chunk.
-  std::vector<std::vector<Neighbor>>
-  queryBatchApprox(const std::vector<KernelProfile> &Queries, size_t K,
-                   bool Normalize = true, size_t NProbe = 0,
-                   size_t Threads = 0) const;
-
   /// Majority label among \p Neighbors; ties break toward the label of
   /// the nearer neighbor. Empty for an empty neighbor list.
   std::string majorityLabel(const std::vector<Neighbor> &Neighbors) const;
 
   /// Round-trip through one flat image: save writes the arena, the
-  /// int8 sidecar when built, and the routing tier (covering the
-  /// routed prefix) straight from memory, staging the file beside
+  /// int8 sidecar whenever the routing's shortlist ranks by it (also
+  /// after an add() dropped the store's copy, so load never
+  /// re-quantizes), and the routing tier (covering the routed prefix)
+  /// straight from memory, staging the file beside
   /// \p Path and renaming it into place — so saving back to the path
   /// the index was loaded from is safe. load maps the image and views
   /// the routing arenas in place: a loaded index answers query() and

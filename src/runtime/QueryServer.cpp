@@ -214,13 +214,9 @@ void QueryServer::executeBatch(std::vector<Request *> &Batch) {
     for (size_t I = Begin; I < End; ++I)
       Group.push_back(Batch[I]->Profile);
     try {
-      std::vector<std::vector<ServiceHit>> Results =
-          Options.Approx
-              ? Snap.queryBatchApprox(Group, Batch[Begin]->K,
-                                      Batch[Begin]->Normalize, Options.NProbe,
-                                      Options.ExecThreads)
-              : Snap.queryBatch(Group, Batch[Begin]->K,
-                                Batch[Begin]->Normalize, Options.ExecThreads);
+      std::vector<std::vector<ServiceHit>> Results = Snap.queryBatch(
+          Group, Batch[Begin]->K, Batch[Begin]->Normalize, Options.ExecThreads,
+          Options.Approx, Options.NProbe);
       for (size_t I = Begin; I < End; ++I)
         Batch[I]->Promise.set_value(
             QueryResponse{ServeStatus::Ok, std::move(Results[I - Begin])});

@@ -8,12 +8,13 @@
 /// The asynchronous serving runtime over an IndexService. Callers
 /// submit queries from any number of threads and get a future; an
 /// admission batcher drains the bounded lock-free queue, executes each
-/// admitted batch against ONE IndexSnapshot through the batched query
-/// path, and fulfills the futures. The batch amortizes what
-/// call-per-query serving pays per request — snapshot acquisition,
-/// query flattening scratch, and (on the routed path) the per-shard
-/// InvertedScratch allocation — which is where the throughput
-/// headroom on a loaded box actually is.
+/// admitted batch against ONE IndexSnapshot through its one batch call,
+/// IndexSnapshot::queryBatch (exact or routed per Options.Approx), and
+/// fulfills the futures. The batch amortizes what call-per-query
+/// serving pays per request — snapshot acquisition, query flattening
+/// scratch, and (on the routed path) the per-shard candidate scratch
+/// allocation — which is where the throughput headroom on a loaded box
+/// actually is.
 ///
 /// Exactness contract: for every admitted request the response is
 /// bit-identical — scores, order, and tie-breaks — to calling
@@ -83,9 +84,9 @@ struct QueryServerOptions {
   /// Worker width for batch execution (passed through to the batched
   /// query path's parallelFor; 0 = hardware concurrency).
   size_t ExecThreads = 0;
-  /// Serve through the routed candidate-generation tier
-  /// (queryBatchApprox) instead of the exact scan. The bit-identity
-  /// contract is then against snapshot().queryApprox(...).
+  /// Serve through the routed candidate-generation tier (queryBatch
+  /// with Approx) instead of the exact scan. The bit-identity contract
+  /// is then against snapshot().queryApprox(...).
   bool Approx = false;
   /// NProbe for approximate mode (0 = shard default).
   size_t NProbe = 0;

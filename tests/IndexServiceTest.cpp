@@ -21,7 +21,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 using namespace kast;
@@ -65,21 +67,39 @@ BlendedSpectrumKernel &kernel() {
   return K;
 }
 
-/// (name, similarity) pairs of service hits, for ground-truth compares.
-std::vector<std::pair<std::string, double>>
-flatten(const std::vector<ServiceHit> &Hits) {
-  std::vector<std::pair<std::string, double>> Out;
-  for (const ServiceHit &H : Hits)
-    Out.push_back({H.Name, H.Similarity});
+/// The borrowed form IndexSnapshot::queryBatch takes.
+std::vector<const KernelProfile *>
+borrowed(const std::vector<KernelProfile> &Profiles) {
+  std::vector<const KernelProfile *> Out;
+  for (const KernelProfile &P : Profiles)
+    Out.push_back(&P);
   return Out;
 }
 
-std::vector<std::pair<std::string, double>>
-flatten(const ProfileIndex &Index, const std::vector<Neighbor> &Hits) {
-  std::vector<std::pair<std::string, double>> Out;
-  for (const Neighbor &H : Hits)
-    Out.push_back({Index.name(H.Index), H.Similarity});
+/// (name, similarity bit pattern) pairs of service hits, for
+/// bit-identical ground-truth compares.
+std::vector<std::pair<std::string, uint64_t>>
+flatten(const std::vector<ServiceHit> &Hits) {
+  std::vector<std::pair<std::string, uint64_t>> Out;
+  for (const ServiceHit &H : Hits)
+    Out.push_back({H.Name, std::bit_cast<uint64_t>(H.Similarity)});
   return Out;
+}
+
+std::vector<std::pair<std::string, uint64_t>>
+flatten(const ProfileIndex &Index, const std::vector<Neighbor> &Hits) {
+  std::vector<std::pair<std::string, uint64_t>> Out;
+  for (const Neighbor &H : Hits)
+    Out.push_back({Index.name(H.Index), std::bit_cast<uint64_t>(H.Similarity)});
+  return Out;
+}
+
+KernelProfile makeProfile(const std::vector<ProfileEntry> &Entries) {
+  KernelProfile P;
+  for (const ProfileEntry &E : Entries)
+    P.add(E.Hash, E.Value);
+  P.finalize();
+  return P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -115,12 +135,85 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
                 flatten(Truth, Truth.query(Query, 5, Normalize)));
 
   // Batched equals single, through one snapshot.
-  std::vector<std::vector<ServiceHit>> Batch =
-      Service.queryBatch(Q.Profiles, 4, true, 2);
   IndexSnapshot Snap = Service.snapshot();
+  std::vector<std::vector<ServiceHit>> Batch =
+      Snap.queryBatch(borrowed(Q.Profiles), 4, true, 2);
   ASSERT_EQ(Batch.size(), Q.Profiles.size());
   for (size_t I = 0; I < Q.Profiles.size(); ++I)
     EXPECT_EQ(Batch[I], Snap.query(Q.Profiles[I], 4, true, 1));
+
+  // Bounded selection at its edges, on one shard so positions are
+  // insertion order and a ProfileIndex over the survivors is ground
+  // truth: ties wider than K straddling seal boundaries and a
+  // tombstone, a query scoring zero against everything, and K in
+  // {0, 1, live, live + 3} — exact, then exhaustively routed with a
+  // tombstone inside the routed segment and tied entries in the tail.
+  IndexService One(kernel().name(), {.Shards = 1, .SealThreshold = 4});
+  std::vector<std::pair<std::string, const KernelProfile *>> Added;
+  std::set<std::string> Removed;
+  const auto AddTo = [&](size_t I, const KernelProfile &Prof) {
+    Added.push_back({"t" + std::to_string(I), &Prof});
+    One.add(Added.back().first, "l", Prof);
+  };
+  for (size_t I = 0; I < 14; ++I) // Copies of s0 at 0, 3, 6, 9 and 12.
+    AddTo(I, P.Profiles[I % 3 == 0 ? 0 : I]);
+  const auto RemoveFrom = [&](const std::string &Name) {
+    ASSERT_EQ(One.remove(Name), 1u);
+    Removed.insert(Name);
+  };
+  RemoveFrom("t3");
+  KernelProfile Alien = makeProfile({{1, 1.0}});
+  const auto ExpectSurvivorsRanked = [&](const std::string &What) {
+    ProfileIndex Survivors(kernel().name());
+    for (const auto &[Name, Prof] : Added)
+      if (!Removed.count(Name))
+        Survivors.add(Name, "l", *Prof);
+    const size_t Live = Survivors.size();
+    const IndexSnapshot S = One.snapshot();
+    for (size_t K : {size_t(0), size_t(1), size_t(3), Live, Live + 3})
+      for (const KernelProfile *Query : {&P.Profiles[0], &Alien}) {
+        const std::string At = What + " k " + std::to_string(K);
+        const auto Want = flatten(Survivors, Survivors.query(*Query, K));
+        ASSERT_EQ(Want.size(), std::min(K, Live)) << At;
+        EXPECT_EQ(flatten(S.query(*Query, K, true, 1)), Want) << At;
+        EXPECT_EQ(flatten(S.queryApprox(*Query, K, true, 0, 1)), Want) << At;
+        for (bool Approx : {false, true})
+          EXPECT_EQ(flatten(S.queryBatch({Query, Query}, K, true, 2,
+                                         Approx)[1]),
+                    Want)
+              << At;
+      }
+  };
+  ExpectSurvivorsRanked("exact");
+  RoutingOptions Exhaustive;
+  Exhaustive.Cluster.NumCentroids = 3;
+  One.rebuildRouting(Exhaustive, 1);
+  ASSERT_TRUE(One.routed());
+  for (size_t I = 14; I < 17; ++I)
+    AddTo(I, P.Profiles[0]);
+  RemoveFrom("t6");
+  ExpectSurvivorsRanked("routed");
+}
+
+TEST(IndexServiceTest, RemovedRoutedCandidateTakesNoRerankSlot) {
+  // A removed entry the routed tier still finds must leave before the
+  // re-rank budget is spent: with a budget of one, removing the best
+  // candidate hands its slot to the runner-up rather than wasting it
+  // and zero-padding a non-candidate in its place.
+  IndexService Service("k", {.Shards = 1});
+  Service.add("a", "", makeProfile({{1, 1.0}}));
+  Service.add("b", "", makeProfile({{1, 0.5}, {3, 1.0}}));
+  Service.add("c", "", makeProfile({{2, 1.0}}));
+  RoutingOptions Budget;
+  Budget.RerankBudget = 1;
+  Service.rebuildRouting(Budget, 1);
+  ASSERT_EQ(Service.remove("a"), 1u);
+  const KernelProfile Query = makeProfile({{1, 1.0}});
+  const std::vector<ServiceHit> Exact = Service.query(Query, 1, true, 1);
+  ASSERT_EQ(Exact.size(), 1u);
+  EXPECT_EQ(Exact[0].Name, "b");
+  EXPECT_EQ(flatten(Service.queryApprox(Query, 1, true, 0, 1)),
+            flatten(Exact));
 }
 
 TEST(IndexServiceTest, EdgeCasesReturnCleanly) {
@@ -138,8 +231,9 @@ TEST(IndexServiceTest, EdgeCasesReturnCleanly) {
   Service.add("only", "l", P);
   EXPECT_TRUE(Service.query(P, 0).empty());          // K == 0.
   EXPECT_EQ(Service.query(P, 100).size(), 1u);       // K clamps to live.
+  const KernelProfile Empty;
   std::vector<std::vector<ServiceHit>> Batch =
-      Service.queryBatch({P, KernelProfile()}, 3, true, 1);
+      Service.snapshot().queryBatch({&P, &Empty}, 3, true, 1);
   ASSERT_EQ(Batch.size(), 2u);
   EXPECT_EQ(Batch[0].size(), 1u);
   // An empty query has vanishing norm; cosine scores zero but the
@@ -564,10 +658,10 @@ TEST(IndexServiceStressTest, SnapshotsStayConsistentUnderConcurrentWrites) {
         IndexSnapshot Snap = Service.snapshot();
         const size_t Size = Snap.size();
         std::vector<std::vector<ServiceHit>> First =
-            Snap.queryBatch(Q.Profiles, 5, true, 1);
+            Snap.queryBatch(borrowed(Q.Profiles), 5, true, 1);
         // Immediate re-query of the same snapshot: identical top-k,
         // identical size, whatever the writers are doing meanwhile.
-        EXPECT_EQ(Snap.queryBatch(Q.Profiles, 5, true, 1), First);
+        EXPECT_EQ(Snap.queryBatch(borrowed(Q.Profiles), 5, true, 1), First);
         EXPECT_EQ(Snap.size(), Size);
         for (const std::vector<ServiceHit> &Hits : First) {
           EXPECT_LE(Hits.size(), std::min<size_t>(5, Size));
@@ -589,7 +683,8 @@ TEST(IndexServiceStressTest, SnapshotsStayConsistentUnderConcurrentWrites) {
   for (const std::vector<Observation> &PerReader : Retained)
     for (const Observation &O : PerReader) {
       EXPECT_EQ(O.Snap.size(), O.Size);
-      EXPECT_EQ(O.Snap.queryBatch(Q.Profiles, 5, true, 1), O.Results);
+      EXPECT_EQ(O.Snap.queryBatch(borrowed(Q.Profiles), 5, true, 1),
+                O.Results);
       ++Checked;
     }
   EXPECT_GT(Checked, 0u);
@@ -608,11 +703,8 @@ TEST(IndexServiceStressTest, SnapshotsStayConsistentUnderConcurrentWrites) {
   }
   EXPECT_EQ(Service.size(), Truth.size());
   for (const KernelProfile &Query : Q.Profiles) {
-    std::vector<std::pair<std::string, double>> Got =
-        flatten(Service.query(Query, 5, true, 1));
-    std::vector<std::pair<std::string, double>> Want =
-        flatten(Truth, Truth.query(Query, 5));
-    EXPECT_EQ(Got, Want);
+    EXPECT_EQ(flatten(Service.query(Query, 5, true, 1)),
+              flatten(Truth, Truth.query(Query, 5)));
   }
 }
 

@@ -151,6 +151,17 @@ TEST(InvertedIndexTest, ExhaustiveModeIsBitIdenticalToExactScan) {
       }
     }
   }
+  // The batch call, routed against exact, on three worker chunks.
+  for (size_t K : {size_t(5), Index.size() + 10}) {
+    const std::vector<std::vector<Neighbor>> Exact =
+        Index.queryBatch(Queries, K, true, 3);
+    const std::vector<std::vector<Neighbor>> Routed =
+        Index.queryBatch(Queries, K, true, 3, /*Approx=*/true);
+    for (size_t Q = 0; Q < Queries.size(); ++Q)
+      expectBitIdentical(Routed[Q], Exact[Q],
+                         "batch query " + std::to_string(Q) + " k " +
+                             std::to_string(K));
+  }
 }
 
 TEST(InvertedIndexTest, SingleCentroidExhaustiveStillBitIdentical) {
@@ -165,13 +176,21 @@ TEST(InvertedIndexTest, SingleCentroidExhaustiveStillBitIdentical) {
   Index.buildRouting(Opts, 1);
   ASSERT_EQ(Index.router()->numCentroids(), 1u);
 
-  for (size_t I = 0; I < Index.size(); I += 5)
-    expectBitIdentical(Index.queryApprox(Index.profile(I), 6),
-                       Index.query(Index.profile(I), 6),
+  std::vector<KernelProfile> Selves;
+  for (size_t I = 0; I < Index.size(); I += 5) {
+    Selves.push_back(Index.profile(I));
+    expectBitIdentical(Index.queryApprox(Selves.back(), 6),
+                       Index.query(Selves.back(), 6),
                        "self " + std::to_string(I));
+  }
   KernelProfile Held = Kernel.profile(randomCorpus(Table, R, 1, "h")[0]);
   expectBitIdentical(Index.queryApprox(Held, 9), Index.query(Held, 9),
                      "held-out");
+  const std::vector<std::vector<Neighbor>> Routed =
+      Index.queryBatch(Selves, 6, true, 2, /*Approx=*/true);
+  for (size_t Q = 0; Q < Selves.size(); ++Q)
+    expectBitIdentical(Routed[Q], Index.query(Selves[Q], 6),
+                       "batch self " + std::to_string(Q));
 }
 
 TEST(InvertedIndexTest, EdgeCasesReturnCleanly) {
@@ -233,11 +252,20 @@ TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
   ASSERT_EQ(Index.routedCount(), Covered);
   ASSERT_GT(Index.size(), Covered);
 
-  // Exhaustive: still bit-identical with a tail present.
-  for (size_t I = 0; I < Index.size(); I += 11)
-    expectBitIdentical(Index.queryApprox(Index.profile(I), 7),
-                       Index.query(Index.profile(I), 7),
+  // Exhaustive: still bit-identical with a tail present, one query at
+  // a time and batched.
+  std::vector<KernelProfile> Selves;
+  for (size_t I = 0; I < Index.size(); I += 11) {
+    Selves.push_back(Index.profile(I));
+    expectBitIdentical(Index.queryApprox(Selves.back(), 7),
+                       Index.query(Selves.back(), 7),
                        "tail self " + std::to_string(I));
+  }
+  const std::vector<std::vector<Neighbor>> Routed =
+      Index.queryBatch(Selves, 7, true, 2, /*Approx=*/true);
+  for (size_t Q = 0; Q < Selves.size(); ++Q)
+    expectBitIdentical(Routed[Q], Index.query(Selves[Q], 7),
+                       "batch tail self " + std::to_string(Q));
 
   // Aggressive pruning: a tail entry queried with itself must still be
   // rank 1 at cosine 1 — the tail bypasses every pruning knob.
@@ -400,12 +428,22 @@ TEST(InvertedIndexTest, ServiceExhaustiveApproxMatchesExact) {
     Queries.push_back(Kernel.profile(Q));
   Queries.push_back(Kernel.profile(Corpus[7]));  // Removed: must be absent.
   Queries.push_back(KernelProfile());
-  for (size_t Q = 0; Q < Queries.size(); ++Q) {
-    for (size_t K : {size_t(1), size_t(6), size_t(200)}) {
+  std::vector<const KernelProfile *> Borrowed;
+  for (const KernelProfile &Q : Queries)
+    Borrowed.push_back(&Q);
+  const IndexSnapshot Snap = Service.snapshot();
+  for (size_t K : {size_t(1), size_t(6), size_t(200)}) {
+    const std::vector<std::vector<ServiceHit>> Routed =
+        Snap.queryBatch(Borrowed, K, true, 2, /*Approx=*/true);
+    for (size_t Q = 0; Q < Queries.size(); ++Q) {
+      const std::string What =
+          "query " + std::to_string(Q) + " k " + std::to_string(K);
+      const std::vector<ServiceHit> Exact =
+          Service.query(Queries[Q], K, true, 1);
       expectHitsBitIdentical(
-          Service.queryApprox(Queries[Q], K, true, /*NProbe=*/0, 1),
-          Service.query(Queries[Q], K, true, 1),
-          "query " + std::to_string(Q) + " k " + std::to_string(K));
+          Service.queryApprox(Queries[Q], K, true, /*NProbe=*/0, 1), Exact,
+          What);
+      expectHitsBitIdentical(Routed[Q], Exact, "batch " + What);
     }
   }
   // The tombstoned name never resurfaces, not even via zero-fill.

@@ -103,6 +103,40 @@ TEST(ProfileIndexTest, TopKOrderingAndTieBreaks) {
   Hits = Index.query(KernelProfile(), 1);
   ASSERT_EQ(Hits.size(), 1u);
   EXPECT_DOUBLE_EQ(Hits[0].Similarity, 0.0);
+
+  // Bounded selection at its edges, through every entry point. Copies
+  // of e0 make the tie at cosine 1 wider than K, and exhaustive routing
+  // covers only the first five entries, so the ties straddle the
+  // routed prefix and the unrouted tail.
+  for (int I = 3; I < 5; ++I)
+    Index.add("e" + std::to_string(I), "x", MakeProfile({{1, 1.0}}));
+  Index.buildRouting({}, 1);
+  for (int I = 5; I < 8; ++I)
+    Index.add("e" + std::to_string(I), "x", MakeProfile({{1, 1.0}}));
+  Index.add("e8", "y", MakeProfile({{3, 1.0}}));
+  ASSERT_EQ(Index.routedCount(), 5u);
+  const size_t Live = Index.size();
+  const std::vector<size_t> TiesFirst = {0, 2, 3, 4, 5, 6, 7, 1, 8};
+  const KernelProfile Alien = MakeProfile({{9, 1.0}}); // Shares nothing.
+  const KernelProfile *Probes[] = {&Query, &Alien};
+  for (size_t K : {size_t(0), size_t(1), size_t(3), Live, Live + 3}) {
+    for (const KernelProfile *Q : Probes) {
+      const std::vector<Neighbor> Exact = Index.query(*Q, K);
+      ASSERT_EQ(Exact.size(), std::min(K, Live)) << "k " << K;
+      for (size_t R = 0; R < Exact.size(); ++R) {
+        // The alien query scores +0.0 everywhere: pure position order.
+        EXPECT_EQ(Exact[R].Index, Q == &Query ? TiesFirst[R] : R);
+        if (Q == &Alien) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(Exact[R].Similarity), 0u);
+        }
+      }
+      EXPECT_EQ(Index.queryApprox(*Q, K), Exact) << "k " << K;
+      for (bool Approx : {false, true})
+        EXPECT_EQ(Index.queryBatch({*Q, *Q}, K, true, 2, Approx),
+                  std::vector<std::vector<Neighbor>>(2, Exact))
+            << "k " << K;
+    }
+  }
 }
 
 TEST(ProfileIndexTest, MajorityLabelCountsAndTieBreaks) {
@@ -213,6 +247,19 @@ TEST(ProfileIndexTest, BatchedQueriesMatchSingleQueries) {
   ASSERT_EQ(Batched.size(), Queries.size());
   for (size_t I = 0; I < QueryProfiles.size(); ++I)
     EXPECT_EQ(Batched[I], Index.query(QueryProfiles[I], 3));
+
+  // The routed batch, pruned and probing two of four clusters, matches
+  // queryApprox at the same NProbe.
+  RoutingOptions Pruned;
+  Pruned.Cluster.NumCentroids = 4;
+  Pruned.MaxDocFrequency = 0.5;
+  Pruned.RerankBudget = 4;
+  Index.buildRouting(Pruned, 1);
+  Batched = Index.queryBatch(QueryProfiles, 3, true, 0, /*Approx=*/true,
+                             /*NProbe=*/2);
+  ASSERT_EQ(Batched.size(), Queries.size());
+  for (size_t I = 0; I < QueryProfiles.size(); ++I)
+    EXPECT_EQ(Batched[I], Index.queryApprox(QueryProfiles[I], 3, true, 2));
 }
 
 TEST(ProfileIndexTest, QueryBatchIsThreadCountInvariant) {
@@ -269,9 +316,9 @@ TEST(ProfileIndexTest, QueryBatchIsThreadCountInvariant) {
   Opts.DefaultNProbe = 2;
   Index.buildRouting(Opts, 1);
   std::vector<std::vector<Neighbor>> ApproxRef =
-      Index.queryBatchApprox(Queries, 4, true, /*NProbe=*/0, /*Threads=*/1);
+      Index.queryBatch(Queries, 4, true, /*Threads=*/1, /*Approx=*/true);
   for (size_t Threads : {size_t(2), size_t(3), size_t(8)})
-    ExpectBitIdentical(Index.queryBatchApprox(Queries, 4, true, 0, Threads),
+    ExpectBitIdentical(Index.queryBatch(Queries, 4, true, Threads, true),
                        ApproxRef, "approx");
   for (size_t Q = 0; Q < Queries.size(); ++Q)
     EXPECT_EQ(Index.queryApprox(Queries[Q], 4), ApproxRef[Q])
@@ -371,6 +418,9 @@ TEST(ProfileIndexTest, SavingOverTheLoadedImageKeepsIt) {
   ASSERT_TRUE(Grown.hasValue()) << Grown.message();
   ASSERT_EQ(Grown->size(), Index.size());
   EXPECT_EQ(Grown->routedCount(), Index.routedCount());
+  // The int8 sidecar the add() dropped is written anyway, so the load
+  // maps it instead of re-quantizing every entry.
+  EXPECT_NE(Grown->store().quantized(), nullptr);
   EXPECT_EQ(Grown->name(Index.size() - 1), "extra");
   for (size_t I = 0; I < Index.size(); ++I)
     expectBitExact(Grown->profile(I), Index.profile(I));

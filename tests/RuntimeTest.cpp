@@ -234,9 +234,9 @@ TEST(ServerStatsTest, FormatNanos) {
 // Batched snapshot seams (what the runtime executes through)
 //===----------------------------------------------------------------------===//
 
-// The borrowed-pointer overload and the approx batch must answer
-// bit-identically to their one-query-at-a-time counterparts — scratch
-// reuse across the batch is invisible in the results.
+// The one batch call, exact and routed, must answer bit-identically to
+// its one-query-at-a-time counterparts — scratch reuse across the batch
+// is invisible in the results.
 TEST(RuntimeSeamTest, QueryBatchPointerOverloadMatchesQuery) {
   ServedCorpus C = makeCorpus(60, 10, 123);
   const IndexSnapshot Snap = C.Service.snapshot();
@@ -273,19 +273,22 @@ TEST(RuntimeSeamTest, QueryBatchApproxMatchesQueryApprox) {
     Borrowed.push_back(&Q);
   for (size_t K : {size_t(1), size_t(5), size_t(100)}) {
     std::vector<std::vector<ServiceHit>> Batch =
-        Snap.queryBatchApprox(Borrowed, K, true, 0, 1);
+        Snap.queryBatch(Borrowed, K, true, 1, /*Approx=*/true);
     ASSERT_EQ(Batch.size(), C.Queries.size());
     for (size_t I = 0; I < C.Queries.size(); ++I)
       expectBitIdentical(Batch[I],
                          Snap.queryApprox(C.Queries[I], K, true, 0, 1),
                          "approx batch q" + std::to_string(I));
   }
-  // Owned-vector overload takes the same path.
-  std::vector<std::vector<ServiceHit>> Owned =
-      Snap.queryBatchApprox(C.Queries, 5, true, 0, 1);
+  // Three worker chunks stride the batch differently; the answers do
+  // not move, and an explicit NProbe equal to the default changes
+  // nothing either.
+  std::vector<std::vector<ServiceHit>> Strided =
+      Snap.queryBatch(Borrowed, 5, true, 3, /*Approx=*/true, /*NProbe=*/2);
   for (size_t I = 0; I < C.Queries.size(); ++I)
-    expectBitIdentical(Owned[I], Snap.queryApprox(C.Queries[I], 5, true, 0, 1),
-                       "owned approx q" + std::to_string(I));
+    expectBitIdentical(Strided[I],
+                       Snap.queryApprox(C.Queries[I], 5, true, 0, 1),
+                       "strided approx q" + std::to_string(I));
 }
 
 //===----------------------------------------------------------------------===//

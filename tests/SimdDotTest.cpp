@@ -396,13 +396,18 @@ TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
   Index.buildRouting(Opts);
   ASSERT_NE(Index.store().quantized(), nullptr);
 
-  for (size_t QI = 0; QI < 10; ++QI) {
-    const KernelProfile Query = Kernel.profile(Corpus[N + QI]);
-    const std::vector<Neighbor> Exact = Index.query(Query, 5);
+  std::vector<KernelProfile> Queries;
+  for (size_t QI = 0; QI < 10; ++QI)
+    Queries.push_back(Kernel.profile(Corpus[N + QI]));
+  const std::vector<std::vector<Neighbor>> Batched =
+      Index.queryBatch(Queries, 5, true, 2, /*Approx=*/true);
+  for (size_t QI = 0; QI < Queries.size(); ++QI) {
+    const std::vector<Neighbor> Exact = Index.query(Queries[QI], 5);
     // All centroids probed: candidate recall is total, so the only
     // approximation left is the budgeted shortlist itself.
     const std::vector<Neighbor> Approx =
-        Index.queryApprox(Query, 5, /*Normalize=*/true, /*NProbe=*/0);
+        Index.queryApprox(Queries[QI], 5, /*Normalize=*/true, /*NProbe=*/0);
+    EXPECT_EQ(Batched[QI], Approx) << "query " << QI;
     ASSERT_EQ(Exact.size(), Approx.size());
     for (size_t I = 0; I < Exact.size(); ++I) {
       EXPECT_EQ(Exact[I].Index, Approx[I].Index) << "rank " << I;
@@ -423,14 +428,20 @@ TEST(SimdDotTest, ExhaustiveModeStaysBitIdenticalWithQuantizedTierBuilt) {
   // Pure-defaults routing: no budget, no df-pruning — the documented
   // bit-identity mode. The quantized tier must not engage.
   Index.buildRouting({});
-  for (size_t QI = 100; QI < 110; ++QI) {
-    const KernelProfile Query = Kernel.profile(Corpus[QI]);
-    const std::vector<Neighbor> Exact = Index.query(Query, 7);
-    const std::vector<Neighbor> Approx = Index.queryApprox(Query, 7);
-    ASSERT_EQ(Exact.size(), Approx.size());
-    for (size_t I = 0; I < Exact.size(); ++I) {
-      EXPECT_EQ(Exact[I].Index, Approx[I].Index);
-      EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity));
+  std::vector<KernelProfile> Queries;
+  for (size_t QI = 100; QI < 110; ++QI)
+    Queries.push_back(Kernel.profile(Corpus[QI]));
+  const std::vector<std::vector<Neighbor>> Batched =
+      Index.queryBatch(Queries, 7, true, 2, /*Approx=*/true);
+  for (size_t QI = 0; QI < Queries.size(); ++QI) {
+    const std::vector<Neighbor> Exact = Index.query(Queries[QI], 7);
+    for (const std::vector<Neighbor> &Approx :
+         {Index.queryApprox(Queries[QI], 7), Batched[QI]}) {
+      ASSERT_EQ(Exact.size(), Approx.size());
+      for (size_t I = 0; I < Exact.size(); ++I) {
+        EXPECT_EQ(Exact[I].Index, Approx[I].Index);
+        EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity));
+      }
     }
   }
 }
