@@ -285,9 +285,10 @@ BENCHMARK(BM_GramMatrixSpectrum)
     ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond);
 
-/// Kast Gram matrix over random strings: Args are {N, UsePrecompute};
-/// the fast path reuses each string's reversed suffix automaton across
-/// its N-1 pairs.
+/// Kast Gram matrix over random strings: Args are {N, UsePrecompute}.
+/// No two of these strings share a literal-id sequence, so the grouped
+/// fill has one string per group and one group pair per string pair:
+/// the row where grouping has nothing to share and must cost nothing.
 void BM_GramMatrixKast(benchmark::State &State) {
   const std::vector<WeightedString> &Corpus =
       randomCorpus(static_cast<size_t>(State.range(0)));

@@ -41,9 +41,13 @@
 #include "core/StringKernel.h"
 
 #include <cstdint>
+#include <map>
+#include <span>
 #include <vector>
 
 namespace kast {
+
+class Matrix;
 
 /// How the cut weight filters candidate features.
 enum class CutPolicy {
@@ -86,16 +90,20 @@ struct KastFeature {
 ///
 /// The kernel's features are pair-dependent (maximal matches of A
 /// *relative to B*), so it has no per-string profile. Instead
-/// precompute() caches, per string X, the reversed literal sequence and
-/// its suffix automaton with end-position index, which a Gram matrix
-/// build would otherwise reconstruct N-1 times per string. A pair then
-/// costs O(|A| + |B|) for the matching statistics against the partner's
-/// automaton, plus sorting the candidate features, locating each
-/// distinct one in both automata (O(its length)) and O(1) per
-/// occurrence to weigh it with the prefix-sum rangeWeight — output
-/// sensitive, with no rescan of either string. UseReferenceMatcher
-/// swaps all of this for the quadratic matcher and a scan per feature.
-class KastSpectrumKernel : public StringKernel {
+/// precompute() caches the reversed literal sequence and its suffix
+/// automaton with end-position index, which depend on X's literal ids
+/// alone. evaluatePrepared() then costs O(|A| + |B|) for the matching
+/// statistics against each partner's automaton, which also name every
+/// maximal match by its (state, length) there; locating each distinct
+/// candidate in its own string's automaton (O(its length)); and O(1)
+/// per occurrence to weigh it with the prefix-sum rangeWeight — output
+/// sensitive, with no rescan of either string and no literal
+/// comparison. evaluate() and features() are the reference: candidates
+/// sorted lexicographically and the inner product summed in double in
+/// that order, which evaluatePrepared() matches bit for bit (see
+/// KastGramGroups). UseReferenceMatcher swaps the matching for the
+/// quadratic matcher and a scan per feature.
+class KastSpectrumKernel final : public StringKernel {
 public:
   explicit KastSpectrumKernel(KastKernelOptions Options = {});
 
@@ -118,6 +126,46 @@ public:
 
 private:
   KastKernelOptions Options;
+};
+
+/// The Gram fill core/KernelMatrix runs for a KastSpectrumKernel on the
+/// suffix-automaton matcher with UsePrecompute on.
+///
+/// Which substrings become features depends only on the two strings'
+/// literal-id sequences; token weights and the cut enter only when
+/// occurrences are weighed. So rows are grouped by literal-id sequence,
+/// each group keeps one precomputation, and each pair of groups finds
+/// its candidate features and their occurrences once for all of its
+/// member pairs — the work grows with the distinct structure, not with
+/// the number of rows. A member entry is then the dot of the two
+/// members' per-candidate qualifying weights, summed exactly in 128
+/// bits. Every product is an integer, so below 2^53 the exact sum is
+/// also the double sum in any order, the reference's lexicographic
+/// order included; an entry that reaches 2^53 takes the reference's
+/// ordered sum instead. KastSpectrumKernel::evaluatePrepared runs the
+/// same group-pair routine on two one-row groups.
+class KastGramGroups {
+public:
+  explicit KastGramGroups(KastKernelOptions Options) : Options(Options) {}
+
+  /// Groups the rows \p Strings[size()..] and writes every entry of
+  /// \p Raw they introduce — (I, J) and (J, I) for each I <= J with
+  /// J >= size(), the diagonal included — in parallel over the group
+  /// pairs with a new member on \p Threads workers (0 = hardware
+  /// concurrency, 1 = inline). Entries of rows the cut ignores are
+  /// left as they are (zero in a freshly grown matrix). \p Strings
+  /// must extend the strings of earlier calls.
+  void appendRows(std::span<const WeightedString> Strings, Matrix &Raw,
+                  size_t Threads);
+
+private:
+  KastKernelOptions Options;
+  size_t Rows = 0;
+  /// Literal-id sequence -> group.
+  std::map<std::vector<uint32_t>, uint32_t> GroupOf;
+  /// Per group: its precomputation and its rows, ascending.
+  std::vector<std::unique_ptr<KernelPrecomputation>> Prep;
+  std::vector<std::vector<uint32_t>> Members;
 };
 
 } // namespace kast

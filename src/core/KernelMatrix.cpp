@@ -60,8 +60,14 @@ KernelMatrix::KernelMatrix(const StringKernel &Kernel,
   // views directly — the documented ProfiledStringKernel contract that
   // k(A, B) is the plain merge-join dot of the two profiles, the same
   // assumption index/ProfileIndex retrieval already makes.)
-  if (Options.UsePrecompute)
-    Profiled = dynamic_cast<const ProfiledStringKernel *>(&Kernel);
+  if (!Options.UsePrecompute)
+    return;
+  Profiled = dynamic_cast<const ProfiledStringKernel *>(&Kernel);
+  // The Kast kernel's candidates depend only on literal ids, so its
+  // fill works per group of rows that share a sequence.
+  const auto *K = dynamic_cast<const KastSpectrumKernel *>(&Kernel);
+  if (K && !K->options().UseReferenceMatcher)
+    Kast.emplace(K->options());
 }
 
 /// Row-tile edge for the cache-blocked fill: tile pairs of up to
@@ -107,8 +113,8 @@ void KernelMatrix::fillTiled(size_t OldN, size_t N) {
 }
 
 /// The opaque-handle fill: evaluatePrepared over the flattened pair
-/// index space (the pre-store path, still used by the Kast kernel's
-/// suffix automata and by UsePrecompute=off differential baselines).
+/// index space (the path of combinators, plain pairwise kernels and
+/// the UsePrecompute=off differential baselines).
 void KernelMatrix::fillPrepared(size_t OldN, size_t N) {
   auto Fill = [&](size_t I, size_t J) {
     double V = Kernel.evaluatePrepared(Strings[I], Prep[I].get(), Strings[J],
@@ -152,9 +158,9 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
   // Per-string state for the new rows only, amortized across every
   // pair each new string participates in. Profiled kernels stage their
   // profiles in parallel, then append them to the arena (a flat copy);
-  // other kernels keep opaque handles (the Kast kernel its reversed
-  // suffix automata, plain kernels nullptr at zero cost). The old rows
-  // keep the state built when they were appended.
+  // the Kast fill builds its per-group state itself; other kernels
+  // keep opaque handles (plain kernels nullptr at zero cost). The old
+  // rows keep the state built when they were appended.
   if (UseStore()) {
     std::vector<KernelProfile> Staged(M);
     parallelFor(
@@ -162,7 +168,7 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
         [&](size_t I) { Staged[I] = Profiled->profile(Strings[OldN + I]); },
         Options.Threads);
     Store.appendAll(Staged);
-  } else {
+  } else if (!Kast) {
     Prep.resize(N);
     if (Options.UsePrecompute)
       parallelFor(
@@ -182,10 +188,19 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
               Grown.data().begin() + static_cast<ptrdiff_t>(I * N));
   Raw = std::move(Grown);
 
+  // The Kast fill writes every entry the new rows introduce, diagonal
+  // included, in one pass over group pairs.
+  Diag.resize(N, 0.0);
+  if (Kast) {
+    Kast->appendRows(Strings, Raw, Options.Threads);
+    for (size_t Row = OldN; Row < N; ++Row)
+      Diag[Row] = Raw.at(Row, Row);
+    return;
+  }
+
   // New diagonal entries; needed for normalization anyway. The store
   // caches every profile's self-dot at append (bit-identical to the
   // merge-join dot of the profile with itself).
-  Diag.resize(N, 0.0);
   if (UseStore()) {
     for (size_t Row = OldN; Row < N; ++Row) {
       Diag[Row] = Store.selfDot(Row);

@@ -17,30 +17,37 @@
 ///   * KernelMatrix — stateful and incrementally growable: appendRows
 ///     extends an existing N×N Gram to (N+M)×(N+M) by evaluating only
 ///     the N·M + M(M+1)/2 entries the new strings introduce, reusing
-///     the cached per-string precomputations for the old rows. This is
-///     what lets a served corpus grow one batch of traces at a time
-///     without the O(N²·dot) rebuild.
+///     the cached per-string state for the old rows. This is what lets
+///     a served corpus grow one batch of traces at a time without the
+///     O(N²·dot) rebuild.
 ///
-/// For ProfiledStringKernel instances (with UsePrecompute on) the
-/// per-string state lives in a core/ProfileStore arena — one flat
-/// structure-of-arrays for the whole corpus instead of one heap
-/// vector per string — and the pair fill is cache-blocked: entries
-/// are computed tile-by-tile over ProfileView pairs, so the hash
-/// arrays of one row tile stay cache-resident while a column tile
-/// sweeps past them. Other kernels (the Kast kernel's suffix
-/// automata, plain pairwise kernels) keep the opaque
-/// KernelPrecomputation handle path.
+/// With UsePrecompute on, three fills share that contract:
+///
+///   * ProfiledStringKernel instances keep their per-string state in a
+///     core/ProfileStore arena — one flat structure-of-arrays for the
+///     whole corpus instead of one heap vector per string — and the
+///     pair fill is cache-blocked: entries are computed tile-by-tile
+///     over ProfileView pairs, so the hash arrays of one row tile stay
+///     cache-resident while a column tile sweeps past them.
+///   * A KastSpectrumKernel on the suffix-automaton matcher hands the
+///     rows to core/KastKernel's KastGramGroups, which groups them by
+///     literal-id sequence and finds each group pair's candidate
+///     features once for all of its member pairs.
+///   * Other kernels (combinators, plain pairwise kernels) keep the
+///     opaque KernelPrecomputation handle per row.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_CORE_KERNELMATRIX_H
 #define KAST_CORE_KERNELMATRIX_H
 
+#include "core/KastKernel.h"
 #include "core/ProfileStore.h"
 #include "core/StringKernel.h"
 #include "linalg/Matrix.h"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace kast {
@@ -89,11 +96,11 @@ GramPair invertAppendPairIndex(size_t P, size_t OldN);
 /// Incrementally grown Gram matrix over one kernel.
 ///
 /// Owns the raw (unnormalized) symmetric kernel matrix of the strings
-/// appended so far, plus each string's precomputation handle and
-/// self-kernel value. Post-processing (normalization, PSD repair) is
-/// applied by materialize() to a copy, so the raw state stays
-/// growable. \p Kernel is captured by reference and must outlive the
-/// KernelMatrix.
+/// appended so far, plus the per-string state of the active fill and
+/// each string's self-kernel value. Post-processing (normalization,
+/// PSD repair) is applied by materialize() to a copy, so the raw state
+/// stays growable. \p Kernel is captured by reference and must outlive
+/// the KernelMatrix.
 class KernelMatrix {
 public:
   explicit KernelMatrix(const StringKernel &Kernel,
@@ -118,8 +125,8 @@ public:
   const std::vector<WeightedString> &strings() const { return Strings; }
 
   /// The profile arena backing the fast path, or nullptr when the
-  /// kernel is not profiled (or UsePrecompute is off) and the opaque
-  /// handle path is active instead.
+  /// kernel is not profiled (or UsePrecompute is off) and another fill
+  /// is active instead.
   const ProfileStore *profileStore() const {
     return UseStore() ? &Store : nullptr;
   }
@@ -142,6 +149,10 @@ private:
   std::vector<WeightedString> Strings;
   std::vector<std::unique_ptr<KernelPrecomputation>> Prep;
   ProfileStore Store;
+  /// Engaged iff Kernel is a KastSpectrumKernel on the automaton
+  /// matcher and UsePrecompute is on — then it (not Prep) carries the
+  /// per-group state.
+  std::optional<KastGramGroups> Kast;
   std::vector<double> Diag;
   Matrix Raw;
 };

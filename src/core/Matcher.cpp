@@ -17,14 +17,17 @@ std::vector<uint32_t> kast::reversed(const std::vector<uint32_t> &Sequence) {
 
 std::vector<size_t>
 kast::matchingStatisticsStarts(const std::vector<uint32_t> &ReversedSubject,
-                               const SuffixAutomaton &PartnerOfReversed) {
+                               const SuffixAutomaton &PartnerOfReversed,
+                               std::vector<int32_t> *PartnerStates) {
   // The longest prefix of Subject[i..] occurring in Partner equals the
   // longest suffix of ReversedSubject[.. n-1-i] occurring in
   // reverse(Partner): end-based statistics on the reversal, read back
   // to front.
   std::vector<size_t> Stats =
-      PartnerOfReversed.matchingStatisticsEnds(ReversedSubject);
+      PartnerOfReversed.matchingStatisticsEnds(ReversedSubject, PartnerStates);
   std::reverse(Stats.begin(), Stats.end());
+  if (PartnerStates)
+    std::reverse(PartnerStates->begin(), PartnerStates->end());
   return Stats;
 }
 
@@ -47,9 +50,18 @@ maximalFromStatistics(const std::vector<size_t> &MS) {
 
 std::vector<MaximalMatch>
 kast::findMaximalMatches(const std::vector<uint32_t> &ReversedSubject,
-                         const SuffixAutomaton &PartnerOfReversed) {
-  return maximalFromStatistics(
-      matchingStatisticsStarts(ReversedSubject, PartnerOfReversed));
+                         const SuffixAutomaton &PartnerOfReversed,
+                         std::vector<int32_t> *PartnerStates) {
+  std::vector<int32_t> States;
+  std::vector<MaximalMatch> Matches = maximalFromStatistics(
+      matchingStatisticsStarts(ReversedSubject, PartnerOfReversed,
+                               PartnerStates ? &States : nullptr));
+  if (PartnerStates) {
+    PartnerStates->clear();
+    for (const MaximalMatch &M : Matches)
+      PartnerStates->push_back(States[M.Begin]);
+  }
+  return Matches;
 }
 
 std::vector<MaximalMatch>

@@ -58,17 +58,24 @@ struct MaximalMatch {
 /// prefix of Subject[i..] occurring (anywhere) in the partner. Both
 /// sides come reversed: \p ReversedSubject is the subject read back to
 /// front and \p PartnerOfReversed the SuffixAutomaton of the reversed
-/// partner sequence.
+/// partner sequence. If \p PartnerStates is non-null,
+/// (*PartnerStates)[i] receives the state of \p PartnerOfReversed that
+/// that prefix, read back to front, reaches — where its partner
+/// occurrences are indexed.
 std::vector<size_t>
 matchingStatisticsStarts(const std::vector<uint32_t> &ReversedSubject,
-                         const SuffixAutomaton &PartnerOfReversed);
+                         const SuffixAutomaton &PartnerOfReversed,
+                         std::vector<int32_t> *PartnerStates = nullptr);
 
 /// Maximal match occurrences of the subject relative to the partner
 /// (suffix-automaton path), in subject coordinates; arguments as for
 /// matchingStatisticsStarts. Results are sorted by Begin and unique.
+/// If \p PartnerStates is non-null, (*PartnerStates)[m] receives match
+/// m's state, as matchingStatisticsStarts reports it.
 std::vector<MaximalMatch>
 findMaximalMatches(const std::vector<uint32_t> &ReversedSubject,
-                   const SuffixAutomaton &PartnerOfReversed);
+                   const SuffixAutomaton &PartnerOfReversed,
+                   std::vector<int32_t> *PartnerStates = nullptr);
 
 /// Reference implementation by quadratic dynamic programming.
 std::vector<MaximalMatch>

@@ -128,9 +128,15 @@ void SuffixAutomaton::indexEndPositions(const std::vector<uint32_t> &Created) {
     Ends[RunBegin[Created[E]] + RunLength[Created[E]] - 1] = E;
 }
 
-std::vector<size_t> SuffixAutomaton::matchingStatisticsEnds(
-    const std::vector<uint32_t> &Query) const {
+std::vector<size_t>
+SuffixAutomaton::matchingStatisticsEnds(const std::vector<uint32_t> &Query,
+                                        std::vector<int32_t> *Reached) const {
   std::vector<size_t> Stats(Query.size(), 0);
+  if (Reached)
+    Reached->assign(Query.size(), 0);
+  // Invariant: the matched suffix of length Length is one of State's
+  // factors, so a transition on Symbol reaches the state of its
+  // one-symbol extension.
   int32_t State = 0;
   size_t Length = 0;
   for (size_t J = 0; J < Query.size(); ++J) {
@@ -150,6 +156,8 @@ std::vector<size_t> SuffixAutomaton::matchingStatisticsEnds(
       ++Length;
     }
     Stats[J] = Length;
+    if (Reached)
+      (*Reached)[J] = State;
   }
   return Stats;
 }

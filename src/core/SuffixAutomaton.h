@@ -73,9 +73,12 @@ public:
 
   /// Matching statistics: Result[j] = length of the longest suffix of
   /// Query[0..j] that occurs in the indexed sequence (the standard
-  /// end-based form).
+  /// end-based form). If \p Reached is non-null, (*Reached)[j] receives
+  /// the state that suffix reaches from the initial state (0 where
+  /// nothing matches), i.e. what locate() would return for it.
   std::vector<size_t>
-  matchingStatisticsEnds(const std::vector<uint32_t> &Query) const;
+  matchingStatisticsEnds(const std::vector<uint32_t> &Query,
+                         std::vector<int32_t> *Reached = nullptr) const;
 
 private:
   struct State {

@@ -29,34 +29,20 @@ void WeightedString::append(const std::string &Literal, uint64_t Weight) {
 }
 
 void WeightedString::append(LiteralId Id, uint64_t Weight) {
+  if (PrefixWeight.empty())
+    PrefixWeight.push_back(0);
   Ids.push_back(Id);
-  Weights.push_back(Weight);
-  invalidateCache();
-}
-
-void WeightedString::ensurePrefixWeights() const {
-  if (PrefixWeight.size() == Weights.size() + 1)
-    return;
-  PrefixWeight.resize(Weights.size() + 1);
-  PrefixWeight[0] = 0;
-  for (size_t I = 0; I < Weights.size(); ++I)
-    PrefixWeight[I + 1] = PrefixWeight[I] + Weights[I];
+  PrefixWeight.push_back(PrefixWeight.back() + Weight);
 }
 
 uint64_t WeightedString::totalWeight() const {
   return rangeWeight(0, size());
 }
 
-uint64_t WeightedString::rangeWeight(size_t Begin, size_t End) const {
-  assert(Begin <= End && End <= size() && "bad token range");
-  ensurePrefixWeights();
-  return PrefixWeight[End] - PrefixWeight[Begin];
-}
-
 uint64_t WeightedString::filteredWeight(uint64_t MinWeight) const {
   uint64_t Sum = 0;
-  for (uint64_t W : Weights)
-    if (W >= MinWeight)
-      Sum += W;
+  for (size_t I = 0; I < size(); ++I)
+    if (weight(I) >= MinWeight)
+      Sum += weight(I);
   return Sum;
 }

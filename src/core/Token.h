@@ -80,8 +80,9 @@ struct Token {
 /// A sequence of weighted tokens over a shared TokenTable.
 ///
 /// Storage is struct-of-arrays: the matcher walks the literal ids
-/// alone, and occurrence weights are O(1) via a prefix-sum table that
-/// is built lazily on first use and invalidated by mutation.
+/// alone, and the weights are kept as the prefix sums append() extends,
+/// so a token's or an occurrence's weight is O(1), every const member
+/// is a pure read, and a string is safe to share across threads.
 class WeightedString {
 public:
   WeightedString() = default;
@@ -112,20 +113,22 @@ public:
     return Table->literal(literalId(I));
   }
   uint64_t weight(size_t I) const {
-    assert(I < Weights.size() && "token index out of range");
-    return Weights[I];
+    assert(I < size() && "token index out of range");
+    return PrefixWeight[I + 1] - PrefixWeight[I];
   }
   Token token(size_t I) const { return {literalId(I), weight(I)}; }
 
   const std::vector<LiteralId> &literalIds() const { return Ids; }
-  const std::vector<uint64_t> &weights() const { return Weights; }
 
   /// Total weight of the string — "the summation of the weights of its
   /// tokens" (§3.2).
   uint64_t totalWeight() const;
 
   /// Sum of token weights over [Begin, End).
-  uint64_t rangeWeight(size_t Begin, size_t End) const;
+  uint64_t rangeWeight(size_t Begin, size_t End) const {
+    assert(Begin <= End && End <= size() && "bad token range");
+    return Begin == End ? 0 : PrefixWeight[End] - PrefixWeight[Begin];
+  }
 
   /// Paper §3.2 weight_{w>=n}: sum of the weights of the tokens whose
   /// individual weight is >= \p MinWeight.
@@ -133,19 +136,16 @@ public:
 
   /// Token-wise equality (same table assumed).
   bool operator==(const WeightedString &Rhs) const {
-    return Ids == Rhs.Ids && Weights == Rhs.Weights;
+    return Ids == Rhs.Ids && PrefixWeight == Rhs.PrefixWeight;
   }
 
 private:
   std::shared_ptr<TokenTable> Table;
   std::string Name;
   std::vector<LiteralId> Ids;
-  std::vector<uint64_t> Weights;
-  /// PrefixWeight[i] = sum of Weights[0..i); size = size()+1.
-  mutable std::vector<uint64_t> PrefixWeight;
-
-  void invalidateCache() { PrefixWeight.clear(); }
-  void ensurePrefixWeights() const;
+  /// PrefixWeight[i] = the summed weight of tokens [0, i); size() + 1
+  /// entries, or none before the first token.
+  std::vector<uint64_t> PrefixWeight;
 };
 
 } // namespace kast

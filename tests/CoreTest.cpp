@@ -57,14 +57,17 @@ TEST(WeightedStringTest, TotalAndRangeWeight) {
   EXPECT_EQ(S.rangeWeight(0, 0), 0u);
   EXPECT_EQ(S.rangeWeight(1, 4), 2u + 3u + 4u);
   EXPECT_EQ(S.rangeWeight(0, 5), 15u);
+  WeightedString Empty(Table);
+  EXPECT_EQ(Empty.totalWeight(), 0u);
+  EXPECT_EQ(Empty.rangeWeight(0, 0), 0u);
 }
 
 TEST(WeightedStringTest, RangeWeightValidAfterMutation) {
   auto Table = TokenTable::create();
   WeightedString S(Table);
   S.append("a", 1);
-  EXPECT_EQ(S.totalWeight(), 1u); // Builds the prefix cache.
-  S.append("b", 2);               // Must invalidate it.
+  EXPECT_EQ(S.totalWeight(), 1u);
+  S.append("b", 2); // Must extend the prefix table.
   EXPECT_EQ(S.totalWeight(), 3u);
 }
 

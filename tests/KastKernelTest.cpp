@@ -14,12 +14,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/KastKernel.h"
+#include "core/Matcher.h"
 #include "core/StringSerializer.h"
 #include "util/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 using namespace kast;
 
@@ -232,6 +234,34 @@ TEST(KastKernelTest, RepeatedSubstringAccumulates) {
   KastSpectrumKernel K({/*CutWeight=*/2});
   // Features: "a b" -> S: 3 + 7, T: 5  => 50.
   EXPECT_DOUBLE_EQ(K.evaluate(S, T), 50.0);
+}
+
+// The Gram names a candidate by the partner state its maximal match
+// reaches in the matching walk; that must be the state locate() finds
+// for the match read back to front, and asking for the states must not
+// change the matches.
+TEST(KastKernelTest, MaximalMatchStatesLocateTheMatches) {
+  Rng R(77);
+  for (int Round = 0; Round < 20; ++Round) {
+    std::vector<uint32_t> Subject, Partner;
+    for (int I = 0; I < 40; ++I)
+      Subject.push_back(static_cast<uint32_t>(R.uniformInt(0, 2)));
+    for (int I = 0; I < 30; ++I)
+      Partner.push_back(static_cast<uint32_t>(R.uniformInt(0, 2)));
+    SuffixAutomaton RevPartner(reversed(Partner));
+    std::vector<int32_t> States;
+    std::vector<MaximalMatch> Matches =
+        findMaximalMatches(reversed(Subject), RevPartner, &States);
+    EXPECT_EQ(Matches, findMaximalMatches(reversed(Subject), RevPartner));
+    ASSERT_EQ(States.size(), Matches.size());
+    for (size_t M = 0; M < Matches.size(); ++M) {
+      auto First = Subject.begin() + static_cast<ptrdiff_t>(Matches[M].Begin);
+      auto Last = Subject.begin() + static_cast<ptrdiff_t>(Matches[M].End);
+      EXPECT_EQ(States[M], RevPartner.locate(std::make_reverse_iterator(Last),
+                                             std::make_reverse_iterator(First)))
+          << "round " << Round << " match " << M;
+    }
+  }
 }
 
 TEST(KastKernelTest, NameMentionsCut) {

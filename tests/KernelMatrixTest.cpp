@@ -7,10 +7,12 @@
 // The KernelMatrix growth contract: appendRows must evaluate exactly
 // the entries the new strings introduce (verified by an
 // evaluation-count probe) and produce the same matrix as a one-shot
-// build; the closed-form pair-index inversions must agree with
-// loop-based references across the whole size range the float-root
-// "nudge" is supposed to cover; normalization must keep an exactly
-// unit diagonal even for zero-length strings.
+// build; the grouped Kast fill must reproduce the pairwise Gram bit for
+// bit, including past 2^53 where it falls back to the ordered sum; the
+// closed-form pair-index inversions must agree with loop-based
+// references across the whole size range the float-root "nudge" is
+// supposed to cover; normalization must keep an exactly unit diagonal
+// even for zero-length strings.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 
 using namespace kast;
 
@@ -82,6 +85,64 @@ public:
 private:
   const StringKernel &Inner;
 };
+
+/// The same literal sequence as \p Base with fresh weights in
+/// [1, MaxWeight] — a member of Base's group in the grouped Kast fill.
+WeightedString reweighted(const WeightedString &Base, Rng &R,
+                          uint64_t MaxWeight = 16) {
+  WeightedString S(Base.table());
+  for (size_t I = 0; I < Base.size(); ++I)
+    S.append(Base.literalId(I), R.uniformInt(1, MaxWeight));
+  return S;
+}
+
+/// Gram corpora by how often literal sequences repeat: Kind 0 draws
+/// every string fresh, Kind 1 reweights four base sequences over and
+/// over, Kind 2 mixes both. Every corpus also holds empty strings.
+std::vector<WeightedString>
+groupedCorpus(const std::shared_ptr<TokenTable> &Table, Rng &R, int Kind,
+              size_t N) {
+  std::vector<WeightedString> Bases;
+  for (int B = 0; B < 4; ++B)
+    Bases.push_back(randomString(Table, R, R.uniformInt(1, 24), 4));
+  std::vector<WeightedString> Corpus;
+  for (size_t I = 0; I < N; ++I) {
+    if (I % 9 == 4)
+      Corpus.push_back(WeightedString(Table));
+    else if (Kind == 1 || (Kind == 2 && I % 2 == 0))
+      Corpus.push_back(reweighted(R.pick(Bases), R));
+    else
+      Corpus.push_back(randomString(Table, R, R.uniformInt(1, 24), 4));
+  }
+  return Corpus;
+}
+
+/// The raw Gram from per-pair KastSpectrumKernel::evaluate, the
+/// reference the grouped fill must reproduce bit for bit.
+Matrix pairwiseReference(const StringKernel &Kernel,
+                         const std::vector<WeightedString> &Strings) {
+  const size_t N = Strings.size();
+  Matrix K(N, N, 0.0);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = I; J < N; ++J)
+      K.at(I, J) = K.at(J, I) = Kernel.evaluate(Strings[I], Strings[J]);
+  return K;
+}
+
+void expectBitwiseEqual(const Matrix &A, const Matrix &B) {
+  ASSERT_EQ(A.rows(), B.rows());
+  ASSERT_EQ(A.cols(), B.cols());
+  if (std::memcmp(A.data().data(), B.data().data(),
+                  A.data().size() * sizeof(double)) == 0)
+    return;
+  for (size_t P = 0; P < A.data().size(); ++P)
+    if (std::memcmp(&A.data()[P], &B.data()[P], sizeof(double)) != 0) {
+      ADD_FAILURE() << "first difference at (" << P / A.cols() << ", "
+                    << P % A.cols() << "): " << A.data()[P] << " vs "
+                    << B.data()[P];
+      return;
+    }
+}
 
 void expectSameMatrix(const Matrix &A, const Matrix &B) {
   ASSERT_EQ(A.rows(), B.rows());
@@ -151,7 +212,149 @@ TEST(KernelMatrixTest, AppendRowsInStagesMatchesOneShot) {
     Gram.appendRows({All.begin() + Cuts[C], All.begin() + Cuts[C + 1]});
 
   EXPECT_EQ(Gram.size(), All.size());
-  expectSameMatrix(Gram.materialize(), computeKernelMatrix(Kernel, All, Options));
+  KernelMatrix OneShot(Kernel, Options);
+  OneShot.appendRows(All);
+  expectBitwiseEqual(Gram.raw(), OneShot.raw());
+  expectBitwiseEqual(Gram.materialize(), OneShot.materialize());
+}
+
+// Staged appends that revisit groups: the second batch brings new
+// members of the first batch's literal sequences beside new sequences,
+// and the third holds only duplicates of old rows (exact copies and
+// reweighted ones), so every one of its group pairs has old members on
+// both sides.
+TEST(KernelMatrixTest, AppendRowsGrowsEarlierGroupsBitwise) {
+  Rng R(4242);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> First = randomCorpus(Table, R, 8);
+  std::vector<WeightedString> Second, Third;
+  for (size_t I = 0; I < 6; ++I)
+    Second.push_back(reweighted(First[I % First.size()], R));
+  for (WeightedString &S : randomCorpus(Table, R, 4))
+    Second.push_back(std::move(S));
+  for (size_t I = 0; I < First.size(); I += 2) {
+    Third.push_back(First[I]);
+    Third.push_back(reweighted(Second[I], R));
+  }
+  std::vector<WeightedString> All = First;
+  All.insert(All.end(), Second.begin(), Second.end());
+  All.insert(All.end(), Third.begin(), Third.end());
+
+  for (uint64_t Cut : {2u, 24u})
+    for (size_t Threads : {1u, 0u}) {
+      SCOPED_TRACE("cut " + std::to_string(Cut) + ", threads " +
+                   std::to_string(Threads));
+      KastSpectrumKernel Kernel({Cut});
+      KernelMatrixOptions Options;
+      Options.Threads = Threads;
+      KernelMatrix Staged(Kernel, Options);
+      Staged.appendRows(First);
+      Staged.appendRows(Second);
+      Staged.appendRows(Third);
+      KernelMatrix OneShot(Kernel, Options);
+      OneShot.appendRows(All);
+      expectBitwiseEqual(Staged.raw(), OneShot.raw());
+      expectBitwiseEqual(Staged.raw(), pairwiseReference(Kernel, All));
+      for (size_t I = 0; I < All.size(); ++I)
+        EXPECT_EQ(Staged.diagonal()[I], Staged.raw().at(I, I));
+    }
+}
+
+//===----------------------------------------------------------------------===//
+// The grouped Kast fill against the pairwise evaluations
+//===----------------------------------------------------------------------===//
+
+// The grouped fill finds candidates once per pair of literal sequences
+// and scores member pairs by exact integer dots; the pairwise paths sort
+// every pair's candidates and sum in double. Both must give the same
+// bits, under both cut policies, with the cut below every string's
+// total weight, between them and above all of them (where every entry
+// is zero), serially and in parallel.
+TEST(KernelMatrixTest, GroupedKastGramMatchesPairwiseBitwise) {
+  for (int Kind = 0; Kind < 3; ++Kind) {
+    Rng R(900 + Kind);
+    auto Table = TokenTable::create();
+    std::vector<WeightedString> Corpus = groupedCorpus(Table, R, Kind, 40);
+    // At cut 12 the first string is lighter than the cut, yet under
+    // PerFeatureTotal its two overlapping "a a" occurrences (8 + 7)
+    // would qualify against the second's (8 + 8): it must stay ignored.
+    Corpus.push_back(parseWeightedString("a:4 a:4 a:3", Table).take());
+    Corpus.push_back(parseWeightedString("a:4 a:4 b:4 a:4 a:4", Table).take());
+    uint64_t MaxTotal = 0;
+    for (const WeightedString &S : Corpus)
+      MaxTotal = std::max(MaxTotal, S.totalWeight());
+    for (CutPolicy Policy :
+         {CutPolicy::PerOccurrence, CutPolicy::PerFeatureTotal})
+      for (uint64_t Cut : {uint64_t{1}, uint64_t{12}, MaxTotal / 2,
+                           MaxTotal + 1}) {
+        KastSpectrumKernel Kernel({Cut, Policy});
+        const Matrix Reference = pairwiseReference(Kernel, Corpus);
+        for (size_t Threads : {1u, 0u}) {
+          SCOPED_TRACE("kind " + std::to_string(Kind) + ", cut " +
+                       std::to_string(Cut) + ", policy " +
+                       std::to_string(static_cast<int>(Policy)) +
+                       ", threads " + std::to_string(Threads));
+          KernelMatrixOptions Options;
+          Options.Threads = Threads;
+          Options.Normalize = false;
+          KernelMatrix Grouped(Kernel, Options);
+          Grouped.appendRows(Corpus);
+          Options.UsePrecompute = false;
+          KernelMatrix Pairwise(Kernel, Options);
+          Pairwise.appendRows(Corpus);
+          expectBitwiseEqual(Grouped.raw(), Reference);
+          expectBitwiseEqual(Pairwise.raw(), Reference);
+        }
+      }
+  }
+}
+
+// Token weights near 2^27 make feature products near 2^54, so the exact
+// integer sum of an entry passes 2^53, where a double can no longer
+// hold every partial sum and the summation order decides the bits. The
+// grouped fill must notice and take the ordered sum for those entries.
+TEST(KernelMatrixTest, GroupedKastGramFallsBackPast2To53) {
+  __extension__ typedef unsigned __int128 Wide;
+  Rng R(2053);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Bases;
+  for (int B = 0; B < 3; ++B)
+    Bases.push_back(randomString(Table, R, 12, 3));
+  std::vector<WeightedString> Corpus;
+  for (int I = 0; I < 12; ++I) {
+    WeightedString S(Table);
+    const WeightedString &Base = Bases[I % Bases.size()];
+    for (size_t T = 0; T < Base.size(); ++T)
+      S.append(Base.literalId(T), (uint64_t{1} << 27) + R.uniformInt(0, 4095));
+    Corpus.push_back(std::move(S));
+  }
+
+  KastSpectrumKernel Kernel({/*CutWeight=*/2});
+  // The exact value of every entry, and how many of them reach 2^53 —
+  // and how many of those a rounded exact sum would get wrong.
+  size_t Past = 0, Misrounded = 0;
+  for (size_t I = 0; I < Corpus.size(); ++I)
+    for (size_t J = I; J < Corpus.size(); ++J) {
+      Wide Exact = 0;
+      for (const KastFeature &F : Kernel.features(Corpus[I], Corpus[J]))
+        Exact += static_cast<Wide>(F.WeightInA) * F.WeightInB;
+      if (Exact >= (Wide(1) << 53)) {
+        ++Past;
+        Misrounded += static_cast<double>(Exact) !=
+                      Kernel.evaluate(Corpus[I], Corpus[J]);
+      }
+    }
+  ASSERT_GT(Past, 0u);
+  EXPECT_GT(Misrounded, 0u);
+
+  for (size_t Threads : {1u, 0u}) {
+    KernelMatrixOptions Options;
+    Options.Threads = Threads;
+    Options.Normalize = false;
+    KernelMatrix Grouped(Kernel, Options);
+    Grouped.appendRows(Corpus);
+    expectBitwiseEqual(Grouped.raw(), pairwiseReference(Kernel, Corpus));
+  }
 }
 
 TEST(KernelMatrixTest, AppendRowsWithoutPrecompute) {
