@@ -6,16 +6,18 @@
 //
 // The corpus-growth story in numbers: extending an existing Gram matrix
 // with KernelMatrix::appendRows versus recomputing it from scratch,
-// top-k profile-index queries (single and batched over the ProfileStore
-// arena) versus the full-matrix detour they replace, and restarts from
-// flat images. Args are {N, M}: N already-indexed strings, M arriving
-// ones.
+// top-k index queries (single and batched over the ProfileStore arena)
+// versus the full-matrix detour they replace, and restarts from flat
+// images. Args are {N, M}: N already-indexed strings, M arriving ones.
+//
+// Every corpus string is named "c<i>", so a sharded service spreads its
+// entries over all shards by name hash. Rows that time one index
+// without sharding build a one-shard service ({.Shards = 1}).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/KernelMatrix.h"
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
 
@@ -33,6 +35,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,15 +53,18 @@ WeightedString randomString(const std::shared_ptr<TokenTable> &Table,
   return S;
 }
 
-/// Random corpus of N strings (length 64, alphabet 12); one per size.
+/// Random corpus of N strings (length 64, alphabet 12) named "c<i>";
+/// one per size.
 const std::vector<WeightedString> &randomCorpus(size_t N) {
   static auto Table = TokenTable::create();
   static std::map<size_t, std::vector<WeightedString>> Cache;
   auto [It, Inserted] = Cache.try_emplace(N);
   if (Inserted) {
     Rng R(N * 7919 + 13);
-    for (size_t I = 0; I < N; ++I)
+    for (size_t I = 0; I < N; ++I) {
       It->second.push_back(randomString(Table, R, 64, 12));
+      It->second.back().setName("c" + std::to_string(I));
+    }
   }
   return It->second;
 }
@@ -66,6 +72,15 @@ const std::vector<WeightedString> &randomCorpus(size_t N) {
 BlendedSpectrumKernel &kernel() {
   static BlendedSpectrumKernel K(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
   return K;
+}
+
+/// A service over Corpus[0, N), built by add() (untimed set-up).
+IndexService serviceOver(const std::vector<WeightedString> &Corpus, size_t N,
+                         IndexServiceOptions Options = {}) {
+  IndexService Service(kernel().name(), Options);
+  for (size_t I = 0; I < N; ++I)
+    Service.add(Corpus[I].name(), "", kernel().profile(Corpus[I]));
+  return Service;
 }
 
 /// Growing an N-string Gram by M rows: only the N·M + M(M+1)/2 new
@@ -108,35 +123,36 @@ BENCHMARK(BM_GramRecomputeAfterArrival)
     ->Args({1024, 32})
     ->Unit(benchmark::kMillisecond);
 
-/// One top-k query against an N-string index: O(N · dot), the
-/// retrieval hot path.
+/// One top-k query against an N-string one-shard index: O(N · dot),
+/// the retrieval hot path.
 void BM_IndexQueryTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
-  ProfileIndex Index = ProfileIndex::build(
-      kernel(), {Corpus.begin(), Corpus.begin() + N});
+  IndexService Index = serviceOver(Corpus, N, {.Shards = 1});
   KernelProfile Query = kernel().profile(Corpus[N]);
   for (auto _ : State)
-    benchmark::DoNotOptimize(Index.query(Query, 5));
+    benchmark::DoNotOptimize(Index.query(Query, 5, true, 1));
 }
 BENCHMARK(BM_IndexQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
 /// Batched top-k queries over the arena: Args are {N, B} — B queries
-/// against an N-string index through queryBatch, which scores views
-/// straight off the store's flat hash/value arrays and keeps a K-hit
-/// selection per query, reusing each worker chunk's scratch across the
-/// whole batch.
+/// against an N-string one-shard index through queryBatch, which scores
+/// views straight off the store's flat hash/value arrays and keeps a
+/// K-hit selection per query, reusing each worker chunk's scratch
+/// across the whole batch.
 void BM_IndexQueryBatchTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const size_t B = static_cast<size_t>(State.range(1));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + B);
-  ProfileIndex Index = ProfileIndex::build(
-      kernel(), {Corpus.begin(), Corpus.begin() + N});
+  const IndexSnapshot Index = serviceOver(Corpus, N, {.Shards = 1}).snapshot();
   std::vector<KernelProfile> Queries;
+  std::vector<const KernelProfile *> Borrowed;
   for (size_t I = 0; I < B; ++I)
     Queries.push_back(kernel().profile(Corpus[N + I]));
+  for (const KernelProfile &Q : Queries)
+    Borrowed.push_back(&Q);
   for (auto _ : State)
-    benchmark::DoNotOptimize(Index.queryBatch(Queries, 5));
+    benchmark::DoNotOptimize(Index.queryBatch(Borrowed, 5));
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(B));
 }
@@ -151,7 +167,8 @@ BENCHMARK(BM_IndexQueryBatchTop5)
 /// — the structure a cluster router exists to exploit; uniform-random
 /// strings have no neighborhoods to route to. Same length, alphabet
 /// and weight range as randomCorpus, so per-profile scan cost (and
-/// hence the exact-scan baseline) is unchanged.
+/// hence the exact-scan baseline) is unchanged. Entries are named
+/// "c<i>".
 const std::vector<WeightedString> &clusteredCorpus(size_t N) {
   static auto Table = TokenTable::create();
   static std::map<size_t, std::vector<WeightedString>> Cache;
@@ -178,6 +195,7 @@ const std::vector<WeightedString> &clusteredCorpus(size_t N) {
       WeightedString S(Table);
       for (const auto &[Token, Weight] : Seq)
         S.append(Token, Weight);
+      S.setName("c" + std::to_string(I));
       It->second.push_back(std::move(S));
     }
   }
@@ -215,33 +233,40 @@ RoutingOptions sweepRouting(int DfPct) {
   return Options;
 }
 
+/// A one-shard routed index and its fitted centroid count.
+struct RoutedIndex {
+  IndexService Service;
+  size_t Centroids = 0;
+};
+
 /// One routed index per (N, DfPct); the k-means fit dominates setup,
 /// so fitted indexes are cached across benchmark registrations.
-const ProfileIndex &routedIndex(size_t N, int DfPct) {
-  static std::map<std::pair<size_t, int>, ProfileIndex> Cache;
-  auto [It, Inserted] = Cache.try_emplace(std::make_pair(N, DfPct));
-  if (Inserted) {
-    const std::vector<WeightedString> &Corpus =
-        clusteredCorpus(N + RoutedQueryCount);
-    It->second = ProfileIndex::build(kernel(),
-                                     {Corpus.begin(), Corpus.begin() + N});
-    It->second.buildRouting(sweepRouting(DfPct));
+const RoutedIndex &routedIndex(size_t N, int DfPct) {
+  static std::map<std::pair<size_t, int>, std::unique_ptr<RoutedIndex>> Cache;
+  std::unique_ptr<RoutedIndex> &Slot = Cache[std::make_pair(N, DfPct)];
+  if (!Slot) {
+    Slot = std::make_unique<RoutedIndex>(RoutedIndex{
+        serviceOver(clusteredCorpus(N + RoutedQueryCount), N, {.Shards = 1})});
+    Slot->Service.rebuildRouting(sweepRouting(DfPct));
+    Slot->Centroids =
+        Slot->Service.toShardCaches()[0].Routing->Centroids.size();
   }
-  return It->second;
+  return *Slot;
 }
 
 /// Mean recall@5 of the routed path against the exact scan on the
 /// same index, over the held-out query set.
-double meanRecall5(const ProfileIndex &Routed,
+double meanRecall5(const IndexService &Routed,
                    const std::vector<KernelProfile> &Queries, size_t NProbe) {
   double Sum = 0.0;
   for (const KernelProfile &Q : Queries) {
-    const std::vector<Neighbor> Exact = Routed.query(Q, 5);
-    const std::vector<Neighbor> Approx = Routed.queryApprox(Q, 5, true, NProbe);
+    const std::vector<ServiceHit> Exact = Routed.query(Q, 5, true, 1);
+    const std::vector<ServiceHit> Approx =
+        Routed.queryApprox(Q, 5, true, NProbe, 1);
     size_t Hits = 0;
-    for (const Neighbor &A : Approx)
-      for (const Neighbor &E : Exact)
-        Hits += A.Index == E.Index;
+    for (const ServiceHit &A : Approx)
+      for (const ServiceHit &E : Exact)
+        Hits += A.Name == E.Name;
     Sum += Exact.empty() ? 1.0
                          : static_cast<double>(Hits) /
                                static_cast<double>(Exact.size());
@@ -256,10 +281,10 @@ double meanRecall5(const ProfileIndex &Routed,
 /// to identical data anyway.
 void BM_ClusteredExactQueryTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
-  const ProfileIndex &Routed = routedIndex(N, /*DfPct=*/100);
+  const IndexService &Routed = routedIndex(N, /*DfPct=*/100).Service;
   const KernelProfile Query = heldOutQueries(N).front();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Routed.query(Query, 5));
+    benchmark::DoNotOptimize(Routed.query(Query, 5, true, 1));
 }
 BENCHMARK(BM_ClusteredExactQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
@@ -271,19 +296,19 @@ BENCHMARK(BM_ClusteredExactQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 /// guarantees exactly 1.0 — the CI canary greps for that counter.
 void BM_InvertedQueryTop5(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
-  const ProfileIndex &Routed = routedIndex(N, /*DfPct=*/100);
-  const ProfileIndex &Exhaustive = routedIndex(N, /*DfPct=*/-1);
+  const RoutedIndex &Routed = routedIndex(N, /*DfPct=*/100);
+  const RoutedIndex &Exhaustive = routedIndex(N, /*DfPct=*/-1);
   const std::vector<KernelProfile> Queries = heldOutQueries(N);
-  const double Recall = meanRecall5(Routed, Queries, /*NProbe=*/0);
-  const double ExhaustiveRecall = meanRecall5(
-      Exhaustive, Queries, Exhaustive.router()->numCentroids());
+  const double Recall = meanRecall5(Routed.Service, Queries, /*NProbe=*/0);
+  const double ExhaustiveRecall =
+      meanRecall5(Exhaustive.Service, Queries, Exhaustive.Centroids);
   const KernelProfile &Query = Queries.front();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Routed.queryApprox(Query, 5));
+    benchmark::DoNotOptimize(Routed.Service.queryApprox(Query, 5, true, 0, 1));
   State.counters["recall5"] = benchmark::Counter(Recall);
   State.counters["recall5_exhaustive"] = benchmark::Counter(ExhaustiveRecall);
   State.counters["centroids"] =
-      benchmark::Counter(static_cast<double>(Routed.router()->numCentroids()));
+      benchmark::Counter(static_cast<double>(Routed.Centroids));
 }
 BENCHMARK(BM_InvertedQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 
@@ -295,15 +320,16 @@ BENCHMARK(BM_InvertedQueryTop5)->Arg(128)->Arg(1024)->Arg(8192);
 void BM_InvertedRecallSweep(benchmark::State &State) {
   const size_t N = 8192;
   const int DfPct = static_cast<int>(State.range(1));
-  const ProfileIndex &Routed = routedIndex(N, DfPct);
+  const RoutedIndex &Routed = routedIndex(N, DfPct);
   const size_t NProbe = State.range(0) != 0
                             ? static_cast<size_t>(State.range(0))
-                            : Routed.router()->numCentroids();
+                            : Routed.Centroids;
   const std::vector<KernelProfile> Queries = heldOutQueries(N);
-  const double Recall = meanRecall5(Routed, Queries, NProbe);
+  const double Recall = meanRecall5(Routed.Service, Queries, NProbe);
   const KernelProfile &Query = Queries.front();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Routed.queryApprox(Query, 5, true, NProbe));
+    benchmark::DoNotOptimize(
+        Routed.Service.queryApprox(Query, 5, true, NProbe, 1));
   State.counters["recall5"] = benchmark::Counter(Recall);
   State.counters["nprobe"] =
       benchmark::Counter(static_cast<double>(NProbe));
@@ -330,29 +356,19 @@ BENCHMARK(BM_InvertedRecallSweep)
     ->Args({16, 10})
     ->Args({0, 10});
 
-/// Building the index itself (N profiles + norms, parallel).
-void BM_IndexBuild(benchmark::State &State) {
-  const std::vector<WeightedString> &Corpus =
-      randomCorpus(static_cast<size_t>(State.range(0)));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(ProfileIndex::build(kernel(), Corpus));
-}
-BENCHMARK(BM_IndexBuild)->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
-
 /// Query latency *during* concurrent ingest — the serving-layer claim
 /// in one number. An IndexService starts with N entries; a background
 /// writer thread appends continuously (removing every 8th of its own
 /// adds) for the whole measurement, while the timed loop runs top-5
 /// queries through fresh snapshots. Compare against BM_IndexQueryTop5
 /// at the same N: the gap is the cost of snapshot isolation plus
-/// whatever cache pressure the writer induces. A bare ProfileIndex
-/// cannot run this benchmark at all — add() invalidates the views a
-/// concurrent query is scanning.
+/// whatever cache pressure the writer induces. A bare ProfileStore
+/// arena cannot run this benchmark at all — an append invalidates the
+/// views a concurrent query is scanning.
 void BM_ServiceQueryWhileAppend(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
-  IndexService Service = IndexService::fromIndex(
-      ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+  IndexService Service = serviceOver(Corpus, N);
   KernelProfile Query = kernel().profile(Corpus[N]);
 
   // The ingest stream reuses pre-built profiles round-robin under
@@ -395,8 +411,7 @@ BENCHMARK(BM_ServiceQueryWhileAppend)->Arg(1024)->Arg(8192);
 void BM_ServiceQueryQuiesced(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   const std::vector<WeightedString> &Corpus = randomCorpus(N + 1);
-  IndexService Service = IndexService::fromIndex(
-      ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+  IndexService Service = serviceOver(Corpus, N);
   KernelProfile Query = kernel().profile(Corpus[N]);
   for (auto _ : State)
     benchmark::DoNotOptimize(Service.query(Query, 5, true, 1));
@@ -429,8 +444,7 @@ void BM_RestartToFirstQuery(benchmark::State &State) {
                           std::to_string(N);
   static RestartDirs Dirs;
   if (!Dirs.Ready.count(Dir)) {
-    IndexService Service = IndexService::fromIndex(
-        ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+    IndexService Service = serviceOver(Corpus, N);
     Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
     if (!S) {
       State.SkipWithError(S.message().c_str());
@@ -492,8 +506,7 @@ void BM_RoutedRestartToFirstQuery(benchmark::State &State) {
                           std::to_string(N);
   static RestartDirs Dirs;
   if (!Dirs.Ready.count(Dir)) {
-    IndexService Service = IndexService::fromIndex(
-        ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}));
+    IndexService Service = serviceOver(Corpus, N);
     Service.rebuildRouting(sweepRouting(/*DfPct=*/100));
     Status S = writeShardedProfileImages(Service.toShardCaches(), Dir);
     if (!S) {
@@ -600,8 +613,7 @@ void BM_MappedImageSharedRss(benchmark::State &State) {
       "/tmp/kast_perf_index_shared." +
       std::to_string(static_cast<long>(::getpid())) + ".kfi";
   {
-    ProfileIndex Index = ProfileIndex::build(kernel(), Corpus);
-    IndexService Service = IndexService::fromIndex(Index, {.Shards = 1});
+    IndexService Service = serviceOver(Corpus, N, {.Shards = 1});
     std::vector<ProfileStoreCache> Caches = Service.toShardCaches();
     if (Status S = writeProfileStoreImageFile(Caches[0], Path); !S) {
       State.SkipWithError(S.message().c_str());

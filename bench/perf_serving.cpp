@@ -35,7 +35,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "runtime/QueryServer.h"
 #include "util/Rng.h"
@@ -60,8 +59,9 @@ BlendedSpectrumKernel &kernel() {
 
 /// Clustered corpus (same construction as perf_index's): a few dozen
 /// base strings, each entry a 25% mutation of its base, so the cluster
-/// router has real neighborhoods to route to. The last HeldOut entries
-/// are the query stream.
+/// router has real neighborhoods to route to. Entries are named
+/// "c<i>", so a sharded service spreads them over every shard. The last
+/// HeldOut entries are the query stream.
 constexpr size_t HeldOut = 64;
 
 const std::vector<WeightedString> &clusteredCorpus(size_t N) {
@@ -89,21 +89,22 @@ const std::vector<WeightedString> &clusteredCorpus(size_t N) {
       WeightedString S(Table);
       for (const auto &[Token, Weight] : Seq)
         S.append(Token, Weight);
+      S.setName("c" + std::to_string(I));
       It->second.push_back(std::move(S));
     }
   }
   return It->second;
 }
 
-/// The N-entry base index, built once per size (profile construction
-/// dominates; everything downstream re-shards from this).
-const ProfileIndex &baseIndex(size_t N) {
-  static std::map<size_t, ProfileIndex> Cache;
+/// The profiles of the N base entries, built once per size (profile
+/// construction dominates; every service adds from these).
+const std::vector<KernelProfile> &baseProfiles(size_t N) {
+  static std::map<size_t, std::vector<KernelProfile>> Cache;
   auto [It, Inserted] = Cache.try_emplace(N);
   if (Inserted) {
     const std::vector<WeightedString> &Corpus = clusteredCorpus(N + HeldOut);
-    It->second =
-        ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N});
+    for (size_t I = 0; I < N; ++I)
+      It->second.push_back(kernel().profile(Corpus[I]));
   }
   return It->second;
 }
@@ -127,7 +128,11 @@ RoutingOptions servingRouting() {
 /// deterministic for a fixed corpus, so every rebuild serves from the
 /// same routing.
 IndexService makeRoutedService(size_t N) {
-  IndexService Service = IndexService::fromIndex(baseIndex(N));
+  const std::vector<WeightedString> &Corpus = clusteredCorpus(N + HeldOut);
+  const std::vector<KernelProfile> &Profiles = baseProfiles(N);
+  IndexService Service(kernel().name());
+  for (size_t I = 0; I < N; ++I)
+    Service.add(Corpus[I].name(), "", Profiles[I]);
   Service.rebuildRouting(servingRouting(), 1);
   return Service;
 }
@@ -305,11 +310,10 @@ const std::vector<WeightedString> &tinyCorpus(size_t N) {
 /// floor as low as the library allows.
 IndexService makeTinyService(size_t N) {
   const std::vector<WeightedString> &Corpus = tinyCorpus(N + HeldOut);
-  IndexServiceOptions Options;
-  Options.Shards = 1;
-  return IndexService::fromIndex(
-      ProfileIndex::build(kernel(), {Corpus.begin(), Corpus.begin() + N}),
-      Options);
+  IndexService Service(kernel().name(), {.Shards = 1});
+  for (size_t I = 0; I < N; ++I)
+    Service.add("t" + std::to_string(I), "", kernel().profile(Corpus[I]));
+  return Service;
 }
 
 std::vector<KernelProfile> tinyQueries(size_t N) {

@@ -10,12 +10,13 @@
 // Gram matrix, no re-profiling of the corpus.
 //
 // One mutated copy of every base example is held out as the query set;
-// the rest is indexed. With --cache the index round-trips through one
-// flat image (core/FlatImage), so a second run maps the profiles
-// instead of computing them.
+// the rest is indexed in a one-shard IndexService, so ties rank by
+// insertion order. With --cache the index round-trips through a
+// directory of shard images (core/FlatImage), so a second run maps the
+// profiles instead of computing them.
 //
 //   $ ./query_similar
-//   $ ./query_similar --cache /tmp/kast.kfi --k 5
+//   $ ./query_similar --cache /tmp/kast_cache --k 5
 //   $ ./query_similar --no-bytes --cut 8
 //   $ ./query_similar --approx --nprobe 2
 //
@@ -26,7 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "index/ProfileIndex.h"
+#include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/StringUtil.h"
 #include "util/TextTable.h"
@@ -67,7 +68,7 @@ int main(int ArgC, char **ArgV) {
       CachePath = ArgV[++I];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--cache FILE] [--k N] [--no-bytes] [--cut N] "
+                   "usage: %s [--cache DIR] [--k N] [--no-bytes] [--cut N] "
                    "[--approx] [--nprobe N]\n",
                    ArgV[0]);
       return 2;
@@ -102,20 +103,20 @@ int main(int ArgC, char **ArgV) {
   const std::string CacheTag =
       Kernel.name() + (IgnoreBytes ? "|no-bytes" : "|bytes");
 
-  ProfileIndex Index(CacheTag);
+  IndexService Index(CacheTag, {.Shards = 1});
   bool FromCache = false;
   if (!CachePath.empty() && std::filesystem::exists(CachePath)) {
-    Expected<ProfileIndex> Loaded = ProfileIndex::load(CachePath);
-    if (!Loaded) {
-      std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
+    // The loader refuses images built under any other tag.
+    Expected<std::vector<ProfileStoreCache>> Caches =
+        loadShardedProfileImages(CachePath, CacheTag);
+    if (!Caches) {
+      std::fprintf(stderr, "error: %s\n", Caches.message().c_str());
       return 1;
     }
-    if (Loaded->kernelName() != CacheTag) {
-      std::fprintf(stderr,
-                   "error: cache '%s' was built as '%s', this run needs "
-                   "'%s'\n",
-                   CachePath.c_str(), Loaded->kernelName().c_str(),
-                   CacheTag.c_str());
+    Expected<IndexService> Loaded =
+        IndexService::fromShardCaches(Caches.take());
+    if (!Loaded) {
+      std::fprintf(stderr, "error: %s\n", Loaded.message().c_str());
       return 1;
     }
     Index = Loaded.take();
@@ -125,7 +126,8 @@ int main(int ArgC, char **ArgV) {
       Index.add(IndexedStrings[I].name(), IndexedLabels[I],
                 Kernel.profile(IndexedStrings[I]));
     if (!CachePath.empty()) {
-      if (Status S = Index.save(CachePath); !S) {
+      Status S = writeShardedProfileImages(Index.toShardCaches(), CachePath);
+      if (!S) {
         std::fprintf(stderr, "error: %s\n", S.message().c_str());
         return 1;
       }
@@ -135,14 +137,6 @@ int main(int ArgC, char **ArgV) {
               FromCache ? ("cache hit on " + CachePath).c_str()
                         : "built from corpus",
               Index.kernelName().c_str());
-  // The profiles live in one structure-of-arrays arena (three flat
-  // arrays + CSR offsets), which is also exactly what the flat image
-  // stores, one page-aligned section per array.
-  const ProfileStore &Store = Index.store();
-  std::printf("arena: %zu features in %zu + %zu + %zu byte blobs\n",
-              Store.entryCount(), Store.hashes().size() * sizeof(uint64_t),
-              Store.values().size() * sizeof(double),
-              Store.offsets().size() * sizeof(uint64_t));
 
   // The approximate path needs the routing tier; modest pruning so the
   // two paths can actually diverge on this small corpus.
@@ -151,24 +145,30 @@ int main(int ArgC, char **ArgV) {
     Routing.MaxDocFrequency = 0.5;
     Routing.RerankBudget = std::max<size_t>(4 * TopK, 16);
     Routing.DefaultNProbe = NProbe;
-    Index.buildRouting(Routing);
+    Index.rebuildRouting(Routing);
+    // The one shard is exactly its routed segment, so its export
+    // carries the fitted routing.
+    const std::shared_ptr<const RoutingArenas> Fit =
+        Index.toShardCaches()[0].Routing;
+    const size_t Centroids = Fit ? Fit->Centroids.size() : 0;
     const std::string ProbeDesc =
-        NProbe == 0
-            ? "all"
-            : std::to_string(std::min(NProbe, Index.router()->numCentroids()));
-    std::printf("routing: %zu centroids, probing %s per query\n",
-                Index.router()->numCentroids(), ProbeDesc.c_str());
+        NProbe == 0 ? "all" : std::to_string(std::min(NProbe, Centroids));
+    std::printf("routing: %zu centroids, probing %s per query\n", Centroids,
+                ProbeDesc.c_str());
   }
 
   std::vector<KernelProfile> Queries;
   Queries.reserve(QueryStrings.size());
   for (const WeightedString &Q : QueryStrings)
     Queries.push_back(Kernel.profile(Q));
-  std::vector<std::vector<Neighbor>> Exact =
-      Index.queryBatch(Queries, TopK);
-  std::vector<std::vector<Neighbor>> Hits =
-      Approx ? Index.queryBatch(Queries, TopK, true, /*Threads=*/0,
-                                /*Approx=*/true, NProbe)
+  std::vector<const KernelProfile *> Borrowed;
+  for (const KernelProfile &Q : Queries)
+    Borrowed.push_back(&Q);
+  const IndexSnapshot Snap = Index.snapshot();
+  std::vector<std::vector<ServiceHit>> Exact = Snap.queryBatch(Borrowed, TopK);
+  std::vector<std::vector<ServiceHit>> Hits =
+      Approx ? Snap.queryBatch(Borrowed, TopK, true, /*Threads=*/0,
+                               /*Approx=*/true, NProbe)
              : Exact;
 
   TextTable Table;
@@ -182,10 +182,10 @@ int main(int ArgC, char **ArgV) {
   for (size_t Q = 0; Q < Queries.size(); ++Q) {
     std::string Nearest, Sim;
     if (!Hits[Q].empty()) {
-      Nearest = Index.name(Hits[Q][0].Index);
+      Nearest = Hits[Q][0].Name;
       Sim = formatDouble(Hits[Q][0].Similarity, 3);
     }
-    std::string Predicted = Index.majorityLabel(Hits[Q]);
+    std::string Predicted = IndexSnapshot::majorityLabel(Hits[Q]);
     bool Ok = Predicted == QueryLabels[Q];
     Correct += Ok;
     std::vector<std::string> Row = {QueryStrings[Q].name(), QueryLabels[Q],
@@ -193,9 +193,9 @@ int main(int ArgC, char **ArgV) {
                                     Ok ? "yes" : "NO"};
     if (Approx) {
       size_t Overlap = 0;
-      for (const Neighbor &A : Hits[Q])
-        for (const Neighbor &E : Exact[Q])
-          Overlap += A.Index == E.Index;
+      for (const ServiceHit &A : Hits[Q])
+        for (const ServiceHit &E : Exact[Q])
+          Overlap += A.Name == E.Name;
       double Recall = Exact[Q].empty()
                           ? 1.0
                           : static_cast<double>(Overlap) /

@@ -7,8 +7,8 @@
 // The serving layer under live traffic: writer threads ingest (and
 // occasionally remove) corpus profiles through an IndexService while
 // reader threads answer top-k queries the whole time — the mutable-
-// corpus workload a bare ProfileIndex cannot survive, because its
-// add() invalidates every outstanding view.
+// corpus workload a bare ProfileStore arena cannot survive, because an
+// append invalidates every outstanding view.
 //
 // Every reader works off immutable snapshots: queries taken mid-ingest
 // re-verify against their own snapshot at the end, demonstrating that

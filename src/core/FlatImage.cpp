@@ -99,7 +99,8 @@ const char *sectionName(FlatSectionId Id) {
 ///   48  maxIterations   u64
 ///   56  trainingSample  u64
 ///   64  seed            u64
-///   72  covered         u64  profiles covered (assignment count)
+///   72  covered         u64  profiles covered (assignment count),
+///                            always profileCount
 ///   80  centroidCount   u64  fitted centroids C
 ///   88  centroidEntries u64  total centroid features ce
 ///   96  featureCount    u64  surviving posting features F
@@ -169,19 +170,17 @@ struct SectionOut {
 /// A string list as a self-contained section: (N+1) u64 offsets into
 /// the byte blob that follows — the same CSR idea as the profile
 /// arrays, so restore is a bounds-checked view, not a length-prefixed
-/// parse. Works over vector<std::string> and StringColumn alike (both
-/// expose size() and a string_view-convertible operator[]).
-template <typename Column>
-std::vector<unsigned char> buildStringTable(const Column &Strings) {
+/// parse.
+std::vector<unsigned char> buildStringTable(const StringColumn &Strings) {
   std::vector<unsigned char> Out;
   uint64_t Total = 0;
   for (size_t I = 0; I < Strings.size(); ++I)
-    Total += std::string_view(Strings[I]).size();
+    Total += Strings[I].size();
   Out.reserve((Strings.size() + 1) * 8 + Total);
   uint64_t Offset = 0;
   appendU64(Out, 0);
   for (size_t I = 0; I < Strings.size(); ++I) {
-    Offset += std::string_view(Strings[I]).size();
+    Offset += Strings[I].size();
     appendU64(Out, Offset);
   }
   for (size_t I = 0; I < Strings.size(); ++I) {
@@ -255,30 +254,35 @@ Status validateStringTable(const unsigned char *Data, uint64_t Size,
   return Status();
 }
 
-/// The shared writer over either string-column shape
-/// (vector<std::string> or StringColumn), optionally embedding routing
-/// arenas — which is what flips the written version to 4. Writes
-/// exactly \p Path; the public entry points decide the staging name.
-template <typename Column>
-Status writeImageAt(const std::string &KernelName, const Column &Names,
-                    const Column &Labels, const ProfileStore &Store,
-                    const RoutingArenas *Routing, const std::string &Path) {
+/// The one writer: \p Cache's store with its names/labels and int8
+/// sidecar, plus its routing arenas — which is what flips the written
+/// version to 4. Writes exactly \p Path; the public entry points
+/// decide the staging name.
+Status writeImageAt(const ProfileStoreCache &Cache, const std::string &Path) {
   if constexpr (std::endian::native != std::endian::little)
     return Status::error("flat image writer requires a little-endian host");
-  if (Names.size() != Store.size() || Labels.size() != Store.size())
+  const std::string &KernelName = Cache.KernelName;
+  const ProfileStore &Store = Cache.Store;
+  if (Cache.Names.size() != Store.size() || Cache.Labels.size() != Store.size())
     return Status::error("flat image has " + std::to_string(Store.size()) +
-                         " profiles but " + std::to_string(Names.size()) +
-                         " names / " + std::to_string(Labels.size()) +
+                         " profiles but " + std::to_string(Cache.Names.size()) +
+                         " names / " + std::to_string(Cache.Labels.size()) +
                          " labels");
   // Empty routing (an unfitted or empty-corpus router) carries no
   // information a restore could use; write a plain v3 image.
+  const RoutingArenas *Routing = Cache.Routing.get();
   if (Routing && (Routing->Covered == 0 || Routing->Centroids.size() == 0))
     Routing = nullptr;
   if (Routing) {
     const RoutingArenas &R = *Routing;
     const uint64_t C = R.Centroids.size();
     const uint64_t F = R.FeatureHashes.size();
-    if (R.Assignments.size() != R.Covered || R.Covered > Store.size() ||
+    if (R.Covered != Store.size())
+      return Status::error("flat image routing covers " +
+                           std::to_string(R.Covered) + " of " +
+                           std::to_string(Store.size()) +
+                           " profiles; it must cover all of them");
+    if (R.Assignments.size() != R.Covered ||
         R.ClusterBegin.size() != C + 1 || R.PostingBegin.size() != F + 1 ||
         R.PostingIds.size() != R.PostingValues.size())
       return Status::error("flat image routing arenas are inconsistent with "
@@ -307,18 +311,10 @@ Status writeImageAt(const std::string &KernelName, const Column &Names,
   Sections.push_back(
       SectionOut::borrowed(FlatSectionId::Norms, Store.norms().data(), N * 8));
   Sections.push_back(
-      SectionOut::owned(FlatSectionId::Names, buildStringTable(Names)));
+      SectionOut::owned(FlatSectionId::Names, buildStringTable(Cache.Names)));
   Sections.push_back(
-      SectionOut::owned(FlatSectionId::Labels, buildStringTable(Labels)));
-  // Routing that ranks its shortlist by the int8 dot gets the sidecar
-  // written even when the store dropped it (an append since the fit),
-  // so a restore never re-quantizes.
-  const QuantizedStore *Quant = Store.quantized();
-  QuantizedStore Rebuilt;
-  if (!Quant && Routing && Routing->RerankBudget > 0 &&
-      Routing->QuantizedShortlist)
-    Quant = &(Rebuilt = QuantizedStore::build(Store));
-  if (Quant) {
+      SectionOut::owned(FlatSectionId::Labels, buildStringTable(Cache.Labels)));
+  if (const QuantizedStore *Quant = Store.quantized()) {
     Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantValues,
                                             Quant->values().data(), Total));
     Sections.push_back(SectionOut::borrowed(FlatSectionId::QuantScales,
@@ -422,16 +418,16 @@ Status writeImageAt(const std::string &KernelName, const Column &Names,
   return Status();
 }
 
+} // namespace
+
 /// A single-file save never truncates the file it replaces: the
 /// source arrays may alias a mapping of that very file (a loaded image
 /// saved back to its own path), so the bytes go to "<Path>.tmp", which
 /// is renamed over \p Path only once complete and removed on failure.
-template <typename Column>
-Status writeImageStaged(const std::string &KernelName, const Column &Names,
-                        const Column &Labels, const ProfileStore &Store,
-                        const RoutingArenas *Routing, const std::string &Path) {
+Status kast::writeProfileStoreImageFile(const ProfileStoreCache &Cache,
+                                        const std::string &Path) {
   const std::string Staging = Path + ".tmp";
-  Status S = writeImageAt(KernelName, Names, Labels, Store, Routing, Staging);
+  Status S = writeImageAt(Cache, Staging);
   std::error_code Ec;
   if (S) {
     std::filesystem::rename(Staging, Path, Ec);
@@ -443,8 +439,6 @@ Status writeImageStaged(const std::string &KernelName, const Column &Names,
   std::filesystem::remove(Staging, Ec);
   return S;
 }
-
-} // namespace
 
 Status kast::validateCsrOffsets(const uint64_t *Offsets, size_t Count,
                                 uint64_t Total) {
@@ -459,21 +453,6 @@ Status kast::validateCsrOffsets(const uint64_t *Offsets, size_t Count,
     return Status::error("corrupt flat image: offsets disagree with "
                          "entry total");
   return Status();
-}
-
-Status kast::writeProfileStoreImageFile(const std::string &KernelName,
-                                        const std::vector<std::string> &Names,
-                                        const std::vector<std::string> &Labels,
-                                        const ProfileStore &Store,
-                                        const std::string &Path,
-                                        const RoutingArenas *Routing) {
-  return writeImageStaged(KernelName, Names, Labels, Store, Routing, Path);
-}
-
-Status kast::writeProfileStoreImageFile(const ProfileStoreCache &Cache,
-                                        const std::string &Path) {
-  return writeImageStaged(Cache.KernelName, Cache.Names, Cache.Labels,
-                          Cache.Store, Cache.Routing.get(), Path);
 }
 
 Expected<ProfileStoreCache>
@@ -752,8 +731,12 @@ kast::readProfileStoreImageFile(const std::string &Path,
     R->PrunedFeatures = readU64At(MetaData, 112);
     if (!(R->MaxDocFrequency >= 0.0) || R->MaxDocFrequency > 1.0)
       return fail("corrupt flat image: routing df threshold out of range");
-    if (R->Covered > N || C == 0 || C >= MaxCount ||
-        CentroidEntries >= MaxCount || F >= MaxCount || P >= MaxCount)
+    if (R->Covered != N)
+      return fail("corrupt flat image: routing covers " +
+                  std::to_string(R->Covered) + " of " + std::to_string(N) +
+                  " profiles; it must cover all of them");
+    if (C == 0 || C >= MaxCount || CentroidEntries >= MaxCount ||
+        F >= MaxCount || P >= MaxCount)
       return fail("corrupt flat image: routing-meta counts disagree with "
                   "header counts");
     const struct {
@@ -908,14 +891,9 @@ kast::writeShardedProfileImages(const std::vector<ProfileStoreCache> &Shards,
   //
   // Phase 1: write every shard under its staging name (an ENOSPC here
   // leaves the previous generation untouched).
-  for (size_t S = 0; S < Shards.size(); ++S) {
-    const ProfileStoreCache &Cache = Shards[S];
-    if (Status W = writeImageAt(Cache.KernelName, Cache.Names, Cache.Labels,
-                                Cache.Store, Cache.Routing.get(),
-                                shardFilePath(Dir, S) + ".tmp");
-        !W)
+  for (size_t S = 0; S < Shards.size(); ++S)
+    if (Status W = writeImageAt(Shards[S], shardFilePath(Dir, S) + ".tmp"); !W)
       return W;
-  }
   // Phase 2: sweep files of the previous generation the new one will
   // not overwrite — higher-numbered shards (their numbering would stay
   // contiguous and silently restore the old corpus alongside the new)

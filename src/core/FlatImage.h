@@ -70,13 +70,13 @@
 ///     PIDS        P x u32       posting profile ids
 ///     PVALUES     P x f64       posting values (impact-ordered)
 ///
-/// The routing covers the first `covered` profiles (all of them for an
-/// image written by IndexService; a ProfileIndex with an unrouted tail
-/// writes its routed prefix). SELFDOTS and NORMS ride in the image
-/// because recomputing them is an O(entries) pass; QVALUES/QSCALES
-/// (present iff the store had a built sidecar at write time) and the
-/// routing sections let a routed, quantized index restore with no
-/// rebuild at all.
+/// The routing covers every profile of the image: the writer refuses
+/// arenas with any other `covered` count, and the reader refuses an
+/// image whose routing meta claims one. SELFDOTS and NORMS ride in the
+/// image because recomputing them is an O(entries) pass; QVALUES/
+/// QSCALES (present iff the store had a built sidecar at write time)
+/// and the routing sections let a routed, quantized shard restore with
+/// no rebuild at all.
 ///
 /// Validation. Opening always verifies the header checksum (which
 /// covers the section table), section bounds and alignment, the
@@ -187,8 +187,8 @@ struct RoutingArenas {
   uint64_t ClusterTrainingSample = 0;
   uint64_t ClusterSeed = 0;
 
-  /// Profiles covered by the routing (== Assignments.size()): the
-  /// store's first Covered profiles.
+  /// Profiles covered by the routing (== Assignments.size()): all of
+  /// the store's profiles.
   uint64_t Covered = 0;
   /// Distinct features dropped by the df threshold at build time
   /// (diagnostic; rides along so a restored index reports it).
@@ -239,19 +239,12 @@ struct FlatImageReadOptions {
   bool ForceBuffered = false;
 };
 
-/// Writes \p Store (with its names/labels, its quantized sidecar if
-/// one is built, and \p Routing's arenas if non-null) as a flat image
-/// at \p Path. The bytes go to "<Path>.tmp" first, which is then
-/// renamed over \p Path, so a failed save leaves any previous image
-/// intact and saving over the file the store is mapped from is safe.
-Status writeProfileStoreImageFile(const std::string &KernelName,
-                                  const std::vector<std::string> &Names,
-                                  const std::vector<std::string> &Labels,
-                                  const ProfileStore &Store,
-                                  const std::string &Path,
-                                  const RoutingArenas *Routing = nullptr);
-
-/// Struct form: writes Cache.Store with its sidecar and Cache.Routing.
+/// Writes Cache.Store (with its names/labels, its quantized sidecar if
+/// one is built, and Cache.Routing's arenas if non-null, which must
+/// cover every profile) as a flat image at \p Path. The bytes go to
+/// "<Path>.tmp" first, which is then renamed over \p Path, so a failed
+/// save leaves any previous image intact and saving over the file the
+/// store is mapped from is safe.
 Status writeProfileStoreImageFile(const ProfileStoreCache &Cache,
                                   const std::string &Path);
 

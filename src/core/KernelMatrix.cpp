@@ -59,7 +59,7 @@ KernelMatrix::KernelMatrix(const StringKernel &Kernel,
   // structure-of-arrays for the whole corpus. (The fast path dots
   // views directly — the documented ProfiledStringKernel contract that
   // k(A, B) is the plain merge-join dot of the two profiles, the same
-  // assumption index/ProfileIndex retrieval already makes.)
+  // assumption index/IndexService retrieval already makes.)
   if (!Options.UsePrecompute)
     return;
   Profiled = dynamic_cast<const ProfiledStringKernel *>(&Kernel);

@@ -61,9 +61,9 @@ public:
   double dot(const KernelProfile &Rhs) const;
 
   /// sqrt(dot(*this, *this)) without the merge join — the cosine
-  /// denominator of a one-off query profile. The one definition both
-  /// retrieval layers (index/ProfileIndex, index/IndexService) divide
-  /// by, so their scores stay bit-identical by construction.
+  /// denominator of a one-off query profile. The one definition the
+  /// retrieval engine (index/ScoringEngine) divides by, so a query's
+  /// scores are the same bits on every path that scores it.
   double norm() const {
     double SelfDot = 0.0;
     for (const ProfileEntry &E : Entries)

@@ -26,7 +26,7 @@
 /// cached self-norm) triple — and the merge-join dot over two views
 /// streams the dense hash arrays, touching values only on a hash
 /// match. This is the storage behind the Gram fast path
-/// (core/KernelMatrix), retrieval (index/ProfileIndex), and the
+/// (core/KernelMatrix), retrieval (index/IndexService), and the
 /// on-disk flat image (core/FlatImage).
 ///
 /// Backing modes. Internally every array is addressed through a span

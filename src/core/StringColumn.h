@@ -112,25 +112,6 @@ public:
     Owned.reserve(N);
   }
 
-  /// All strings materialized — the compatibility seam for callers
-  /// that still hold vector<std::string> (ProfileIndex).
-  std::vector<std::string> toVector() const {
-    std::vector<std::string> Out;
-    Out.reserve(Count);
-    for (size_t I = 0; I < Count; ++I)
-      Out.emplace_back((*this)[I]);
-    return Out;
-  }
-
-  /// toVector() that moves owned strings out instead of copying
-  /// (mapped columns still materialize); the column is left empty.
-  std::vector<std::string> takeVector() {
-    promote();
-    std::vector<std::string> Out = std::move(Owned);
-    clear();
-    return Out;
-  }
-
   friend bool operator==(const StringColumn &A, const StringColumn &B) {
     if (A.Count != B.Count)
       return false;

@@ -90,7 +90,7 @@ public:
   /// Inner product of two profiles. Deliberately non-virtual: the
   /// ProfiledStringKernel contract is that k(A, B) *is* the plain
   /// merge-join dot of the two profiles — the arena fast paths
-  /// (KernelMatrix's tiled fill, ProfileIndex retrieval) dot stored
+  /// (KernelMatrix's tiled fill, IndexService retrieval) dot stored
   /// ProfileViews directly without consulting the kernel, so a kernel
   /// whose value is not the plain dot must not be profiled; fold the
   /// transform into profile() instead.

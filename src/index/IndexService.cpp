@@ -8,7 +8,9 @@
 #include "util/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
+#include <unordered_map>
 
 using namespace kast;
 
@@ -36,15 +38,6 @@ void forEachLiveEntry(
       if (!T || !(*T)[I])
         Visit(Seg, I);
   }
-}
-
-/// The shard's routing tier while it still applies — it covers the
-/// first segment, the one it was fitted on — else null.
-const detail::IndexRouting *routingOf(const detail::IndexShard &Shard) {
-  return Shard.Routing && !Shard.Segments.empty() &&
-                 Shard.Segments[0] == Shard.RoutedSegment
-             ? Shard.Routing.get()
-             : nullptr;
 }
 
 /// K-way merge of per-shard top-k lists into the global top-K. Lists
@@ -112,10 +105,10 @@ std::vector<std::vector<ServiceHit>>
 IndexSnapshot::queryBatch(const std::vector<const KernelProfile *> &Queries,
                           size_t K, bool Normalize, size_t Threads,
                           bool Approx, size_t NProbe) const {
-  // Each shard as the engine scores it. A routed query probes the
-  // shards whose routing still applies; every other segment — later
-  // seals, the staging tail, never-routed or compacted shards — is
-  // scanned exactly. A shard with no live entry is skipped.
+  // Each shard as the engine scores it. A routed query probes each
+  // routed shard's first segment; every other segment — later seals,
+  // the staging tail, every segment of an unrouted shard — is scanned
+  // exactly. A shard with no live entry is skipped.
   std::vector<detail::ScoredShard> Scored(Shards.size());
   for (size_t S = 0; S < Shards.size(); ++S) {
     const detail::IndexShard &Shard = *Shards[S];
@@ -124,7 +117,7 @@ IndexSnapshot::queryBatch(const std::vector<const KernelProfile *> &Queries,
     for (size_t G = 0; G < Shard.Segments.size(); ++G)
       Scored[S].Segments.push_back(
           {&Shard.Segments[G]->Store, Shard.Tombstones[G].get()});
-    Scored[S].Routing = Approx ? routingOf(Shard) : nullptr;
+    Scored[S].Routing = Approx ? Shard.Routing.get() : nullptr;
   }
   std::vector<std::vector<ServiceHit>> Results(Queries.size());
   detail::scoreBatch(
@@ -138,14 +131,127 @@ IndexSnapshot::queryBatch(const std::vector<const KernelProfile *> &Queries,
 size_t IndexSnapshot::routedShardCount() const {
   size_t Count = 0;
   for (const std::shared_ptr<const detail::IndexShard> &S : Shards)
-    Count += routingOf(*S) != nullptr;
+    Count += S->Routing != nullptr;
   return Count;
 }
 
 std::string IndexSnapshot::majorityLabel(const std::vector<ServiceHit> &Hits) {
-  return detail::majorityVote(
-      Hits.size(), [&](size_t I) -> const std::string & { return Hits[I].Label; });
+  // Counts are kept in first-seen order, so "earliest slot among the
+  // maxima" is exactly "nearest first occurrence". The string_view
+  // keys borrow from the hits, which outlive the vote.
+  std::unordered_map<std::string_view, size_t> Slots;
+  std::vector<std::pair<std::string_view, size_t>> Counts;
+  for (const ServiceHit &H : Hits) {
+    auto [It, Inserted] = Slots.try_emplace(H.Label, Counts.size());
+    if (Inserted)
+      Counts.push_back({H.Label, 0});
+    ++Counts[It->second].second;
+  }
+  if (Counts.empty())
+    return {};
+  size_t Best = 0;
+  for (size_t I = 1; I < Counts.size(); ++I)
+    if (Counts[I].second > Counts[Best].second)
+      Best = I;
+  return std::string(Counts[Best].first);
 }
+
+//===----------------------------------------------------------------------===//
+// Routing tier: fit, and conversion to and from flat arenas
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using detail::IndexRouting;
+
+/// The int8 shortlist store \p Options ask for over \p Store: the
+/// store's own sidecar when it carries one, else a standalone build;
+/// null when no budget prunes (every candidate then gets the exact dot).
+std::shared_ptr<const QuantizedStore>
+shortlistStore(const RoutingOptions &Options, const ProfileStore &Store) {
+  if (Options.RerankBudget == 0 || !Options.QuantizedShortlist)
+    return nullptr;
+  if (std::shared_ptr<const QuantizedStore> Own = Store.quantizedShared())
+    return Own;
+  return std::make_shared<const QuantizedStore>(QuantizedStore::build(Store));
+}
+
+/// Fits the routing tier (index/ClusterRouter + index/InvertedIndex,
+/// plus the int8 shortlist store when \p Options ask for one) over all
+/// of \p Store. Deterministic for fixed options regardless of
+/// \p Threads.
+std::shared_ptr<const IndexRouting>
+fitRouting(const ProfileStore &Store, const RoutingOptions &Options,
+           size_t Threads) {
+  auto R = std::make_shared<IndexRouting>();
+  R->Options = Options;
+  R->Router = ClusterRouter::build(Store, Options.Cluster, Threads);
+  R->Inverted =
+      InvertedIndex::build(Store, R->Router.assignments(),
+                           R->Router.numCentroids(), Options.MaxDocFrequency);
+  R->Quant = shortlistStore(Options, Store);
+  return R;
+}
+
+/// The routing tier as the flat arenas core/FlatImage writes as its
+/// version-4 sections. The arenas view \p R's structures and pin \p R
+/// through their Backing.
+std::shared_ptr<const RoutingArenas>
+routingArenas(const std::shared_ptr<const IndexRouting> &R) {
+  auto A = std::make_shared<RoutingArenas>();
+  A->MaxDocFrequency = R->Options.MaxDocFrequency;
+  A->RerankBudget = R->Options.RerankBudget;
+  A->DefaultNProbe = R->Options.DefaultNProbe;
+  A->QuantizedShortlist = R->Options.QuantizedShortlist;
+  A->ClusterNumCentroids = R->Options.Cluster.NumCentroids;
+  A->ClusterMaxIterations = R->Options.Cluster.MaxIterations;
+  A->ClusterTrainingSample = R->Options.Cluster.TrainingSample;
+  A->ClusterSeed = R->Options.Cluster.Seed;
+  A->Covered = R->covered();
+  A->PrunedFeatures = R->Inverted.prunedFeatureCount();
+  A->Assignments = R->Router.assignments();
+  // A cheap copy: mapped centroids share their views, owned ones are
+  // small.
+  A->Centroids = R->Router.centroids();
+  A->FeatureHashes = R->Inverted.featureHashes();
+  A->ClusterBegin = R->Inverted.clusterBegin();
+  A->PostingBegin = R->Inverted.postingBegin();
+  A->PostingIds = R->Inverted.postingIds();
+  A->PostingValues = R->Inverted.postingValues();
+  A->Backing = R;
+  return A;
+}
+
+/// The inverse of routingArenas: a routing tier over all of \p Store
+/// (which \p A must cover) that views \p A's arenas in place — no
+/// k-means fit, no posting rebuild. The int8 shortlist store is
+/// \p Store's sidecar when it carries one and the options ask for it;
+/// otherwise it is built.
+std::shared_ptr<const IndexRouting>
+routingFromArenas(const std::shared_ptr<const RoutingArenas> &A,
+                  const ProfileStore &Store) {
+  assert(A->Covered == Store.size() && "routing must cover the segment");
+  auto R = std::make_shared<IndexRouting>();
+  R->Options.MaxDocFrequency = A->MaxDocFrequency;
+  R->Options.RerankBudget = A->RerankBudget;
+  R->Options.DefaultNProbe = A->DefaultNProbe;
+  R->Options.QuantizedShortlist = A->QuantizedShortlist;
+  R->Options.Cluster.NumCentroids = A->ClusterNumCentroids;
+  R->Options.Cluster.MaxIterations = A->ClusterMaxIterations;
+  R->Options.Cluster.TrainingSample = A->ClusterTrainingSample;
+  R->Options.Cluster.Seed = A->ClusterSeed;
+  // Holding the arenas struct keeps both its views and their backing
+  // (a mapped image or a live routing tier) alive.
+  std::shared_ptr<const void> Keep = A;
+  R->Router = ClusterRouter::fromArenas(A->Centroids, A->Assignments, Keep);
+  R->Inverted = InvertedIndex::fromArenas(
+      A->Covered, A->PrunedFeatures, A->FeatureHashes, A->ClusterBegin,
+      A->PostingBegin, A->PostingIds, A->PostingValues, Keep);
+  R->Quant = shortlistStore(R->Options, Store);
+  return R;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Service: construction and publication
@@ -205,9 +311,8 @@ void IndexService::publishLocked(ShardState &Shard, size_t SealThreshold) {
   Published->EntryCount = W.EntryCount;
   Published->LiveCount = W.LiveCount;
   // Routing rides copy-on-write: publishes share the fitted
-  // structures; readers decide applicability by segment identity.
+  // structures.
   Published->Routing = W.Routing;
-  Published->RoutedSegment = W.RoutedSegment;
   Shard.Published.store(
       std::shared_ptr<const detail::IndexShard>(std::move(Published)));
 }
@@ -327,7 +432,6 @@ void IndexService::compactShardLocked(ShardWriter &W) {
   // The fit covered the pre-compaction arena; drop it rather than
   // serve a router whose ids no longer mean anything.
   W.Routing.reset();
-  W.RoutedSegment.reset();
 }
 
 void IndexService::compact(size_t Threads) {
@@ -351,12 +455,10 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
     std::lock_guard<std::mutex> Lock(Shard.WriterMutex);
     ShardWriter &W = Shard.Writer;
     compactShardLocked(W);
-    if (!W.Sealed.empty()) {
-      // Segment stores are shared-const, so the int8 sidecar is built
-      // standalone and owned by the routing structure.
-      W.Routing = detail::fitRouting(W.Sealed[0]->Store, RoutingOpts, Threads);
-      W.RoutedSegment = W.Sealed[0];
-    }
+    // Segment stores are shared-const, so the int8 sidecar is built
+    // standalone and owned by the routing structure.
+    if (!W.Sealed.empty())
+      W.Routing = fitRouting(W.Sealed[0]->Store, RoutingOpts, Threads);
     publishLocked(Shard, Options.SealThreshold);
   }
 }
@@ -364,29 +466,6 @@ void IndexService::rebuildRouting(const RoutingOptions &RoutingOpts,
 //===----------------------------------------------------------------------===//
 // Service: bulk import/export
 //===----------------------------------------------------------------------===//
-
-IndexService IndexService::fromIndex(const ProfileIndex &Index,
-                                     IndexServiceOptions Opts) {
-  IndexService Service(Index.kernelName(), Opts);
-  // A fresh service has no concurrent readers or writers yet, so the
-  // entries are staged shard by shard and published once per shard;
-  // staging exceeding the seal threshold is moved (not copied) into a
-  // sealed segment by publishLocked.
-  for (size_t I = 0; I < Index.size(); ++I) {
-    ShardWriter &W = Service.Shards[Service.shardOf(Index.name(I))]->Writer;
-    W.Staging.Store.appendFrom(Index.store(), I);
-    W.Staging.Names.push_back(Index.name(I));
-    W.Staging.Labels.push_back(Index.label(I));
-    W.StagingTombs.push_back(0);
-    ++W.LiveCount;
-    ++W.EntryCount;
-  }
-  for (const std::unique_ptr<ShardState> &Shard : Service.Shards) {
-    std::lock_guard<std::mutex> Lock(Shard->WriterMutex);
-    publishLocked(*Shard, Service.Options.SealThreshold);
-  }
-  return Service;
-}
 
 Expected<IndexService>
 IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
@@ -424,19 +503,14 @@ IndexService::fromShardCaches(std::vector<ProfileStoreCache> Caches,
     W.Sealed.push_back(Seg);
     W.SealedTombs.push_back(nullptr);
     // Routing arenas (an image's v4 sections, or a live export from
-    // toShardCaches) restore the routed tier by view. They must cover
-    // exactly this segment to route it; a covered prefix cannot, since
-    // the routed segment is the whole first segment, so the shard then
-    // serves unrouted.
+    // toShardCaches) restore the routed tier by view. Routing covers
+    // one whole segment, so they must cover exactly this one.
     if (std::shared_ptr<const RoutingArenas> A = Caches[S].Routing) {
-      if (A->Covered > Seg->size())
+      if (A->Covered != Seg->size())
         return Result::error("shard cache " + std::to_string(S) +
                              "'s embedded routing does not match its "
                              "profile count");
-      if (A->Covered == Seg->size()) {
-        W.Routing = detail::routingFromArenas(A, Seg->Store);
-        W.RoutedSegment = Seg;
-      }
+      W.Routing = routingFromArenas(A, Seg->Store);
     }
     std::lock_guard<std::mutex> Lock(Service.Shards[S]->WriterMutex);
     publishLocked(*Service.Shards[S], Service.Options.SealThreshold);
@@ -480,10 +554,9 @@ std::vector<ProfileStoreCache> IndexService::toShardCaches() const {
     // leaves Routing null — the router's assignments would not line
     // up with the exported profile numbering.
     const bool ExactRoutedCopy =
-        Shard.Routing && Shard.Segments.size() == 1 &&
-        Shard.Segments[0] == Shard.RoutedSegment && !Shard.Tombstones[0];
+        Shard.Routing && Shard.Segments.size() == 1 && !Shard.Tombstones[0];
     if (ExactRoutedCopy) {
-      Cache.Routing = detail::routingArenas(Shard.Routing);
+      Cache.Routing = routingArenas(Shard.Routing);
       if (Shard.Routing->Quant)
         Cache.Store.adoptQuantized(Shard.Routing->Quant);
     }

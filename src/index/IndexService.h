@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concurrent serving layer over profile retrieval. A ProfileIndex
-/// is a build-mostly object: add() may reallocate the arena and
-/// invalidates every outstanding ProfileView, so queries and growth
-/// cannot overlap. An IndexService makes that overlap safe with
-/// copy-on-write snapshots over sharded, immutable state:
+/// KAST's one index type: top-k retrieval over kernel profiles, safe
+/// to query while it grows. A core/ProfileStore arena is build-mostly
+/// — an append may reallocate it and invalidates every outstanding
+/// ProfileView — so queries and growth over one arena cannot overlap.
+/// An IndexService makes that overlap safe with copy-on-write
+/// snapshots over sharded, immutable state:
 ///
 ///   - Entries are routed to one of S shards by the hash of their
 ///     name. Each shard is published as an immutable IndexShard: a
@@ -37,7 +38,9 @@
 /// Each shard is ranked by the one retrieval engine
 /// (index/ScoringEngine) and the per-shard top-k lists are k-way
 /// merged; ordering is deterministic for a given snapshot (similarity
-/// desc, then shard, then insertion position).
+/// desc, then shard, then insertion position). A one-shard service
+/// ({.Shards = 1}) therefore breaks ties by insertion order, which is
+/// what callers that care about position order build on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +50,7 @@
 #include "core/FlatImage.h"
 #include "core/ProfileStore.h"
 #include "core/StringColumn.h"
-#include "index/ProfileIndex.h"
+#include "index/ScoringEngine.h"
 #include "util/Error.h"
 
 #include <atomic>
@@ -85,17 +88,14 @@ struct IndexShard {
   size_t EntryCount = 0; ///< Entries across segments, tombstoned or not.
   size_t LiveCount = 0;  ///< Entries not tombstoned.
 
-  /// The two-tier retrieval structures fitted over RoutedSegment
-  /// (always the shard's first segment when valid), carried
-  /// copy-on-write: publishes share the pointers, so a snapshot keeps
-  /// the routing it was taken with. Null when the shard was never
-  /// routed. Routing applies iff RoutedSegment == Segments[0] — after
-  /// a compact() rebuilt the arena the identity no longer holds and
-  /// approximate queries fall back to the exact scan for this shard.
-  /// Segments after the routed one are the unrouted tail, always
-  /// scanned exactly.
+  /// The two-tier retrieval structures fitted over the shard's first
+  /// segment, whole (index/ScoringEngine), carried copy-on-write:
+  /// publishes share the pointer, so a snapshot keeps the routing it
+  /// was taken with. Null when the shard is unrouted; compaction drops
+  /// it, since it replaces the segment the fit covered. Segments after
+  /// the first — later seals and the staging tail — are always scanned
+  /// exactly.
   std::shared_ptr<const IndexRouting> Routing;
-  std::shared_ptr<const IndexSegment> RoutedSegment;
 };
 
 } // namespace detail
@@ -164,25 +164,26 @@ public:
              size_t NProbe = 0) const;
 
   /// query() through each routed shard's candidate-generation tier
-  /// (see IndexService::rebuildRouting): the routed segment is probed
-  /// via posting lists over the \p NProbe nearest centroids (0 defers
-  /// to the shard's RoutingOptions::DefaultNProbe, itself 0 = all),
-  /// candidates are exact re-ranked, and unrouted segments — later
-  /// seals, the staging tail, and every segment of never-routed or
-  /// post-compaction shards — are scanned exactly. Run exhaustively
-  /// (all centroids, no df-pruning, no re-rank budget) the result is
-  /// bit-identical to query(), tie-break order included.
+  /// (see IndexService::rebuildRouting): the shard's first segment is
+  /// probed via posting lists over the \p NProbe nearest centroids (0
+  /// defers to the shard's RoutingOptions::DefaultNProbe, itself 0 =
+  /// all), candidates are exact re-ranked, and every other segment —
+  /// later seals, the staging tail, and every segment of unrouted
+  /// shards — is scanned exactly. Run exhaustively (all centroids, no
+  /// df-pruning, no re-rank budget) the result is bit-identical to
+  /// query(), tie-break order included.
   std::vector<ServiceHit> queryApprox(const KernelProfile &Query, size_t K,
                                       bool Normalize = true,
                                       size_t NProbe = 0,
                                       size_t Threads = 0) const;
 
-  /// Shards whose published routing still covers their first segment.
+  /// Shards whose published state carries routing.
   size_t routedShardCount() const;
 
-  /// Majority label among \p Hits; ties break toward the nearer hit's
-  /// label (same contract as ProfileIndex::majorityLabel). Empty for
-  /// an empty hit list.
+  /// Majority label among \p Hits (most similar first): the label with
+  /// the highest count wins, and a count tie goes to the label whose
+  /// first occurrence is nearest. One pass; empty for an empty hit
+  /// list.
   static std::string majorityLabel(const std::vector<ServiceHit> &Hits);
 
 private:
@@ -203,11 +204,6 @@ public:
   explicit IndexService(std::string KernelName,
                         IndexServiceOptions Options = {});
 
-  /// Distributes an existing index's entries into shards (one bulk
-  /// publish per shard; the index is copied arena-to-arena).
-  static IndexService fromIndex(const ProfileIndex &Index,
-                                IndexServiceOptions Options = {});
-
   /// Restarts a service from sharded images (core/FlatImage's
   /// loadShardedProfileImages): each cache becomes one shard, adopted
   /// wholesale by arena move. The shard count is taken from the cache
@@ -216,10 +212,8 @@ public:
   /// name-hash routing they were saved with; a layout with off-route
   /// entries still restores, but remove() downgrades to sweeping
   /// every shard (see remove()). A cache's routing arenas restore by
-  /// view — no k-means fit, no posting rebuild — when they cover the
-  /// whole shard; arenas covering only a prefix (a ProfileIndex saved
-  /// with an unrouted tail) leave the shard unrouted, and arenas
-  /// covering more profiles than the shard holds fail the restore.
+  /// view — no k-means fit, no posting rebuild — and must cover the
+  /// whole shard; arenas covering any other count fail the restore.
   static Expected<IndexService>
   fromShardCaches(std::vector<ProfileStoreCache> Caches,
                   IndexServiceOptions Options = {});
@@ -245,7 +239,7 @@ public:
   /// Tombstones every live entry named \p Name and publishes.
   /// \returns the number of entries removed (0 if the name is
   /// absent). When every entry is on its name-hash route — always
-  /// true for services built through add()/fromIndex, and verified at
+  /// true for services built through add(), and verified at
   /// restore for fromShardCaches — only the home shard is scanned;
   /// a foreign cache layout downgrades remove() to a sweep of every
   /// shard so off-route entries are still found.
@@ -268,7 +262,7 @@ public:
   void rebuildRouting(const RoutingOptions &RoutingOpts = {},
                       size_t Threads = 0);
 
-  /// True if any published shard currently carries applicable routing.
+  /// True if any published shard currently carries routing.
   bool routed() const { return snapshot().routedShardCount() > 0; }
 
   /// The current published state; never blocks on writers.
@@ -307,10 +301,9 @@ private:
     std::vector<uint8_t> StagingTombs;
     size_t LiveCount = 0;
     size_t EntryCount = 0;
-    /// Routing fitted over RoutedSegment (must be Sealed[0] to apply);
-    /// copied into every publish. See detail::IndexShard.
+    /// Routing fitted over Sealed[0], whole; copied into every
+    /// publish. See detail::IndexShard.
     std::shared_ptr<const detail::IndexRouting> Routing;
-    std::shared_ptr<const detail::IndexSegment> RoutedSegment;
   };
 
   /// One shard: atomically published snapshot + mutex-guarded writer

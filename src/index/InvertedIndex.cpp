@@ -128,8 +128,8 @@ InvertedIndex InvertedIndex::fromArenas(size_t Covered, size_t PrunedFeatures,
 InvertedIndex InvertedIndex::build(const ProfileStore &Store,
                                    ArrayView<uint32_t> Assignments,
                                    size_t NumClusters, double MaxDocFrequency) {
-  assert(Assignments.size() <= Store.size() &&
-         "assignments must cover a prefix of the store");
+  assert(Assignments.size() == Store.size() &&
+         "one assignment per profile of the store");
   PostingRebuilds.fetch_add(1, std::memory_order_relaxed);
   InvertedIndex Index;
   const size_t N = Assignments.size();

@@ -125,10 +125,8 @@ class InvertedIndex {
 public:
   InvertedIndex() = default;
 
-  /// Builds posting lists over the prefix of \p Store covered by
-  /// \p Assignments (one cluster id per profile, values <
-  /// \p NumClusters; the assignment array may be shorter than the
-  /// store when routing predates appended entries). Features with
+  /// Builds posting lists over \p Store from \p Assignments (one
+  /// cluster id per profile, values < \p NumClusters). Features with
   /// document frequency above MaxDocFrequency × covered are pruned;
   /// pruning never drops a feature held by a single profile. The
   /// build is a pure function of its arguments, so rebuilding from the

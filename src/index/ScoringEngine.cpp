@@ -70,13 +70,13 @@ void scoreShard(const ScoredShard &Shard, const FlatProfile &Query, size_t K,
   };
   const ScoredSegment &First = Shard.Segments[0];
   const IndexRouting *R = Shard.Routing;
-  const size_t Covered = R ? R->covered() : 0;
   InvertedScratch &IS = Scratch.Inverted;
   if (R) {
-    assert(Covered <= First.Store->size() && "routing covers missing entries");
+    assert(R->covered() == First.Store->size() &&
+           "routing covers the first segment, whole");
     R->Router.route(Query, NProbe != 0 ? NProbe : R->Options.DefaultNProbe,
                     IS.RouteScored, IS.Probes);
-    IS.begin(Covered);
+    IS.begin(First.Store->size());
     R->Inverted.collectCandidates(Query, IS.Probes, IS);
     // Removed candidates leave before the shortlist, so none takes a
     // budget slot; they stay marked, so none is zero-padded either.
@@ -115,11 +115,11 @@ void scoreShard(const ScoredShard &Shard, const FlatProfile &Query, size_t K,
       offer(TopK, K, {Exact(First.Store->view(Id)), Id, 0, Id});
   }
 
-  // Every entry past the routed prefix is scanned exactly.
-  for (size_t S = 0, Pos = 0; S < Shard.Segments.size();
-       Pos += Shard.Segments[S++].Store->size()) {
+  // Every segment the routing does not cover is scanned exactly.
+  for (size_t S = R ? 1 : 0, Pos = R ? First.Store->size() : 0;
+       S < Shard.Segments.size(); Pos += Shard.Segments[S++].Store->size()) {
     const ScoredSegment &Seg = Shard.Segments[S];
-    for (size_t I = S == 0 ? Covered : 0; I < Seg.Store->size(); ++I)
+    for (size_t I = 0; I < Seg.Store->size(); ++I)
       if (Live(Seg, I))
         offer(TopK, K, {Exact(Seg.Store->view(I)), Pos + I, S, I});
   }
@@ -127,7 +127,7 @@ void scoreShard(const ScoredShard &Shard, const FlatProfile &Query, size_t K,
   // The zero stream: live, unmarked routed entries in position order at
   // exactly +0.0. Once one is turned away, every later one would be.
   if (R && (TopK.size() < K || TopK.front().Sim <= 0.0))
-    for (size_t Z = 0; Z < Covered; ++Z)
+    for (size_t Z = 0; Z < First.Store->size(); ++Z)
       if (!IS.marked(Z) && Live(First, Z) && !offer(TopK, K, {0.0, Z, 0, Z}))
         break;
   std::sort_heap(TopK.begin(), TopK.end(), ranksBefore);

@@ -6,22 +6,22 @@
 ///
 /// \file
 /// The single scoring engine behind every retrieval entry point —
-/// query, queryApprox and queryBatch on ProfileIndex and IndexSnapshot.
-/// A shard is an ordered list of segments (an arena plus a tombstone
-/// bitmap) and, for a routed query, the routing tier over a prefix of
-/// its first segment. Hits rank by similarity descending, then by
-/// position ascending, where a position counts every entry across the
-/// shard's segments, removed or not:
+/// query, queryApprox and queryBatch on IndexSnapshot, and query and
+/// queryApprox on IndexService. A shard is an ordered list of segments
+/// (an arena plus a tombstone bitmap) and, for a routed query, the
+/// routing tier over the whole of its first segment. Hits rank by
+/// similarity descending, then by position ascending, where a position
+/// counts every entry across the shard's segments, removed or not:
 ///
-///   - the routed prefix contributes only the live candidates its
+///   - the routed segment contributes only the live candidates its
 ///     probed posting lists find. Beyond RerankBudget they are cut to a
 ///     shortlist by the int8 dot (or the accumulated partial score),
 ///     and the survivors are re-ranked with the exact dot;
-///   - every entry past the routed prefix is scored exactly;
+///   - every entry of the later segments is scored exactly;
 ///   - while fewer than K hits score above zero, live non-candidates of
-///     the routed prefix pad the list at exactly +0.0 in position order
-///     — what the exact scan computes for a profile sharing no feature
-///     with the query.
+///     the routed segment pad the list at exactly +0.0 in position
+///     order — what the exact scan computes for a profile sharing no
+///     feature with the query.
 ///
 /// Run exhaustively (all centroids, no df-pruning, no re-rank budget)
 /// a routed ranking is therefore bit-identical to the exact one, tie
@@ -46,21 +46,19 @@
 namespace kast {
 namespace detail {
 
-/// The immutable routing tier over a prefix of an index's arena: the
-/// fitted coarse router, the posting lists rebuilt from its
-/// assignments, and the options both were built with. Shared by
-/// pointer so copied indexes (and service snapshots) alias one fitted
-/// structure; entries appended after the fit form the unrouted tail
-/// (ids >= covered()) and are always scanned exactly.
+/// The immutable routing tier over one whole arena (a shard's first
+/// segment): the fitted coarse router, the posting lists rebuilt from
+/// its assignments, and the options both were built with. Shared by
+/// pointer so service snapshots alias one fitted structure; entries
+/// added after the fit land in later segments and are always scanned
+/// exactly.
 struct IndexRouting {
   ClusterRouter Router;
   InvertedIndex Inverted;
   RoutingOptions Options;
   /// The int8 scan tier over the routed arena, built when the options
   /// ask for a quantized shortlist (RerankBudget > 0 &&
-  /// QuantizedShortlist); null otherwise. Self-contained (values and
-  /// CSR copied at build), so it stays valid for ids < covered() even
-  /// after the owning store appends an unrouted tail.
+  /// QuantizedShortlist); null otherwise.
   std::shared_ptr<const QuantizedStore> Quant;
 
   size_t covered() const { return Router.numProfiles(); }
@@ -74,8 +72,8 @@ struct ScoredSegment {
 };
 
 /// One shard as the engine scores it: its segments in position order,
-/// and the routing tier over the first Routing->covered() entries of
-/// Segments[0] — null for an exact query or an unrouted shard.
+/// and the routing tier over all of Segments[0] (Routing->covered()
+/// equals its size) — null for an exact query or an unrouted shard.
 struct ScoredShard {
   std::vector<ScoredSegment> Segments;
   const IndexRouting *Routing = nullptr;

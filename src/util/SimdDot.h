@@ -8,9 +8,9 @@
 /// The one hot loop of the whole system — the merge-join inner product
 /// over two hash-sorted sparse vectors — restructured for vector
 /// hardware. Every layer bottoms out here: Gram tiles
-/// (core/KernelMatrix), exact retrieval scans (index/ProfileIndex,
-/// index/IndexService), centroid routing (index/ClusterRouter), and
-/// the quantized scan tier all call through this dispatch layer.
+/// (core/KernelMatrix), exact retrieval scans (index/ScoringEngine),
+/// centroid routing (index/ClusterRouter), and the quantized scan tier
+/// all call through this dispatch layer.
 ///
 /// Three implementations of the same contract:
 ///

@@ -108,7 +108,7 @@ private:
 /// hardware concurrency; \p NumThreads == 1 runs inline on the calling
 /// thread, which keeps single-threaded determinism for tests. Body
 /// must be thread-safe for distinct indices. Kept as a free function
-/// so the pre-pool call sites (core/KernelMatrix, index/ProfileIndex,
+/// so the pre-pool call sites (core/KernelMatrix, index/ScoringEngine,
 /// index/IndexService) compile unchanged.
 void parallelFor(size_t Count, const std::function<void(size_t)> &Body,
                  size_t NumThreads = 0);

@@ -652,6 +652,69 @@ TEST(FlatImageTest, RoutedSectionsRejectedUnderVersionSkew) {
   }
 }
 
+TEST(FlatImageTest, WriterRefusesPartialRoutingCover) {
+  // Routing covers one whole shard. A cache whose arenas cover fewer
+  // profiles than its store holds is refused, not saved as a routed
+  // prefix, by both writers.
+  Rng R(515253);
+  ProfileStoreCache Corpus = makeStoreCache(R, 12, "k");
+  ProfileStoreCache Grown = makeRoutedService(Corpus).toShardCaches()[0];
+  ASSERT_NE(Grown.Routing, nullptr);
+  Grown.Store.append(Corpus.Store.materialize(0));
+  Grown.Names.push_back("extra");
+  Grown.Labels.push_back("even");
+  ASSERT_EQ(Grown.Routing->Covered + 1, Grown.Store.size());
+
+  const std::string Path = tempImagePath("partial_cover");
+  std::filesystem::remove(Path);
+  Status S = writeProfileStoreImageFile(Grown, Path);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("must cover all"), std::string::npos)
+      << S.message();
+  EXPECT_FALSE(std::filesystem::exists(Path));
+  EXPECT_FALSE(std::filesystem::exists(Path + ".tmp"));
+
+  const std::string Dir = testing::TempDir() + "/kast_partial_cover";
+  std::filesystem::remove_all(Dir);
+  S = writeShardedProfileImages({Grown}, Dir);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("must cover all"), std::string::npos)
+      << S.message();
+}
+
+TEST(FlatImageTest, ReaderRefusesPartialRoutingCover) {
+  // An image whose routing meta claims a cover one short of its
+  // profile count — the assignments section shrunk to match, every
+  // checksum re-signed — is consistent in every other respect, so only
+  // the cover rule stands between it and a routed prefix.
+  Rng R(545556);
+  const std::string Path = tempImagePath("partial_cover_read");
+  writeRoutedImage(R, 16, Path);
+  std::string Bad = readFileBytes(Path);
+  const uint64_t N = readU64(Bad, 24);
+  const size_t Meta = findTableEntry(Bad, FlatSectionId::RouteMeta);
+  const size_t Assign = findTableEntry(Bad, FlatSectionId::RouteAssignments);
+  ASSERT_NE(Meta, std::string::npos);
+  ASSERT_NE(Assign, std::string::npos);
+  const size_t MetaAt = static_cast<size_t>(readU64(Bad, Meta + 8));
+  ASSERT_EQ(readU64(Bad, MetaAt + 72), N);
+  writeU64(Bad, MetaAt + 72, N - 1);
+  writeU64(Bad, Assign + 16, (N - 1) * 4);
+  const uint32_t SectionCount = readU32(Bad, 12);
+  for (uint32_t I = 0; I < SectionCount; ++I) {
+    const size_t Entry = 64 + static_cast<size_t>(I) * 32;
+    writeU64(Bad, Entry + 24,
+             checksumBytes(Bad.data() + readU64(Bad, Entry + 8),
+                           static_cast<size_t>(readU64(Bad, Entry + 16))));
+  }
+  fixHeaderSum(Bad);
+  writeFileBytes(Path, Bad);
+  Expected<ProfileStoreCache> E = readProfileStoreImageFile(Path);
+  ASSERT_FALSE(E.hasValue());
+  EXPECT_NE(E.message().find("must cover all"), std::string::npos)
+      << E.message();
+}
+
 TEST(FlatImageTest, QuantizedAndRoutingSidecarsRideAlong) {
   Rng R(90909);
   const std::string Path = tempImagePath("sidecars");

@@ -5,24 +5,30 @@
 //===----------------------------------------------------------------------===//
 //
 // The serving contract of index/IndexService: adds and removes publish
-// atomically and agree with ProfileIndex ground truth, snapshots are
-// immutable (they answer identically forever, through concurrent
-// writes and compactions), sharded images restart a service bit-exactly,
-// and the whole thing holds up under ASan/UBSan with writers and
-// readers interleaving freely.
+// atomically and agree with a one-shard service as ground truth (one
+// shard ranks ties by insertion order), queries agree with the
+// Gram-matrix ground truth of the same kernel, snapshots are immutable
+// (they answer identically forever, through concurrent writes and
+// compactions), sharded images restart a service bit-exactly — also
+// when saved back over the directory the service is mapped from — and
+// the whole thing holds up under ASan/UBSan with writers and readers
+// interleaving freely.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/KernelMatrix.h"
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
+#include "workloads/DatasetBuilder.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -78,20 +84,76 @@ borrowed(const std::vector<KernelProfile> &Profiles) {
 
 /// (name, similarity bit pattern) pairs of service hits, for
 /// bit-identical ground-truth compares.
-std::vector<std::pair<std::string, uint64_t>>
-flatten(const std::vector<ServiceHit> &Hits) {
-  std::vector<std::pair<std::string, uint64_t>> Out;
+using FlatHits = std::vector<std::pair<std::string, uint64_t>>;
+
+FlatHits flatten(const std::vector<ServiceHit> &Hits) {
+  FlatHits Out;
   for (const ServiceHit &H : Hits)
     Out.push_back({H.Name, std::bit_cast<uint64_t>(H.Similarity)});
   return Out;
 }
 
-std::vector<std::pair<std::string, uint64_t>>
-flatten(const ProfileIndex &Index, const std::vector<Neighbor> &Hits) {
-  std::vector<std::pair<std::string, uint64_t>> Out;
-  for (const Neighbor &H : Hits)
-    Out.push_back({Index.name(H.Index), std::bit_cast<uint64_t>(H.Similarity)});
+std::vector<FlatHits>
+flatten(const std::vector<std::vector<ServiceHit>> &Batch) {
+  std::vector<FlatHits> Out;
+  for (const std::vector<ServiceHit> &Hits : Batch)
+    Out.push_back(flatten(Hits));
   return Out;
+}
+
+/// N random strings named "<prefix><i>".
+std::vector<WeightedString>
+randomCorpus(const std::shared_ptr<TokenTable> &Table, Rng &R, size_t N,
+             const std::string &Prefix) {
+  std::vector<WeightedString> Corpus;
+  for (size_t I = 0; I < N; ++I) {
+    WeightedString S = randomString(Table, R, R.uniformInt(1, 32), 6);
+    S.setName(Prefix + std::to_string(I));
+    Corpus.push_back(std::move(S));
+  }
+  return Corpus;
+}
+
+/// A one-shard service over \p Strings profiled by \p Kernel, added in
+/// order (so positions are insertion order), labeled by \p Labels or
+/// unlabeled.
+IndexService oneShard(const ProfiledStringKernel &Kernel,
+                      const std::vector<WeightedString> &Strings,
+                      const std::vector<std::string> &Labels = {}) {
+  IndexService Service(Kernel.name(), {.Shards = 1});
+  for (size_t I = 0; I < Strings.size(); ++I)
+    Service.add(Strings[I].name(), Labels.empty() ? "" : Labels[I],
+                Kernel.profile(Strings[I]));
+  return Service;
+}
+
+void expectBitExact(const KernelProfile &A, const KernelProfile &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A.entries()[I].Hash, B.entries()[I].Hash);
+    EXPECT_EQ(std::bit_cast<uint64_t>(A.entries()[I].Value),
+              std::bit_cast<uint64_t>(B.entries()[I].Value))
+        << "entry " << I;
+  }
+}
+
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Saves \p Service as sharded images in \p Dir and restarts a service
+/// from them.
+Expected<IndexService> saveAndRestart(const IndexService &Service,
+                                      const std::string &Dir) {
+  if (Status S = writeShardedProfileImages(Service.toShardCaches(), Dir); !S)
+    return Expected<IndexService>::error(S.message());
+  Expected<std::vector<ProfileStoreCache>> Caches =
+      loadShardedProfileImages(Dir, Service.kernelName());
+  if (!Caches)
+    return Expected<IndexService>::error(Caches.message());
+  return IndexService::fromShardCaches(Caches.take());
 }
 
 KernelProfile makeProfile(const std::vector<ProfileEntry> &Entries) {
@@ -103,10 +165,10 @@ KernelProfile makeProfile(const std::vector<ProfileEntry> &Entries) {
 }
 
 //===----------------------------------------------------------------------===//
-// Single-threaded correctness against ProfileIndex ground truth
+// Single-threaded correctness against one-shard ground truth
 //===----------------------------------------------------------------------===//
 
-TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
+TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchOneShard) {
   // Small shards and a tiny seal threshold so the test crosses every
   // structural boundary: staging tails, sealed segments, multi-shard
   // merges.
@@ -114,7 +176,7 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
   Options.Shards = 3;
   Options.SealThreshold = 4;
   IndexService Service(kernel().name(), Options);
-  ProfileIndex Truth(kernel().name());
+  IndexService Truth(kernel().name(), {.Shards = 1});
 
   NamedProfiles P = makeProfiles(kernel(), 30, "s", 11);
   for (size_t I = 0; I < P.Profiles.size(); ++I) {
@@ -126,13 +188,14 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
   EXPECT_EQ(Service.shardCount(), 3u);
 
   // Similarities are computed by the same merge-join over the same
-  // bit patterns, so service hits must match the index hit-for-hit
-  // (random profiles make cross-shard ties vanishingly unlikely).
+  // bit patterns, so the sharded service must match one shard
+  // hit-for-hit (random profiles make cross-shard ties vanishingly
+  // unlikely).
   NamedProfiles Q = makeProfiles(kernel(), 8, "q", 12);
   for (bool Normalize : {true, false})
     for (const KernelProfile &Query : Q.Profiles)
       EXPECT_EQ(flatten(Service.query(Query, 5, Normalize, 1)),
-                flatten(Truth, Truth.query(Query, 5, Normalize)));
+                flatten(Truth.query(Query, 5, Normalize, 1)));
 
   // Batched equals single, through one snapshot.
   IndexSnapshot Snap = Service.snapshot();
@@ -143,8 +206,8 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
     EXPECT_EQ(Batch[I], Snap.query(Q.Profiles[I], 4, true, 1));
 
   // Bounded selection at its edges, on one shard so positions are
-  // insertion order and a ProfileIndex over the survivors is ground
-  // truth: ties wider than K straddling seal boundaries and a
+  // insertion order and a fresh one-shard service over the survivors
+  // is ground truth: ties wider than K straddling seal boundaries and a
   // tombstone, a query scoring zero against everything, and K in
   // {0, 1, live, live + 3} — exact, then exhaustively routed with a
   // tombstone inside the routed segment and tied entries in the tail.
@@ -164,7 +227,7 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
   RemoveFrom("t3");
   KernelProfile Alien = makeProfile({{1, 1.0}});
   const auto ExpectSurvivorsRanked = [&](const std::string &What) {
-    ProfileIndex Survivors(kernel().name());
+    IndexService Survivors(kernel().name(), {.Shards = 1});
     for (const auto &[Name, Prof] : Added)
       if (!Removed.count(Name))
         Survivors.add(Name, "l", *Prof);
@@ -173,7 +236,7 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
     for (size_t K : {size_t(0), size_t(1), size_t(3), Live, Live + 3})
       for (const KernelProfile *Query : {&P.Profiles[0], &Alien}) {
         const std::string At = What + " k " + std::to_string(K);
-        const auto Want = flatten(Survivors, Survivors.query(*Query, K));
+        const auto Want = flatten(Survivors.query(*Query, K, true, 1));
         ASSERT_EQ(Want.size(), std::min(K, Live)) << At;
         EXPECT_EQ(flatten(S.query(*Query, K, true, 1)), Want) << At;
         EXPECT_EQ(flatten(S.queryApprox(*Query, K, true, 0, 1)), Want) << At;
@@ -193,6 +256,76 @@ TEST(IndexServiceTest, AddsPublishImmediatelyAndMatchProfileIndex) {
     AddTo(I, P.Profiles[0]);
   RemoveFrom("t6");
   ExpectSurvivorsRanked("routed");
+}
+
+TEST(IndexServiceTest, TopKOrderingAndTieBreaks) {
+  // One shard, so positions are insertion order; a seal threshold of
+  // two spreads the entries over several segments.
+  IndexService Index("test", {.Shards = 1, .SealThreshold = 2});
+  // Entries e0 and e2 are identical (tie); e1 is orthogonal.
+  Index.add("e0", "x", makeProfile({{1, 1.0}}));
+  Index.add("e1", "y", makeProfile({{2, 1.0}}));
+  Index.add("e2", "x", makeProfile({{1, 1.0}}));
+
+  const KernelProfile Query = makeProfile({{1, 2.0}});
+  std::vector<ServiceHit> Hits = Index.query(Query, 2, true, 1);
+  ASSERT_EQ(Hits.size(), 2u);
+  EXPECT_EQ(Hits[0].Name, "e0"); // Tie with e2 breaks toward the earlier add.
+  EXPECT_EQ(Hits[1].Name, "e2");
+  EXPECT_DOUBLE_EQ(Hits[0].Similarity, 1.0); // Cosine.
+  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "x");
+
+  // K beyond size clamps; orthogonal entry scores zero.
+  Hits = Index.query(Query, 10, true, 1);
+  ASSERT_EQ(Hits.size(), 3u);
+  EXPECT_EQ(Hits[2].Name, "e1");
+  EXPECT_DOUBLE_EQ(Hits[2].Similarity, 0.0);
+
+  // Raw (unnormalized) dot keeps magnitudes.
+  Hits = Index.query(Query, 1, /*Normalize=*/false, 1);
+  EXPECT_DOUBLE_EQ(Hits[0].Similarity, 2.0);
+
+  // An empty query has vanishing norm: all cosine scores are zero.
+  Hits = Index.query(KernelProfile(), 1, true, 1);
+  ASSERT_EQ(Hits.size(), 1u);
+  EXPECT_DOUBLE_EQ(Hits[0].Similarity, 0.0);
+
+  // Bounded selection at its edges, through every entry point. Copies
+  // of e0 make the tie at cosine 1 wider than K, and exhaustive routing
+  // covers only the segment the first five entries compact into, so
+  // the ties straddle the routed segment and the later ones.
+  for (int I = 3; I < 5; ++I)
+    Index.add("e" + std::to_string(I), "x", makeProfile({{1, 1.0}}));
+  Index.rebuildRouting({}, 1);
+  for (int I = 5; I < 8; ++I)
+    Index.add("e" + std::to_string(I), "x", makeProfile({{1, 1.0}}));
+  Index.add("e8", "y", makeProfile({{3, 1.0}}));
+  ASSERT_TRUE(Index.routed());
+  const size_t Live = Index.size();
+  const std::vector<std::string> TiesFirst = {"e0", "e2", "e3", "e4", "e5",
+                                              "e6", "e7", "e1", "e8"};
+  const KernelProfile Alien = makeProfile({{9, 1.0}}); // Shares nothing.
+  const IndexSnapshot Snap = Index.snapshot();
+  for (size_t K : {size_t(0), size_t(1), size_t(3), Live, Live + 3}) {
+    for (const KernelProfile *Q : {&Query, &Alien}) {
+      const std::vector<ServiceHit> Exact = Snap.query(*Q, K, true, 1);
+      ASSERT_EQ(Exact.size(), std::min(K, Live)) << "k " << K;
+      for (size_t R = 0; R < Exact.size(); ++R) {
+        // The alien query scores +0.0 everywhere: pure insertion order.
+        EXPECT_EQ(Exact[R].Name,
+                  Q == &Query ? TiesFirst[R] : "e" + std::to_string(R));
+        if (Q == &Alien) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(Exact[R].Similarity), 0u);
+        }
+      }
+      EXPECT_EQ(flatten(Snap.queryApprox(*Q, K, true, 0, 1)), flatten(Exact))
+          << "k " << K;
+      for (bool Approx : {false, true})
+        EXPECT_EQ(flatten(Snap.queryBatch({Q, Q}, K, true, 2, Approx)),
+                  std::vector<FlatHits>(2, flatten(Exact)))
+            << "k " << K;
+    }
+  }
 }
 
 TEST(IndexServiceTest, RemovedRoutedCandidateTakesNoRerankSlot) {
@@ -244,16 +377,184 @@ TEST(IndexServiceTest, EdgeCasesReturnCleanly) {
   EXPECT_EQ(IndexSnapshot::majorityLabel({}), "");
 }
 
+TEST(IndexServiceTest, OneShardEdgeCasesReturnCleanly) {
+  const KernelProfile P = makeProfile({{3, 1.0}});
+  const KernelProfile Empty;
+
+  // Querying an empty service: no hits, no crash, through every entry
+  // point.
+  IndexService None("k", {.Shards = 1});
+  EXPECT_TRUE(None.query(P, 3).empty());
+  EXPECT_TRUE(None.query(P, 0).empty());
+  EXPECT_TRUE(None.queryApprox(P, 3).empty());
+  std::vector<std::vector<ServiceHit>> Batch =
+      None.snapshot().queryBatch({&P, &Empty}, 3, true, 1);
+  ASSERT_EQ(Batch.size(), 2u);
+  EXPECT_TRUE(Batch[0].empty());
+  EXPECT_TRUE(Batch[1].empty());
+
+  IndexService Index("k", {.Shards = 1});
+  Index.add("a", "x", P);
+  Index.add("b", "y", P);
+
+  // k == 0 is an explicit no-op, not a caller-discipline assumption.
+  EXPECT_TRUE(Index.query(P, 0).empty());
+  for (const std::vector<ServiceHit> &Hits :
+       Index.snapshot().queryBatch({&P, &P}, 0, true, 1))
+    EXPECT_TRUE(Hits.empty());
+
+  // k beyond size() clamps to size().
+  EXPECT_EQ(Index.query(P, 100).size(), 2u);
+  EXPECT_EQ(Index.snapshot().queryBatch({&P}, 100, true, 1)[0].size(), 2u);
+}
+
 TEST(IndexServiceTest, MajorityLabelMatchesIndexContract) {
-  // Same single-pass vote as ProfileIndex::majorityLabel: totals win,
-  // count ties go to the nearer hit's label.
-  std::vector<ServiceHit> Hits = {{"n0", "y", 0.9},
-                                  {"n1", "x", 0.8},
-                                  {"n2", "x", 0.7},
-                                  {"n3", "y", 0.6}};
-  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "y");
-  Hits.push_back({"n4", "x", 0.5});
-  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "x");
+  // One pass over the hits (the regression guard for the O(k²)
+  // rescan-per-neighbor counting) that keeps both halves of the
+  // contract: the highest total count wins, and a count *tie* goes to
+  // the label whose first occurrence is nearest. Similarities are
+  // irrelevant to the vote.
+  const auto Vote = [](const std::vector<std::string> &Labels) {
+    std::vector<ServiceHit> Hits;
+    for (size_t I = 0; I < Labels.size(); ++I)
+      Hits.push_back({"n" + std::to_string(I), Labels[I],
+                      1.0 - 0.1 * static_cast<double>(I)});
+    return IndexSnapshot::majorityLabel(Hits);
+  };
+  // Adversarial tie: y and x both total 2, y's first occurrence is the
+  // nearest hit, so y wins even though x reaches count 2 first during
+  // an incremental scan.
+  EXPECT_EQ(Vote({"y", "x", "x", "y"}), "y");
+  // A strict majority displaces a nearer singleton.
+  EXPECT_EQ(Vote({"y", "x", "x"}), "x");
+  EXPECT_EQ(Vote({"y", "x", "x", "y", "x"}), "x");
+  // Duplicate labels scattered among others still aggregate.
+  EXPECT_EQ(Vote({"z", "y", "x", "y"}), "y");
+  // Single hit and empty list edge cases.
+  EXPECT_EQ(Vote({"x"}), "x");
+  EXPECT_EQ(Vote({}), "");
+}
+
+TEST(IndexServiceTest, AgreesWithGramMatrixGroundTruth) {
+  // The one check that does not go through the retrieval engine: the
+  // normalized Gram matrix of the same kernel.
+  Rng R(60601);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 20, "c");
+  BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
+
+  IndexService Index = oneShard(Kernel, Corpus);
+  ASSERT_EQ(Index.size(), Corpus.size());
+  EXPECT_EQ(Index.kernelName(), Kernel.name());
+
+  KernelMatrixOptions Options;
+  Options.Threads = 1;
+  Matrix K = computeKernelMatrix(Kernel, Corpus, Options);
+
+  for (size_t I = 0; I < Corpus.size(); ++I) {
+    std::vector<ServiceHit> Hits =
+        Index.query(Kernel.profile(Corpus[I]), 2, true, 1);
+    ASSERT_EQ(Hits.size(), 2u);
+    // Top hit is the string itself at cosine 1.
+    EXPECT_EQ(Hits[0].Name, Corpus[I].name());
+    EXPECT_NEAR(Hits[0].Similarity, 1.0, 1e-12);
+    // Runner-up matches the normalized Gram row's best off-diagonal.
+    size_t Best = I == 0 ? 1 : 0;
+    for (size_t J = 0; J < Corpus.size(); ++J)
+      if (J != I && K.at(I, J) > K.at(I, Best))
+        Best = J;
+    EXPECT_NEAR(Hits[1].Similarity, K.at(I, Best), 1e-9)
+        << "query " << I << ": index found " << Hits[1].Name
+        << ", Gram argmax " << Corpus[Best].name();
+  }
+}
+
+TEST(IndexServiceTest, BatchedQueriesMatchSingleQueries) {
+  Rng R(424243);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 16, "c");
+  std::vector<WeightedString> Queries = randomCorpus(Table, R, 8, "q");
+  KSpectrumKernel Kernel(2, /*Weighted=*/true, /*CutWeight=*/2);
+
+  IndexService Index = oneShard(Kernel, Corpus);
+  std::vector<KernelProfile> QueryProfiles;
+  for (const WeightedString &Q : Queries)
+    QueryProfiles.push_back(Kernel.profile(Q));
+
+  std::vector<std::vector<ServiceHit>> Batched = Index.snapshot().queryBatch(
+      borrowed(QueryProfiles), 3, /*Normalize=*/true, /*Threads=*/0);
+  ASSERT_EQ(Batched.size(), Queries.size());
+  for (size_t I = 0; I < QueryProfiles.size(); ++I)
+    EXPECT_EQ(flatten(Batched[I]),
+              flatten(Index.query(QueryProfiles[I], 3, true, 1)));
+
+  // The routed batch, pruned and probing two of four clusters, matches
+  // queryApprox at the same NProbe.
+  RoutingOptions Pruned;
+  Pruned.Cluster.NumCentroids = 4;
+  Pruned.MaxDocFrequency = 0.5;
+  Pruned.RerankBudget = 4;
+  Index.rebuildRouting(Pruned, 1);
+  Batched = Index.snapshot().queryBatch(borrowed(QueryProfiles), 3, true, 0,
+                                        /*Approx=*/true, /*NProbe=*/2);
+  ASSERT_EQ(Batched.size(), Queries.size());
+  for (size_t I = 0; I < QueryProfiles.size(); ++I)
+    EXPECT_EQ(flatten(Batched[I]),
+              flatten(Index.queryApprox(QueryProfiles[I], 3, true, 2, 1)));
+}
+
+TEST(IndexServiceTest, QueryBatchIsThreadCountInvariant) {
+  // Regression guard for the scratch-reuse scheme: queryBatch hands
+  // each worker chunk one reusable scratch buffer, and a query's
+  // result must never depend on what the previous query on the same
+  // chunk left behind, nor on how queries map to chunks. Identical
+  // batches across thread counts (and therefore chunk counts and
+  // reuse patterns) must come back bit-identical.
+  Rng R(987654);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 24, "c");
+  BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
+  IndexService Index = oneShard(Kernel, Corpus);
+
+  std::vector<KernelProfile> Queries;
+  for (const WeightedString &Q : randomCorpus(Table, R, 13, "q"))
+    Queries.push_back(Kernel.profile(Q));
+  Queries.push_back(KernelProfile()); // Degenerate query mid-batch.
+  Queries.push_back(Queries[0]);      // Duplicate: same chunk or not.
+
+  const IndexSnapshot Exact = Index.snapshot();
+  const auto Reference =
+      flatten(Exact.queryBatch(borrowed(Queries), 4, true, /*Threads=*/1));
+  for (size_t Threads : {size_t(2), size_t(3), size_t(8)})
+    EXPECT_EQ(flatten(Exact.queryBatch(borrowed(Queries), 4, true, Threads)),
+              Reference)
+        << "exact, threads " << Threads;
+  // Per-query results agree with the batch, so scratch reuse is
+  // invisible entirely.
+  for (size_t Q = 0; Q < Queries.size(); ++Q)
+    EXPECT_EQ(flatten(Exact.query(Queries[Q], 4, true, 1)), Reference[Q])
+        << "query " << Q;
+
+  // The approximate tier reuses an epoch-versioned candidate scratch
+  // across each chunk's queries — same invariant, same sweep.
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 4;
+  Opts.MaxDocFrequency = 0.5;
+  Opts.RerankBudget = 8;
+  Opts.DefaultNProbe = 2;
+  Index.rebuildRouting(Opts, 1);
+  const IndexSnapshot Routed = Index.snapshot();
+  const auto ApproxRef = flatten(
+      Routed.queryBatch(borrowed(Queries), 4, true, /*Threads=*/1, true));
+  for (size_t Threads : {size_t(2), size_t(3), size_t(8)})
+    EXPECT_EQ(
+        flatten(Routed.queryBatch(borrowed(Queries), 4, true, Threads, true)),
+        ApproxRef)
+        << "approx, threads " << Threads;
+  for (size_t Q = 0; Q < Queries.size(); ++Q)
+    EXPECT_EQ(flatten(Routed.queryApprox(Queries[Q], 4, true, 0, 1)),
+              ApproxRef[Q])
+        << "approx query " << Q;
 }
 
 //===----------------------------------------------------------------------===//
@@ -306,20 +607,194 @@ TEST(IndexServiceTest, RemoveTombstonesAndSnapshotsStayIsolated) {
 // Bulk import/export and the sharded-cache restart path
 //===----------------------------------------------------------------------===//
 
-TEST(IndexServiceTest, FromIndexServesTheWholeIndex) {
-  NamedProfiles P = makeProfiles(kernel(), 20, "s", 31);
-  ProfileIndex Index(kernel().name());
-  for (size_t I = 0; I < P.Profiles.size(); ++I)
-    Index.add(P.Names[I], P.Labels[I], P.Profiles[I]);
+TEST(IndexServiceTest, SaveLoadPreservesQueries) {
+  Rng R(777);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 12, "c");
+  std::vector<std::string> Labels;
+  for (size_t I = 0; I < Corpus.size(); ++I)
+    Labels.push_back(I % 2 == 0 ? "even" : "odd");
+  BlendedSpectrumKernel Kernel(3);
 
-  IndexService Service =
-      IndexService::fromIndex(Index, {.Shards = 4, .SealThreshold = 8});
-  EXPECT_EQ(Service.size(), Index.size());
-  EXPECT_EQ(Service.kernelName(), Index.kernelName());
-  NamedProfiles Q = makeProfiles(kernel(), 6, "q", 32);
-  for (const KernelProfile &Query : Q.Profiles)
-    EXPECT_EQ(flatten(Service.query(Query, 5, true, 1)),
-              flatten(Index, Index.query(Query, 5)));
+  IndexService Index = oneShard(Kernel, Corpus, Labels);
+  const std::string Dir = testing::TempDir() + "/kast_index_rt";
+  std::filesystem::remove_all(Dir);
+  Status S = writeShardedProfileImages(Index.toShardCaches(), Dir);
+  ASSERT_TRUE(S.ok()) << S.message();
+  // An unrouted shard is a plain version-3 flat image.
+  {
+    std::ifstream In(Dir + "/shard-000.kfi", std::ios::binary);
+    char Header[12];
+    ASSERT_TRUE(In.read(Header, sizeof(Header)).good());
+    EXPECT_EQ(std::string(Header, 8), std::string(FlatImageMagic, 8));
+    EXPECT_EQ(Header[8], static_cast<char>(FlatImageVersion));
+  }
+  EXPECT_FALSE(std::filesystem::exists(Dir + "/shard-000.kfi.tmp"));
+
+  Expected<std::vector<ProfileStoreCache>> Caches =
+      loadShardedProfileImages(Dir, Kernel.name());
+  ASSERT_TRUE(Caches.hasValue()) << Caches.message();
+  ASSERT_EQ(Caches->size(), 1u);
+  {
+    const ProfileStoreCache &Image = (*Caches)[0];
+    const ProfileStoreCache Saved = Index.toShardCaches()[0];
+    ASSERT_EQ(Image.Store.size(), Corpus.size());
+    EXPECT_EQ(Image.KernelName, Kernel.name());
+    EXPECT_EQ(Image.Routing, nullptr);
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      EXPECT_EQ(Image.Names[I], Corpus[I].name());
+      EXPECT_EQ(Image.Labels[I], Labels[I]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(Image.Store.norm(I)),
+                std::bit_cast<uint64_t>(Saved.Store.norm(I)));
+      expectBitExact(Image.Store.materialize(I), Kernel.profile(Corpus[I]));
+    }
+  }
+  Expected<IndexService> Loaded = IndexService::fromShardCaches(Caches.take());
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  EXPECT_EQ(Loaded->kernelName(), Index.kernelName());
+  EXPECT_FALSE(Loaded->routed());
+  KernelProfile Query = Kernel.profile(randomString(Table, R, 20, 6));
+  EXPECT_EQ(flatten(Loaded->query(Query, 5, true, 1)),
+            flatten(Index.query(Query, 5, true, 1)));
+}
+
+TEST(IndexServiceTest, SavingOverTheLoadedImageKeepsIt) {
+  // A restarted service views the mapping of its own shard image — the
+  // store, the int8 sidecar and the routing arenas. Saving back to that
+  // directory must not truncate the bytes it is still reading from.
+  Rng R(4242);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 4000, "c");
+  BlendedSpectrumKernel Kernel(3);
+  IndexService Index = oneShard(Kernel, Corpus);
+  RoutingOptions Opts;
+  Opts.Cluster.NumCentroids = 8;
+  Opts.MaxDocFrequency = 0.5;
+  Opts.RerankBudget = 32;
+  Opts.DefaultNProbe = 3;
+  Index.rebuildRouting(Opts, 1);
+  const std::string Dir = testing::TempDir() + "/kast_index_self";
+  const std::string Path = Dir + "/shard-000.kfi";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Index.toShardCaches(), Dir).ok());
+  const std::string Saved = fileBytes(Path);
+
+  std::vector<KernelProfile> Queries;
+  for (int I = 0; I < 6; ++I)
+    Queries.push_back(Kernel.profile(randomString(Table, R, 24, 6)));
+  const auto ExpectSameAnswers = [&](const IndexService &A,
+                                     const IndexService &B,
+                                     const std::string &What) {
+    for (const KernelProfile &Q : Queries) {
+      EXPECT_EQ(flatten(A.query(Q, 5, true, 1)),
+                flatten(B.query(Q, 5, true, 1)))
+          << What;
+      EXPECT_EQ(flatten(A.queryApprox(Q, 5, true, 0, 1)),
+                flatten(B.queryApprox(Q, 5, true, 0, 1)))
+          << What;
+    }
+  };
+  const auto Restart = [&]() {
+    Expected<std::vector<ProfileStoreCache>> Caches =
+        loadShardedProfileImages(Dir, Kernel.name());
+    EXPECT_TRUE(Caches.hasValue()) << Caches.message();
+    return IndexService::fromShardCaches(Caches.take());
+  };
+
+  // Unchanged: restart, save back over the same directory, restart
+  // again.
+  {
+    Expected<IndexService> Loaded = Restart();
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+    ASSERT_TRUE(Loaded->routed());
+    Expected<IndexService> Again = saveAndRestart(*Loaded, Dir);
+    ASSERT_TRUE(Again.hasValue()) << Again.message();
+    EXPECT_EQ(fileBytes(Path), Saved);
+    EXPECT_TRUE(Again->routed());
+    ExpectSameAnswers(*Again, Index, "unchanged");
+    // The first restart still reads the bytes it mapped.
+    ExpectSameAnswers(*Loaded, Index, "unchanged source");
+  }
+
+  // After an add(): the grown service is saved over its source image
+  // and restarts with every entry bit-exact, its new one last. Routing
+  // covers the first of its two segments only, so the image carries
+  // none; a re-fit of the restart answers as a re-fit of the original.
+  Expected<IndexService> Loaded = Restart();
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
+  const KernelProfile Extra = Kernel.profile(randomString(Table, R, 30, 6));
+  Loaded->add("extra", "x", Extra);
+  Index.add("extra", "x", Extra);
+  Expected<IndexService> Grown = saveAndRestart(*Loaded, Dir);
+  ASSERT_TRUE(Grown.hasValue()) << Grown.message();
+  ASSERT_EQ(Grown->size(), Index.size());
+  EXPECT_FALSE(Grown->routed());
+  ExpectSameAnswers(*Loaded, Index, "grown source");
+  const ProfileStoreCache Want = Index.toShardCaches()[0];
+  const ProfileStoreCache Got = Grown->toShardCaches()[0];
+  ASSERT_EQ(Got.Store.size(), Want.Store.size());
+  EXPECT_EQ(Got.Names[Got.Store.size() - 1], "extra");
+  for (size_t I = 0; I < Want.Store.size(); ++I) {
+    EXPECT_EQ(Got.Names[I], Want.Names[I]);
+    expectBitExact(Got.Store.materialize(I), Want.Store.materialize(I));
+  }
+  for (const KernelProfile &Q : Queries)
+    EXPECT_EQ(flatten(Grown->query(Q, 5, true, 1)),
+              flatten(Index.query(Q, 5, true, 1)));
+  Grown->rebuildRouting(Opts, 1);
+  Index.rebuildRouting(Opts, 1);
+  ExpectSameAnswers(*Grown, Index, "re-fit");
+}
+
+TEST(IndexServiceTest, CorpusProfileCacheVerifiesKernelName) {
+  CorpusOptions Shape;
+  Shape.BaseA = 2;
+  Shape.BaseB = 1;
+  Shape.BaseC = 0;
+  Shape.BaseD = 0;
+  Shape.CopiesPerBase = 1;
+  LabeledDataset Data =
+      convertCorpus(Pipeline::withBytes(), generateCorpus(Shape));
+  ASSERT_GT(Data.size(), 0u);
+
+  BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
+  IndexService Service(Kernel.name(), {.Shards = 2});
+  for (size_t I = 0; I < Data.size(); ++I)
+    Service.add(Data.string(I).name(), Data.label(I),
+                Kernel.profile(Data.string(I)));
+  std::string Dir = testing::TempDir() + "/kast_corpus_profiles";
+  std::filesystem::remove_all(Dir);
+  Status W = writeShardedProfileImages(Service.toShardCaches(), Dir);
+  ASSERT_TRUE(W.ok()) << W.message();
+
+  // Every corpus profile comes back with its provenance and bit
+  // patterns.
+  Expected<std::vector<ProfileStoreCache>> Good =
+      loadShardedProfileImages(Dir, Kernel.name());
+  ASSERT_TRUE(Good.hasValue()) << Good.message();
+  size_t Seen = 0;
+  for (const ProfileStoreCache &Shard : *Good)
+    for (size_t I = 0; I < Shard.Store.size(); ++I, ++Seen) {
+      const std::string Name = Shard.Names.str(I);
+      size_t At = 0;
+      while (At < Data.size() && Data.string(At).name() != Name)
+        ++At;
+      ASSERT_LT(At, Data.size()) << Name;
+      EXPECT_EQ(Shard.Labels.str(I), Data.label(At));
+      expectBitExact(Shard.Store.materialize(I),
+                     Kernel.profile(Data.string(At)));
+    }
+  EXPECT_EQ(Seen, Data.size());
+
+  // A differently-configured kernel names itself differently, and the
+  // mismatch is a load-time error, not a silent wrong similarity.
+  BlendedSpectrumKernel Other(4, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
+  ASSERT_NE(Other.name(), Kernel.name());
+  Expected<std::vector<ProfileStoreCache>> Bad =
+      loadShardedProfileImages(Dir, Other.name());
+  ASSERT_FALSE(Bad.hasValue());
+  EXPECT_NE(Bad.message().find(Kernel.name()), std::string::npos)
+      << Bad.message();
 }
 
 TEST(IndexServiceTest, ShardCachesRestartTheServiceBitExactly) {
@@ -532,39 +1007,6 @@ TEST(IndexServiceTest, V3ImagesCarryRoutingAndSurviveWriters) {
   }
 }
 
-TEST(IndexServiceTest, PrefixRoutingRestoresTheShardUnrouted) {
-  // Arenas covering only a prefix of a shard (what a ProfileIndex with
-  // an unrouted tail saves) cannot route the shard's single segment:
-  // it restores unrouted, and approximate queries scan it exactly.
-  ProfileIndex Index(kernel().name());
-  NamedProfiles P = makeProfiles(kernel(), 12, "s", 81);
-  for (size_t I = 0; I < 10; ++I)
-    Index.add(P.Names[I], P.Labels[I], P.Profiles[I]);
-  RoutingOptions Route;
-  Route.Cluster.NumCentroids = 2;
-  Index.buildRouting(Route, 1);
-  for (size_t I = 10; I < P.Profiles.size(); ++I)
-    Index.add(P.Names[I], P.Labels[I], P.Profiles[I]);
-  const std::string Path = testing::TempDir() + "/kast_prefix_routed.kfi";
-  ASSERT_TRUE(Index.save(Path).ok());
-  Expected<ProfileStoreCache> Image = readProfileStoreImageFile(Path);
-  ASSERT_TRUE(Image.hasValue()) << Image.message();
-  ASSERT_NE(Image->Routing, nullptr);
-  EXPECT_EQ(Image->Routing->Covered, 10u);
-
-  std::vector<ProfileStoreCache> Caches;
-  Caches.push_back(Image.take());
-  Expected<IndexService> Restored =
-      IndexService::fromShardCaches(std::move(Caches));
-  ASSERT_TRUE(Restored.hasValue()) << Restored.message();
-  EXPECT_EQ(Restored->size(), P.Profiles.size());
-  EXPECT_EQ(Restored->snapshot().routedShardCount(), 0u);
-  NamedProfiles Q = makeProfiles(kernel(), 4, "q", 82);
-  for (const KernelProfile &Query : Q.Profiles)
-    EXPECT_EQ(Restored->queryApprox(Query, 5, true, 0, 1),
-              Restored->query(Query, 5, true, 1));
-}
-
 TEST(IndexServiceTest, EmbeddedRoutingMismatchFailsRestore) {
   // Routing arenas paired with contents they were not fitted on
   // (here: a truncated copy of the shard) must fail loudly at restore.
@@ -690,8 +1132,8 @@ TEST(IndexServiceStressTest, SnapshotsStayConsistentUnderConcurrentWrites) {
   EXPECT_GT(Checked, 0u);
 
   // Final ground truth: after the dust settles the service serves
-  // exactly the survivors, bit-identically to a fresh ProfileIndex.
-  ProfileIndex Truth(kernel().name());
+  // exactly the survivors, bit-identically to a fresh one-shard service.
+  IndexService Truth(kernel().name(), {.Shards = 1});
   for (size_t W = 0; W < Writers; ++W) {
     const NamedProfiles &Work = WriterWork[W];
     for (size_t I = 0; I < Work.Profiles.size(); ++I) {
@@ -704,7 +1146,7 @@ TEST(IndexServiceStressTest, SnapshotsStayConsistentUnderConcurrentWrites) {
   EXPECT_EQ(Service.size(), Truth.size());
   for (const KernelProfile &Query : Q.Profiles) {
     EXPECT_EQ(flatten(Service.query(Query, 5, true, 1)),
-              flatten(Truth, Truth.query(Query, 5)));
+              flatten(Truth.query(Query, 5, true, 1)));
   }
 }
 

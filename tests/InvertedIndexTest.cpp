@@ -9,7 +9,7 @@
 // ground truth. The central contract: run *exhaustively* — every
 // centroid probed, no df-pruning, no re-rank budget (the
 // RoutingOptions defaults) — the approximate path must be
-// bit-identical to the exact scan: same ids, same similarity bit
+// bit-identical to the exact scan: same entries, same similarity bit
 // patterns, same tie-break order. Under aggressive pruning the
 // results may differ, but only within a measured recall envelope, and
 // structural invariants (unrouted tail always found, tombstoned
@@ -19,7 +19,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "index/IndexService.h"
-#include "index/ProfileIndex.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
 #include "workloads/DatasetBuilder.h"
@@ -60,20 +59,49 @@ BlendedSpectrumKernel testKernel() {
   return BlendedSpectrumKernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
 }
 
-/// Bit-identical, not just ==: similarity must carry the exact scan's
-/// bit pattern (a double == would let -0.0 pass for +0.0).
-void expectBitIdentical(const std::vector<Neighbor> &Approx,
-                        const std::vector<Neighbor> &Exact,
-                        const std::string &What) {
-  ASSERT_EQ(Approx.size(), Exact.size()) << What;
-  for (size_t I = 0; I < Exact.size(); ++I) {
-    EXPECT_EQ(Approx[I].Index, Exact[I].Index) << What << " rank " << I;
-    EXPECT_EQ(std::bit_cast<uint64_t>(Approx[I].Similarity),
-              std::bit_cast<uint64_t>(Exact[I].Similarity))
-        << What << " rank " << I;
+/// A service over named profiles, remembering every entry's profile in
+/// insertion order — with one shard, that order is the tie-break.
+struct TrackedService {
+  IndexService Service;
+  std::vector<std::string> Names;
+  std::vector<KernelProfile> Profiles;
+
+  explicit TrackedService(const std::string &KernelName,
+                  IndexServiceOptions Options = {.Shards = 1})
+      : Service(KernelName, Options) {}
+
+  void add(const std::string &Name, KernelProfile Profile,
+           const std::string &Label = "") {
+    Service.add(Name, Label, Profile);
+    Names.push_back(Name);
+    Profiles.push_back(std::move(Profile));
   }
+  void addAll(const ProfiledStringKernel &Kernel,
+              const std::vector<WeightedString> &Strings) {
+    for (const WeightedString &S : Strings)
+      add(S.name(), Kernel.profile(S));
+  }
+  size_t size() const { return Profiles.size(); }
+};
+
+/// The borrowed form IndexSnapshot::queryBatch takes.
+std::vector<const KernelProfile *>
+borrowed(const std::vector<KernelProfile> &Profiles) {
+  std::vector<const KernelProfile *> Out;
+  for (const KernelProfile &P : Profiles)
+    Out.push_back(&P);
+  return Out;
 }
 
+/// The routing \p Service would save: its one shard's exported arenas,
+/// present while that shard is exactly its routed segment.
+std::shared_ptr<const RoutingArenas>
+exportedRouting(const IndexService &Service) {
+  return Service.toShardCaches()[0].Routing;
+}
+
+/// Bit-identical, not just ==: similarity must carry the exact scan's
+/// bit pattern (a double == would let -0.0 pass for +0.0).
 void expectHitsBitIdentical(const std::vector<ServiceHit> &Approx,
                             const std::vector<ServiceHit> &Exact,
                             const std::string &What) {
@@ -87,16 +115,16 @@ void expectHitsBitIdentical(const std::vector<ServiceHit> &Approx,
   }
 }
 
-double recallAgainst(const std::vector<Neighbor> &Exact,
-                     const std::vector<Neighbor> &Approx) {
+double recallAgainst(const std::vector<ServiceHit> &Exact,
+                     const std::vector<ServiceHit> &Approx) {
   if (Exact.empty())
     return 1.0;
-  std::set<size_t> Truth;
-  for (const Neighbor &N : Exact)
-    Truth.insert(N.Index);
+  std::set<std::string> Truth;
+  for (const ServiceHit &H : Exact)
+    Truth.insert(H.Name);
   size_t Found = 0;
-  for (const Neighbor &N : Approx)
-    Found += Truth.count(N.Index);
+  for (const ServiceHit &H : Approx)
+    Found += Truth.count(H.Name);
   return static_cast<double>(Found) / static_cast<double>(Truth.size());
 }
 
@@ -107,33 +135,36 @@ double recallAgainst(const std::vector<Neighbor> &Exact,
 TEST(InvertedIndexTest, ExhaustiveModeIsBitIdenticalToExactScan) {
   Rng R(1107);
   auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 48, "c");
+  std::vector<WeightedString> Strings = randomCorpus(Table, R, 48, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  TrackedService Index(Kernel.name());
+  Index.addAll(Kernel, Strings);
   // Duplicate a third of the corpus under fresh names: exact ties are
-  // now abundant and the (sim desc, id asc) order must survive the
-  // candidate-generation detour.
-  for (size_t I = 0; I < Corpus.size(); I += 3)
-    Index.add("dup" + std::to_string(I), "", Kernel.profile(Corpus[I]));
+  // now abundant and the (sim desc, position asc) order must survive
+  // the candidate-generation detour.
+  for (size_t I = 0; I < Strings.size(); I += 3)
+    Index.add("dup" + std::to_string(I), Kernel.profile(Strings[I]));
 
   // RoutingOptions defaults *are* exhaustive mode: every centroid
   // probed, no df-pruning, no re-rank budget.
   RoutingOptions Exhaustive;
   Exhaustive.Cluster.NumCentroids = 7;
-  Index.buildRouting(Exhaustive, /*Threads=*/1);
-  ASSERT_TRUE(Index.routed());
-  ASSERT_EQ(Index.routedCount(), Index.size());
+  IndexService &Service = Index.Service;
+  Service.rebuildRouting(Exhaustive, /*Threads=*/1);
+  ASSERT_TRUE(Service.routed());
+  ASSERT_NE(exportedRouting(Service), nullptr);
+  ASSERT_EQ(exportedRouting(Service)->Covered, Index.size());
 
   std::vector<KernelProfile> Queries;
   for (const WeightedString &Q : randomCorpus(Table, R, 12, "q"))
     Queries.push_back(Kernel.profile(Q));
   for (size_t I = 0; I < Index.size(); I += 7) // Self queries: exact ties.
-    Queries.push_back(Index.profile(I));
+    Queries.push_back(Index.Profiles[I]);
   Queries.push_back(KernelProfile()); // Empty query: everything scores 0.
   {
     // A query over a disjoint alphabet shares no feature with anyone:
     // every similarity is +0.0 and the result must be the pure
-    // zero-fill order (ids ascending).
+    // zero-fill order (insertion order).
     WeightedString Alien(Table);
     for (size_t I = 0; I < 8; ++I)
       Alien.append("z" + std::to_string(I), 3);
@@ -146,51 +177,56 @@ TEST(InvertedIndexTest, ExhaustiveModeIsBitIdenticalToExactScan) {
         const std::string What = "query " + std::to_string(Q) + " k " +
                                  std::to_string(K) +
                                  (Normalize ? " cos" : " raw");
-        expectBitIdentical(Index.queryApprox(Queries[Q], K, Normalize),
-                           Index.query(Queries[Q], K, Normalize), What);
+        expectHitsBitIdentical(
+            Service.queryApprox(Queries[Q], K, Normalize, 0, 1),
+            Service.query(Queries[Q], K, Normalize, 1), What);
       }
     }
   }
   // The batch call, routed against exact, on three worker chunks.
+  const IndexSnapshot Snap = Service.snapshot();
   for (size_t K : {size_t(5), Index.size() + 10}) {
-    const std::vector<std::vector<Neighbor>> Exact =
-        Index.queryBatch(Queries, K, true, 3);
-    const std::vector<std::vector<Neighbor>> Routed =
-        Index.queryBatch(Queries, K, true, 3, /*Approx=*/true);
+    const std::vector<std::vector<ServiceHit>> Exact =
+        Snap.queryBatch(borrowed(Queries), K, true, 3);
+    const std::vector<std::vector<ServiceHit>> Routed =
+        Snap.queryBatch(borrowed(Queries), K, true, 3, /*Approx=*/true);
     for (size_t Q = 0; Q < Queries.size(); ++Q)
-      expectBitIdentical(Routed[Q], Exact[Q],
-                         "batch query " + std::to_string(Q) + " k " +
-                             std::to_string(K));
+      expectHitsBitIdentical(Routed[Q], Exact[Q],
+                             "batch query " + std::to_string(Q) + " k " +
+                                 std::to_string(K));
   }
 }
 
 TEST(InvertedIndexTest, SingleCentroidExhaustiveStillBitIdentical) {
   Rng R(2214);
   auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 30, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  TrackedService Index(Kernel.name());
+  Index.addAll(Kernel, randomCorpus(Table, R, 30, "c"));
+  IndexService &Service = Index.Service;
 
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 1;
-  Index.buildRouting(Opts, 1);
-  ASSERT_EQ(Index.router()->numCentroids(), 1u);
+  Service.rebuildRouting(Opts, 1);
+  ASSERT_NE(exportedRouting(Service), nullptr);
+  ASSERT_EQ(exportedRouting(Service)->Centroids.size(), 1u);
 
   std::vector<KernelProfile> Selves;
   for (size_t I = 0; I < Index.size(); I += 5) {
-    Selves.push_back(Index.profile(I));
-    expectBitIdentical(Index.queryApprox(Selves.back(), 6),
-                       Index.query(Selves.back(), 6),
-                       "self " + std::to_string(I));
+    Selves.push_back(Index.Profiles[I]);
+    expectHitsBitIdentical(Service.queryApprox(Selves.back(), 6, true, 0, 1),
+                           Service.query(Selves.back(), 6, true, 1),
+                           "self " + std::to_string(I));
   }
   KernelProfile Held = Kernel.profile(randomCorpus(Table, R, 1, "h")[0]);
-  expectBitIdentical(Index.queryApprox(Held, 9), Index.query(Held, 9),
-                     "held-out");
-  const std::vector<std::vector<Neighbor>> Routed =
-      Index.queryBatch(Selves, 6, true, 2, /*Approx=*/true);
+  expectHitsBitIdentical(Service.queryApprox(Held, 9, true, 0, 1),
+                         Service.query(Held, 9, true, 1), "held-out");
+  const std::vector<std::vector<ServiceHit>> Routed =
+      Service.snapshot().queryBatch(borrowed(Selves), 6, true, 2,
+                                    /*Approx=*/true);
   for (size_t Q = 0; Q < Selves.size(); ++Q)
-    expectBitIdentical(Routed[Q], Index.query(Selves[Q], 6),
-                       "batch self " + std::to_string(Q));
+    expectHitsBitIdentical(Routed[Q], Service.query(Selves[Q], 6, true, 1),
+                           "batch self " + std::to_string(Q));
 }
 
 TEST(InvertedIndexTest, EdgeCasesReturnCleanly) {
@@ -199,73 +235,75 @@ TEST(InvertedIndexTest, EdgeCasesReturnCleanly) {
   P.add(3, 1.0);
   P.finalize();
 
-  // Routing an empty index is a no-op tier: queries fall through.
-  ProfileIndex Empty("k");
-  Empty.buildRouting({}, 1);
-  EXPECT_TRUE(Empty.routed());
-  EXPECT_EQ(Empty.routedCount(), 0u);
+  // Routing an empty service fits nothing: queries fall through.
+  IndexService Empty("k", {.Shards = 1});
+  Empty.rebuildRouting({}, 1);
+  EXPECT_FALSE(Empty.routed());
   EXPECT_TRUE(Empty.queryApprox(P, 3).empty());
   EXPECT_TRUE(Empty.queryApprox(P, 0).empty());
   EXPECT_TRUE(Empty.queryApprox(KernelProfile(), 4).empty());
 
-  // An unrouted index answers queryApprox through the exact scan.
-  ProfileIndex Unrouted("k");
+  // An unrouted service answers queryApprox through the exact scan.
+  IndexService Unrouted("k", {.Shards = 1});
   Unrouted.add("a", "", P);
   EXPECT_FALSE(Unrouted.routed());
-  expectBitIdentical(Unrouted.queryApprox(P, 2), Unrouted.query(P, 2),
-                     "unrouted fallback");
+  expectHitsBitIdentical(Unrouted.queryApprox(P, 2, true, 0, 1),
+                         Unrouted.query(P, 2, true, 1), "unrouted fallback");
 
-  // k == 0 and k > N on a routed index.
+  // k == 0 and k > N on a routed service.
   Rng R(5150);
   auto Table = TokenTable::create();
-  ProfileIndex Index =
-      ProfileIndex::build(Kernel, randomCorpus(Table, R, 9, "c"), {}, 1);
+  TrackedService Index(Kernel.name());
+  Index.addAll(Kernel, randomCorpus(Table, R, 9, "c"));
+  IndexService &Service = Index.Service;
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 3;
-  Index.buildRouting(Opts, 1);
-  KernelProfile Q = Index.profile(4);
-  EXPECT_TRUE(Index.queryApprox(Q, 0).empty());
-  expectBitIdentical(Index.queryApprox(Q, 100), Index.query(Q, 100),
-                     "k beyond size");
-  EXPECT_EQ(Index.queryApprox(Q, 100).size(), Index.size());
+  Service.rebuildRouting(Opts, 1);
+  const KernelProfile &Q = Index.Profiles[4];
+  EXPECT_TRUE(Service.queryApprox(Q, 0).empty());
+  expectHitsBitIdentical(Service.queryApprox(Q, 100, true, 0, 1),
+                         Service.query(Q, 100, true, 1), "k beyond size");
+  EXPECT_EQ(Service.queryApprox(Q, 100).size(), Index.size());
 
-  // clearRouting really clears.
-  Index.clearRouting();
-  EXPECT_FALSE(Index.routed());
-  EXPECT_EQ(Index.routedCount(), 0u);
+  // compact() really drops the routing.
+  Service.compact(1);
+  EXPECT_FALSE(Service.routed());
+  EXPECT_EQ(Service.snapshot().routedShardCount(), 0u);
 }
 
 TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
   Rng R(3321);
   auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 40, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  // A small seal threshold spreads the tail over sealed segments and
+  // the staging tail.
+  TrackedService Index(Kernel.name(), {.Shards = 1, .SealThreshold = 4});
+  Index.addAll(Kernel, randomCorpus(Table, R, 40, "c"));
+  IndexService &Service = Index.Service;
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 5;
-  Index.buildRouting(Opts, 1);
-  const size_t Covered = Index.routedCount();
+  Service.rebuildRouting(Opts, 1);
+  const size_t Covered = Index.size();
 
-  std::vector<WeightedString> Tail = randomCorpus(Table, R, 10, "tail");
-  for (const WeightedString &S : Tail)
-    Index.add(S.name(), "", Kernel.profile(S));
-  ASSERT_EQ(Index.routedCount(), Covered);
+  Index.addAll(Kernel, randomCorpus(Table, R, 10, "tail"));
+  ASSERT_EQ(Service.snapshot().routedShardCount(), 1u);
   ASSERT_GT(Index.size(), Covered);
 
   // Exhaustive: still bit-identical with a tail present, one query at
   // a time and batched.
   std::vector<KernelProfile> Selves;
   for (size_t I = 0; I < Index.size(); I += 11) {
-    Selves.push_back(Index.profile(I));
-    expectBitIdentical(Index.queryApprox(Selves.back(), 7),
-                       Index.query(Selves.back(), 7),
-                       "tail self " + std::to_string(I));
+    Selves.push_back(Index.Profiles[I]);
+    expectHitsBitIdentical(Service.queryApprox(Selves.back(), 7, true, 0, 1),
+                           Service.query(Selves.back(), 7, true, 1),
+                           "tail self " + std::to_string(I));
   }
-  const std::vector<std::vector<Neighbor>> Routed =
-      Index.queryBatch(Selves, 7, true, 2, /*Approx=*/true);
+  const std::vector<std::vector<ServiceHit>> Routed =
+      Service.snapshot().queryBatch(borrowed(Selves), 7, true, 2,
+                                    /*Approx=*/true);
   for (size_t Q = 0; Q < Selves.size(); ++Q)
-    expectBitIdentical(Routed[Q], Index.query(Selves[Q], 7),
-                       "batch tail self " + std::to_string(Q));
+    expectHitsBitIdentical(Routed[Q], Service.query(Selves[Q], 7, true, 1),
+                           "batch tail self " + std::to_string(Q));
 
   // Aggressive pruning: a tail entry queried with itself must still be
   // rank 1 at cosine 1 — the tail bypasses every pruning knob.
@@ -274,15 +312,14 @@ TEST(InvertedIndexTest, UnroutedTailIsAlwaysScannedExactly) {
   Aggressive.MaxDocFrequency = 0.2;
   Aggressive.RerankBudget = 4;
   Aggressive.DefaultNProbe = 1;
-  Index.clearRouting();
-  Index.buildRouting(Aggressive, 1);
-  std::vector<WeightedString> Tail2 = randomCorpus(Table, R, 6, "tail2");
-  for (const WeightedString &S : Tail2)
-    Index.add(S.name(), "", Kernel.profile(S));
-  for (size_t I = Index.routedCount(); I < Index.size(); ++I) {
-    std::vector<Neighbor> Hits = Index.queryApprox(Index.profile(I), 1);
+  Service.rebuildRouting(Aggressive, 1);
+  const size_t Refit = Index.size();
+  Index.addAll(Kernel, randomCorpus(Table, R, 6, "tail2"));
+  for (size_t I = Refit; I < Index.size(); ++I) {
+    std::vector<ServiceHit> Hits =
+        Service.queryApprox(Index.Profiles[I], 1, true, 0, 1);
     ASSERT_EQ(Hits.size(), 1u);
-    EXPECT_EQ(Hits[0].Index, I);
+    EXPECT_EQ(Hits[0].Name, Index.Names[I]);
     EXPECT_NEAR(Hits[0].Similarity, 1.0, 1e-12);
   }
 }
@@ -304,26 +341,25 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
   ASSERT_GE(Data.size(), 100u);
   BlendedSpectrumKernel Kernel = testKernel();
 
-  std::vector<WeightedString> Strings;
-  std::vector<std::string> Labels;
-  for (size_t I = 0; I < Data.size(); ++I) {
-    Strings.push_back(Data.string(I));
-    Labels.push_back(Data.label(I));
-  }
-  ProfileIndex Index = ProfileIndex::build(Kernel, Strings, Labels, 1);
+  TrackedService Index(Kernel.name());
+  for (size_t I = 0; I < Data.size(); ++I)
+    Index.add(Data.string(I).name(), Kernel.profile(Data.string(I)),
+              Data.label(I));
+  IndexService &Service = Index.Service;
 
   RoutingOptions Aggressive;
   Aggressive.Cluster.NumCentroids = 8;
   Aggressive.MaxDocFrequency = 0.25;
   Aggressive.RerankBudget = 48;
   Aggressive.DefaultNProbe = 2;
-  Index.buildRouting(Aggressive, 1);
+  Service.rebuildRouting(Aggressive, 1);
 
   double RecallSum = 0.0;
   size_t QueryCount = 0;
   for (size_t I = 0; I < Index.size(); I += 3) {
-    KernelProfile Q = Index.profile(I);
-    RecallSum += recallAgainst(Index.query(Q, 5), Index.queryApprox(Q, 5));
+    const KernelProfile &Q = Index.Profiles[I];
+    RecallSum += recallAgainst(Service.query(Q, 5, true, 1),
+                               Service.queryApprox(Q, 5, true, 0, 1));
     ++QueryCount;
   }
   const double Recall = RecallSum / static_cast<double>(QueryCount);
@@ -340,58 +376,73 @@ TEST(InvertedIndexTest, AggressivePruningKeepsRecall) {
 TEST(InvertedIndexTest, SaveLoadRoundTripsRoutingSidecar) {
   Rng R(7788);
   auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 36, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  TrackedService Index(Kernel.name());
+  Index.addAll(Kernel, randomCorpus(Table, R, 36, "c"));
+  IndexService &Service = Index.Service;
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 6;
   Opts.MaxDocFrequency = 0.5;
   Opts.RerankBudget = 16;
   Opts.DefaultNProbe = 3;
-  Index.buildRouting(Opts, 1);
+  Service.rebuildRouting(Opts, 1);
+  const ProfileStoreCache Saved = Service.toShardCaches()[0];
+  ASSERT_NE(Saved.Store.quantized(), nullptr);
+  ASSERT_NE(Saved.Routing, nullptr);
 
-  ASSERT_NE(Index.store().quantized(), nullptr);
-
-  // One file: the routing arenas and the int8 sidecar ride inside the
-  // image, and loading them fits nothing and rebuilds nothing.
-  const std::string Path = testing::TempDir() + "/kast_routed_index.kfi";
-  ASSERT_TRUE(Index.save(Path).ok());
+  // One image: the routing arenas and the int8 sidecar ride inside it,
+  // and loading them fits nothing and rebuilds nothing.
+  const std::string Dir = testing::TempDir() + "/kast_routed_index";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
   const uint64_t Fits = kmeansFitCount();
   const uint64_t Rebuilds = postingRebuildCount();
-  Expected<ProfileIndex> Loaded = ProfileIndex::load(Path);
+  Expected<std::vector<ProfileStoreCache>> Caches =
+      loadShardedProfileImages(Dir, Kernel.name());
+  ASSERT_TRUE(Caches.hasValue()) << Caches.message();
+  Expected<IndexService> Loaded = IndexService::fromShardCaches(Caches.take());
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.message();
   EXPECT_EQ(kmeansFitCount(), Fits);
   EXPECT_EQ(postingRebuildCount(), Rebuilds);
   ASSERT_TRUE(Loaded->routed());
-  ASSERT_NE(Loaded->store().quantized(), nullptr);
-  EXPECT_EQ(Loaded->store().quantized()->values(),
-            Index.store().quantized()->values());
-  EXPECT_EQ(Loaded->routedCount(), Index.routedCount());
-  EXPECT_EQ(Loaded->router()->numCentroids(), Index.router()->numCentroids());
-  EXPECT_EQ(Loaded->router()->assignments(), Index.router()->assignments());
-  EXPECT_EQ(Loaded->routingOptions()->MaxDocFrequency, Opts.MaxDocFrequency);
-  EXPECT_EQ(Loaded->routingOptions()->RerankBudget, Opts.RerankBudget);
-  EXPECT_EQ(Loaded->routingOptions()->DefaultNProbe, Opts.DefaultNProbe);
+  const ProfileStoreCache Restored = Loaded->toShardCaches()[0];
+  ASSERT_NE(Restored.Store.quantized(), nullptr);
+  EXPECT_EQ(Restored.Store.quantized()->values(),
+            Saved.Store.quantized()->values());
+  ASSERT_NE(Restored.Routing, nullptr);
+  const RoutingArenas &A = *Restored.Routing;
+  EXPECT_EQ(A.Covered, Saved.Routing->Covered);
+  EXPECT_EQ(A.Centroids.size(), Saved.Routing->Centroids.size());
+  EXPECT_EQ(A.Assignments, Saved.Routing->Assignments);
+  EXPECT_EQ(A.MaxDocFrequency, Opts.MaxDocFrequency);
+  EXPECT_EQ(A.RerankBudget, Opts.RerankBudget);
+  EXPECT_EQ(A.DefaultNProbe, Opts.DefaultNProbe);
 
   // Same pruned-path answers (bitwise), same exhaustive and exact
   // answers.
+  const size_t AllCentroids = A.Centroids.size();
   for (size_t I = 0; I < Index.size(); I += 5) {
-    KernelProfile Q = Index.profile(I);
-    expectBitIdentical(Loaded->queryApprox(Q, 5), Index.queryApprox(Q, 5),
-                       "pruned reload " + std::to_string(I));
-    expectBitIdentical(Loaded->query(Q, 5), Index.query(Q, 5),
-                       "exact reload " + std::to_string(I));
-    expectBitIdentical(Loaded->queryApprox(Q, 5, true, /*NProbe=*/
-                                           Loaded->router()->numCentroids()),
-                       Index.queryApprox(Q, 5, true,
-                                         Index.router()->numCentroids()),
-                       "exhaustive reload " + std::to_string(I));
+    const KernelProfile &Q = Index.Profiles[I];
+    expectHitsBitIdentical(Loaded->queryApprox(Q, 5, true, 0, 1),
+                           Service.queryApprox(Q, 5, true, 0, 1),
+                           "pruned reload " + std::to_string(I));
+    expectHitsBitIdentical(Loaded->query(Q, 5, true, 1),
+                           Service.query(Q, 5, true, 1),
+                           "exact reload " + std::to_string(I));
+    expectHitsBitIdentical(
+        Loaded->queryApprox(Q, 5, true, /*NProbe=*/AllCentroids, 1),
+        Service.queryApprox(Q, 5, true, AllCentroids, 1),
+        "exhaustive reload " + std::to_string(I));
   }
 
-  // Saving the index unrouted drops the routing sections with it.
-  Index.clearRouting();
-  ASSERT_TRUE(Index.save(Path).ok());
-  Expected<ProfileIndex> Unrouted = ProfileIndex::load(Path);
+  // Saving the service unrouted drops the routing sections with it.
+  Service.compact(1);
+  ASSERT_TRUE(writeShardedProfileImages(Service.toShardCaches(), Dir).ok());
+  Expected<std::vector<ProfileStoreCache>> Plain =
+      loadShardedProfileImages(Dir, Kernel.name());
+  ASSERT_TRUE(Plain.hasValue()) << Plain.message();
+  EXPECT_EQ((*Plain)[0].Routing, nullptr);
+  Expected<IndexService> Unrouted = IndexService::fromShardCaches(Plain.take());
   ASSERT_TRUE(Unrouted.hasValue()) << Unrouted.message();
   EXPECT_FALSE(Unrouted->routed());
 }
@@ -405,11 +456,9 @@ TEST(InvertedIndexTest, ServiceExhaustiveApproxMatchesExact) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 50, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
-
-  IndexServiceOptions SvcOpts;
-  SvcOpts.Shards = 3;
-  IndexService Service = IndexService::fromIndex(Index, SvcOpts);
+  IndexService Service(Kernel.name(), {.Shards = 3});
+  for (const WeightedString &S : Corpus)
+    Service.add(S.name(), "", Kernel.profile(S));
   RoutingOptions Exhaustive;
   Exhaustive.Cluster.NumCentroids = 4;
   Service.rebuildRouting(Exhaustive, 1);
@@ -507,10 +556,11 @@ TEST(InvertedIndexTest, ServiceRoutingPersistsAcrossRestart) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 44, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
   IndexServiceOptions SvcOpts;
   SvcOpts.Shards = 3;
-  IndexService Service = IndexService::fromIndex(Index, SvcOpts);
+  IndexService Service(Kernel.name(), SvcOpts);
+  for (const WeightedString &S : Corpus)
+    Service.add(S.name(), "", Kernel.profile(S));
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 4;
   Opts.MaxDocFrequency = 0.5;
@@ -569,12 +619,14 @@ TEST(InvertedIndexTest, RouterFitIsThreadCountInvariant) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 64, "c");
   BlendedSpectrumKernel Kernel = testKernel();
-  ProfileIndex Index = ProfileIndex::build(Kernel, Corpus, {}, 1);
+  ProfileStore Store;
+  for (const WeightedString &S : Corpus)
+    Store.append(Kernel.profile(S));
 
   ClusterRouterOptions Opts;
   Opts.NumCentroids = 6;
-  ClusterRouter Serial = ClusterRouter::build(Index.store(), Opts, 1);
-  ClusterRouter Parallel = ClusterRouter::build(Index.store(), Opts, 4);
+  ClusterRouter Serial = ClusterRouter::build(Store, Opts, 1);
+  ClusterRouter Parallel = ClusterRouter::build(Store, Opts, 4);
   EXPECT_EQ(Serial.assignments(), Parallel.assignments());
   ASSERT_EQ(Serial.numCentroids(), Parallel.numCentroids());
   for (size_t C = 0; C < Serial.numCentroids(); ++C) {
@@ -591,16 +643,17 @@ TEST(InvertedIndexTest, RouterFitIsThreadCountInvariant) {
 
   // Assignments are in range, and each profile's assigned centroid is
   // the one route() ranks first.
-  for (size_t I = 0; I < Index.size(); ++I) {
+  for (size_t I = 0; I < Store.size(); ++I) {
     ASSERT_LT(Serial.assignments()[I], Serial.numCentroids());
-    std::vector<uint32_t> Top = Serial.route(Index.profile(I), 1);
+    std::vector<uint32_t> Top = Serial.route(Store.materialize(I), 1);
     ASSERT_EQ(Top.size(), 1u);
     EXPECT_EQ(Top[0], Serial.assignments()[I]) << "profile " << I;
   }
 
   // route() clamps NProbe and returns every centroid for NProbe == 0.
-  EXPECT_EQ(Serial.route(Index.profile(0), 0).size(), Serial.numCentroids());
-  EXPECT_EQ(Serial.route(Index.profile(0), 100).size(),
+  EXPECT_EQ(Serial.route(Store.materialize(0), 0).size(),
+            Serial.numCentroids());
+  EXPECT_EQ(Serial.route(Store.materialize(0), 100).size(),
             Serial.numCentroids());
 }
 

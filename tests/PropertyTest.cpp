@@ -16,7 +16,7 @@
 #include "core/Pipeline.h"
 #include "core/StringSerializer.h"
 #include "core/TreeFlattener.h"
-#include "index/ProfileIndex.h"
+#include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
 #include "linalg/Eigen.h"
 #include "trace/TraceParser.h"
@@ -266,9 +266,17 @@ class RetrievalSweep : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(RetrievalSweep, SelfQueryRanksSelfFirstUnderBothPaths) {
   LabeledDataset Data = smallCorpus(GetParam() ^ 0x5E1F);
   BlendedSpectrumKernel Kernel(3, 1.0, /*Weighted=*/true, /*CutWeight=*/2);
-  ProfileIndex Index =
-      ProfileIndex::build(Kernel, Data.strings(), Data.labels(), 1);
+  // One shard, so positions are insertion order; entry I is "e<I>".
+  IndexService Index(Kernel.name(), {.Shards = 1});
+  std::vector<KernelProfile> Profiles;
+  for (size_t I = 0; I < Data.size(); ++I) {
+    Profiles.push_back(Kernel.profile(Data.string(I)));
+    Index.add("e" + std::to_string(I), Data.label(I), Profiles.back());
+  }
   ASSERT_GT(Index.size(), 0u);
+  const auto Position = [](const ServiceHit &H) {
+    return static_cast<size_t>(std::stoul(H.Name.substr(1)));
+  };
   // Cluster-pruned but not feature-pruned: with MaxDocFrequency at 1.0
   // a self-query always shares features with itself, and its own
   // cluster is by construction the router's first probe, so even
@@ -276,26 +284,26 @@ TEST_P(RetrievalSweep, SelfQueryRanksSelfFirstUnderBothPaths) {
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 4;
   Opts.DefaultNProbe = 1;
-  Index.buildRouting(Opts, 1);
+  Index.rebuildRouting(Opts, 1);
 
-  for (size_t I = 0; I < Index.size(); ++I) {
-    KernelProfile Self = Index.profile(I);
-    std::vector<Neighbor> Exact = Index.query(Self, 1);
-    std::vector<Neighbor> Approx = Index.queryApprox(Self, 1);
+  for (size_t I = 0; I < Profiles.size(); ++I) {
+    const KernelProfile &Self = Profiles[I];
+    std::vector<ServiceHit> Exact = Index.query(Self, 1, true, 1);
+    std::vector<ServiceHit> Approx = Index.queryApprox(Self, 1, true, 0, 1);
     ASSERT_EQ(Exact.size(), 1u) << I;
     ASSERT_EQ(Approx.size(), 1u) << I;
     // Rank 1 is the entry itself at cosine 1 — or an exact duplicate
-    // with a lower id, which both paths must agree on (a duplicate has
+    // added earlier, which both paths must agree on (a duplicate has
     // the same features, hence the same cluster, hence is probed).
     EXPECT_NEAR(Exact[0].Similarity, 1.0, 1e-12) << I;
     EXPECT_NEAR(Approx[0].Similarity, 1.0, 1e-12) << I;
-    EXPECT_EQ(Approx[0].Index, Exact[0].Index) << I;
-    EXPECT_LE(Exact[0].Index, I) << I;
-    // Raw (unnormalized): the self dot is the cached self-norm².
-    std::vector<Neighbor> Raw =
-        Index.queryApprox(Self, 1, /*Normalize=*/false);
+    EXPECT_EQ(Approx[0].Name, Exact[0].Name) << I;
+    EXPECT_LE(Position(Exact[0]), I) << I;
+    // Raw (unnormalized): the self dot is the self-norm².
+    std::vector<ServiceHit> Raw =
+        Index.queryApprox(Self, 1, /*Normalize=*/false, 0, 1);
     ASSERT_EQ(Raw.size(), 1u) << I;
-    EXPECT_GE(Raw[0].Similarity, Index.norm(I) * Index.norm(I) - 1e-9) << I;
+    EXPECT_GE(Raw[0].Similarity, Self.norm() * Self.norm() - 1e-9) << I;
   }
 }
 

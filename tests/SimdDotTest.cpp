@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ProfileStore.h"
-#include "index/ProfileIndex.h"
+#include "index/IndexService.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
 #include "util/SimdDot.h"
@@ -374,6 +374,26 @@ clusteredCorpus(const std::shared_ptr<TokenTable> &Table, size_t N,
   return Out;
 }
 
+/// A one-shard service over \p Strings, entry I named "c<I>".
+IndexService oneShard(const ProfiledStringKernel &Kernel,
+                      const std::vector<WeightedString> &Strings) {
+  IndexService Service(Kernel.name(), {.Shards = 1});
+  for (size_t I = 0; I < Strings.size(); ++I)
+    Service.add("c" + std::to_string(I), "", Kernel.profile(Strings[I]));
+  return Service;
+}
+
+/// Hit names and similarity bits must agree rank for rank.
+void expectSameHits(const std::vector<ServiceHit> &Exact,
+                    const std::vector<ServiceHit> &Approx) {
+  ASSERT_EQ(Exact.size(), Approx.size());
+  for (size_t I = 0; I < Exact.size(); ++I) {
+    EXPECT_EQ(Exact[I].Name, Approx[I].Name) << "rank " << I;
+    EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity))
+        << "rank " << I;
+  }
+}
+
 } // namespace
 
 TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
@@ -383,8 +403,7 @@ TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
   const size_t N = 300;
   std::vector<WeightedString> Corpus = clusteredCorpus(Table, N + 10, 8, R);
 
-  ProfileIndex Index = ProfileIndex::build(
-      Kernel, {Corpus.begin(), Corpus.begin() + N});
+  IndexService Index = oneShard(Kernel, {Corpus.begin(), Corpus.begin() + N});
   RoutingOptions Opts;
   Opts.Cluster.NumCentroids = 8;
   // Nearly every profile shares some 3-gram with the query (alphabet
@@ -393,28 +412,27 @@ TEST(SimdDotTest, QuantizedShortlistTopKMatchesExactScan) {
   // margin far wider than the quantization error.
   Opts.RerankBudget = 64;
   Opts.QuantizedShortlist = true;
-  Index.buildRouting(Opts);
-  ASSERT_NE(Index.store().quantized(), nullptr);
+  Index.rebuildRouting(Opts);
+  ASSERT_NE(Index.toShardCaches()[0].Store.quantized(), nullptr);
 
   std::vector<KernelProfile> Queries;
+  std::vector<const KernelProfile *> Borrowed;
   for (size_t QI = 0; QI < 10; ++QI)
     Queries.push_back(Kernel.profile(Corpus[N + QI]));
-  const std::vector<std::vector<Neighbor>> Batched =
-      Index.queryBatch(Queries, 5, true, 2, /*Approx=*/true);
+  for (const KernelProfile &Q : Queries)
+    Borrowed.push_back(&Q);
+  const std::vector<std::vector<ServiceHit>> Batched =
+      Index.snapshot().queryBatch(Borrowed, 5, true, 2, /*Approx=*/true);
   for (size_t QI = 0; QI < Queries.size(); ++QI) {
-    const std::vector<Neighbor> Exact = Index.query(Queries[QI], 5);
     // All centroids probed: candidate recall is total, so the only
     // approximation left is the budgeted shortlist itself.
-    const std::vector<Neighbor> Approx =
-        Index.queryApprox(Queries[QI], 5, /*Normalize=*/true, /*NProbe=*/0);
-    EXPECT_EQ(Batched[QI], Approx) << "query " << QI;
-    ASSERT_EQ(Exact.size(), Approx.size());
-    for (size_t I = 0; I < Exact.size(); ++I) {
-      EXPECT_EQ(Exact[I].Index, Approx[I].Index) << "rank " << I;
-      // Survivors are re-ranked with the exact kernel, so matching ids
-      // mean bit-identical similarities.
-      EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity));
-    }
+    const std::vector<ServiceHit> Approx = Index.queryApprox(
+        Queries[QI], 5, /*Normalize=*/true, /*NProbe=*/0, 1);
+    SCOPED_TRACE("query " + std::to_string(QI));
+    expectSameHits(Batched[QI], Approx);
+    // Survivors are re-ranked with the exact kernel, so matching
+    // entries mean bit-identical similarities.
+    expectSameHits(Index.query(Queries[QI], 5, true, 1), Approx);
   }
 }
 
@@ -423,25 +441,23 @@ TEST(SimdDotTest, ExhaustiveModeStaysBitIdenticalWithQuantizedTierBuilt) {
   auto Table = TokenTable::create();
   BlendedSpectrumKernel Kernel(3);
   std::vector<WeightedString> Corpus = clusteredCorpus(Table, 120, 6, R);
-  ProfileIndex Index = ProfileIndex::build(
-      Kernel, {Corpus.begin(), Corpus.begin() + 100});
+  IndexService Index =
+      oneShard(Kernel, {Corpus.begin(), Corpus.begin() + 100});
   // Pure-defaults routing: no budget, no df-pruning — the documented
   // bit-identity mode. The quantized tier must not engage.
-  Index.buildRouting({});
+  Index.rebuildRouting({});
   std::vector<KernelProfile> Queries;
+  std::vector<const KernelProfile *> Borrowed;
   for (size_t QI = 100; QI < 110; ++QI)
     Queries.push_back(Kernel.profile(Corpus[QI]));
-  const std::vector<std::vector<Neighbor>> Batched =
-      Index.queryBatch(Queries, 7, true, 2, /*Approx=*/true);
+  for (const KernelProfile &Q : Queries)
+    Borrowed.push_back(&Q);
+  const std::vector<std::vector<ServiceHit>> Batched =
+      Index.snapshot().queryBatch(Borrowed, 7, true, 2, /*Approx=*/true);
   for (size_t QI = 0; QI < Queries.size(); ++QI) {
-    const std::vector<Neighbor> Exact = Index.query(Queries[QI], 7);
-    for (const std::vector<Neighbor> &Approx :
-         {Index.queryApprox(Queries[QI], 7), Batched[QI]}) {
-      ASSERT_EQ(Exact.size(), Approx.size());
-      for (size_t I = 0; I < Exact.size(); ++I) {
-        EXPECT_EQ(Exact[I].Index, Approx[I].Index);
-        EXPECT_EQ(bits(Exact[I].Similarity), bits(Approx[I].Similarity));
-      }
-    }
+    const std::vector<ServiceHit> Exact = Index.query(Queries[QI], 7, true, 1);
+    SCOPED_TRACE("query " + std::to_string(QI));
+    expectSameHits(Exact, Index.queryApprox(Queries[QI], 7, true, 0, 1));
+    expectSameHits(Exact, Batched[QI]);
   }
 }
