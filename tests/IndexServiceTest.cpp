@@ -409,11 +409,21 @@ TEST(IndexServiceTest, OneShardEdgeCasesReturnCleanly) {
 }
 
 TEST(IndexServiceTest, MajorityLabelMatchesIndexContract) {
-  // One pass over the hits (the regression guard for the O(k²)
-  // rescan-per-neighbor counting) that keeps both halves of the
-  // contract: the highest total count wins, and a count *tie* goes to
-  // the label whose first occurrence is nearest. Similarities are
-  // irrelevant to the vote.
+  // Totals win; count ties go to the nearer hit's label.
+  std::vector<ServiceHit> Hits = {{"n0", "y", 0.9},
+                                  {"n1", "x", 0.8},
+                                  {"n2", "x", 0.7},
+                                  {"n3", "y", 0.6}};
+  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "y");
+  Hits.push_back({"n4", "x", 0.5});
+  EXPECT_EQ(IndexSnapshot::majorityLabel(Hits), "x");
+}
+
+TEST(IndexServiceTest, MajorityLabelCountsAndTieBreaks) {
+  // Regression for the O(k²) rescan-per-neighbor counting: the single
+  // pass must keep both halves of the contract: the highest total count
+  // wins, and a count *tie* goes to the label whose first occurrence is
+  // nearest. Similarities are irrelevant to the vote.
   const auto Vote = [](const std::vector<std::string> &Labels) {
     std::vector<ServiceHit> Hits;
     for (size_t I = 0; I < Labels.size(); ++I)
@@ -427,7 +437,6 @@ TEST(IndexServiceTest, MajorityLabelMatchesIndexContract) {
   EXPECT_EQ(Vote({"y", "x", "x", "y"}), "y");
   // A strict majority displaces a nearer singleton.
   EXPECT_EQ(Vote({"y", "x", "x"}), "x");
-  EXPECT_EQ(Vote({"y", "x", "x", "y", "x"}), "x");
   // Duplicate labels scattered among others still aggregate.
   EXPECT_EQ(Vote({"z", "y", "x", "y"}), "y");
   // Single hit and empty list edge cases.
