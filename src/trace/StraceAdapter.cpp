@@ -8,25 +8,122 @@
 #include "util/StringUtil.h"
 
 #include <algorithm>
-#include <cctype>
-#include <fstream>
-#include <sstream>
 
 using namespace kast;
 
 namespace {
 
-/// One decoded strace line; every view points into the line.
-struct StraceCall {
-  std::string_view Syscall;
-  /// The first top-level argument, trimmed; nullopt for an empty list.
-  std::optional<std::string_view> FirstArgument;
-  enum { NoReturn, Returned, OutOfRange } Return = NoReturn;
-  int64_t ReturnValue = 0;
-};
+bool isAsciiLetter(char C) {
+  return static_cast<unsigned char>((C | 0x20) - 'a') < 26;
+}
+
+bool isNameChar(char C) {
+  return isAsciiLetter(C) || isAsciiDigit(C) || C == '_';
+}
+
+/// The longest I/O syscall name, "fdatasync".
+constexpr size_t MaxIoNameSize = 9;
+
+/// The operation the file-I/O syscall \p Name (lower case) becomes;
+/// nullopt for every other syscall.
+std::optional<OpKind> ioOperation(std::string_view Name) {
+  switch (Name.size()) {
+  case 4:
+    if (Name == "open")
+      return OpKind::Open;
+    if (Name == "read")
+      return OpKind::Read;
+    break;
+  case 5:
+    if (Name == "creat")
+      return OpKind::Open;
+    if (Name == "pread")
+      return OpKind::Read;
+    if (Name == "write")
+      return OpKind::Write;
+    if (Name == "lseek")
+      return OpKind::Lseek;
+    if (Name == "fsync")
+      return OpKind::Fsync;
+    if (Name == "close")
+      return OpKind::Close;
+    break;
+  case 6:
+    if (Name == "openat")
+      return OpKind::Open;
+    if (Name == "pwrite")
+      return OpKind::Write;
+    if (Name == "llseek")
+      return OpKind::Lseek;
+    break;
+  case 7:
+    if (Name == "pread64")
+      return OpKind::Read;
+    if (Name == "_llseek")
+      return OpKind::Lseek;
+    break;
+  case 8:
+    if (Name == "pwrite64")
+      return OpKind::Write;
+    break;
+  case 9:
+    if (Name == "fdatasync")
+      return OpKind::Fsync;
+    break;
+  }
+  return std::nullopt;
+}
+
+/// The index in \p Line (trimmed, not empty) after its leading PID and
+/// timestamp columns: runs of digits, '.' and ':' each followed by
+/// whitespace.
+size_t columnsEnd(std::string_view Line) {
+  size_t I = 0;
+  while (isAsciiDigit(Line[I])) {
+    size_t J = I;
+    while (J < Line.size() &&
+           (isAsciiDigit(Line[J]) || Line[J] == '.' || Line[J] == ':'))
+      ++J;
+    if (J == Line.size() || !isAsciiSpace(Line[J]))
+      break;
+    // The line ends in a non-blank, so this stops inside it.
+    while (isAsciiSpace(Line[J]))
+      ++J;
+    I = J;
+  }
+  return I;
+}
+
+/// Reads the return value at the start of \p Field, the text after
+/// " = ". \returns false for a decimal integer outside int64_t;
+/// otherwise true, with \p Value set to a decimal integer that fits and
+/// left empty for anything else ("?", "0x7f1a").
+bool parseReturn(std::string_view Field, std::optional<int64_t> &Value) {
+  size_t I = 0;
+  while (I < Field.size() && isAsciiSpace(Field[I]))
+    ++I;
+  const bool Negative = I < Field.size() && Field[I] == '-';
+  const size_t Digits = I + Negative;
+  uint64_t Magnitude = 0;
+  bool Overflow = false;
+  for (I = Digits; I < Field.size() && isAsciiDigit(Field[I]); ++I) {
+    const uint64_t Digit = static_cast<uint64_t>(Field[I] - '0');
+    Overflow |= Magnitude > (~0ULL - Digit) / 10;
+    Magnitude = Magnitude * 10 + Digit;
+  }
+  // The value is the whole first blank-delimited field, or nothing.
+  if (I == Digits || (I < Field.size() && !isAsciiSpace(Field[I])))
+    return true;
+  // The magnitude must fit int64_t: 2^63 - 1, or 2^63 when negative.
+  if (Overflow || Magnitude > (uint64_t(1) << 63) - !Negative)
+    return false;
+  Value = static_cast<int64_t>(Negative ? 0 - Magnitude : Magnitude);
+  return true;
+}
 
 /// The first argument of a list split at top-level commas (quotes and
-/// nesting respected well enough for strace's renderings).
+/// nesting respected well enough for strace's renderings), trimmed;
+/// nullopt for an empty list. Only error messages need it.
 std::optional<std::string_view> firstArgument(std::string_view Args) {
   int Depth = 0;
   bool InString = false;
@@ -53,108 +150,6 @@ std::optional<std::string_view> firstArgument(std::string_view Args) {
   return Only;
 }
 
-/// Decodes a trimmed "name(args) = ret ..." line into a StraceCall;
-/// nullopt for lines that are not complete syscall records (signals,
-/// unfinished halves).
-std::optional<StraceCall> decodeLine(std::string_view Line) {
-  // Optional leading PID or timestamp columns: strip leading digits,
-  // dots and colons followed by whitespace, repeatedly.
-  while (!Line.empty() &&
-         (std::isdigit(static_cast<unsigned char>(Line[0])))) {
-    size_t I = 0;
-    while (I < Line.size() &&
-           (std::isdigit(static_cast<unsigned char>(Line[I])) ||
-            Line[I] == '.' || Line[I] == ':'))
-      ++I;
-    if (I < Line.size() && std::isspace(static_cast<unsigned char>(Line[I])))
-      Line = trim(Line.substr(I));
-    else
-      break;
-  }
-  // The "<... read resumed>" half of a split call fails this test too.
-  if (Line.empty() || !std::isalpha(static_cast<unsigned char>(Line[0])) ||
-      endsWith(Line, "<unfinished ...>"))
-    return std::nullopt;
-
-  size_t Open = Line.find('(');
-  if (Open == std::string_view::npos)
-    return std::nullopt;
-  StraceCall Call;
-  Call.Syscall = trim(Line.substr(0, Open));
-
-  // Find the matching close parenthesis from the right: strace puts
-  // " = ret" after it.
-  size_t Eq = Line.rfind(" = ");
-  size_t Close = Line.rfind(')', Eq == std::string_view::npos
-                                     ? std::string_view::npos
-                                     : Eq);
-  if (Close == std::string_view::npos || Close < Open)
-    return std::nullopt;
-  Call.FirstArgument = firstArgument(Line.substr(Open + 1, Close - Open - 1));
-
-  if (Eq != std::string_view::npos) {
-    std::string_view Ret = trim(Line.substr(Eq + 3));
-    // Return value is the first whitespace-delimited field; may be
-    // negative or "-1 ENOENT (...)" or "?".
-    size_t End = 0;
-    while (End < Ret.size() &&
-           !std::isspace(static_cast<unsigned char>(Ret[End])))
-      ++End;
-    std::string_view Value = Ret.substr(0, End);
-    bool Negative = !Value.empty() && Value[0] == '-';
-    if (Negative)
-      Value.remove_prefix(1);
-    // The magnitude must fit int64_t: 2^63 - 1, or 2^63 when negative.
-    std::optional<uint64_t> Parsed = parseUnsigned(Value);
-    if (Parsed && *Parsed <= (uint64_t(1) << 63) - !Negative) {
-      Call.ReturnValue = static_cast<int64_t>(Negative ? 0 - *Parsed : *Parsed);
-      Call.Return = StraceCall::Returned;
-    } else if (!Value.empty() && Value.find_first_not_of("0123456789") ==
-                                     std::string_view::npos) {
-      Call.Return = StraceCall::OutOfRange;
-    }
-  }
-  return Call;
-}
-
-/// The file-I/O syscalls parseStrace keeps, and the operation each
-/// becomes.
-struct IoSyscall {
-  std::string_view Name;
-  OpKind Kind;
-};
-constexpr IoSyscall IoSyscalls[] = {
-    {"open", OpKind::Open},     {"openat", OpKind::Open},
-    {"creat", OpKind::Open},    {"read", OpKind::Read},
-    {"pread", OpKind::Read},    {"pread64", OpKind::Read},
-    {"write", OpKind::Write},   {"pwrite", OpKind::Write},
-    {"pwrite64", OpKind::Write}, {"lseek", OpKind::Lseek},
-    {"llseek", OpKind::Lseek},  {"_llseek", OpKind::Lseek},
-    {"fsync", OpKind::Fsync},   {"fdatasync", OpKind::Fsync},
-    {"close", OpKind::Close},
-};
-
-/// Matches \p Syscall case-insensitively against IoSyscalls.
-std::optional<OpKind> classifySyscall(std::string_view Syscall) {
-  for (const IoSyscall &S : IoSyscalls)
-    if (std::ranges::equal(S.Name, Syscall, [](char Lower, char C) {
-          return Lower == std::tolower(static_cast<unsigned char>(C));
-        }))
-      return S.Kind;
-  return std::nullopt;
-}
-
-/// Parses a decimal file descriptor argument ("3" or "3</path>").
-std::optional<uint64_t> parseFd(std::string_view Argument) {
-  size_t End = 0;
-  while (End < Argument.size() &&
-         std::isdigit(static_cast<unsigned char>(Argument[End])))
-    ++End;
-  if (End == 0)
-    return std::nullopt;
-  return parseUnsigned(Argument.substr(0, End));
-}
-
 } // namespace
 
 Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
@@ -170,61 +165,93 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
   };
   for (size_t Start = 0, End = 0; Start <= Text.size(); Start = End + 1) {
     End = std::min(Text.find('\n', Start), Text.size());
-    std::string_view Line = trim(Text.substr(Start, End - Start));
     ++LineNumber;
-    if (Line.empty())
+    size_t Begin = Start, Stop = End;
+    while (Begin < Stop && isAsciiSpace(Text[Begin]))
+      ++Begin;
+    while (Stop > Begin && isAsciiSpace(Text[Stop - 1]))
+      --Stop;
+    if (Begin == Stop)
       continue;
     ++Local.LinesTotal;
+    const std::string_view Line = Text.substr(Begin, Stop - Begin);
 
-    std::optional<StraceCall> Call = decodeLine(Line);
-    std::optional<OpKind> Kind =
-        Call ? classifySyscall(Call->Syscall) : std::nullopt;
-    if (!Kind) {
+    // Classify the syscall name first: it must be one of the I/O
+    // spellings, followed (blanks aside) by its argument list.
+    const size_t NameBegin = columnsEnd(Line);
+    char Lower[MaxIoNameSize];
+    size_t Open = NameBegin;
+    if (isAsciiLetter(Line[Open]))
+      for (; Open < Line.size() && Open - NameBegin < MaxIoNameSize &&
+             isNameChar(Line[Open]);
+           ++Open)
+        Lower[Open - NameBegin] = isAsciiLetter(Line[Open])
+                                      ? static_cast<char>(Line[Open] | 0x20)
+                                      : Line[Open];
+    const std::string_view Syscall(Lower, Open - NameBegin);
+    while (Open < Line.size() && isAsciiSpace(Line[Open]))
+      ++Open;
+    std::optional<OpKind> Kind;
+    if (Open < Line.size() && Line[Open] == '(')
+      Kind = ioOperation(Syscall);
+    // The first half of a split call is skipped; its "<... read
+    // resumed>" half never classifies.
+    if (!Kind || endsWith(Line, "<unfinished ...>")) {
       ++Local.LinesSkipped;
       continue;
     }
-    if (Call->Return == StraceCall::OutOfRange)
+
+    // strace puts " = ret" after the argument list's closing
+    // parenthesis; both are found from the line's end.
+    const size_t Eq = Line.rfind(" = ");
+    const size_t Close = Line.rfind(')', Eq);
+    if (Close == std::string_view::npos || Close < Open) {
+      ++Local.LinesSkipped;
+      continue;
+    }
+    std::optional<int64_t> Return;
+    if (Eq != std::string_view::npos &&
+        !parseReturn(Line.substr(Eq + 3), Return))
       return Fail("return value outside int64_t");
-    const bool HasReturn = Call->Return == StraceCall::Returned;
-    if (HasReturn && Call->ReturnValue < 0) {
+    if (Return && *Return < 0) {
       ++Local.CallsFailed;
       continue;
     }
 
-    TraceEvent Event(*Kind, 0);
+    uint64_t Handle = 0, Bytes = 0;
     if (*Kind == OpKind::Open) {
-      if (!HasReturn)
+      if (!Return)
         return Fail("open call without return value");
-      Event.Handle = static_cast<uint64_t>(Call->ReturnValue);
+      Handle = static_cast<uint64_t>(*Return);
     } else {
-      if (!Call->FirstArgument)
-        return Fail("missing file descriptor argument");
-      std::optional<uint64_t> Fd = parseFd(*Call->FirstArgument);
-      if (!Fd)
-        return Fail("malformed file descriptor '" +
-                    std::string(*Call->FirstArgument) + "'");
-      Event.Handle = *Fd;
-      if ((*Kind == OpKind::Read || *Kind == OpKind::Write) && HasReturn)
-        Event.Bytes = static_cast<uint64_t>(Call->ReturnValue);
+      // The descriptor is the digits that open the argument list ("3"
+      // or "3</path>"); the list ends at Close, so neither scan leaves
+      // it.
+      size_t Fd = Open + 1;
+      while (isAsciiSpace(Line[Fd]))
+        ++Fd;
+      size_t FdEnd = Fd;
+      while (isAsciiDigit(Line[FdEnd]))
+        ++FdEnd;
+      std::optional<uint64_t> Parsed =
+          parseUnsigned(Line.substr(Fd, FdEnd - Fd));
+      if (!Parsed) {
+        std::optional<std::string_view> Argument =
+            firstArgument(Line.substr(Open + 1, Close - Open - 1));
+        if (!Argument)
+          return Fail("missing file descriptor argument");
+        return Fail("malformed file descriptor '" + std::string(*Argument) +
+                    "'");
+      }
+      Handle = *Parsed;
+      if ((*Kind == OpKind::Read || *Kind == OpKind::Write) && Return)
+        Bytes = static_cast<uint64_t>(*Return);
     }
-    Out.append(std::move(Event));
+    Out.events().emplace_back(*Kind, Handle, Bytes);
     ++Local.EventsEmitted;
   }
 
   if (Stats)
     *Stats = Local;
   return Out;
-}
-
-Expected<Trace> kast::parseStraceFile(const std::string &Path,
-                                      StraceStats *Stats) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<Trace>::error("cannot open '" + Path + "'");
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  size_t Slash = Path.find_last_of('/');
-  std::string Name =
-      Slash == std::string::npos ? Path : Path.substr(Slash + 1);
-  return parseStrace(Buffer.str(), Name, Stats);
 }

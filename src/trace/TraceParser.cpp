@@ -8,112 +8,100 @@
 #include "util/StringUtil.h"
 
 #include <algorithm>
-#include <cctype>
-#include <fstream>
-#include <sstream>
+#include <array>
 
 using namespace kast;
 
-Expected<std::optional<TraceEvent>>
-kast::parseTraceLine(std::string_view Line) {
-  using Result = Expected<std::optional<TraceEvent>>;
+namespace {
 
-  // Strip trailing comment, then walk whitespace-separated fields.
-  size_t Hash = Line.find('#');
-  if (Hash != std::string_view::npos)
-    Line = Line.substr(0, Hash);
-  size_t Cursor = 0;
-  auto NextField = [&]() {
-    while (Cursor < Line.size() &&
-           std::isspace(static_cast<unsigned char>(Line[Cursor])))
-      ++Cursor;
-    size_t Start = Cursor;
-    while (Cursor < Line.size() &&
-           !std::isspace(static_cast<unsigned char>(Line[Cursor])))
-      ++Cursor;
-    return Line.substr(Start, Cursor - Start);
-  };
-  std::string_view OpField = NextField();
-  if (OpField.empty())
-    return Result(std::nullopt);
-  std::string_view HandleField = NextField();
-  if (HandleField.empty())
-    return Result::error("expected '<op> <handle> [fields...]'");
-
-  TraceEvent Event;
-  Event.Op.assign(OpField);
-  for (char &C : Event.Op)
-    C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  if (Event.Op.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_+") !=
-      std::string::npos)
-    return Result::error("malformed operation name '" + std::string(OpField) +
-                         "'");
-
-  std::optional<uint64_t> Handle = parseUnsigned(HandleField);
-  if (!Handle)
-    return Result::error("malformed handle '" + std::string(HandleField) +
-                         "'");
-  Event.Handle = *Handle;
-
-  bool SawBytes = false;
-  for (std::string_view Field = NextField(); !Field.empty();
-       Field = NextField()) {
-    if (startsWith(Field, "bytes=")) {
-      std::optional<uint64_t> Bytes = parseUnsigned(Field.substr(6));
-      if (!Bytes)
-        return Result::error("malformed byte count '" + std::string(Field) +
-                             "'");
-      Event.Bytes = *Bytes;
-      SawBytes = true;
-      continue;
-    }
-    if (startsWith(Field, "addr=")) {
-      std::optional<uint64_t> Addr = parseHex(Field.substr(5));
-      if (!Addr)
-        return Result::error("malformed address '" + std::string(Field) +
-                             "'");
-      Event.Address = *Addr;
-      continue;
-    }
-    // Bare decimal: positional byte count, once.
-    std::optional<uint64_t> Bytes = parseUnsigned(Field);
-    if (Bytes && !SawBytes) {
-      Event.Bytes = *Bytes;
-      SawBytes = true;
-      continue;
-    }
-    return Result::error("unrecognized field '" + std::string(Field) + "'");
+/// The lower-case form of each byte an operation name may hold
+/// ([A-Za-z0-9_+]), and 0 for every other byte.
+constexpr std::array<char, 256> OpNameChars = [] {
+  std::array<char, 256> Table{};
+  for (char C = 'a'; C <= 'z'; ++C) {
+    Table[static_cast<unsigned char>(C)] = C;
+    Table[static_cast<unsigned char>(C - 'a' + 'A')] = C;
   }
-  return Result(std::optional<TraceEvent>(std::move(Event)));
-}
+  for (char C = '0'; C <= '9'; ++C)
+    Table[static_cast<unsigned char>(C)] = C;
+  Table['_'] = '_';
+  Table['+'] = '+';
+  return Table;
+}();
+
+} // namespace
 
 Expected<Trace> kast::parseTrace(std::string_view Text, std::string Name) {
+  using Result = Expected<Trace>;
   Trace Out(std::move(Name));
   Out.events().reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
   size_t LineNumber = 0;
+  auto Fail = [&](const std::string &Why) {
+    return Result::error("line " + std::to_string(LineNumber) + ": " + Why);
+  };
   for (size_t Start = 0, End = 0; Start <= Text.size(); Start = End + 1) {
     End = std::min(Text.find('\n', Start), Text.size());
     ++LineNumber;
-    Expected<std::optional<TraceEvent>> Parsed =
-        parseTraceLine(Text.substr(Start, End - Start));
-    if (!Parsed)
-      return Expected<Trace>::error("line " + std::to_string(LineNumber) +
-                                    ": " + Parsed.message());
-    if (*Parsed)
-      Out.append(std::move(**Parsed));
+    // Walk whitespace-separated fields; a '#' ends the line.
+    const std::string_view Line = Text.substr(Start, End - Start);
+    size_t Cursor = 0;
+    auto NextField = [&]() {
+      while (Cursor < Line.size() && isAsciiSpace(Line[Cursor]))
+        ++Cursor;
+      size_t Begin = Cursor;
+      while (Cursor < Line.size() && !isAsciiSpace(Line[Cursor]) &&
+             Line[Cursor] != '#')
+        ++Cursor;
+      return Line.substr(Begin, Cursor - Begin);
+    };
+    std::string_view OpField = NextField();
+    if (OpField.empty())
+      continue;
+    std::string_view HandleField = NextField();
+    if (HandleField.empty())
+      return Fail("expected '<op> <handle> [fields...]'");
+
+    TraceEvent &Event = Out.events().emplace_back();
+    Event.Op.resize(OpField.size());
+    for (size_t I = 0; I < OpField.size(); ++I) {
+      Event.Op[I] = OpNameChars[static_cast<unsigned char>(OpField[I])];
+      if (Event.Op[I] == 0)
+        return Fail("malformed operation name '" + std::string(OpField) +
+                    "'");
+    }
+
+    std::optional<uint64_t> Handle = parseUnsigned(HandleField);
+    if (!Handle)
+      return Fail("malformed handle '" + std::string(HandleField) + "'");
+    Event.Handle = *Handle;
+
+    bool SawBytes = false;
+    for (std::string_view Field = NextField(); !Field.empty();
+         Field = NextField()) {
+      if (startsWith(Field, "bytes=")) {
+        std::optional<uint64_t> Bytes = parseUnsigned(Field.substr(6));
+        if (!Bytes)
+          return Fail("malformed byte count '" + std::string(Field) + "'");
+        Event.Bytes = *Bytes;
+        SawBytes = true;
+        continue;
+      }
+      if (startsWith(Field, "addr=")) {
+        std::optional<uint64_t> Addr = parseHex(Field.substr(5));
+        if (!Addr)
+          return Fail("malformed address '" + std::string(Field) + "'");
+        Event.Address = *Addr;
+        continue;
+      }
+      // Bare decimal: positional byte count, once.
+      std::optional<uint64_t> Bytes = parseUnsigned(Field);
+      if (Bytes && !SawBytes) {
+        Event.Bytes = *Bytes;
+        SawBytes = true;
+        continue;
+      }
+      return Fail("unrecognized field '" + std::string(Field) + "'");
+    }
   }
   return Out;
-}
-
-Expected<Trace> kast::parseTraceFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<Trace>::error("cannot open '" + Path + "'");
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  // Use the basename as the trace name.
-  size_t Slash = Path.find_last_of('/');
-  std::string Name =
-      Slash == std::string::npos ? Path : Path.substr(Slash + 1);
-  return parseTrace(Buffer.str(), Name);
 }

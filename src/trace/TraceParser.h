@@ -39,10 +39,6 @@ namespace kast {
 /// \returns the trace, or a diagnostic naming the offending line.
 Expected<Trace> parseTrace(std::string_view Text, std::string Name = "");
 
-/// Parses a single line. \returns a filled event, an empty optional for
-/// blank/comment lines, or an error message.
-Expected<std::optional<TraceEvent>> parseTraceLine(std::string_view Line);
-
 /// Reads and parses a trace file from disk.
 Expected<Trace> parseTraceFile(const std::string &Path);
 

@@ -6,20 +6,14 @@
 
 #include "util/StringUtil.h"
 
-#include <cctype>
-
 using namespace kast;
-
-static bool isSpace(char C) {
-  return std::isspace(static_cast<unsigned char>(C)) != 0;
-}
 
 std::string_view kast::trim(std::string_view S) {
   size_t Begin = 0;
-  while (Begin < S.size() && isSpace(S[Begin]))
+  while (Begin < S.size() && isAsciiSpace(S[Begin]))
     ++Begin;
   size_t End = S.size();
-  while (End > Begin && isSpace(S[End - 1]))
+  while (End > Begin && isAsciiSpace(S[End - 1]))
     --End;
   return S.substr(Begin, End - Begin);
 }
@@ -40,10 +34,10 @@ std::vector<std::string_view> kast::splitWhitespace(std::string_view S) {
   std::vector<std::string_view> Fields;
   size_t I = 0;
   while (I < S.size()) {
-    while (I < S.size() && isSpace(S[I]))
+    while (I < S.size() && isAsciiSpace(S[I]))
       ++I;
     size_t Start = I;
-    while (I < S.size() && !isSpace(S[I]))
+    while (I < S.size() && !isAsciiSpace(S[I]))
       ++I;
     if (I > Start)
       Fields.push_back(S.substr(Start, I - Start));

@@ -21,6 +21,18 @@
 
 namespace kast {
 
+/// ASCII whitespace: space, \t, \n, \v, \f and \r, the set
+/// std::isspace gives in the "C" locale (KAST never calls setlocale),
+/// without a library call per byte.
+inline bool isAsciiSpace(char C) {
+  return C == ' ' || static_cast<unsigned char>(C - '\t') <= '\r' - '\t';
+}
+
+/// ASCII decimal digit.
+inline bool isAsciiDigit(char C) {
+  return static_cast<unsigned char>(C - '0') <= 9;
+}
+
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view S);
 

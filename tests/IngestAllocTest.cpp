@@ -6,12 +6,14 @@
 //
 // The ingest path (parseTrace -> buildTree -> compressTree ->
 // flattenTree) allocates a bounded number of times per trace, not per
-// event. A counting operator new checks it; replacing operator new is
-// process-wide, which is why this test is its own binary.
+// event, and so does parseStrace. A counting operator new checks it;
+// replacing operator new is process-wide, which is why this test is its
+// own binary.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/TreeFlattener.h"
+#include "trace/StraceAdapter.h"
 #include "trace/TraceParser.h"
 #include "trace/TraceWriter.h"
 #include "tree/TreeBuilder.h"
@@ -71,5 +73,53 @@ TEST(IngestAllocTest, UnderOneAllocationPerTenEvents) {
         << Stage[0] << ", build " << Stage[1] - Stage[0] << ", compress "
         << Stage[2] - Stage[1] << ", flatten " << Stage[3] - Stage[2]
         << " allocations";
+  }
+}
+
+namespace {
+/// \p T as `strace -f` prints it: a PID column per rank, the I/O calls
+/// of the trace's own events, and an mmap line every eighth event that
+/// parseStrace skips.
+std::string straceText(const Trace &T) {
+  std::string Out;
+  for (size_t I = 0; I < T.size(); ++I) {
+    const TraceEvent &E = T.events()[I];
+    const std::string Pid = std::to_string(4000 + E.Handle / 1000) + " ";
+    const std::string Fd = std::to_string(E.Handle);
+    const std::string Bytes = std::to_string(E.Bytes);
+    if (I % 8 == 0)
+      Out += Pid + "mmap(NULL, 4096, PROT_READ, MAP_PRIVATE, -1, 0) = 0x7f\n";
+    if (E.Op == "open")
+      Out += Pid + "openat(AT_FDCWD, \"f\", O_RDWR) = " + Fd + "\n";
+    else if (E.Op == "read" || E.Op == "write")
+      Out += Pid + E.Op + "(" + Fd + ", \"\\0\"..., " + Bytes + ") = " + Bytes +
+             "\n";
+    else if (E.Op == "lseek")
+      Out += Pid + "lseek(" + Fd + ", 0, SEEK_SET) = 0\n";
+    else
+      Out += Pid + E.Op + "(" + Fd + ") = 0\n";
+  }
+  return Out;
+}
+} // namespace
+
+// One allocation per log, the event vector, however many lines it has.
+TEST(IngestAllocTest, StraceParseAllocatesOncePerLog) {
+  Rng R(32);
+  for (Category C : {Category::FlashIO, Category::RandomPosix,
+                     Category::NormalIO, Category::RandomAccess}) {
+    const Trace Generated = generateParallelTrace(C, 32, R);
+    const std::string Text = straceText(Generated);
+    std::string Name = categoryName(C);
+
+    Allocations = 0;
+    Counting = true;
+    Expected<Trace> T = parseStrace(Text, std::move(Name));
+    Counting = false;
+
+    ASSERT_TRUE(T.hasValue()) << T.message();
+    ASSERT_EQ(T->size(), Generated.size());
+    EXPECT_EQ(Allocations, 1u) << categoryName(C) << ": " << T->size()
+                               << " events";
   }
 }

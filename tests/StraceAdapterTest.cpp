@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 using namespace kast;
 
 TEST(StraceAdapterTest, BasicSession) {
@@ -164,6 +167,72 @@ TEST(StraceAdapterTest, EmptyAndGarbage) {
   Expected<Trace> T = parseStrace("+++ exited with 0 +++\n--- SIGCHLD ---\n");
   ASSERT_TRUE(T.hasValue());
   EXPECT_TRUE(T->empty());
+}
+
+TEST(StraceAdapterTest, CornerCaseLineShapes) {
+  struct Case {
+    const char *Log;
+    std::vector<TraceEvent> Events;
+  };
+  const Case Cases[] = {
+      // Blanks between the name and its "(".
+      {"read (3, \"x\", 1) = 1\nclose\t(3) = 0\n",
+       {{"read", 3, 1}, {"close", 3}}},
+      // Names match case-insensitively.
+      {"READ(3, \"x\", 1) = 1\nOpenAt(AT_FDCWD, \"f\", O_RDONLY) = 4\n",
+       {{"read", 3, 1}, {"open", 4}}},
+      {"read(3, \"x\", 1) = 1\r\nclose(3) = 0\r\n",
+       {{"read", 3, 1}, {"close", 3}}},
+      // strace -T appends the time spent in the call.
+      {"read(3, \"x\", 1) = 1 <0.000012>\n", {{"read", 3, 1}}},
+      // Only the last " = " starts the return value.
+      {"write(3, \"a = b\", 5) = 5\n", {{"write", 3, 5}}},
+      // An unknown return carries no byte count.
+      {"read(3, \"x\", 1) = ?\n", {{"read", 3, 0}}},
+      {"close(18446744073709551615) = 0\n", {{"close", ~0ULL}}},
+  };
+  for (const Case &C : Cases) {
+    StraceStats Stats;
+    Expected<Trace> T = parseStrace(C.Log, "", &Stats);
+    ASSERT_TRUE(T.hasValue()) << C.Log << T.message();
+    EXPECT_EQ(T->events(), C.Events) << C.Log;
+    EXPECT_EQ(Stats.LinesSkipped, 0u) << C.Log;
+  }
+}
+
+TEST(StraceAdapterTest, ErrorMessagesNameLineAndCause) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"close() = 0\n", "line 1: missing file descriptor argument"},
+      {"read(, 1) = 1\n", "line 1: malformed file descriptor ''"},
+      {"openat(AT_FDCWD, \"f\", O_RDONLY)\n",
+       "line 1: open call without return value"},
+      {"close(3) = 0\nclose(18446744073709551616) = 0\n",
+       "line 2: malformed file descriptor '18446744073709551616'"},
+  };
+  for (const auto &[Log, Message] : Cases) {
+    Expected<Trace> T = parseStrace(Log);
+    ASSERT_FALSE(T.hasValue()) << Log;
+    EXPECT_EQ(T.message(), Message);
+  }
+}
+
+TEST(StraceAdapterTest, ParsesFileNamedByBasename) {
+  const std::string Path = testing::TempDir() + "/kast_strace_file.log";
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << "openat(AT_FDCWD, \"f\", O_RDONLY) = 3\n"
+           "mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, 3, 0) = 0x7f1a\n"
+           "read(3, \"x\", 1) = 1\nclose(3) = 0";
+  }
+  StraceStats Stats;
+  Expected<Trace> T = parseStraceFile(Path, &Stats);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  EXPECT_EQ(T->name(), "kast_strace_file.log");
+  EXPECT_EQ(T->events(), (std::vector<TraceEvent>{
+                             {"open", 3}, {"read", 3, 1}, {"close", 3}}));
+  EXPECT_EQ(Stats.LinesTotal, 4u);
+  EXPECT_EQ(Stats.LinesSkipped, 1u);
 }
 
 TEST(StraceAdapterTest, MissingFileFails) {

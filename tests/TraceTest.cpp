@@ -68,49 +68,79 @@ TEST(TraceTest, FilteredDropsNegligibleOps) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceParserTest, ParsesCanonicalLine) {
-  Expected<std::optional<TraceEvent>> E =
-      parseTraceLine("read 3 bytes=4096 addr=0x7f00");
-  ASSERT_TRUE(E.hasValue());
-  ASSERT_TRUE(E->has_value());
-  EXPECT_EQ((*E)->Op, "read");
-  EXPECT_EQ((*E)->Handle, 3u);
-  EXPECT_EQ((*E)->Bytes, 4096u);
-  EXPECT_EQ((*E)->Address, 0x7f00u);
+  Expected<Trace> T = parseTrace("read 3 bytes=4096 addr=0x7f00");
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  ASSERT_EQ(T->size(), 1u);
+  EXPECT_EQ(T->events()[0], TraceEvent("read", 3, 4096, 0x7f00));
 }
 
 TEST(TraceParserTest, ParsesPositionalBytes) {
-  Expected<std::optional<TraceEvent>> E = parseTraceLine("write 5 1024");
-  ASSERT_TRUE(E.hasValue());
-  EXPECT_EQ((*E)->Bytes, 1024u);
+  Expected<Trace> T = parseTrace("write 5 1024");
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  ASSERT_EQ(T->size(), 1u);
+  EXPECT_EQ(T->events()[0].Bytes, 1024u);
 }
 
 TEST(TraceParserTest, LowercasesOpNames) {
-  Expected<std::optional<TraceEvent>> E = parseTraceLine("READ 1");
-  ASSERT_TRUE(E.hasValue());
-  EXPECT_EQ((*E)->Op, "read");
+  Expected<Trace> T = parseTrace("READ 1");
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  ASSERT_EQ(T->size(), 1u);
+  EXPECT_EQ(T->events()[0].Op, "read");
 }
 
 TEST(TraceParserTest, SkipsBlankAndComments) {
-  EXPECT_FALSE(parseTraceLine("").take().has_value());
-  EXPECT_FALSE(parseTraceLine("   ").take().has_value());
-  EXPECT_FALSE(parseTraceLine("# header").take().has_value());
-  EXPECT_FALSE(parseTraceLine("  # indented comment").take().has_value());
+  for (const char *Line : {"", "   ", "# header", "  # indented comment"}) {
+    Expected<Trace> T = parseTrace(Line);
+    ASSERT_TRUE(T.hasValue()) << Line;
+    EXPECT_TRUE(T->empty()) << Line;
+  }
 }
 
 TEST(TraceParserTest, TrailingCommentsStripped) {
-  Expected<std::optional<TraceEvent>> E =
-      parseTraceLine("read 1 bytes=2 # loop body");
-  ASSERT_TRUE(E.hasValue());
-  EXPECT_EQ((*E)->Bytes, 2u);
+  Expected<Trace> T = parseTrace("read 1 bytes=2 # loop body");
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  ASSERT_EQ(T->size(), 1u);
+  EXPECT_EQ(T->events()[0].Bytes, 2u);
 }
 
 TEST(TraceParserTest, RejectsMalformedLines) {
-  EXPECT_FALSE(parseTraceLine("read").hasValue());
-  EXPECT_FALSE(parseTraceLine("read xyz").hasValue());
-  EXPECT_FALSE(parseTraceLine("read 1 bytes=abc").hasValue());
-  EXPECT_FALSE(parseTraceLine("read 1 addr=zz").hasValue());
-  EXPECT_FALSE(parseTraceLine("re ad 1").hasValue());
-  EXPECT_FALSE(parseTraceLine("read 1 2 3").hasValue()); // Two byte fields.
+  EXPECT_FALSE(parseTrace("read").hasValue());
+  EXPECT_FALSE(parseTrace("read xyz").hasValue());
+  EXPECT_FALSE(parseTrace("read 1 bytes=abc").hasValue());
+  EXPECT_FALSE(parseTrace("read 1 addr=zz").hasValue());
+  EXPECT_FALSE(parseTrace("re ad 1").hasValue());
+  EXPECT_FALSE(parseTrace("read 1 2 3").hasValue()); // Two byte fields.
+}
+
+TEST(TraceParserTest, CornerCaseLines) {
+  const char *Doc = "Read+Write 3\n"
+                    "read\t3\tbytes=4\taddr=0x10\n"
+                    "write 2 7#glued comment\n"
+                    "read 1 bytes=2 bytes=3\n"
+                    "read 1 5 bytes=6\n";
+  Expected<Trace> T = parseTrace(Doc);
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  EXPECT_EQ(T->events(), (std::vector<TraceEvent>{{"read+write", 3},
+                                                  {"read", 3, 4, 0x10},
+                                                  {"write", 2, 7},
+                                                  {"read", 1, 3},
+                                                  {"read", 1, 6}}));
+}
+
+TEST(TraceParserTest, ErrorMessagesNameLineAndCause) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"read 1 bytes=2 3", "line 1: unrecognized field '3'"},
+      {"open 1\nRe-ad 1\n", "line 2: malformed operation name 'Re-ad'"},
+      {"read x1", "line 1: malformed handle 'x1'"},
+      {"read 1 bytes=1a", "line 1: malformed byte count 'bytes=1a'"},
+      {"read 1 addr=0xzz", "line 1: malformed address 'addr=0xzz'"},
+      {"read # no handle", "line 1: expected '<op> <handle> [fields...]'"},
+  };
+  for (const auto &[Doc, Message] : Cases) {
+    Expected<Trace> T = parseTrace(Doc);
+    ASSERT_FALSE(T.hasValue()) << Doc;
+    EXPECT_EQ(T.message(), Message);
+  }
 }
 
 TEST(TraceParserTest, ParsesWholeDocumentWithLineNumbers) {
