@@ -709,16 +709,15 @@ BENCHMARK(BM_MappedImageSharedRss)->Arg(8192)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-// BENCH_LARGE=1 adds the million-profile routed restart legs — minutes
+// BENCH_LARGE=1 adds the million-profile routed restart leg — minutes
 // of one-time corpus/fit setup, so they are opt-in rather than part of
 // the default suite the nightly job and BENCH_index.json track.
 int main(int argc, char **argv) {
   if (const char *Large = std::getenv("BENCH_LARGE"); Large && Large[0] == '1')
     ::benchmark::RegisterBenchmark("BM_RoutedRestartToFirstQuery",
                                    BM_RoutedRestartToFirstQuery)
-        ->ArgNames({"n", "mapped"})
-        ->Args({1000000, 0})
-        ->Args({1000000, 1})
+        ->ArgName("n")
+        ->Arg(1000000)
         ->Unit(benchmark::kMillisecond);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv))

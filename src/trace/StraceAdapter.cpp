@@ -75,10 +75,24 @@ std::optional<OpKind> ioOperation(std::string_view Name) {
 }
 
 /// The index in \p Line (trimmed, not empty) after its leading PID and
-/// timestamp columns: runs of digits, '.' and ':' each followed by
-/// whitespace.
+/// timestamp columns: an optional "[pid N]", then runs of digits, '.'
+/// and ':', each column followed by whitespace.
 size_t columnsEnd(std::string_view Line) {
   size_t I = 0;
+  if (startsWith(Line, "[pid ")) {
+    size_t J = 5;
+    while (J < Line.size() && Line[J] == ' ')
+      ++J;
+    const size_t Digits = J;
+    while (J < Line.size() && isAsciiDigit(Line[J]))
+      ++J;
+    if (J > Digits && J + 1 < Line.size() && Line[J] == ']' &&
+        isAsciiSpace(Line[J + 1])) {
+      I = J + 1;
+      while (isAsciiSpace(Line[I]))
+        ++I;
+    }
+  }
   while (isAsciiDigit(Line[I])) {
     size_t J = I;
     while (J < Line.size() &&
@@ -181,13 +195,12 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
     const size_t NameBegin = columnsEnd(Line);
     char Lower[MaxIoNameSize];
     size_t Open = NameBegin;
-    if (isAsciiLetter(Line[Open]))
-      for (; Open < Line.size() && Open - NameBegin < MaxIoNameSize &&
-             isNameChar(Line[Open]);
-           ++Open)
-        Lower[Open - NameBegin] = isAsciiLetter(Line[Open])
-                                      ? static_cast<char>(Line[Open] | 0x20)
-                                      : Line[Open];
+    for (; Open < Line.size() && Open - NameBegin < MaxIoNameSize &&
+           isNameChar(Line[Open]);
+         ++Open)
+      Lower[Open - NameBegin] = isAsciiLetter(Line[Open])
+                                    ? static_cast<char>(Line[Open] | 0x20)
+                                    : Line[Open];
     const std::string_view Syscall(Lower, Open - NameBegin);
     while (Open < Line.size() && isAsciiSpace(Line[Open]))
       ++Open;

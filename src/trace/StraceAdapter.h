@@ -15,14 +15,23 @@
 ///   write(3, "...", 512)                   = 512
 ///   pread64(3, "...", 4096, 8192)          = 4096
 ///   lseek(3, 1024, SEEK_SET)               = 1024
+///   _llseek(3, 0, [1024], SEEK_SET)        = 0     (32-bit targets)
 ///   fsync(3)                               = 0
 ///   close(3)                               = 0
+///
+/// Any of them may follow PID and timestamp columns, and the time
+/// strace -T prints may follow the return value:
+///
+///   12345 14:03:22 read(3, "x", 1)         = 1     (strace -f -o, -t)
+///   [pid  1234] read(3, "x", 1)            = 1     (strace -f)
+///   read(3, "x", 1)                        = 1 <0.000012>
 ///
 /// Mapping rules:
 ///  * the first argument of read/write/lseek/fsync/close is the
 ///    handle; open/openat take the handle from the *return value*;
 ///  * read/write byte counts come from the return value (actual bytes
 ///    moved); pread64/pwrite64 map to read/write;
+///  * syscall names match case-insensitively;
 ///  * failed calls (return -1 or -ERRNO) are dropped;
 ///  * a decimal return value must fit int64_t (-2^63 is an ordinary
 ///    failure); a recognized I/O call whose return is out of that
@@ -33,8 +42,11 @@
 ///    and so is the "<... read resumed>" half of the split call (a
 ///    quoted path that merely contains either word is kept).
 ///
-/// Lines are decoded through views into the text; only the first
-/// argument, the descriptor, is ever extracted.
+/// Each line is decoded in one forward pass over views into the text.
+/// The syscall name is classified as soon as it is read, so a non-I/O
+/// line is skipped there; only an I/O line goes on to its return
+/// value, found from the line's end, and its descriptor, the digits
+/// that open its argument list.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +74,8 @@ struct StraceStats {
 Expected<Trace> parseStrace(std::string_view Text, std::string Name = "",
                             StraceStats *Stats = nullptr);
 
-/// Reads and converts an strace log file.
+/// Reads and converts an strace log file; the trace is named by the
+/// file's basename.
 Expected<Trace> parseStraceFile(const std::string &Path,
                                 StraceStats *Stats = nullptr);
 

@@ -39,7 +39,8 @@ namespace kast {
 /// \returns the trace, or a diagnostic naming the offending line.
 Expected<Trace> parseTrace(std::string_view Text, std::string Name = "");
 
-/// Reads and parses a trace file from disk.
+/// Reads and parses a trace file from disk; the trace is named by the
+/// file's basename.
 Expected<Trace> parseTraceFile(const std::string &Path);
 
 } // namespace kast

@@ -79,6 +79,19 @@ TEST(StraceAdapterTest, PidAndTimestampPrefixes) {
   EXPECT_EQ(T->events()[0].Handle, 7u);
 }
 
+TEST(StraceAdapterTest, BracketedPidColumn) {
+  // strace -f without -o marks a child's lines "[pid N]", ahead of any
+  // timestamp column.
+  const char *Log = "[pid  1234] read(3, \"x\", 1) = 1\n"
+                    "[pid 1235] 14:03:22.000012 close(3) = 0\n";
+  StraceStats Stats;
+  Expected<Trace> T = parseStrace(Log, "", &Stats);
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  EXPECT_EQ(T->events(),
+            (std::vector<TraceEvent>{{"read", 3, 1}, {"close", 3}}));
+  EXPECT_EQ(Stats.LinesSkipped, 0u);
+}
+
 TEST(StraceAdapterTest, UnfinishedResumedSkipped) {
   const char *Log =
       "read(3,  <unfinished ...>\n"
@@ -143,6 +156,16 @@ TEST(StraceAdapterTest, PreadMapsToRead) {
   ASSERT_EQ(T->size(), 2u);
   EXPECT_EQ(T->events()[0], TraceEvent("read", 5, 4096));
   EXPECT_EQ(T->events()[1], TraceEvent("write", 5, 512));
+}
+
+TEST(StraceAdapterTest, UnderscoreLlseekMapsToLseek) {
+  // strace prints _llseek on 32-bit targets.
+  StraceStats Stats;
+  Expected<Trace> T =
+      parseStrace("_llseek(3, 0, [1024], SEEK_SET) = 0\n", "", &Stats);
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  EXPECT_EQ(T->events(), (std::vector<TraceEvent>{{"lseek", 3}}));
+  EXPECT_EQ(Stats.LinesSkipped, 0u);
 }
 
 TEST(StraceAdapterTest, QuotedCommasDoNotConfuseArguments) {
