@@ -108,31 +108,27 @@ size_t columnsEnd(std::string_view Line) {
   return I;
 }
 
-/// Reads the return value at the start of \p Field, the text after
-/// " = ". \returns false for a decimal integer outside int64_t;
-/// otherwise true, with \p Value set to a decimal integer that fits and
-/// left empty for anything else ("?", "0x7f1a").
+/// Reads the return value that opens \p Field, the text after " = ".
+/// \returns false for a decimal integer outside int64_t; otherwise
+/// true, with \p Value set to a decimal integer that fits and left
+/// empty for anything else ("?", "0x7f1a").
 bool parseReturn(std::string_view Field, std::optional<int64_t> &Value) {
-  size_t I = 0;
-  while (I < Field.size() && isAsciiSpace(Field[I]))
-    ++I;
-  const bool Negative = I < Field.size() && Field[I] == '-';
-  const size_t Digits = I + Negative;
-  uint64_t Magnitude = 0;
-  bool Overflow = false;
-  for (I = Digits; I < Field.size() && isAsciiDigit(Field[I]); ++I) {
-    const uint64_t Digit = static_cast<uint64_t>(Field[I] - '0');
-    Overflow |= Magnitude > (~0ULL - Digit) / 10;
-    Magnitude = Magnitude * 10 + Digit;
-  }
-  // The value is the whole first blank-delimited field, or nothing.
-  if (I == Digits || (I < Field.size() && !isAsciiSpace(Field[I])))
-    return true;
+  size_t Begin = 0;
+  while (Begin < Field.size() && isAsciiSpace(Field[Begin]))
+    ++Begin;
+  size_t End = Begin;
+  while (End < Field.size() && !isAsciiSpace(Field[End]))
+    ++End;
+  std::string_view Digits = Field.substr(Begin, End - Begin);
+  const bool Negative = startsWith(Digits, "-");
+  Digits.remove_prefix(Negative);
   // The magnitude must fit int64_t: 2^63 - 1, or 2^63 when negative.
-  if (Overflow || Magnitude > (uint64_t(1) << 63) - !Negative)
-    return false;
-  Value = static_cast<int64_t>(Negative ? 0 - Magnitude : Magnitude);
-  return true;
+  std::optional<uint64_t> Magnitude = parseUnsigned(Digits);
+  if (Magnitude && *Magnitude <= (uint64_t(1) << 63) - !Negative) {
+    Value = static_cast<int64_t>(Negative ? 0 - *Magnitude : *Magnitude);
+    return true;
+  }
+  return Digits.empty() || !std::ranges::all_of(Digits, isAsciiDigit);
 }
 
 /// The first argument of a list split at top-level commas (quotes and
