@@ -116,19 +116,18 @@ bool parseReturn(std::string_view Field, std::optional<int64_t> &Value) {
   size_t Begin = 0;
   while (Begin < Field.size() && isAsciiSpace(Field[Begin]))
     ++Begin;
-  size_t End = Begin;
-  while (End < Field.size() && !isAsciiSpace(Field[End]))
-    ++End;
-  std::string_view Digits = Field.substr(Begin, End - Begin);
-  const bool Negative = startsWith(Digits, "-");
-  Digits.remove_prefix(Negative);
-  // The magnitude must fit int64_t: 2^63 - 1, or 2^63 when negative.
-  std::optional<uint64_t> Magnitude = parseUnsigned(Digits);
-  if (Magnitude && *Magnitude <= (uint64_t(1) << 63) - !Negative) {
-    Value = static_cast<int64_t>(Negative ? 0 - *Magnitude : *Magnitude);
+  const bool Negative = Begin < Field.size() && Field[Begin] == '-';
+  Field.remove_prefix(Begin + Negative);
+  size_t End = 0;
+  std::optional<uint64_t> Magnitude = parseUnsignedPrefix(Field, End);
+  // The value is the whole first blank-delimited field, or nothing.
+  if (End == 0 || (End < Field.size() && !isAsciiSpace(Field[End])))
     return true;
-  }
-  return Digits.empty() || !std::ranges::all_of(Digits, isAsciiDigit);
+  // The magnitude must fit int64_t: 2^63 - 1, or 2^63 when negative.
+  if (!Magnitude || *Magnitude > (uint64_t(1) << 63) - !Negative)
+    return false;
+  Value = static_cast<int64_t>(Negative ? 0 - *Magnitude : *Magnitude);
+  return true;
 }
 
 /// The first argument of a list split at top-level commas (quotes and
@@ -166,7 +165,7 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
                                   StraceStats *Stats) {
   using Result = Expected<Trace>;
   Trace Out(std::move(Name));
-  Out.events().reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
+  Out.events().reserve(countNewlines(Text) + 1);
   StraceStats Local;
 
   size_t LineNumber = 0;
@@ -189,7 +188,7 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
     // Classify the syscall name first: it must be one of the I/O
     // spellings, followed (blanks aside) by its argument list.
     const size_t NameBegin = columnsEnd(Line);
-    char Lower[MaxIoNameSize];
+    char Lower[MaxIoNameSize] = {};
     size_t Open = NameBegin;
     for (; Open < Line.size() && Open - NameBegin < MaxIoNameSize &&
            isNameChar(Line[Open]);
@@ -234,16 +233,12 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
       Handle = static_cast<uint64_t>(*Return);
     } else {
       // The descriptor is the digits that open the argument list ("3"
-      // or "3</path>"); the list ends at Close, so neither scan leaves
-      // it.
-      size_t Fd = Open + 1;
+      // or "3</path>"); the list's ')' ends the blank scan.
+      size_t Fd = Open + 1, Digits = 0;
       while (isAsciiSpace(Line[Fd]))
         ++Fd;
-      size_t FdEnd = Fd;
-      while (isAsciiDigit(Line[FdEnd]))
-        ++FdEnd;
       std::optional<uint64_t> Parsed =
-          parseUnsigned(Line.substr(Fd, FdEnd - Fd));
+          parseUnsignedPrefix(Line.substr(Fd), Digits);
       if (!Parsed) {
         std::optional<std::string_view> Argument =
             firstArgument(Line.substr(Open + 1, Close - Open - 1));

@@ -34,7 +34,7 @@ constexpr std::array<char, 256> OpNameChars = [] {
 Expected<Trace> kast::parseTrace(std::string_view Text, std::string Name) {
   using Result = Expected<Trace>;
   Trace Out(std::move(Name));
-  Out.events().reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
+  Out.events().reserve(countNewlines(Text) + 1);
   size_t LineNumber = 0;
   auto Fail = [&](const std::string &Why) {
     return Result::error("line " + std::to_string(LineNumber) + ": " + Why);

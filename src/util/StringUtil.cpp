@@ -6,6 +6,8 @@
 
 #include "util/StringUtil.h"
 
+#include <algorithm>
+
 using namespace kast;
 
 std::string_view kast::trim(std::string_view S) {
@@ -56,21 +58,6 @@ std::string kast::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
-std::optional<uint64_t> kast::parseUnsigned(std::string_view S) {
-  if (S.empty())
-    return std::nullopt;
-  uint64_t Value = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return std::nullopt;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (Value > (~0ULL - Digit) / 10)
-      return std::nullopt; // Overflow.
-    Value = Value * 10 + Digit;
-  }
-  return Value;
-}
-
 std::optional<uint64_t> kast::parseHex(std::string_view S) {
   if (startsWith(S, "0x") || startsWith(S, "0X"))
     S.remove_prefix(2);
@@ -90,6 +77,21 @@ std::optional<uint64_t> kast::parseHex(std::string_view S) {
     Value = (Value << 4) | Digit;
   }
   return Value;
+}
+
+size_t kast::countNewlines(std::string_view S) {
+  // Counted in blocks of 255 bytes into a byte-wide sum, a loop
+  // compilers vectorize; std::count is a byte at a time at -O3 on GCC
+  // 12, which made the count a tenth of parseStrace's time.
+  size_t Count = 0;
+  for (size_t I = 0; I < S.size();) {
+    const size_t BlockEnd = std::min(S.size(), I + 255);
+    unsigned char Block = 0;
+    for (; I < BlockEnd; ++I)
+      Block += S[I] == '\n';
+    Count += Block;
+  }
+  return Count;
 }
 
 bool kast::startsWith(std::string_view S, std::string_view Prefix) {

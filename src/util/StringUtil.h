@@ -46,11 +46,35 @@ std::vector<std::string_view> splitWhitespace(std::string_view S);
 std::string join(const std::vector<std::string> &Parts,
                  std::string_view Sep);
 
+/// Parses the decimal digits that open \p S and sets \p End to the
+/// index after them. \returns their value; nullopt when there are none
+/// or they overflow uint64_t.
+inline std::optional<uint64_t> parseUnsignedPrefix(std::string_view S,
+                                                   size_t &End) {
+  uint64_t Value = 0;
+  bool Overflow = false;
+  for (End = 0; End < S.size() && isAsciiDigit(S[End]); ++End) {
+    const uint64_t Digit = static_cast<uint64_t>(S[End] - '0');
+    Overflow |= Value > (~0ULL - Digit) / 10;
+    Value = Value * 10 + Digit;
+  }
+  if (End == 0 || Overflow)
+    return std::nullopt;
+  return Value;
+}
+
 /// Parses a non-negative decimal integer; rejects junk and overflow.
-std::optional<uint64_t> parseUnsigned(std::string_view S);
+inline std::optional<uint64_t> parseUnsigned(std::string_view S) {
+  size_t End = 0;
+  std::optional<uint64_t> Value = parseUnsignedPrefix(S, End);
+  return End == S.size() ? Value : std::nullopt;
+}
 
 /// Parses a hexadecimal integer with optional 0x prefix.
 std::optional<uint64_t> parseHex(std::string_view S);
+
+/// The number of '\n' bytes in \p S.
+size_t countNewlines(std::string_view S);
 
 /// \returns true if \p S starts with \p Prefix.
 bool startsWith(std::string_view S, std::string_view Prefix);
