@@ -10,15 +10,16 @@
 /// line grammar is
 ///
 ///   line    := ws op ws handle fields ws comment?
-///   op      := identifier                (lowercased on input)
+///   op      := [A-Za-z0-9_+]+            (lowercased on input)
 ///   handle  := decimal integer
 ///   fields  := (ws field)*
 ///   field   := "bytes=" decimal | "addr=" hex | decimal
 ///   comment := "#" anything
 ///
 /// A bare trailing decimal is accepted as the byte count, so both
-/// "read 3 bytes=4096" and "read 3 4096" parse. Blank and comment-only
-/// lines are skipped. Errors carry 1-based line numbers.
+/// "read 3 bytes=4096" and "read 3 4096" parse; a later "bytes=" field
+/// overrides an earlier count. Blank and comment-only lines are
+/// skipped. Errors carry 1-based line numbers.
 ///
 //===----------------------------------------------------------------------===//
 
