@@ -17,6 +17,7 @@
 #include "trace/Trace.h"
 #include "trace/TraceParser.h"
 #include "trace/TraceWriter.h"
+#include "tree/TreeDump.h"
 #include "workloads/DatasetBuilder.h"
 #include "workloads/Mutator.h"
 #include "workloads/ParallelTrace.h"
@@ -120,6 +121,21 @@ struct Fnv1a {
   void word(uint64_t V) { bytes(&V, sizeof(V)); }
 };
 
+/// Feeds every token of \p R's string and its compression counts
+/// into \p D.
+void digestConversion(Fnv1a &D, const PipelineResult &R) {
+  for (size_t I = 0; I < R.String.size(); ++I) {
+    const std::string &Literal = R.String.literal(I);
+    D.word(Literal.size());
+    D.bytes(Literal.data(), Literal.size());
+    D.word(R.String.weight(I));
+  }
+  D.word(R.Stats.LeavesBefore);
+  D.word(R.Stats.LeavesAfter);
+  for (size_t Merges : R.Stats.MergesByRule)
+    D.word(Merges);
+}
+
 /// Digest of formatTrace -> parseTrace -> convertDetailed over
 /// \p Corpus under both representations.
 uint64_t corpusDigest(const std::vector<Trace> &Corpus) {
@@ -130,19 +146,56 @@ uint64_t corpusDigest(const std::vector<Trace> &Corpus) {
       EXPECT_TRUE(T.hasValue());
       if (!T)
         return 0;
-      PipelineResult R = P.convertDetailed(*T);
-      for (size_t I = 0; I < R.String.size(); ++I) {
-        const std::string &Literal = R.String.literal(I);
-        D.word(Literal.size());
-        D.bytes(Literal.data(), Literal.size());
-        D.word(R.String.weight(I));
-      }
-      D.word(R.Stats.LeavesBefore);
-      D.word(R.Stats.LeavesAfter);
-      for (size_t Merges : R.Stats.MergesByRule)
-        D.word(Merges);
+      digestConversion(D, P.convertDetailed(*T));
     }
   return D.Hash;
+}
+
+/// A random trace over 1-4 interleaved handles: opens, closes and
+/// reopens without a close, runs and alternations the merge rules
+/// fold, zero-byte ops, negligible mmap/fileno (one of them on a
+/// handle nothing else touches) and, now and then, a close on a
+/// handle that was never opened.
+Trace ablationTrace(Rng &R) {
+  static const char *Names[] = {"read", "write", "lseek", "fsync", "pread"};
+  static const uint64_t Sizes[] = {0, 0, 1, 2, 4, 64, 512};
+  Trace T("ablation");
+  const uint64_t Handles = R.uniformInt(1, 4);
+  const uint64_t Steps = R.uniformInt(0, 40);
+  for (uint64_t Step = 0; Step < Steps; ++Step) {
+    const uint64_t H = 3 + R.uniformInt(0, Handles - 1);
+    switch (R.uniformInt(0, 9)) {
+    case 0:
+      T.append(OpKind::Open, H);
+      break;
+    case 1:
+      T.append(OpKind::Close, H);
+      break;
+    case 2:
+      T.append(R.flip(0.5) ? OpKind::Mmap : OpKind::Fileno,
+               R.flip(0.2) ? 40 : H, 4096);
+      break;
+    case 3:
+      T.append(OpKind::Close, 90 + R.uniformInt(0, 2));
+      break;
+    case 4: { // An alternation: A B A B ...
+      const char *A = Names[R.uniformInt(0, 4)], *B = Names[R.uniformInt(0, 4)];
+      const uint64_t BytesA = Sizes[R.uniformInt(0, 6)];
+      const uint64_t BytesB = Sizes[R.uniformInt(0, 6)];
+      for (uint64_t I = R.uniformInt(1, 4); I > 0; --I) {
+        T.append(TraceEvent(A, H, BytesA));
+        T.append(TraceEvent(B, H, BytesB));
+      }
+      break;
+    }
+    default: // A run of one operation.
+      const char *Name = Names[R.uniformInt(0, 4)];
+      const uint64_t Bytes = Sizes[R.uniformInt(0, 6)];
+      for (uint64_t I = R.uniformInt(1, 5); I > 0; --I)
+        T.append(TraceEvent(Name, H, Bytes));
+    }
+  }
+  return T;
 }
 
 } // namespace
@@ -167,4 +220,46 @@ TEST(PipelineSmokeTest, CorpusStringsArePinned) {
       Parallel.push_back(mutateTrace(Parallel.back(), R));
     }
   EXPECT_EQ(corpusDigest(Parallel), 0x656e660ec6bfda82ULL);
+}
+
+// The tree stage under every configuration bench/tab3_ablation.cpp
+// runs (passes 0/1/2/4, each rule off, trailing [LEVEL_UP]) plus 8
+// passes, each with and without byte counts, over random traces and
+// an empty one: every token, compression count and compressed-tree
+// dump (handle order and numbers included), pinned like the corpora
+// above.
+TEST(PipelineSmokeTest, CompressionAblationsArePinned) {
+  std::vector<Trace> Traces = {Trace("empty")};
+  Rng R(20241019);
+  for (int I = 0; I < 80; ++I)
+    Traces.push_back(ablationTrace(R));
+
+  std::vector<PipelineOptions> Configs;
+  for (size_t Passes : {0, 1, 2, 4, 8}) {
+    Configs.emplace_back();
+    Configs.back().Compressor.Passes = Passes;
+  }
+  for (bool CompressorOptions::*Rule :
+       {&CompressorOptions::EnableRule1, &CompressorOptions::EnableRule2,
+        &CompressorOptions::EnableRule3, &CompressorOptions::EnableRule4}) {
+    Configs.emplace_back();
+    Configs.back().Compressor.*Rule = false;
+  }
+  Configs.emplace_back();
+  Configs.back().Flatten.EmitTrailingLevelUp = true;
+
+  Fnv1a D;
+  for (bool IgnoreBytes : {false, true})
+    for (PipelineOptions Options : Configs) {
+      Options.Builder.IgnoreBytes = IgnoreBytes;
+      Pipeline P(Options);
+      for (const Trace &T : Traces) {
+        PipelineResult Result = P.convertDetailed(T);
+        digestConversion(D, Result);
+        const std::string Dump = dumpTreeAscii(Result.Tree);
+        D.word(Dump.size());
+        D.bytes(Dump.data(), Dump.size());
+      }
+    }
+  EXPECT_EQ(D.Hash, 0x1796d5cc4443f99dULL);
 }
