@@ -10,20 +10,35 @@
 
 using namespace kast;
 
-void PreorderEncoder::add(const std::string &Literal, uint64_t Weight,
-                          size_t Depth) {
+void PreorderEncoder::levelUp(uint64_t Levels) {
+  if (LevelUp == ~LiteralId(0))
+    LevelUp = table()->intern(LevelUpLiteral);
+  Out.append(LevelUp, Levels);
+}
+
+void PreorderEncoder::add(LiteralId Literal, uint64_t Weight, size_t Depth) {
   assert((First ? Depth == 0 : Depth <= PrevDepth + 1) &&
          "invalid pre-order depth contour");
   if (!First && Depth <= PrevDepth)
-    Out.append(LevelUpLiteral, PrevDepth - Depth + 1);
+    levelUp(PrevDepth - Depth + 1);
   Out.append(Literal, Weight);
   PrevDepth = Depth;
   First = false;
 }
 
+LiteralId PreorderEncoder::add(const std::string &Literal, uint64_t Weight,
+                               size_t Depth) {
+  // The [LEVEL_UP] this item may need is interned before its literal.
+  if (!First && Depth <= PrevDepth && LevelUp == ~LiteralId(0))
+    LevelUp = table()->intern(LevelUpLiteral);
+  const LiteralId Id = table()->intern(Literal);
+  add(Id, Weight, Depth);
+  return Id;
+}
+
 WeightedString PreorderEncoder::finish() {
   if (Options.EmitTrailingLevelUp && !First)
-    Out.append(LevelUpLiteral, PrevDepth + 1);
+    levelUp(PrevDepth + 1);
   return std::move(Out);
 }
 

@@ -51,15 +51,27 @@ public:
                   const PreorderEncodeOptions &Options = {})
       : Out(std::move(Table)), Options(Options) {}
 
-  /// Appends one pre-order item (same contract as encodePreorder).
-  void add(const std::string &Literal, uint64_t Weight, size_t Depth);
+  /// Reserves room for \p Tokens tokens, [LEVEL_UP]s included.
+  void reserve(size_t Tokens) { Out.reserve(Tokens); }
+
+  /// Appends one pre-order item (same contract as encodePreorder);
+  /// \returns the id \p Literal has in the table.
+  LiteralId add(const std::string &Literal, uint64_t Weight, size_t Depth);
+
+  /// add() for a literal already interned in the table.
+  void add(LiteralId Literal, uint64_t Weight, size_t Depth);
+
+  const std::shared_ptr<TokenTable> &table() const { return Out.table(); }
 
   /// \returns the encoded string; call once, after the last add().
   WeightedString finish();
 
 private:
+  void levelUp(uint64_t Levels);
+
   WeightedString Out;
   PreorderEncodeOptions Options;
+  LiteralId LevelUp = ~LiteralId(0); ///< Interned at its first use.
   size_t PrevDepth = 0;
   bool First = true;
 };

@@ -98,6 +98,13 @@ public:
   size_t size() const { return Ids.size(); }
   bool empty() const { return Ids.empty(); }
 
+  /// Reserves room for \p Tokens tokens, so that appending that many
+  /// allocates nothing more.
+  void reserve(size_t Tokens) {
+    Ids.reserve(Tokens);
+    PrefixWeight.reserve(Tokens + 1);
+  }
+
   /// Appends a token by literal spelling.
   void append(const std::string &Literal, uint64_t Weight);
 

@@ -8,36 +8,47 @@
 #include "core/PreorderEncoder.h"
 #include "util/StringUtil.h"
 
+#include <cassert>
+
 using namespace kast;
 
 WeightedString kast::flattenTree(const PatternTree &Tree,
                                  const std::shared_ptr<TokenTable> &Table,
                                  const FlattenOptions &Options) {
+  // Exactly one token per node, one [LEVEL_UP] before each node that
+  // is not deeper than its predecessor, and the trailing one.
+  size_t Tokens = Tree.size() + Options.EmitTrailingLevelUp;
+  for (NodeId Id = 1; Id < Tree.size(); ++Id)
+    Tokens += Tree.depth(Id) <= Tree.depth(Id - 1);
+
   PreorderEncodeOptions EncodeOptions;
   EncodeOptions.EmitTrailingLevelUp = Options.EmitTrailingLevelUp;
   PreorderEncoder Encoder(Table, EncodeOptions);
-  std::string Literal; // Every literal is built in this one buffer.
-  for (NodeId Id : Tree.preorder()) {
+  Encoder.reserve(Tokens);
+  // The structural literals are interned at their first use, in the
+  // order a token-by-token intern would add them to the table.
+  LiteralId Structural[3] = {~LiteralId(0), ~LiteralId(0), ~LiteralId(0)};
+  const char *StructuralLiteral[3] = {RootLiteral, HandleLiteral,
+                                      BlockLiteral};
+  std::string Literal; // Every leaf literal is built in this one buffer.
+  for (NodeId Id = 0; Id < Tree.size(); ++Id) {
     const PatternNode &Node = Tree.node(Id);
-    Literal.clear();
-    switch (Node.Kind) {
-    case NodeKind::Root:
-      Literal = RootLiteral;
-      break;
-    case NodeKind::Handle:
-      Literal = HandleLiteral;
-      break;
-    case NodeKind::Block:
-      Literal = BlockLiteral;
-      break;
-    case NodeKind::Op:
+    const size_t Depth = Tree.depth(Id);
+    if (Node.Kind == NodeKind::Op) {
+      Literal.clear();
       Tree.appendLeafLiteral(Id, Literal);
-      break;
+      Encoder.add(Literal, Node.Reps, Depth);
+      continue;
     }
-    Encoder.add(Literal, Node.Kind == NodeKind::Op ? Node.Reps : 1,
-                Tree.depth(Id));
+    LiteralId &Known = Structural[Depth];
+    if (Known == ~LiteralId(0))
+      Known = Encoder.add(StructuralLiteral[Depth], 1, Depth);
+    else
+      Encoder.add(Known, 1, Depth);
   }
-  return Encoder.finish();
+  WeightedString S = Encoder.finish();
+  assert(S.size() == Tokens && "the token count is exact");
+  return S;
 }
 
 /// Splits "name[bytes]" into op ids interned in \p Tree and byte

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <numeric>
 #include <stdexcept>
 
 using namespace kast;
@@ -27,10 +28,10 @@ const char *kast::nodeKindName(NodeKind Kind) {
   return "op";
 }
 
-PatternTree::PatternTree(size_t Events) {
-  Nodes.reserve(Events + 1);
-  NameArena.reserve(Events);
-  ByteArena.reserve(Events);
+PatternTree::PatternTree(size_t NodeCount, size_t SignatureCount) {
+  Nodes.reserve(std::max<size_t>(NodeCount, 1));
+  NameArena.reserve(SignatureCount);
+  ByteArena.reserve(SignatureCount);
   PatternNode Root;
   Root.Kind = NodeKind::Root;
   Nodes.push_back(Root);
@@ -46,25 +47,13 @@ PatternNode &PatternTree::node(NodeId Id) {
   return Nodes[Id];
 }
 
-NodeId PatternTree::addChild(NodeId Parent, NodeKind Kind) {
-  assert(Parent < Nodes.size() && "parent id out of range");
-  assert(Kind != NodeKind::Root && "a tree has exactly one root");
-  NodeId Id = static_cast<NodeId>(Nodes.size());
-  Nodes.emplace_back().Kind = Kind;
-  link(Parent, Id);
-  return Id;
-}
-
-/// Appends \p Child to the children of \p Parent.
-void PatternTree::link(NodeId Parent, NodeId Child) {
-  PatternNode &P = Nodes[Parent];
-  if (P.LastChild == InvalidNodeId)
-    P.FirstChild = Child;
-  else
-    Nodes[P.LastChild].NextSibling = Child;
-  P.LastChild = Child;
-  Nodes[Child].Parent = Parent;
-  Nodes[Child].NextSibling = InvalidNodeId;
+/// True if \p Id is the last node or one of its ancestors: the nodes
+/// a pre-order append may extend.
+bool PatternTree::isLastOrAncestor(NodeId Id) const {
+  NodeId Last = static_cast<NodeId>(Nodes.size() - 1);
+  while (Last > Id)
+    Last = Nodes[Last].Parent;
+  return Last == Id;
 }
 
 uint32_t PatternTree::internOp(std::string_view Name) {
@@ -91,10 +80,13 @@ template <typename T>
 static SigSpan concatSpans(std::vector<T> &Arena, SigSpan A, SigSpan B) {
   if (A.Begin + A.Length == B.Begin)
     return {A.Begin, A.Length + B.Length};
-  SigSpan Span = grow(Arena, size_t(A.Length) + B.Length);
-  std::copy_n(Arena.begin() + A.Begin, A.Length, Arena.begin() + Span.Begin);
-  std::copy_n(Arena.begin() + B.Begin, B.Length,
-              Arena.begin() + Span.Begin + A.Length);
+  if (Arena.size() + A.Length + B.Length > UINT32_MAX)
+    throw std::length_error("pattern tree signature arena is full");
+  SigSpan Span{static_cast<uint32_t>(Arena.size()), A.Length + B.Length};
+  // push_back copes with an argument inside the vector it grows.
+  for (SigSpan Part : {A, B})
+    for (uint32_t I = Part.Begin; I < Part.Begin + Part.Length; ++I)
+      Arena.push_back(Arena[I]);
   return Span;
 }
 
@@ -110,28 +102,6 @@ NodeId PatternTree::addOp(NodeId Parent, std::string_view Name,
                           uint64_t Bytes, uint64_t Reps) {
   uint32_t Op = internOp(Name);
   return addOp(Parent, std::span(&Op, 1), std::span(&Bytes, 1), Reps);
-}
-
-NodeId PatternTree::addOp(NodeId Parent, std::span<const uint32_t> Ops,
-                          std::span<const uint64_t> Bytes, uint64_t Reps) {
-  NodeId Id = addChild(Parent, NodeKind::Op);
-  PatternNode &N = Nodes[Id];
-  N.NameSig = grow(NameArena, Ops.size());
-  N.ByteSig = grow(ByteArena, Bytes.size());
-  std::ranges::copy(Ops, NameArena.begin() + N.NameSig.Begin);
-  std::ranges::copy(Bytes, ByteArena.begin() + N.ByteSig.Begin);
-  N.Reps = Reps;
-  return Id;
-}
-
-std::span<const uint32_t> PatternTree::nameSig(NodeId Id) const {
-  SigSpan S = node(Id).NameSig;
-  return std::span(NameArena).subspan(S.Begin, S.Length);
-}
-
-std::span<const uint64_t> PatternTree::byteSig(NodeId Id) const {
-  SigSpan S = node(Id).ByteSig;
-  return std::span(ByteArena).subspan(S.Begin, S.Length);
 }
 
 void PatternTree::appendNameLabel(NodeId Id, std::string &Out) const {
@@ -181,80 +151,45 @@ bool PatternTree::isZeroBytes(NodeId Id) const {
 
 std::vector<NodeId> PatternTree::children(NodeId Id) const {
   std::vector<NodeId> Kids;
-  for (NodeId C = node(Id).FirstChild; C != InvalidNodeId;
-       C = Nodes[C].NextSibling)
-    Kids.push_back(C);
+  const NodeKind Kind = node(Id).Kind;
+  for (NodeId C = Id + 1; C < Nodes.size() && Nodes[C].Kind > Kind; ++C)
+    if (Nodes[C].Parent == Id)
+      Kids.push_back(C);
   return Kids;
 }
 
-void PatternTree::setChildren(NodeId Parent, std::span<const NodeId> Children) {
-  assert(Parent < Nodes.size() && "parent id out of range");
-  Nodes[Parent].FirstChild = Nodes[Parent].LastChild = InvalidNodeId;
-  for (NodeId C : Children) {
-    assert(C < Nodes.size() && "child id out of range");
-    link(Parent, C);
-  }
-}
-
-size_t PatternTree::depth(NodeId Id) const {
-  size_t D = 0;
-  while (Nodes[Id].Parent != InvalidNodeId) {
-    Id = Nodes[Id].Parent;
-    ++D;
-  }
-  return D;
-}
-
 std::vector<NodeId> PatternTree::preorder() const {
-  // Sibling and parent links give the order without a stack.
-  std::vector<NodeId> Order;
-  Order.reserve(Nodes.size());
-  NodeId Id = root();
-  while (Id != InvalidNodeId) {
-    Order.push_back(Id);
-    if (Nodes[Id].FirstChild != InvalidNodeId) {
-      Id = Nodes[Id].FirstChild;
-      continue;
-    }
-    while (Id != InvalidNodeId && Nodes[Id].NextSibling == InvalidNodeId)
-      Id = Nodes[Id].Parent;
-    if (Id != InvalidNodeId)
-      Id = Nodes[Id].NextSibling;
-  }
+  std::vector<NodeId> Order(Nodes.size());
+  std::iota(Order.begin(), Order.end(), root());
   return Order;
 }
 
 size_t PatternTree::numLeaves() const {
-  size_t Count = 0;
-  for (NodeId Id : preorder())
-    if (Nodes[Id].Kind == NodeKind::Op)
-      ++Count;
-  return Count;
+  return std::ranges::count(Nodes, NodeKind::Op, &PatternNode::Kind);
 }
 
 uint64_t PatternTree::totalReps() const {
   uint64_t Total = 0;
-  for (NodeId Id : preorder())
-    if (Nodes[Id].Kind == NodeKind::Op)
-      Total += Nodes[Id].Reps;
+  for (const PatternNode &N : Nodes)
+    if (N.Kind == NodeKind::Op)
+      Total += N.Reps;
   return Total;
 }
 
 bool PatternTree::equalsStructurally(const PatternTree &Rhs) const {
-  std::vector<NodeId> A = preorder();
-  std::vector<NodeId> B = Rhs.preorder();
-  if (A.size() != B.size())
+  // In pre-order with depth fixed by kind, equal kind sequences are
+  // equal shapes.
+  if (size() != Rhs.size())
     return false;
   auto SameName = [&](uint32_t L, uint32_t R) {
     return opName(L) == Rhs.opName(R);
   };
-  for (size_t I = 0; I < A.size(); ++I) {
-    const PatternNode &NA = node(A[I]);
-    const PatternNode &NB = Rhs.node(B[I]);
+  for (NodeId Id = 0; Id < size(); ++Id) {
+    const PatternNode &NA = Nodes[Id];
+    const PatternNode &NB = Rhs.Nodes[Id];
     if (NA.Kind != NB.Kind || NA.Reps != NB.Reps ||
-        !std::ranges::equal(nameSig(A[I]), Rhs.nameSig(B[I]), SameName) ||
-        !std::ranges::equal(byteSig(A[I]), Rhs.byteSig(B[I])) ||
-        children(A[I]).size() != Rhs.children(B[I]).size())
+        !std::ranges::equal(nameSig(Id), Rhs.nameSig(Id), SameName) ||
+        !std::ranges::equal(byteSig(Id), Rhs.byteSig(Id)))
       return false;
   }
   return true;

@@ -7,67 +7,223 @@
 #include "tree/TreeBuilder.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
 
 using namespace kast;
 
-PatternTree kast::buildTree(const Trace &T,
-                            const TreeBuilderOptions &Options) {
-  PatternTree Tree(T.size());
+namespace {
 
-  // Each distinct spelling is classified once: dropped, open, close,
-  // or a leaf with its op id.
-  enum class Role { Negligible, Open, Close, Leaf };
-  struct Spelling {
-    std::string_view Name;
-    Role R;
-    uint32_t Op;
-  };
-  std::vector<Spelling> Spellings;
+/// What an event contributes: a leaf, named by its op id, or one of
+/// these. The trace-length check in buildTree keeps op ids below them.
+constexpr uint32_t NegligibleCode = ~0u - 2;
+constexpr uint32_t CloseCode = ~0u - 1;
+constexpr uint32_t OpenCode = ~0u;
 
-  // Per-handle state, sorted by handle: the HANDLE node and the
-  // currently open BLOCK.
-  struct HandleState {
-    uint64_t Handle;
-    NodeId HandleNode;
-    NodeId OpenBlock;
-  };
-  std::vector<HandleState> States;
+/// "No event" in a handle's chain.
+constexpr uint32_t NoEvent = ~0u;
 
-  for (const TraceEvent &Event : T.events()) {
+/// An event's code and the slot of its handle, in first-appearance
+/// order (unused for negligible events).
+struct Classified {
+  uint32_t Code = NegligibleCode;
+  uint32_t Slot = 0;
+};
+
+/// The longest name a probe key holds.
+constexpr size_t MaxKeyedName = 8;
+
+/// A name of 1-8 bytes as one word: two loads that together cover it.
+/// With the name's size, the word determines the name.
+uint64_t nameWord(const char *P, size_t N) {
+  if (N >= 4) {
+    uint32_t Head, Tail;
+    std::memcpy(&Head, P, 4);
+    std::memcpy(&Tail, P + N - 4, 4);
+    return uint64_t(Head) | uint64_t(Tail) << 32;
+  }
+  return uint64_t(uint8_t(P[0])) | uint64_t(uint8_t(P[N / 2])) << 8 |
+         uint64_t(uint8_t(P[N - 1])) << 16;
+}
+
+/// Classifies events: each distinct spelling once (negligible, open,
+/// close, or a leaf with its op id, numbered in first-appearance order)
+/// and each handle once (its slot).
+/// An open-addressing table over the (spelling, handle) pairs seen so
+/// far answers most events with one probe; the searches behind it run
+/// once per pair, and names longer than a key holds always take them.
+class Classifier {
+public:
+  explicit Classifier(const TreeBuilderOptions &Options)
+      : Options(Options), Table(64) {}
+
+  Classified classify(const TraceEvent &Event) {
+    const size_t Size = Event.Op.size();
+    if (Size == 0 || Size > MaxKeyedName)
+      return search(Event);
+    const uint64_t Word = nameWord(Event.Op.data(), Size);
+    const size_t Mask = Table.size() - 1;
+    size_t I = slot(Event.Handle, Word, Size) & Mask;
+    for (; Table[I].Size != 0; I = (I + 1) & Mask)
+      if (Table[I].Handle == Event.Handle && Table[I].Word == Word &&
+          Table[I].Size == Size)
+        return Table[I].Value;
+    const Classified Value = search(Event);
+    Table[I] = {Event.Handle, Word, Value, static_cast<uint32_t>(Size)};
+    if (2 * ++Used > Table.size())
+      grow();
+    return Value;
+  }
+
+  /// Handles in first-appearance order.
+  const std::vector<uint64_t> &handles() const { return Handles; }
+
+  /// Interns the leaf spellings into \p Tree, so that op ids are codes.
+  void internOps(PatternTree &Tree) const {
+    for (const Spelling &S : Spellings)
+      if (S.Code < NegligibleCode) {
+        [[maybe_unused]] uint32_t Op = Tree.internOp(S.Name);
+        assert(Op == S.Code && "leaf codes are op ids");
+      }
+  }
+
+private:
+  Classified search(const TraceEvent &Event) {
     auto S = std::ranges::find(Spellings, std::string_view(Event.Op),
                                &Spelling::Name);
     if (S == Spellings.end()) {
-      Role R = Options.NegligibleOps.count(Event.Op) ? Role::Negligible
-               : Event.isOpen()                      ? Role::Open
-               : Event.isClose()                     ? Role::Close
-                                                     : Role::Leaf;
-      uint32_t Op = R == Role::Leaf ? Tree.internOp(Event.Op) : 0;
-      S = Spellings.insert(Spellings.end(), {Event.Op, R, Op});
+      uint32_t Code = Options.NegligibleOps.count(Event.Op) ? NegligibleCode
+                      : Event.isOpen()                      ? OpenCode
+                      : Event.isClose()                     ? CloseCode
+                                                            : Ops++;
+      S = Spellings.insert(Spellings.end(), {Event.Op, Code});
     }
-    if (S->R == Role::Negligible)
-      continue;
-
-    auto It = std::ranges::lower_bound(States, Event.Handle, {},
-                                       &HandleState::Handle);
-    if (It == States.end() || It->Handle != Event.Handle) {
-      NodeId HandleNode = Tree.addChild(Tree.root(), NodeKind::Handle);
-      Tree.node(HandleNode).Handle = Event.Handle;
-      It = States.insert(It, {Event.Handle, HandleNode, InvalidNodeId});
+    if (S->Code == NegligibleCode)
+      return {};
+    auto It = std::ranges::lower_bound(BySlot, Event.Handle, {},
+                                       &HandleSlot::Handle);
+    if (It == BySlot.end() || It->Handle != Event.Handle) {
+      It = BySlot.insert(It, {Event.Handle, uint32_t(Handles.size())});
+      Handles.push_back(Event.Handle);
     }
-    if (S->R == Role::Open) {
-      // A fresh span starts; any unclosed block on this handle ends.
-      It->OpenBlock = Tree.addChild(It->HandleNode, NodeKind::Block);
-      continue;
-    }
-    if (S->R == Role::Close) {
-      It->OpenBlock = InvalidNodeId;
-      continue;
-    }
-    if (It->OpenBlock == InvalidNodeId) // Implicit block (no open seen).
-      It->OpenBlock = Tree.addChild(It->HandleNode, NodeKind::Block);
-
-    uint64_t Bytes = Options.IgnoreBytes ? 0 : Event.Bytes;
-    Tree.addOp(It->OpenBlock, std::span(&S->Op, 1), std::span(&Bytes, 1));
+    return {S->Code, It->Slot};
   }
+
+  void grow() {
+    std::vector<Entry> Old(2 * Table.size());
+    Old.swap(Table);
+    const size_t Mask = Table.size() - 1;
+    for (const Entry &E : Old) {
+      if (E.Size == 0)
+        continue;
+      size_t I = slot(E.Handle, E.Word, E.Size) & Mask;
+      while (Table[I].Size != 0)
+        I = (I + 1) & Mask;
+      Table[I] = E;
+    }
+  }
+
+  static size_t slot(uint64_t Handle, uint64_t Word, size_t Size) {
+    uint64_t Hash = (Word ^ Size) * 0x9E3779B97F4A7C15ULL;
+    Hash = (Hash ^ Handle) * 0xC2B2AE3D27D4EB4FULL;
+    return static_cast<size_t>(Hash >> 40);
+  }
+
+  struct Spelling {
+    std::string_view Name;
+    uint32_t Code;
+  };
+  struct HandleSlot {
+    uint64_t Handle;
+    uint32_t Slot;
+  };
+  /// A (spelling, handle) pair and its classification; Size 0 marks
+  /// a free entry.
+  struct Entry {
+    uint64_t Handle = 0;
+    uint64_t Word = 0;
+    Classified Value;
+    uint32_t Size = 0;
+  };
+
+  const TreeBuilderOptions &Options;
+  uint32_t Ops = 0; ///< Leaf spellings seen.
+  std::vector<Spelling> Spellings; ///< First-appearance order.
+  std::vector<HandleSlot> BySlot;  ///< Sorted by handle.
+  std::vector<uint64_t> Handles;
+  std::vector<Entry> Table; ///< Power-of-two size, at most half full.
+  size_t Used = 0;
+};
+
+} // namespace
+
+PatternTree kast::buildTree(const Trace &T,
+                            const TreeBuilderOptions &Options) {
+  const std::vector<TraceEvent> &Events = T.events();
+  if (Events.size() >= NegligibleCode)
+    throw std::length_error("trace too long for a pattern tree");
+
+  // Pass 1, in event order: classify each event once, chain it to its
+  // handle's earlier events, and count the nodes the tree will hold.
+  Classifier Classify(Options);
+  struct Link {
+    uint32_t Code;
+    uint32_t Next;
+  };
+  // Every entry a chain reaches is written first.
+  auto Links = std::make_unique_for_overwrite<Link[]>(Events.size());
+  struct Chain {
+    uint32_t Head = NoEvent, Tail = NoEvent;
+    bool InBlock = false;
+  };
+  std::vector<Chain> Chains;
+  size_t Blocks = 0, Leaves = 0;
+  for (uint32_t I = 0; I < Events.size(); ++I) {
+    const Classified C = Classify.classify(Events[I]);
+    if (C.Code == NegligibleCode)
+      continue;
+    if (C.Slot == Chains.size())
+      Chains.emplace_back();
+    Chain &H = Chains[C.Slot];
+    Links[I] = {C.Code, NoEvent};
+    (H.Tail == NoEvent ? H.Head : Links[H.Tail].Next) = I;
+    H.Tail = I;
+    if (C.Code == CloseCode) {
+      H.InBlock = false;
+      continue;
+    }
+    Blocks += C.Code == OpenCode || !H.InBlock;
+    Leaves += C.Code != OpenCode;
+    H.InBlock = true;
+  }
+
+  // Pass 2, handle by handle: the nodes come out in pre-order, each
+  // BLOCK's leaves in one run.
+  const size_t Nodes = 1 + Chains.size() + Blocks + Leaves;
+  PatternTree Tree(Nodes, Events.size());
+  Classify.internOps(Tree);
+  for (size_t Slot = 0; Slot < Chains.size(); ++Slot) {
+    const NodeId Handle = Tree.addChild(Tree.root(), NodeKind::Handle);
+    Tree.node(Handle).Handle = Classify.handles()[Slot];
+    NodeId Block = InvalidNodeId;
+    for (uint32_t I = Chains[Slot].Head; I != NoEvent; I = Links[I].Next) {
+      const uint32_t Code = Links[I].Code;
+      if (Code == CloseCode) {
+        Block = InvalidNodeId;
+        continue;
+      }
+      // An open starts a fresh span (an unclosed one simply ends); an
+      // op outside any span opens an implicit one.
+      if (Code == OpenCode || Block == InvalidNodeId)
+        Block = Tree.addChild(Handle, NodeKind::Block);
+      if (Code == OpenCode)
+        continue;
+      const uint64_t Bytes = Options.IgnoreBytes ? 0 : Events[I].Bytes;
+      Tree.addOp(Block, std::span(&Code, 1), std::span(&Bytes, 1));
+    }
+  }
+  assert(Tree.size() == Nodes && "node count from pass 1 is exact");
   return Tree;
 }

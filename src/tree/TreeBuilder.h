@@ -13,6 +13,15 @@
 /// written contiguously"), and within a handle each open..close span
 /// becomes a BLOCK.
 ///
+/// The builder makes two passes over the events. The first classifies
+/// each event once — its spelling (negligible, open, close or an op)
+/// and its handle's slot in first-appearance order, through one probe
+/// of a table keyed by the (spelling, handle) pair — chains it to the
+/// earlier events of its handle, and counts the nodes the tree will
+/// hold. The second walks the chains handle by handle and appends the
+/// nodes in pre-order into a tree sized once, so every BLOCK's leaves
+/// form one contiguous run (see PatternTree).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KAST_TREE_TREEBUILDER_H
@@ -44,7 +53,8 @@ struct TreeBuilderOptions {
 ///    BLOCK;
 ///  * `open` always starts a fresh BLOCK (an unclosed previous block on
 ///    the same handle simply ends);
-///  * `close` without a matching open is ignored;
+///  * `close` without a matching open ends no block (a handle seen
+///    only in such closes still gets its, empty, HANDLE node);
 ///  * blocks left open at end-of-trace are treated as closed.
 /// `open`/`close` contribute no leaves (§3.1: "the BLOCK node already
 /// plays the role of a delimiter").

@@ -37,13 +37,16 @@
 ///    leaf weights always count primitive operations (conserved by
 ///    compression; asserted in tests).
 ///
-/// Compression works in place. Each block's children are copied into
-/// one scratch buffer, reused across blocks, and every sweep compacts
-/// that buffer. A merge rewrites the left leaf A and drops B from the
-/// list: rule 1 adds the repetition counts and keeps A's spans, rules
-/// 2 and 3 append the concatenated signature to the tree's arena, and
-/// rule 4 concatenates the names and points at the non-zero side's
-/// byte span. The buffer is then linked back as the block's children.
+/// Compression is one forward pass over the tree's pre-order node
+/// vector (PatternTree::compactLeafRuns). Each block's leaves are one
+/// contiguous run; the run moves down into place, and every sweep
+/// compacts it there. A merge rewrites the left leaf A and drops B:
+/// rule 1 adds the repetition counts and keeps A's spans, rules 2 and
+/// 3 concatenate the signatures in the tree's arena (extending A's
+/// span when B's directly follows it), and rule 4 concatenates the
+/// names and points at the non-zero side's byte span. The survivors
+/// stay where the sweeps left them and the next node follows them, so
+/// the compressed tree is again in pre-order and holds no orphans.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +91,8 @@ CompressionStats compressTree(PatternTree &Tree,
 
 /// Attempts to merge op leaf \p B into op leaf \p A of \p Tree under
 /// rule \p Rule (1-4), rewriting \p A in place; \p B is left as it
-/// was, for the caller to unlink. Exposed for unit testing.
+/// was, and stays in the tree. Runs the sweeps' merge logic; exposed
+/// for unit testing.
 /// \returns true if the rule applied.
 bool tryMergeRule(PatternTree &Tree, int Rule, NodeId A, NodeId B);
 

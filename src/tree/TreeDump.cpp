@@ -30,7 +30,7 @@ std::string kast::nodeLabel(const PatternTree &Tree, NodeId Id) {
 
 std::string kast::dumpTreeAscii(const PatternTree &Tree) {
   std::string Out;
-  for (NodeId Id : Tree.preorder()) {
+  for (NodeId Id = 0; Id < Tree.size(); ++Id) {
     Out.append(2 * Tree.depth(Id), ' ');
     Out += nodeLabel(Tree, Id);
     Out += '\n';
@@ -42,7 +42,7 @@ std::string kast::dumpTreeDot(const PatternTree &Tree,
                               const std::string &GraphName) {
   std::string Out = "digraph " + GraphName + " {\n";
   Out += "  node [shape=box, fontname=\"monospace\"];\n";
-  for (NodeId Id : Tree.preorder()) {
+  for (NodeId Id = 0; Id < Tree.size(); ++Id) {
     Out += "  n" + std::to_string(Id) + " [label=\"" +
            nodeLabel(Tree, Id) + "\"];\n";
     for (NodeId Child : Tree.children(Id))

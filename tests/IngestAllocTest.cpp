@@ -6,12 +6,14 @@
 //
 // The ingest path (parseTrace -> buildTree -> compressTree ->
 // flattenTree) allocates a bounded number of times per trace, not per
-// event, and so does parseStrace. A counting operator new checks it;
+// event, and so does parseStrace; Pipeline::convert allocates as often
+// for a long trace as for a short one. A counting operator new checks it;
 // replacing operator new is process-wide, which is why this test is its
 // own binary.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Pipeline.h"
 #include "core/TreeFlattener.h"
 #include "trace/StraceAdapter.h"
 #include "trace/TraceParser.h"
@@ -74,6 +76,32 @@ TEST(IngestAllocTest, UnderOneAllocationPerTenEvents) {
         << Stage[2] - Stage[1] << ", flatten " << Stage[3] - Stage[2]
         << " allocations";
   }
+}
+
+// Every buffer convert() fills is sized once from a count, so with a
+// warm token table a trace and its events repeated 4 and 16 times
+// allocate equally often. Strings that grew by doubling allocated
+// 36, 40 and 44 times here.
+TEST(IngestAllocTest, ConvertAllocationsDoNotGrowWithTheTrace) {
+  Rng R(32);
+  const Trace Base = generateParallelTrace(Category::FlashIO, 2, R);
+  Pipeline P;
+  std::vector<size_t> Counts;
+  for (size_t Copies : {1, 4, 16}) {
+    Trace T(Base.name());
+    for (size_t C = 0; C < Copies; ++C)
+      for (const TraceEvent &E : Base.events())
+        T.append(E);
+    P.convert(T); // Interns every literal, so the table stops growing.
+
+    Allocations = 0;
+    Counting = true;
+    WeightedString S = P.convert(T);
+    Counting = false;
+    Counts.push_back(Allocations);
+  }
+  EXPECT_EQ(Counts[1], Counts[0]) << Base.size() << " events, 4 copies";
+  EXPECT_EQ(Counts[2], Counts[0]) << Base.size() << " events, 16 copies";
 }
 
 namespace {
