@@ -108,6 +108,43 @@ size_t columnsEnd(std::string_view Line) {
   return I;
 }
 
+/// Unfinished calls of a log without a PID column share this slot.
+constexpr uint64_t NoPid = ~0ULL;
+
+/// The PID that opens \p Line (trimmed, not empty): the N of "[pid N]",
+/// or a first column of digits alone (strace -f -o); else NoPid.
+uint64_t pidOf(std::string_view Line) {
+  size_t Begin = 0;
+  if (startsWith(Line, "[pid ")) {
+    Begin = 5;
+    while (Begin < Line.size() && Line[Begin] == ' ')
+      ++Begin;
+  }
+  size_t End = 0;
+  std::optional<uint64_t> Pid = parseUnsignedPrefix(Line.substr(Begin), End);
+  const char After = Begin + End < Line.size() ? Line[Begin + End] : '\0';
+  if (Pid && (Begin == 0 ? isAsciiSpace(After) : After == ']'))
+    return *Pid;
+  return NoPid;
+}
+
+/// Reads the syscall name at \p Begin of \p Line, lower cased, into
+/// \p Lower and \returns the index after it. Only the first
+/// MaxIoNameSize bytes are read: a longer name is left unfinished, and
+/// so never classifies.
+size_t readName(std::string_view Line, size_t Begin,
+                char (&Lower)[MaxIoNameSize], std::string_view &Name) {
+  size_t End = Begin;
+  for (; End < Line.size() && End - Begin < MaxIoNameSize &&
+         isNameChar(Line[End]);
+       ++End)
+    Lower[End - Begin] = isAsciiLetter(Line[End])
+                             ? static_cast<char>(Line[End] | 0x20)
+                             : Line[End];
+  Name = std::string_view(Lower, End - Begin);
+  return End;
+}
+
 /// Reads the return value that opens \p Field, the text after " = ".
 /// \returns false for a decimal integer outside int64_t; otherwise
 /// true, with \p Value set to a decimal integer that fits and left
@@ -168,6 +205,18 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
   Out.events().reserve(countNewlines(Text) + 1);
   StraceStats Local;
 
+  // The first half of an I/O call strace split across lines, held per
+  // PID until its "<... NAME resumed>" line; allocates only when a log
+  // splits a call.
+  struct Unfinished {
+    uint64_t Pid;
+    OpKind Kind;
+    char Lower[MaxIoNameSize];
+    size_t NameSize;
+    std::string_view Args; ///< From after '(' to the marker.
+  };
+  std::vector<Unfinished> Pending;
+
   size_t LineNumber = 0;
   auto Fail = [&](const std::string &Why) {
     return Result::error("line " + std::to_string(LineNumber) + ": " + Why);
@@ -189,37 +238,74 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
     // spellings, followed (blanks aside) by its argument list.
     const size_t NameBegin = columnsEnd(Line);
     char Lower[MaxIoNameSize] = {};
-    size_t Open = NameBegin;
-    for (; Open < Line.size() && Open - NameBegin < MaxIoNameSize &&
-           isNameChar(Line[Open]);
-         ++Open)
-      Lower[Open - NameBegin] = isAsciiLetter(Line[Open])
-                                    ? static_cast<char>(Line[Open] | 0x20)
-                                    : Line[Open];
-    const std::string_view Syscall(Lower, Open - NameBegin);
+    std::string_view Syscall;
+    size_t Open = readName(Line, NameBegin, Lower, Syscall);
     while (Open < Line.size() && isAsciiSpace(Line[Open]))
       ++Open;
     std::optional<OpKind> Kind;
     if (Open < Line.size() && Line[Open] == '(')
       Kind = ioOperation(Syscall);
-    // The first half of a split call is skipped; its "<... read
-    // resumed>" half never classifies.
-    if (!Kind || endsWith(Line, "<unfinished ...>")) {
+    // Rest is the call's text after its '(', or after the "resumed>"
+    // that continues it; Head, the argument text its first half held.
+    std::string_view Rest, Head;
+    if (Kind) {
+      constexpr std::string_view Marker = "<unfinished ...>";
+      if (endsWith(Line, Marker)) {
+        // The first half of a split call: held for its other half, and
+        // counted as skipped either way.
+        const uint64_t Pid = pidOf(Line);
+        Unfinished U{Pid, *Kind, {}, Syscall.size(),
+                     Line.substr(Open + 1,
+                                 Line.size() - Marker.size() - Open - 1)};
+        std::ranges::copy(Syscall, U.Lower);
+        auto Same = std::ranges::find(Pending, Pid, &Unfinished::Pid);
+        if (Same != Pending.end())
+          *Same = U; // A thread waits in one call at a time.
+        else
+          Pending.push_back(U);
+        ++Local.LinesSkipped;
+        continue;
+      }
+      Rest = Line.substr(Open + 1);
+    } else if (Line[NameBegin] == '<' &&
+               Line.substr(NameBegin).starts_with("<... ")) {
+      // "<... NAME resumed>" completes the call its PID left unfinished.
+      const size_t NameEnd = readName(Line, NameBegin + 5, Lower, Syscall);
+      const uint64_t Pid = pidOf(Line);
+      auto Held = std::ranges::find_if(Pending, [&](const Unfinished &U) {
+        return U.Pid == Pid &&
+               Syscall == std::string_view(U.Lower, U.NameSize);
+      });
+      if (Held != Pending.end() &&
+          Line.substr(NameEnd).starts_with(" resumed>")) {
+        Kind = Held->Kind;
+        Head = Held->Args;
+        Rest = Line.substr(NameEnd + 9);
+        Pending.erase(Held);
+      }
+    }
+    if (!Kind) {
       ++Local.LinesSkipped;
       continue;
     }
 
     // strace puts " = ret" after the argument list's closing
-    // parenthesis; both are found from the line's end.
-    const size_t Eq = Line.rfind(" = ");
-    const size_t Close = Line.rfind(')', Eq);
-    if (Close == std::string_view::npos || Close < Open) {
+    // parenthesis; both are found from the line's end. With no ')'
+    // before the last " = ", that " = " lies inside the arguments (a
+    // quoted string), and the call printed no return value.
+    size_t Eq = Rest.rfind(" = ");
+    size_t Close = Rest.rfind(')', Eq);
+    if (Close == std::string_view::npos && Eq != std::string_view::npos) {
+      Close = Rest.rfind(')');
+      Eq = std::string_view::npos;
+    }
+    if (Close == std::string_view::npos) {
       ++Local.LinesSkipped;
       continue;
     }
     std::optional<int64_t> Return;
     if (Eq != std::string_view::npos &&
-        !parseReturn(Line.substr(Eq + 3), Return))
+        !parseReturn(Rest.substr(Eq + 3), Return))
       return Fail("return value outside int64_t");
     if (Return && *Return < 0) {
       ++Local.CallsFailed;
@@ -233,15 +319,18 @@ Expected<Trace> kast::parseStrace(std::string_view Text, std::string Name,
       Handle = static_cast<uint64_t>(*Return);
     } else {
       // The descriptor is the digits that open the argument list ("3"
-      // or "3</path>"); the list's ')' ends the blank scan.
-      size_t Fd = Open + 1, Digits = 0;
-      while (isAsciiSpace(Line[Fd]))
+      // or "3</path>"), in the first half of a split call unless that
+      // half holds only blanks.
+      const bool HeadHasArgs =
+          std::ranges::any_of(Head, [](char C) { return !isAsciiSpace(C); });
+      const std::string_view Args = HeadHasArgs ? Head : Rest.substr(0, Close);
+      size_t Fd = 0, Digits = 0;
+      while (Fd < Args.size() && isAsciiSpace(Args[Fd]))
         ++Fd;
       std::optional<uint64_t> Parsed =
-          parseUnsignedPrefix(Line.substr(Fd), Digits);
+          parseUnsignedPrefix(Args.substr(Fd), Digits);
       if (!Parsed) {
-        std::optional<std::string_view> Argument =
-            firstArgument(Line.substr(Open + 1, Close - Open - 1));
+        std::optional<std::string_view> Argument = firstArgument(Args);
         if (!Argument)
           return Fail("missing file descriptor argument");
         return Fail("malformed file descriptor '" + std::string(*Argument) +

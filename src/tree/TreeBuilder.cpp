@@ -50,10 +50,10 @@ uint64_t nameWord(const char *P, size_t N) {
 
 /// Classifies events: each distinct spelling once (negligible, open,
 /// close, or a leaf with its op id, numbered in first-appearance order)
-/// and each handle once (its slot).
-/// An open-addressing table over the (spelling, handle) pairs seen so
-/// far answers most events with one probe; the searches behind it run
-/// once per pair, and names longer than a key holds always take them.
+/// and each handle once (its slot). An open-addressing table over the
+/// (spelling, handle) pairs seen so far answers most events with one
+/// probe; the searches behind it run once per pair, and names longer
+/// than a key holds always take them.
 class Classifier {
 public:
   explicit Classifier(const TreeBuilderOptions &Options)
@@ -65,7 +65,7 @@ public:
       return search(Event);
     const uint64_t Word = nameWord(Event.Op.data(), Size);
     const size_t Mask = Table.size() - 1;
-    size_t I = slot(Event.Handle, Word, Size) & Mask;
+    size_t I = bucket(Event.Handle, Word, Size) & Mask;
     for (; Table[I].Size != 0; I = (I + 1) & Mask)
       if (Table[I].Handle == Event.Handle && Table[I].Word == Word &&
           Table[I].Size == Size)
@@ -94,18 +94,20 @@ private:
     auto S = std::ranges::find(Spellings, std::string_view(Event.Op),
                                &Spelling::Name);
     if (S == Spellings.end()) {
-      uint32_t Code = Options.NegligibleOps.count(Event.Op) ? NegligibleCode
-                      : Event.isOpen()                      ? OpenCode
-                      : Event.isClose()                     ? CloseCode
-                                                            : Ops++;
+      const uint32_t Code = Options.NegligibleOps.count(Event.Op)
+                                ? NegligibleCode
+                            : Event.isOpen()  ? OpenCode
+                            : Event.isClose() ? CloseCode
+                                              : Ops++;
       S = Spellings.insert(Spellings.end(), {Event.Op, Code});
     }
     if (S->Code == NegligibleCode)
       return {};
-    auto It = std::ranges::lower_bound(BySlot, Event.Handle, {},
+    auto It = std::ranges::lower_bound(SlotByHandle, Event.Handle, {},
                                        &HandleSlot::Handle);
-    if (It == BySlot.end() || It->Handle != Event.Handle) {
-      It = BySlot.insert(It, {Event.Handle, uint32_t(Handles.size())});
+    if (It == SlotByHandle.end() || It->Handle != Event.Handle) {
+      It = SlotByHandle.insert(It,
+                               {Event.Handle, uint32_t(Handles.size())});
       Handles.push_back(Event.Handle);
     }
     return {S->Code, It->Slot};
@@ -118,14 +120,14 @@ private:
     for (const Entry &E : Old) {
       if (E.Size == 0)
         continue;
-      size_t I = slot(E.Handle, E.Word, E.Size) & Mask;
+      size_t I = bucket(E.Handle, E.Word, E.Size) & Mask;
       while (Table[I].Size != 0)
         I = (I + 1) & Mask;
       Table[I] = E;
     }
   }
 
-  static size_t slot(uint64_t Handle, uint64_t Word, size_t Size) {
+  static size_t bucket(uint64_t Handle, uint64_t Word, size_t Size) {
     uint64_t Hash = (Word ^ Size) * 0x9E3779B97F4A7C15ULL;
     Hash = (Hash ^ Handle) * 0xC2B2AE3D27D4EB4FULL;
     return static_cast<size_t>(Hash >> 40);
@@ -151,7 +153,7 @@ private:
   const TreeBuilderOptions &Options;
   uint32_t Ops = 0; ///< Leaf spellings seen.
   std::vector<Spelling> Spellings; ///< First-appearance order.
-  std::vector<HandleSlot> BySlot;  ///< Sorted by handle.
+  std::vector<HandleSlot> SlotByHandle; ///< Sorted by handle.
   std::vector<uint64_t> Handles;
   std::vector<Entry> Table; ///< Power-of-two size, at most half full.
   size_t Used = 0;

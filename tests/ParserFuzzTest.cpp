@@ -340,6 +340,9 @@ std::vector<std::string> seeds() {
       "openat(AT_FDCWD, \"/data/resumed.bin\", O_RDONLY) = 3\n",
       "[pid  1234] read(3, \"x\", 1) = 1 <0.000012>\r\n"
       "_llseek(3, 0, [1024], SEEK_SET) = 0\nclose() = 0\n",
+      "[pid 7] read(3,  <unfinished ...>\n[pid 8] close(4) = 0\n"
+      "[pid 7] <... read resumed>\"x\", 1) = 1\n"
+      "write(3, \"a = b\", 5)\n",
       "# demo\nopen 3\nread 3 bytes=100\nclose 3\n",
       "read 3 bytes=4096 addr=0x7f00\nwrite 5 1024\nREAD 1\n",
       "read 1 bytes=2 # loop body\n  # indented comment\n",

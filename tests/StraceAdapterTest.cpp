@@ -93,6 +93,8 @@ TEST(StraceAdapterTest, BracketedPidColumn) {
 }
 
 TEST(StraceAdapterTest, UnfinishedResumedSkipped) {
+  // A call strace splits is one event, at its resumed line; the
+  // unfinished half counts as skipped.
   const char *Log =
       "read(3,  <unfinished ...>\n"
       "<... read resumed>\"x\", 1) = 1\n"
@@ -100,8 +102,76 @@ TEST(StraceAdapterTest, UnfinishedResumedSkipped) {
   StraceStats Stats;
   Expected<Trace> T = parseStrace(Log, "", &Stats);
   ASSERT_TRUE(T.hasValue()) << T.message();
-  EXPECT_EQ(T->size(), 1u);
-  EXPECT_EQ(T->events()[0].Op, "close");
+  EXPECT_EQ(T->events(),
+            (std::vector<TraceEvent>{{"read", 3, 1}, {"close", 3}}));
+  EXPECT_EQ(Stats.LinesTotal, 3u);
+  EXPECT_EQ(Stats.EventsEmitted, 2u);
+  EXPECT_EQ(Stats.LinesSkipped, 1u);
+}
+
+TEST(StraceAdapterTest, SplitCallsOfInterleavedPidsStitch) {
+  // strace -f splits a call that another thread's line interrupts; each
+  // half is matched by PID and syscall, in either PID column form.
+  for (const char *Log :
+       {"[pid 101] read(3,  <unfinished ...>\n"
+        "[pid 102] close(5 <unfinished ...>\n"
+        "[pid 102] <... close resumed>) = 0\n"
+        "[pid 101] <... read resumed>\"x\", 1) = 1\n",
+        "101 read(3,  <unfinished ...>\n"
+        "102 close(5 <unfinished ...>\n"
+        "102 <... close resumed>) = 0\n"
+        "101 <... read resumed>\"x\", 1) = 1\n"}) {
+    StraceStats Stats;
+    Expected<Trace> T = parseStrace(Log, "", &Stats);
+    ASSERT_TRUE(T.hasValue()) << T.message();
+    EXPECT_EQ(T->events(),
+              (std::vector<TraceEvent>{{"close", 5}, {"read", 3, 1}}))
+        << Log;
+    EXPECT_EQ(Stats.EventsEmitted, 2u);
+    EXPECT_EQ(Stats.LinesSkipped, 2u);
+  }
+
+  // Halves that do not pair stay skipped: a resumed line of another
+  // PID or syscall, and an unfinished half never resumed. A split open
+  // takes its handle, and a split read its byte count, from the
+  // resumed half; a failed one is dropped there.
+  StraceStats Stats;
+  Expected<Trace> T = parseStrace(
+      "[pid 7] openat(AT_FDCWD, \"f\", O_RDONLY <unfinished ...>\n"
+      "[pid 8] <... openat resumed>) = 4\n"
+      "[pid 7] <... read resumed>\"x\", 1) = 1\n"
+      "[pid 7] <... openat resumed>) = 3\n"
+      "[pid 9] read(4,  <unfinished ...>\n"
+      "[pid 9] <... read resumed>0x7f, 8) = -1 EAGAIN (Try again)\n"
+      "[pid 9] write(4, \"ab\", 2 <unfinished ...>\n",
+      "", &Stats);
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  EXPECT_EQ(T->events(), (std::vector<TraceEvent>{{"open", 3}}));
+  EXPECT_EQ(Stats.LinesTotal, 7u);
+  EXPECT_EQ(Stats.EventsEmitted, 1u);
+  EXPECT_EQ(Stats.CallsFailed, 1u);
+  EXPECT_EQ(Stats.LinesSkipped, 5u);
+
+  // An error names the resumed line.
+  Expected<Trace> Bad =
+      parseStrace("openat(AT_FDCWD, \"f\", O_RDONLY <unfinished ...>\n"
+                  "close(3) = 0\n<... openat resumed>)\n");
+  ASSERT_FALSE(Bad.hasValue());
+  EXPECT_EQ(Bad.message(), "line 3: open call without return value");
+}
+
+TEST(StraceAdapterTest, QuotedEqualsInAReturnlessCall) {
+  // With no ')' before the last " = ", that " = " is inside the
+  // arguments: the line's last ')' ends them, and the call printed no
+  // return value, like the same call without the quote.
+  for (const char *Log :
+       {"write(3, \"a = b\", 5)\n", "write(3, \"ab\", 5)\n"}) {
+    StraceStats Stats;
+    Expected<Trace> T = parseStrace(Log, "", &Stats);
+    ASSERT_TRUE(T.hasValue()) << T.message();
+    EXPECT_EQ(T->events(), (std::vector<TraceEvent>{{"write", 3}})) << Log;
+    EXPECT_EQ(Stats.LinesSkipped, 0u) << Log;
+  }
 }
 
 TEST(StraceAdapterTest, QuotedResumedAndUnfinishedPathsKept) {
