@@ -32,6 +32,14 @@ struct Classified {
   uint32_t Slot = 0;
 };
 
+/// A handle and the chain of its events, linked through their Link
+/// entries.
+struct Slot {
+  uint64_t Handle;
+  uint32_t Head = NoEvent, Tail = NoEvent;
+  bool InBlock = false; ///< While chaining: a block is open.
+};
+
 /// The longest name a probe key holds.
 constexpr size_t MaxKeyedName = 8;
 
@@ -57,7 +65,12 @@ uint64_t nameWord(const char *P, size_t N) {
 class Classifier {
 public:
   explicit Classifier(const TreeBuilderOptions &Options)
-      : Options(Options), Table(64) {}
+      : Options(Options), Table(64) {
+    // Enough for a typical log, so the searches rarely reallocate.
+    Spellings.reserve(8);
+    SlotByHandle.reserve(8);
+    Slots.reserve(8);
+  }
 
   Classified classify(const TraceEvent &Event) {
     const size_t Size = Event.Op.size();
@@ -77,8 +90,8 @@ public:
     return Value;
   }
 
-  /// Handles in first-appearance order.
-  const std::vector<uint64_t> &handles() const { return Handles; }
+  /// Handles in first-appearance order, each with its chain.
+  std::vector<Slot> &slots() { return Slots; }
 
   /// Interns the leaf spellings into \p Tree, so that op ids are codes.
   void internOps(PatternTree &Tree) const {
@@ -106,9 +119,8 @@ private:
     auto It = std::ranges::lower_bound(SlotByHandle, Event.Handle, {},
                                        &HandleSlot::Handle);
     if (It == SlotByHandle.end() || It->Handle != Event.Handle) {
-      It = SlotByHandle.insert(It,
-                               {Event.Handle, uint32_t(Handles.size())});
-      Handles.push_back(Event.Handle);
+      It = SlotByHandle.insert(It, {Event.Handle, uint32_t(Slots.size())});
+      Slots.push_back({Event.Handle});
     }
     return {S->Code, It->Slot};
   }
@@ -154,7 +166,7 @@ private:
   uint32_t Ops = 0; ///< Leaf spellings seen.
   std::vector<Spelling> Spellings; ///< First-appearance order.
   std::vector<HandleSlot> SlotByHandle; ///< Sorted by handle.
-  std::vector<uint64_t> Handles;
+  std::vector<Slot> Slots;
   std::vector<Entry> Table; ///< Power-of-two size, at most half full.
   size_t Used = 0;
 };
@@ -176,19 +188,13 @@ PatternTree kast::buildTree(const Trace &T,
   };
   // Every entry a chain reaches is written first.
   auto Links = std::make_unique_for_overwrite<Link[]>(Events.size());
-  struct Chain {
-    uint32_t Head = NoEvent, Tail = NoEvent;
-    bool InBlock = false;
-  };
-  std::vector<Chain> Chains;
+  std::vector<Slot> &Slots = Classify.slots();
   size_t Blocks = 0, Leaves = 0;
   for (uint32_t I = 0; I < Events.size(); ++I) {
     const Classified C = Classify.classify(Events[I]);
     if (C.Code == NegligibleCode)
       continue;
-    if (C.Slot == Chains.size())
-      Chains.emplace_back();
-    Chain &H = Chains[C.Slot];
+    Slot &H = Slots[C.Slot];
     Links[I] = {C.Code, NoEvent};
     (H.Tail == NoEvent ? H.Head : Links[H.Tail].Next) = I;
     H.Tail = I;
@@ -203,14 +209,14 @@ PatternTree kast::buildTree(const Trace &T,
 
   // Pass 2, handle by handle: the nodes come out in pre-order, each
   // BLOCK's leaves in one run.
-  const size_t Nodes = 1 + Chains.size() + Blocks + Leaves;
+  const size_t Nodes = 1 + Slots.size() + Blocks + Leaves;
   PatternTree Tree(Nodes, Events.size());
   Classify.internOps(Tree);
-  for (size_t Slot = 0; Slot < Chains.size(); ++Slot) {
+  for (const Slot &H : Slots) {
     const NodeId Handle = Tree.addChild(Tree.root(), NodeKind::Handle);
-    Tree.node(Handle).Handle = Classify.handles()[Slot];
+    Tree.node(Handle).Handle = H.Handle;
     NodeId Block = InvalidNodeId;
-    for (uint32_t I = Chains[Slot].Head; I != NoEvent; I = Links[I].Next) {
+    for (uint32_t I = H.Head; I != NoEvent; I = Links[I].Next) {
       const uint32_t Code = Links[I].Code;
       if (Code == CloseCode) {
         Block = InvalidNodeId;
