@@ -26,6 +26,12 @@
 ///   [pid  1234] read(3, "x", 1)            = 1     (strace -f)
 ///   read(3, "x", 1)                        = 1 <0.000012>
 ///
+/// and a call strace -f splits when another thread's line interrupts
+/// it, as two lines of the same PID:
+///
+///   [pid  1234] read(3,  <unfinished ...>
+///   [pid  1234] <... read resumed>"x", 1)  = 1
+///
 /// Mapping rules:
 ///  * the first argument of read/write/lseek/fsync/close is the
 ///    handle; open/openat take the handle from the *return value*;
@@ -38,15 +44,24 @@
 ///    range fails the conversion;
 ///  * unrecognized syscalls are skipped (strace logs everything; only
 ///    file-I/O calls are access-pattern relevant);
-///  * a line ending in strace's "<unfinished ...>" marker is skipped,
-///    and so is the "<... read resumed>" half of the split call (a
-///    quoted path that merely contains either word is kept).
+///  * a call strace splits across two lines is stitched: the line
+///    ending in "<unfinished ...>" is held for its PID ("[pid N]", the
+///    leading PID column, or one shared slot without either) and
+///    counted as skipped; the "<... NAME resumed>" line of the same PID
+///    and syscall then decodes the call — the descriptor from the first
+///    half, the return value from the second — and emits its event, or
+///    names itself in an error. A half that never pairs stays skipped,
+///    and a quoted path that merely contains either word is kept;
+///  * when no ')' precedes the line's last " = ", that " = " lies inside
+///    a quoted argument: the line's last ')' ends the argument list and
+///    the call printed no return value.
 ///
 /// Each line is decoded in one forward pass over views into the text.
 /// The syscall name is classified as soon as it is read, so a non-I/O
 /// line is skipped there; only an I/O line goes on to its return
 /// value, found from the line's end, and its descriptor, the digits
-/// that open its argument list.
+/// that open its argument list. Holding split halves allocates only
+/// when a log splits a call.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -80,8 +80,8 @@ TEST(IngestAllocTest, UnderOneAllocationPerTenEvents) {
 
 // Every buffer convert() fills is sized once from a count, so with a
 // warm token table a trace and its events repeated 4 and 16 times
-// allocate equally often. Strings that grew by doubling allocated
-// 36, 40 and 44 times here.
+// allocate equally often; a buffer that grew by doubling would
+// allocate more for each longer trace.
 TEST(IngestAllocTest, ConvertAllocationsDoNotGrowWithTheTrace) {
   Rng R(32);
   const Trace Base = generateParallelTrace(Category::FlashIO, 2, R);
