@@ -64,17 +64,6 @@ uint32_t PatternTree::internOp(std::string_view Name) {
   return static_cast<uint32_t>(OpNames.size() - 1);
 }
 
-/// Grows \p Arena by \p Length entries and returns their span.
-template <typename T>
-static SigSpan grow(std::vector<T> &Arena, size_t Length) {
-  if (Arena.size() + Length > UINT32_MAX)
-    throw std::length_error("pattern tree signature arena is full");
-  SigSpan Span{static_cast<uint32_t>(Arena.size()),
-               static_cast<uint32_t>(Length)};
-  Arena.resize(Arena.size() + Length);
-  return Span;
-}
-
 /// A ++ B in \p Arena; extends A in place when B directly follows it.
 template <typename T>
 static SigSpan concatSpans(std::vector<T> &Arena, SigSpan A, SigSpan B) {
