@@ -16,24 +16,26 @@ void PreorderEncoder::levelUp(uint64_t Levels) {
   Out.append(LevelUp, Levels);
 }
 
-void PreorderEncoder::add(LiteralId Literal, uint64_t Weight, size_t Depth) {
+void PreorderEncoder::moveTo(size_t Depth) {
   assert((First ? Depth == 0 : Depth <= PrevDepth + 1) &&
          "invalid pre-order depth contour");
   if (!First && Depth <= PrevDepth)
     levelUp(PrevDepth - Depth + 1);
-  Out.append(Literal, Weight);
   PrevDepth = Depth;
   First = false;
 }
 
 LiteralId PreorderEncoder::add(const std::string &Literal, uint64_t Weight,
                                size_t Depth) {
-  // The [LEVEL_UP] this item may need is interned before its literal.
-  if (!First && Depth <= PrevDepth && LevelUp == ~LiteralId(0))
-    LevelUp = table()->intern(LevelUpLiteral);
+  moveTo(Depth);
   const LiteralId Id = table()->intern(Literal);
-  add(Id, Weight, Depth);
+  Out.append(Id, Weight);
   return Id;
+}
+
+void PreorderEncoder::add(LiteralId Literal, uint64_t Weight, size_t Depth) {
+  moveTo(Depth);
+  Out.append(Literal, Weight);
 }
 
 WeightedString PreorderEncoder::finish() {

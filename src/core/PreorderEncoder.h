@@ -67,6 +67,8 @@ public:
   WeightedString finish();
 
 private:
+  /// Emits the [LEVEL_UP] the next item, at \p Depth, needs.
+  void moveTo(size_t Depth);
   void levelUp(uint64_t Levels);
 
   WeightedString Out;
