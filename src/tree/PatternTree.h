@@ -273,7 +273,9 @@ template <typename SweepFn> void PatternTree::compactLeafRuns(SweepFn &&Sweep) {
       Nodes[Out] = Nodes[In];
       Nodes[Out++].Parent = Parent;
     }
-    Out = Begin + Sweep(std::span(Nodes).subspan(Begin, Out - Begin));
+    const size_t Live = Sweep(std::span(Nodes).subspan(Begin, Out - Begin));
+    assert(Live <= Out - Begin && "a sweep keeps at most its run");
+    Out = Begin + Live;
   }
   Nodes.resize(Out);
 }
