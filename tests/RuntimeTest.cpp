@@ -466,6 +466,96 @@ TEST(QueryServerTest, ShutdownOverridesPause) {
   EXPECT_EQ(F.get().Status, ServeStatus::Ok);
 }
 
+// A submitter blocked on a full queue is released by shutdown(): its
+// request bounces ShutDown, while the requests already queued drain Ok
+// even though the server is paused.
+TEST(QueryServerTest, ShutdownReleasesBlockedSubmitter) {
+  ServedCorpus C = makeCorpus(20, 4, 333);
+  QueryServerOptions Opts;
+  Opts.QueueCapacity = 2;
+  Opts.Overflow = OverflowPolicy::Block;
+  Opts.ExecThreads = 1;
+  QueryServer Server(C.Service, Opts);
+  Server.pause();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::vector<std::future<QueryResponse>> Queued;
+  for (size_t I = 0; I < Opts.QueueCapacity; ++I)
+    Queued.push_back(Server.submitBorrowed(C.Queries[0], 3));
+  std::future<QueryResponse> Blocked = std::async(std::launch::async, [&] {
+    return Server.submitBorrowed(C.Queries[1], 3).get();
+  });
+  EXPECT_EQ(Blocked.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "submit should be blocking on backpressure while paused";
+
+  Server.shutdown();
+  EXPECT_EQ(Blocked.get().Status, ServeStatus::ShutDown);
+  for (std::future<QueryResponse> &F : Queued)
+    EXPECT_EQ(F.get().Status, ServeStatus::Ok);
+  EXPECT_EQ(Server.stats().RejectedShutdown.load(), 1u);
+}
+
+// Submitters race shutdown() at staggered moments. Every future is
+// resolved once shutdown() and the submitters have returned, and every
+// outcome is counted exactly once: what was admitted executed, what
+// bounced is counted as bounced.
+TEST(QueryServerTest, ShutdownRacingSubmittersLosesNothing) {
+  ServedCorpus C = makeCorpus(20, 4, 222);
+  constexpr size_t Submitters = 4, PerSubmitter = 50;
+  for (OverflowPolicy Policy :
+       {OverflowPolicy::Block, OverflowPolicy::Reject}) {
+    for (int Round = 0; Round < 20; ++Round) {
+      QueryServerOptions Opts;
+      Opts.MaxBatch = 2;
+      Opts.QueueCapacity = 4;
+      Opts.Overflow = Policy;
+      Opts.ExecThreads = 1;
+      QueryServer Server(C.Service, Opts);
+      std::vector<std::vector<std::future<QueryResponse>>> Futures(
+          Submitters);
+      std::vector<std::thread> Threads;
+      for (size_t T = 0; T < Submitters; ++T)
+        Threads.emplace_back([&, T] {
+          for (size_t I = 0; I < PerSubmitter; ++I)
+            Futures[T].push_back(Server.submitBorrowed(
+                C.Queries[(T + I) % C.Queries.size()], 3));
+        });
+      std::this_thread::sleep_for(std::chrono::microseconds(200 * Round));
+      Server.shutdown();
+      for (std::thread &T : Threads)
+        T.join();
+
+      uint64_t Ok = 0, Rejected = 0, ShutDown = 0;
+      for (std::vector<std::future<QueryResponse>> &PerThread : Futures)
+        for (std::future<QueryResponse> &F : PerThread) {
+          ASSERT_EQ(F.wait_for(std::chrono::seconds(0)),
+                    std::future_status::ready)
+              << "round " << Round;
+          switch (F.get().Status) {
+          case ServeStatus::Ok:
+            ++Ok;
+            break;
+          case ServeStatus::Rejected:
+            ++Rejected;
+            break;
+          case ServeStatus::ShutDown:
+            ++ShutDown;
+            break;
+          }
+        }
+      const ServerStats::Snapshot S = Server.stats().snapshot();
+      EXPECT_EQ(Ok, S.Submitted) << "round " << Round;
+      EXPECT_EQ(Ok, S.Completed) << "round " << Round;
+      EXPECT_EQ(Rejected, S.Rejected) << "round " << Round;
+      EXPECT_EQ(ShutDown, S.RejectedShutdown) << "round " << Round;
+      if (Policy == OverflowPolicy::Block) {
+        EXPECT_EQ(Rejected, 0u) << "round " << Round;
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // QueryServer: concurrency stress
 //===----------------------------------------------------------------------===//
