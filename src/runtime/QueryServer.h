@@ -6,15 +6,14 @@
 ///
 /// \file
 /// The asynchronous serving runtime over an IndexService. Callers
-/// submit queries from any number of threads and get a future; an
-/// admission batcher drains the bounded lock-free queue, executes each
-/// admitted batch against ONE IndexSnapshot through its one batch call,
-/// IndexSnapshot::queryBatch (exact or routed per Options.Approx), and
-/// fulfills the futures. The batch amortizes what call-per-query
-/// serving pays per request — snapshot acquisition, query flattening
-/// scratch, and (on the routed path) the per-shard candidate scratch
-/// allocation — which is where the throughput headroom on a loaded box
-/// actually is.
+/// submit queries from any number of threads and get a future; a
+/// batcher thread takes requests from one bounded queue guarded by one
+/// mutex, executes each admitted batch against ONE IndexSnapshot
+/// through its one batch call, IndexSnapshot::queryBatch (exact or
+/// routed per Options.Approx), and fulfills the futures. The batch
+/// amortizes what call-per-query serving pays per request — snapshot
+/// acquisition, query flattening scratch, and (on the routed path) the
+/// per-shard candidate scratch allocation.
 ///
 /// Exactness contract: for every admitted request the response is
 /// bit-identical — scores, order, and tie-breaks — to calling
@@ -24,10 +23,12 @@
 /// (the one current at admission, not at submit), never *what* a
 /// query computes. Differential tests pin this.
 ///
-/// Backpressure is explicit: the admission queue is bounded, and when
-/// it is full submit() either fails fast with ServeStatus::Rejected or
-/// blocks until a slot frees, per OverflowPolicy. There is no hidden
-/// unbounded buffer anywhere in the path.
+/// Backpressure is explicit: the queue holds at most QueueCapacity
+/// requests, and when it is full submit() either fails fast with
+/// ServeStatus::Rejected or waits for a slot, per OverflowPolicy.
+/// There is no hidden unbounded buffer anywhere in the path. Because
+/// a submitter checks for shutdown under the same lock it enqueues
+/// under, shutdown() drains exactly the requests that were admitted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +36,11 @@
 #define KAST_RUNTIME_QUERYSERVER_H
 
 #include "index/IndexService.h"
-#include "runtime/MpscQueue.h"
 #include "runtime/ServerStats.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -61,9 +61,9 @@ struct QueryResponse {
   std::vector<ServiceHit> Hits;
 };
 
-/// What submit() does when the admission queue is full.
+/// What submit does when the admission queue is full.
 enum class OverflowPolicy {
-  Block,  ///< Spin/yield until a slot frees (or shutdown begins).
+  Block,  ///< Wait until a slot frees (or shutdown begins).
   Reject, ///< Resolve the future immediately with ServeStatus::Rejected.
 };
 
@@ -76,9 +76,9 @@ struct QueryServerOptions {
   /// first request of a batch before executing a partial batch. The
   /// tail-latency price of batching under light load.
   size_t MaxWaitMicros = 200;
-  /// Admission queue capacity (rounded up to a power of two). This
-  /// bound IS the backpressure: submit() of a full queue blocks or
-  /// rejects, per Overflow.
+  /// Admission queue capacity, exactly (at least 1). This bound IS the
+  /// backpressure: a submit to a full queue blocks or rejects, per
+  /// Overflow.
   size_t QueueCapacity = 1024;
   OverflowPolicy Overflow = OverflowPolicy::Block;
   /// Worker width for batch execution (passed through to the batched
@@ -94,10 +94,10 @@ struct QueryServerOptions {
 
 /// Asynchronous batched query server over one IndexService.
 ///
-/// Thread-safety: submit()/submitBorrowed() may be called from any
-/// number of threads concurrently with each other, with writers
-/// mutating the underlying service, and with shutdown(). The service
-/// must outlive the server.
+/// Thread-safety: submitBorrowed() may be called from any number of
+/// threads concurrently with each other, with writers mutating the
+/// underlying service, and with shutdown(). The service must outlive
+/// the server.
 class QueryServer {
 public:
   explicit QueryServer(const IndexService &Service,
@@ -107,15 +107,11 @@ public:
   QueryServer(const QueryServer &) = delete;
   QueryServer &operator=(const QueryServer &) = delete;
 
-  /// Submits an owned query. The future resolves once the batch the
-  /// request was admitted into has executed (ServeStatus::Ok), or
-  /// immediately on rejection/shutdown.
-  std::future<QueryResponse> submit(KernelProfile Query, size_t K,
-                                    bool Normalize = true);
-
-  /// submit() without copying: the caller guarantees \p Query stays
-  /// alive and unmodified until the returned future is ready. The
-  /// load-generator path — profiles live in a corpus array anyway.
+  /// Submits a query without copying it: the caller guarantees
+  /// \p Query stays alive and unmodified until the returned future is
+  /// ready. The future resolves once the batch the request was
+  /// admitted into has executed (ServeStatus::Ok), or immediately on
+  /// rejection/shutdown.
   std::future<QueryResponse> submitBorrowed(const KernelProfile &Query,
                                             size_t K, bool Normalize = true);
 
@@ -128,64 +124,47 @@ public:
   /// still enqueue (and, once the queue fills, exercise the overflow
   /// policy) but nothing executes until resume(). shutdown() overrides
   /// a pause to drain.
-  void pause() { Paused.store(true, std::memory_order_release); }
+  void pause();
   void resume();
 
   const ServerStats &stats() const { return Stats; }
 
-  /// Requests admitted but not yet executed (racy; exact quiesced).
-  size_t queueDepth() const { return Queue.sizeApprox(); }
-
-  size_t queueCapacity() const { return Queue.capacity(); }
+  size_t queueCapacity() const { return Options.QueueCapacity; }
 
 private:
-  /// One in-flight request. Heap-allocated at submit, owned by the
-  /// queue slot (as a raw pointer) until the batcher takes it, deleted
-  /// after its promise is resolved.
+  /// One in-flight request; lives by value in the queue, then in the
+  /// batch, until its promise is resolved.
   struct Request {
-    const KernelProfile *Profile = nullptr; ///< Borrowed, or &Owned.
-    KernelProfile Owned;
+    const KernelProfile *Profile = nullptr;
     size_t K = 0;
     bool Normalize = true;
     std::promise<QueryResponse> Promise;
     uint64_t EnqueueNs = 0;
   };
 
-  std::future<QueryResponse> submitRequest(Request *R);
   void batcherLoop();
-  /// Pops up to MaxBatch requests, waiting MaxWaitMicros for
-  /// stragglers after the first. Returns an empty batch on idle
-  /// timeout or shutdown-with-empty-queue.
-  void gatherBatch(std::vector<Request *> &Batch);
+  /// Moves up to MaxBatch requests into \p Batch, waiting MaxWaitMicros
+  /// for stragglers after the first. Returns false once shutdown has
+  /// begun and the queue is drained.
+  bool gatherBatch(std::vector<Request> &Batch);
   /// Executes \p Batch against one snapshot and resolves every
   /// promise. Groups requests by (K, Normalize) so mixed-parameter
   /// batches still hit the batched path per group.
-  void executeBatch(std::vector<Request *> &Batch);
-  void wakeBatcher();
+  void executeBatch(std::vector<Request> &Batch);
 
   const IndexService &Service;
   const QueryServerOptions Options;
   ServerStats Stats;
 
-  mutable MpscQueue<Request *> Queue;
-  std::atomic<bool> Stopping{false};
-  std::atomic<bool> Paused{false};
-  /// Submitters between their admission-gate check and the end of
-  /// their push (Dekker handshake with the batcher's shutdown drain:
-  /// both sides use seq_cst, so once the batcher observes Stopping
-  /// and then ActiveSubmitters == 0, every push that passed the gate
-  /// is visible and no new one can start — one final tryPop decides).
-  std::atomic<size_t> ActiveSubmitters{0};
+  /// Guards Queue, Stopping and Paused.
+  std::mutex Mutex;
+  std::condition_variable Ready;   ///< Batcher waits: work, resume, stop.
+  std::condition_variable NotFull; ///< Block submitters wait: slot, stop.
+  std::deque<Request> Queue;
+  bool Stopping = false;
+  bool Paused = false;
 
-  /// Idle parking handshake: the batcher publishes Parked before
-  /// waiting on WakeCv; producers notify only when they observe it.
-  /// The batcher's wait is timed, so the push-between-check-and-wait
-  /// race costs one bounded timeout, never a lost wakeup.
-  std::atomic<bool> Parked{false};
-  std::mutex WakeMutex;
-  std::condition_variable WakeCv;
-
-  std::mutex ShutdownMutex;
+  std::mutex ShutdownMutex; ///< Serializes concurrent shutdown() calls.
   std::thread Batcher;
 };
 

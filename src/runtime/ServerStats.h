@@ -91,7 +91,7 @@ public:
   std::atomic<uint64_t> Completed{0}; ///< Responses delivered.
   std::atomic<uint64_t> Batches{0};   ///< Admission batches executed.
 
-  /// Enqueue → batch admission (time spent waiting in the ring).
+  /// Enqueue → batch admission (time spent waiting in the queue).
   LatencyHistogram QueueWaitNs;
   /// Batch admission → response ready (snapshot + scoring + merge).
   LatencyHistogram ExecuteNs;

@@ -4,17 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The serving-runtime contracts: the MPSC admission ring is bounded
-// and loses nothing under contention, the lock-free histograms
-// bracket their percentiles, and — above all — the QueryServer's
-// async batched answers are bit-identical (scores, order, tie-breaks)
-// to synchronous snapshot queries, with backpressure and shutdown
-// behaving exactly as documented.
+// The serving-runtime contracts: the lock-free histograms bracket
+// their percentiles, and — above all — the QueryServer's async batched
+// answers are bit-identical (scores, order, tie-breaks) to synchronous
+// snapshot queries, with backpressure and shutdown behaving exactly as
+// documented, even when submitters race shutdown().
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/Backoff.h"
-#include "runtime/MpscQueue.h"
 #include "runtime/QueryServer.h"
 #include "runtime/ServerStats.h"
 
@@ -83,88 +80,6 @@ void expectBitIdentical(const std::vector<ServiceHit> &Got,
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// MpscQueue
-//===----------------------------------------------------------------------===//
-
-TEST(MpscQueueTest, FifoSingleThread) {
-  MpscQueue<int> Q(8);
-  EXPECT_EQ(Q.capacity(), 8u);
-  for (int I = 0; I < 8; ++I)
-    EXPECT_TRUE(Q.tryPush(int(I)));
-  int Overflow = 99;
-  EXPECT_FALSE(Q.tryPush(std::move(Overflow))); // Full: bounded means bounded.
-  int V = -1;
-  for (int I = 0; I < 8; ++I) {
-    ASSERT_TRUE(Q.tryPop(V));
-    EXPECT_EQ(V, I);
-  }
-  EXPECT_FALSE(Q.tryPop(V)); // Empty again.
-  // Slots recycle: a second lap works.
-  EXPECT_TRUE(Q.tryPush(42));
-  ASSERT_TRUE(Q.tryPop(V));
-  EXPECT_EQ(V, 42);
-}
-
-TEST(MpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(MpscQueue<int>(1).capacity(), 2u);
-  EXPECT_EQ(MpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(MpscQueue<int>(1000).capacity(), 1024u);
-  EXPECT_EQ(MpscQueue<int>(1024).capacity(), 1024u);
-}
-
-// Many producers, one consumer: every pushed value arrives exactly
-// once, and values from the same producer arrive in its push order.
-TEST(MpscQueueTest, MpscStressLosesNothing) {
-  constexpr size_t Producers = 4, PerProducer = 5000;
-  MpscQueue<uint64_t> Q(64); // Small ring: constant wraparound.
-  std::vector<std::thread> Threads;
-  for (size_t P = 0; P < Producers; ++P)
-    Threads.emplace_back([&Q, P] {
-      Backoff B;
-      for (size_t I = 0; I < PerProducer; ++I) {
-        uint64_t V = (uint64_t(P) << 32) | I;
-        while (!Q.tryPush(std::move(V))) {
-          B.pause();
-          V = (uint64_t(P) << 32) | I;
-        }
-        B.reset();
-      }
-    });
-  std::vector<uint64_t> NextExpected(Producers, 0);
-  size_t Received = 0;
-  Backoff B;
-  while (Received < Producers * PerProducer) {
-    uint64_t V;
-    if (!Q.tryPop(V)) {
-      B.pause();
-      continue;
-    }
-    B.reset();
-    ++Received;
-    const size_t P = V >> 32;
-    const uint64_t I = V & 0xffffffffu;
-    ASSERT_LT(P, Producers);
-    EXPECT_EQ(I, NextExpected[P]) << "per-producer FIFO violated";
-    NextExpected[P] = I + 1;
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  uint64_t Leftover;
-  EXPECT_FALSE(Q.tryPop(Leftover));
-}
-
-TEST(BackoffTest, EscalatesToYieldAndResets) {
-  Backoff B;
-  EXPECT_FALSE(B.yielding());
-  for (int I = 0; I < 6; ++I)
-    B.pause();
-  EXPECT_TRUE(B.yielding());
-  B.pause(); // Yield path must not crash.
-  B.reset();
-  EXPECT_FALSE(B.yielding());
-}
 
 //===----------------------------------------------------------------------===//
 // ServerStats
@@ -324,14 +239,9 @@ TEST(QueryServerTest, DifferentialBitIdentityExact) {
     expectBitIdentical(Resp.Hits, Snap.query(C.Queries[I], Ks[I], Norms[I], 1),
                        "async q" + std::to_string(I));
   }
-  // Owned submission answers identically to borrowed.
-  QueryResponse Owned = Server.submit(C.Queries[0], 5).get();
-  ASSERT_EQ(Owned.Status, ServeStatus::Ok);
-  expectBitIdentical(Owned.Hits, Snap.query(C.Queries[0], 5, true, 1),
-                     "owned submit");
 
   const ServerStats::Snapshot Stats = Server.stats().snapshot();
-  EXPECT_EQ(Stats.Submitted, C.Queries.size() + 1);
+  EXPECT_EQ(Stats.Submitted, C.Queries.size());
   EXPECT_EQ(Stats.Rejected, 0u);
 }
 
