@@ -45,12 +45,8 @@ void ThreadPool::submit(std::function<void()> Task) {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     assert(!Stopping && "submit() after the pool started shutting down");
     Queue.push_back(std::move(Task));
-    ++Unfinished;
   }
   WorkAvailable.notify_one();
-  // Helpers blocked in wait() can steal queued tasks; wake them too so
-  // a busy pool still makes progress through its waiters.
-  AllDone.notify_all();
 }
 
 bool ThreadPool::runOneTask() {
@@ -63,28 +59,7 @@ bool ThreadPool::runOneTask() {
     Queue.pop_front();
   }
   Task();
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    --Unfinished;
-    if (Unfinished == 0)
-      AllDone.notify_all();
-  }
   return true;
-}
-
-void ThreadPool::wait() {
-  for (;;) {
-    if (runOneTask())
-      continue;
-    std::unique_lock<std::mutex> Lock(QueueMutex);
-    if (Unfinished == 0)
-      return;
-    // Wake on either completion or new work to steal (a running task
-    // may submit more); loop re-checks both.
-    AllDone.wait(Lock, [this] { return Unfinished == 0 || !Queue.empty(); });
-    if (Unfinished == 0)
-      return;
-  }
 }
 
 void ThreadPool::workerLoop() {
@@ -99,12 +74,6 @@ void ThreadPool::workerLoop() {
       Queue.pop_front();
     }
     Task();
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      --Unfinished;
-      if (Unfinished == 0)
-        AllDone.notify_all();
-    }
   }
 }
 

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one parallelism primitive of the library: a persistent worker
-/// pool with a submit/wait API, plus the fork-join parallelFor the
+/// pool with a submit API, plus the fork-join parallelFor the
 /// compute layers (KernelMatrix tiles, index scans, shard fan-out) are
 /// written against. parallelFor used to spawn and join fresh threads
 /// per call; a serving loop answering thousands of queries per second
@@ -38,10 +38,9 @@ namespace kast {
 /// A fixed-size persistent worker pool.
 ///
 /// Tasks submitted through submit() run on the pool's threads in FIFO
-/// order (subject to concurrent helpers stealing from the front);
-/// wait() blocks until every submitted task has finished, helping to
-/// drain the queue while it waits. parallelFor() is the structured
-/// fork-join entry point layered on the same queue.
+/// order (subject to parallelFor callers stealing from the front while
+/// they wait). parallelFor() is the structured fork-join entry point
+/// layered on the same queue.
 ///
 /// The destructor drains the queue (every submitted task runs) and
 /// joins all workers. Submitting from inside a task is allowed;
@@ -64,11 +63,6 @@ public:
   /// task execution (only on the queue mutex).
   void submit(std::function<void()> Task);
 
-  /// Blocks until all tasks submitted so far (queued or running) have
-  /// finished. Helps execute queued tasks while waiting, so a task
-  /// may call wait() on its own pool without deadlocking.
-  void wait();
-
   /// Runs Body(I) for I in [0, Count) across up to \p MaxWorkers
   /// participants (0 = threadCount() + 1, i.e. the pool plus the
   /// caller), the caller included. Work is distributed by an atomic
@@ -83,22 +77,20 @@ public:
   void parallelFor(size_t Count, const std::function<void(size_t)> &Body,
                    size_t MaxWorkers = 0);
 
-  /// The process-wide pool behind the free parallelFor and the serving
-  /// runtime's batch executor. Constructed on first use.
+  /// The process-wide pool behind the free parallelFor (and so behind
+  /// the serving runtime's batch execution). Constructed on first use.
   static ThreadPool &shared();
 
 private:
   /// Pops and runs one queued task. Returns false if the queue was
-  /// empty. Used by workers, wait() helpers, and parallelFor callers.
+  /// empty. Used by parallelFor callers while they wait.
   bool runOneTask();
 
   void workerLoop();
 
   mutable std::mutex QueueMutex;
   std::condition_variable WorkAvailable; ///< Workers park here.
-  std::condition_variable AllDone;       ///< wait() parks here.
   std::deque<std::function<void()>> Queue;
-  size_t Unfinished = 0; ///< Queued + currently running tasks.
   bool Stopping = false;
   std::vector<std::thread> Workers;
 };

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -392,32 +393,33 @@ TEST(ThreadPoolTest, NestedParallelFor) {
     EXPECT_EQ(V.load(), 1);
 }
 
+// Every submitted task runs: the destructor drains the queue before
+// joining the workers.
 TEST(ThreadPoolTest, SubmitWaitRunsEverything) {
-  ThreadPool Pool(2);
   std::atomic<int> Ran{0};
-  for (int I = 0; I < 100; ++I)
-    Pool.submit([&] { Ran.fetch_add(1); });
-  Pool.wait();
-  EXPECT_EQ(Ran.load(), 100);
-  // wait() with nothing pending returns immediately.
-  Pool.wait();
+  {
+    ThreadPool Pool(2);
+    for (int I = 0; I < 100; ++I)
+      Pool.submit([&] { Ran.fetch_add(1); });
+  }
   EXPECT_EQ(Ran.load(), 100);
 }
 
-// Tasks submitted from inside a task still run; the destructor drains
-// the queue before joining.
+// Tasks submitted from inside a task still run, and so does a task
+// submitted just before destruction.
 TEST(ThreadPoolTest, SubmitFromTaskAndDrainOnDestruction) {
   std::atomic<int> Ran{0};
   {
     ThreadPool Pool(1);
+    std::promise<void> Submitted;
     Pool.submit([&] {
       Ran.fetch_add(1);
       Pool.submit([&] { Ran.fetch_add(1); });
+      Submitted.set_value();
     });
-    Pool.wait();
-    EXPECT_EQ(Ran.load(), 2);
+    // The nested submit must happen before destruction begins.
+    Submitted.get_future().wait();
     Pool.submit([&] { Ran.fetch_add(1); });
-    // No wait: destruction must run the straggler.
   }
   EXPECT_EQ(Ran.load(), 3);
 }
