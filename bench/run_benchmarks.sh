@@ -11,14 +11,18 @@
 #
 # Each JSON's "context" object is stamped with the git SHA and UTC run
 # date, so a committed artifact is traceable to the exact tree that
-# produced it without relying on git blame.
+# produced it without relying on git blame. A driver writes to a
+# temporary file that replaces its artifact only once stamped, so a
+# failed run never leaves a truncated artifact behind.
 #
 # Usage:
 #   bench/run_benchmarks.sh [output-dir]
 #
 # Environment:
 #   BUILD_DIR          build tree containing bench/perf_* (default: build)
-#   BENCH_FILTER       --benchmark_filter regex (default: all benchmarks)
+#   BENCH_FILTER       --benchmark_filter regex (default: all benchmarks);
+#                      a driver with no benchmark matching it is skipped
+#                      and its artifact left as it was
 #   BENCH_ARGS         extra flags, e.g. --benchmark_repetitions=3
 #   BENCH_ALLOW_DEBUG  set to 1 to record from a non-Release build anyway
 #   PAGE_CACHE_STATE   "warm" (default) or "cold"; recorded in the JSON
@@ -112,6 +116,10 @@ with open(path, "w") as f:
 EOF
 }
 
+WRITTEN=()
+TMP_OUT=""
+trap 'rm -f "$TMP_OUT"' EXIT
+
 run_bench() {
   local name="$1" out="$2"
   local bin="$BUILD_DIR/bench/$name"
@@ -119,14 +127,25 @@ run_bench() {
     echo "error: $bin not built (configure with system Google Benchmark)" >&2
     exit 1
   fi
-  local flags=(--benchmark_format=json --benchmark_out="$out"
+  local filter=()
+  [[ -n "$BENCH_FILTER" ]] && filter+=(--benchmark_filter="$BENCH_FILTER")
+  local listed
+  listed="$("$bin" "${filter[@]}" --benchmark_list_tests=true)"
+  if [[ -z "$listed" ]]; then
+    echo "== $name: no benchmark matches the filter, skipped"
+    return
+  fi
+  TMP_OUT="$(mktemp "$OUT_DIR/.$name.XXXXXX")"
+  local flags=(--benchmark_format=json --benchmark_out="$TMP_OUT"
                --benchmark_out_format=json)
-  [[ -n "$BENCH_FILTER" ]] && flags+=(--benchmark_filter="$BENCH_FILTER")
   # shellcheck disable=SC2206
   [[ -n "$BENCH_ARGS" ]] && flags+=($BENCH_ARGS)
   echo "== $name -> $out"
-  "$bin" "${flags[@]}" > /dev/null
-  stamp_json "$out"
+  "$bin" "${filter[@]}" "${flags[@]}" > /dev/null
+  stamp_json "$TMP_OUT"
+  mv "$TMP_OUT" "$out"
+  TMP_OUT=""
+  WRITTEN+=("$out")
 }
 
 run_bench perf_kernels "$OUT_DIR/BENCH_kernels.json"
@@ -134,5 +153,4 @@ run_bench perf_pipeline "$OUT_DIR/BENCH_pipeline.json"
 run_bench perf_index "$OUT_DIR/BENCH_index.json"
 run_bench perf_serving "$OUT_DIR/BENCH_serving.json"
 
-echo "done: $OUT_DIR/BENCH_kernels.json $OUT_DIR/BENCH_pipeline.json" \
-     "$OUT_DIR/BENCH_index.json $OUT_DIR/BENCH_serving.json"
+echo "done: ${WRITTEN[*]:-no benchmark matched the filter}"
