@@ -135,7 +135,7 @@ run_bench() {
     echo "== $name: no benchmark matches the filter, skipped"
     return
   fi
-  TMP_OUT="$(mktemp "$OUT_DIR/.$name.XXXXXX")"
+  TMP_OUT="$OUT_DIR/.$name.json.tmp"
   local flags=(--benchmark_format=json --benchmark_out="$TMP_OUT"
                --benchmark_out_format=json)
   # shellcheck disable=SC2206
