@@ -112,6 +112,9 @@ bool QueryServer::gatherBatch(std::vector<Request> &Batch) {
     if (Stopping || std::chrono::steady_clock::now() >= Deadline)
       break; // Execute what we have; the next gather drains the rest.
     Lock.unlock();
+    // The slots this gather freed let submitters blocked on a full
+    // queue supply stragglers, so a batch can outgrow QueueCapacity.
+    NotFull.notify_all();
     std::this_thread::yield();
     Lock.lock();
   }

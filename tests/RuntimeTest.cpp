@@ -312,6 +312,11 @@ TEST(QueryServerTest, BlockPolicyWaitsForASlot) {
   Opts.QueueCapacity = 2;
   Opts.Overflow = OverflowPolicy::Block;
   Opts.ExecThreads = 1;
+  // A batch may outgrow the queue: the blocked submitter takes a slot
+  // the first gather freed and joins that batch, long before its
+  // straggler budget runs out.
+  Opts.MaxBatch = 3;
+  Opts.MaxWaitMicros = 2000000;
   QueryServer Server(C.Service, Opts);
   Server.pause();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -339,6 +344,10 @@ TEST(QueryServerTest, BlockPolicyWaitsForASlot) {
   Blocked.join();
   for (std::future<QueryResponse> &F : Queued)
     EXPECT_EQ(F.get().Status, ServeStatus::Ok);
+  Server.shutdown(); // The batcher records a batch after resolving it.
+  const ServerStats::Snapshot Stats = Server.stats().snapshot();
+  EXPECT_EQ(Stats.Batches, 1u);
+  EXPECT_EQ(Stats.BatchSize.Max, 3.0);
 }
 
 TEST(QueryServerTest, ShutdownDrainsAdmittedAndBouncesNew) {
