@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace kast;
 
 namespace {
@@ -73,6 +75,21 @@ protected:
 std::vector<LabeledTrace> *PaperEvaluation::Corpus = nullptr;
 LabeledDataset *PaperEvaluation::WithBytes = nullptr;
 LabeledDataset *PaperEvaluation::NoBytes = nullptr;
+
+/// FNV-1a over the bytes of every value fed in.
+struct Fnv1a {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  void bytes(const void *Data, size_t Size) {
+    for (size_t I = 0; I < Size; ++I) {
+      Hash ^= static_cast<const unsigned char *>(Data)[I];
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  void word(uint64_t V) { bytes(&V, sizeof(V)); }
+  void doubles(const std::vector<double> &Values) {
+    bytes(Values.data(), Values.size() * sizeof(double));
+  }
+};
 
 } // namespace
 
@@ -241,4 +258,33 @@ TEST_F(PaperEvaluation, PsdRepairPreservesClustering) {
   std::vector<size_t> Flat = clusterCut(K, 3);
   EXPECT_TRUE(matchesGrouping(Flat, WithBytes->labels(),
                               {{"A"}, {"B"}, {"C", "D"}}));
+}
+
+// Every `paper` benchmark configuration (both representations, cut
+// weights 2^1..2^10): the normalized, PSD-repaired Gram, kernelPca's
+// two leading eigenvalues and projections, and every single-linkage
+// merge (ids, distance, size), bit for bit. The digest moves only if
+// some output bit does.
+TEST_F(PaperEvaluation, PaperAnalysisIsPinned) {
+  Fnv1a D;
+  for (const LabeledDataset *Data : {WithBytes, NoBytes})
+    for (uint64_t Exp = 1; Exp <= 10; ++Exp) {
+      KastSpectrumKernel Kernel({uint64_t{1} << Exp});
+      KernelMatrixOptions Options;
+      Options.Normalize = true;
+      Options.RepairPsd = true;
+      Matrix K = computeKernelMatrix(Kernel, Data->strings(), Options);
+      D.doubles(K.data());
+      KernelPcaResult Pca = kernelPca(K, 2);
+      D.doubles(Pca.Eigenvalues);
+      D.doubles(Pca.Projections.data());
+      Dendrogram Tree = clusterHierarchical(similarityToDistance(K));
+      for (const Merge &M : Tree.merges()) {
+        D.word(M.Left);
+        D.word(M.Right);
+        D.doubles({M.Distance});
+        D.word(M.Size);
+      }
+    }
+  EXPECT_EQ(D.Hash, 0x35770ffc8726795eULL);
 }

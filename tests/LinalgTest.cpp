@@ -131,6 +131,20 @@ Matrix eigenCase(const std::string &Name) {
   return randomSymmetric(N, 1000 + N);
 }
 
+/// FNV-1a over the bytes of every value fed in.
+struct Fnv1a {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  void bytes(const void *Data, size_t Size) {
+    for (size_t I = 0; I < Size; ++I) {
+      Hash ^= static_cast<const unsigned char *>(Data)[I];
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  void doubles(const std::vector<double> &Values) {
+    bytes(Values.data(), Values.size() * sizeof(double));
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -262,6 +276,40 @@ TEST(EigenTest, LeadingVectorsMatchFullDecomposition) {
       for (size_t I = 0; I < 40; ++I)
         EXPECT_NEAR(E.Vectors.at(I, J), Full.Vectors.at(I, J), 1e-12);
   }
+}
+
+// eigenSymmetric's values and every vector, and projectToPsd's
+// rebuild, bit for bit on seeded inputs of every size class the
+// solver treats apart (1, 2, 3, odd, the paper's 110), with zero rows
+// and columns and with a repeated eigenvalue. The digest moves only if
+// some output bit does.
+TEST(EigenTest, SolverOutputIsPinned) {
+  std::vector<Matrix> Inputs;
+  for (size_t N : {1, 2, 3, 17, 64, 110})
+    Inputs.push_back(randomSymmetric(N, 7000 + N));
+  // Rows 0, 40 and 63 zero: the first reflector is zero and two more
+  // rows need none.
+  Matrix ZeroRows = randomSymmetric(64, 7100);
+  for (size_t Zero : {size_t{0}, size_t{40}, size_t{63}})
+    for (size_t K = 0; K < 64; ++K) {
+      ZeroRows.at(Zero, K) = 0.0;
+      ZeroRows.at(K, Zero) = 0.0;
+    }
+  Inputs.push_back(ZeroRows);
+  // 2 I + 1 1^T: eigenvalue 2 sixteen times, and 19 once.
+  Matrix Repeated(17, 17, 1.0);
+  for (size_t I = 0; I < 17; ++I)
+    Repeated.at(I, I) = 3.0;
+  Inputs.push_back(Repeated);
+
+  Fnv1a D;
+  for (const Matrix &A : Inputs) {
+    EigenDecomposition E = eigenSymmetric(A);
+    D.doubles(E.Values);
+    D.doubles(E.Vectors.data());
+    D.doubles(projectToPsd(A).data());
+  }
+  EXPECT_EQ(D.Hash, 0xac6d353c9d54d0ccULL);
 }
 
 /// Every case against the independent Jacobi oracle, plus the
