@@ -60,19 +60,37 @@ void BM_KernelPca(benchmark::State &State) {
 }
 BENCHMARK(BM_KernelPca)->Arg(32)->Arg(110)->Unit(benchmark::kMillisecond);
 
+/// Symmetric distances drawn from {0, 1, 2, 3}: nearly every closest
+/// pair ties, so the (i, j) tie order decides each merge.
+Matrix tiedDistances(size_t N, uint64_t Seed) {
+  Rng R(Seed);
+  Matrix D(N, N, 0.0);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = I + 1; J < N; ++J) {
+      double V = static_cast<double>(R.uniformInt(0, 3));
+      D.at(I, J) = V;
+      D.at(J, I) = V;
+    }
+  return D;
+}
+
+/// Arguments: N, linkage (0 single, 1 complete, 2 average), and input
+/// (0 the distances of a random similarity matrix, 1 tiedDistances).
 void BM_HierarchicalClustering(benchmark::State &State) {
-  Matrix K = randomSimilarity(static_cast<size_t>(State.range(0)), 19);
-  Matrix D = similarityToDistance(K);
+  const size_t N = static_cast<size_t>(State.range(0));
+  Matrix D = State.range(2) == 0
+                 ? similarityToDistance(randomSimilarity(N, 19))
+                 : tiedDistances(N, 19);
   Linkage Link = static_cast<Linkage>(State.range(1));
   for (auto _ : State)
     benchmark::DoNotOptimize(clusterHierarchical(D, Link));
+  State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_HierarchicalClustering)
-    ->Args({110, 0})
-    ->Args({110, 1})
-    ->Args({110, 2})
-    ->Args({256, 0})
-    ->Unit(benchmark::kMillisecond);
+    ->ArgsProduct({{110}, {0, 1, 2}, {0, 1}})
+    ->ArgsProduct({{256, 512, 1024}, {0}, {0, 1}})
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
 
 void BM_DendrogramCut(benchmark::State &State) {
   Matrix D = similarityToDistance(randomSimilarity(110, 23));

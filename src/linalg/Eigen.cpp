@@ -49,6 +49,16 @@ constexpr size_t MaxShifts = 30;
 /// Reduces the symmetric matrix in \p S.Reflectors to tridiagonal form,
 /// with diagonal \p Diag and off-diagonal \p Off (Off[I] couples I and
 /// I + 1), eliminating rows from the last one up as tred2 does.
+///
+/// Each step's B v reads the leading block B by rows, as axpys the
+/// compiler vectorizes, where a dot per row would read it by columns.
+/// The two agree bit for bit while B is bitwise symmetric, and the
+/// update keeps it so (v_j q_k + q_j v_k rounds as v_k q_j + q_k v_j
+/// does), so the precondition is a bitwise symmetric input. solve()
+/// asserts symmetry only to within 1e-6; no caller in the library,
+/// its benches or its tests passes a matrix that is not exactly
+/// symmetric (materialize, doubleCenter and rebuildClipped write one
+/// value per unordered pair).
 static void tridiagonalize(Spectrum &S, std::vector<double> &Diag,
                            std::vector<double> &Off) {
   Matrix &A = S.Reflectors;
@@ -77,14 +87,19 @@ static void tridiagonalize(Spectrum &S, std::vector<double> &Diag,
     V[I - 1] = F - G;
     S.H[I] = H;
     // Leading block B <- R B R with R = I - v v^T / H: for p = B v / H
-    // and q = p - (v^T p / 2H) v, that is B - v q^T - q v^T.
+    // and q = p - (v^T p / 2H) v, that is B - v q^T - q v^T. B v adds
+    // up row K of B times v_K for K in order, so each P[J] sums
+    // B[J][K] v_K from 0.0 in K order, as a dot with row J would.
+    std::fill(P.begin(), P.begin() + I, 0.0);
+    for (size_t K = 0; K < I; ++K) {
+      const double *Row = &A.at(K, 0);
+      const double Vk = V[K];
+      for (size_t J = 0; J < I; ++J)
+        P[J] += Row[J] * Vk;
+    }
     double VtP = 0.0;
     for (size_t J = 0; J < I; ++J) {
-      const double *Row = &A.at(J, 0);
-      double Sum = 0.0;
-      for (size_t K = 0; K < I; ++K)
-        Sum += Row[K] * V[K];
-      P[J] = Sum / H;
+      P[J] /= H;
       VtP += V[J] * P[J];
     }
     const double Half = VtP / (2.0 * H);
@@ -257,25 +272,28 @@ double kast::eigenNoiseFloor(const std::vector<double> &Values) {
 }
 
 /// Sum of lambda v v^T over the positive eigenpairs of \p S, computed
-/// once per unordered pair so the result is exactly symmetric.
+/// once per unordered pair so the result is exactly symmetric. Row K of
+/// VT is eigenvector K, so row I of the result accumulates
+/// (lambda_K v_IK) v_JK over K as an axpy across J, each entry summing
+/// from 0.0 in K order as a dot over K would.
 static Matrix rebuildClipped(const Spectrum &S) {
   const size_t N = S.Values.size();
   size_t Positive = 0;
   while (Positive < N && S.Values[Positive] > 0.0)
     ++Positive;
-  const Matrix V = leadingVectors(S, Positive);
-  const double *Rows = V.data().data();
+  const Matrix VT = leadingVectors(S, Positive).transposed();
+  const double *Vectors = VT.data().data();
   Matrix Out(N, N, 0.0);
   for (size_t I = 0; I < N; ++I) {
-    const double *Vi = Rows + I * Positive;
-    for (size_t J = 0; J <= I; ++J) {
-      const double *Vj = Rows + J * Positive;
-      double Sum = 0.0;
-      for (size_t K = 0; K < Positive; ++K)
-        Sum += S.Values[K] * Vi[K] * Vj[K];
-      Out.at(I, J) = Sum;
-      Out.at(J, I) = Sum;
+    double *Row = &Out.at(I, 0);
+    for (size_t K = 0; K < Positive; ++K) {
+      const double *Vk = Vectors + K * N;
+      const double Scaled = S.Values[K] * Vk[I];
+      for (size_t J = 0; J <= I; ++J)
+        Row[J] += Scaled * Vk[J];
     }
+    for (size_t J = 0; J < I; ++J)
+      Out.at(J, I) = Row[J];
   }
   return Out;
 }
@@ -287,12 +305,6 @@ Matrix kast::projectToPsdIfNeeded(const Matrix &A) {
   if (S.Values.empty() || S.Values.back() >= -eigenNoiseFloor(S.Values))
     return A;
   return rebuildClipped(S);
-}
-
-double kast::minEigenvalue(const Matrix &A) {
-  EigenDecomposition E = eigenSymmetric(A, 0);
-  assert(!E.Values.empty() && "empty matrix has no eigenvalues");
-  return E.Values.back();
 }
 
 Matrix kast::doubleCenter(const Matrix &K) {

@@ -73,9 +73,6 @@ Matrix projectToPsd(const Matrix &A);
 /// the rebuild runs.
 Matrix projectToPsdIfNeeded(const Matrix &A);
 
-/// \returns the smallest eigenvalue of symmetric \p A.
-double minEigenvalue(const Matrix &A);
-
 /// Double-centers a Gram matrix: K' = K - 1K - K1 + 1K1 where 1 is the
 /// constant 1/n matrix. After centering the implicit feature vectors
 /// have zero mean.

@@ -106,28 +106,44 @@ Dendrogram kast::clusterHierarchical(const Matrix &Distance, Linkage Link) {
   for (size_t I = 0; I < N; ++I)
     Ids[I] = I;
   Matrix D = Distance;
-  std::vector<bool> Active(N, true);
+  std::vector<char> Active(N, 1);
+
+  // Row minima: Nearest[s] is the first active slot t > s at the
+  // smallest distance from s, MinD[s] that distance with NaN read as
+  // +inf. Nearest[s] == N when no active slot follows s or s retired.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  std::vector<size_t> Nearest(N, N);
+  std::vector<double> MinD(N, Inf);
+  auto Rescan = [&](size_t S) {
+    size_t T = S + 1;
+    while (T < N && !Active[T])
+      ++T;
+    Nearest[S] = T;
+    MinD[S] = Inf;
+    if (T == N)
+      return;
+    const double *Row = &D.at(S, 0);
+    MinD[S] = std::isnan(Row[T]) ? Inf : Row[T];
+    for (++T; T < N; ++T)
+      if (Active[T] && Row[T] < MinD[S]) {
+        Nearest[S] = T;
+        MinD[S] = Row[T];
+      }
+  };
+  for (size_t I = 0; I + 1 < N; ++I)
+    Rescan(I);
 
   for (size_t Step = 0; Step + 1 < N; ++Step) {
-    // Find the closest active pair; ties break toward smaller ids for
-    // deterministic output.
-    size_t BestI = 0, BestJ = 0;
-    double BestD = std::numeric_limits<double>::infinity();
-    for (size_t I = 0; I < N; ++I) {
-      if (!Active[I])
-        continue;
-      for (size_t J = I + 1; J < N; ++J) {
-        if (!Active[J])
-          continue;
-        if (D.at(I, J) < BestD) {
-          BestD = D.at(I, J);
-          BestI = I;
-          BestJ = J;
-        }
-      }
-    }
-    assert(BestD < std::numeric_limits<double>::infinity() &&
-           "no active pair found");
+    // The smallest row minimum, first row on ties: the first pair in
+    // (i, j) order at the smallest distance. With no finite pair left,
+    // that is the first two active slots, at +inf.
+    size_t BestI = N;
+    for (size_t I = 0; I < N; ++I)
+      if (Nearest[I] < N && (BestI == N || MinD[I] < MinD[BestI]))
+        BestI = I;
+    assert(BestI < N && "no active pair found");
+    const size_t BestJ = Nearest[BestI];
+    const double BestD = MinD[BestI];
 
     // Lance-Williams update into slot BestI; slot BestJ retires.
     for (size_t K = 0; K < N; ++K) {
@@ -158,21 +174,31 @@ Dendrogram kast::clusterHierarchical(const Matrix &Distance, Linkage Link) {
                       Sizes[BestI] + Sizes[BestJ]});
     Ids[BestI] = N + Step;
     Sizes[BestI] += Sizes[BestJ];
-    Active[BestJ] = false;
+    Active[BestJ] = 0;
+    Nearest[BestJ] = N;
+
+    // Only distances to BestI changed, and rows after BestJ never look
+    // at either slot. A row whose nearest was in the pair rescans; an
+    // earlier row adopts BestI when it is closer, or as close and
+    // earlier than the row's nearest. A NaN adopts nothing, as +inf
+    // would not: a row at +inf already points at its first active
+    // successor, which BestI cannot precede.
+    for (size_t K = 0; K < BestJ; ++K) {
+      if (!Active[K] || K == BestI)
+        continue;
+      if (Nearest[K] == BestI || Nearest[K] == BestJ) {
+        Rescan(K);
+      } else if (K < BestI) {
+        const double Dk = D.at(K, BestI);
+        if (Dk < MinD[K] || (Dk == MinD[K] && BestI < Nearest[K])) {
+          Nearest[K] = BestI;
+          MinD[K] = Dk;
+        }
+      }
+    }
+    Rescan(BestI);
   }
   return Dendrogram(N, std::move(Merges));
-}
-
-Matrix kast::kernelToDistance(const Matrix &K) {
-  assert(K.rows() == K.cols() && "kernel matrix not square");
-  const size_t N = K.rows();
-  Matrix D(N, N, 0.0);
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J) {
-      double Sq = K.at(I, I) + K.at(J, J) - 2.0 * K.at(I, J);
-      D.at(I, J) = Sq > 0.0 ? std::sqrt(Sq) : 0.0;
-    }
-  return D;
 }
 
 Matrix kast::similarityToDistance(const Matrix &K) {

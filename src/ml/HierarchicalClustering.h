@@ -12,14 +12,27 @@
 /// matrix; single, complete and average linkage are provided (the
 /// extra linkages support the ablation benches).
 ///
+/// Each step merges the closest active pair, the first in (i, j) slot
+/// order on ties. The search keeps a row-minimum cache (Müllner's
+/// "generic" algorithm without its priority queue, arXiv:1109.2378):
+/// each active slot remembers its nearest later active slot, the first
+/// on ties, and a step takes the smallest cached minimum, the first
+/// slot on ties. After a merge, only the merged slot and the slots
+/// whose nearest was in the pair rescan their row; every other earlier
+/// slot adopts the merged one when it is closer, or as close and
+/// earlier. That is O(n^2) work when few rows rescan, as on the
+/// paper's matrices, and O(n^3) at worst.
+///
+/// NaN distances count as +inf when choosing a pair. When no finite
+/// pair is left, the first two active slots merge at +inf, so the
+/// dendrogram always has n - 1 merges of distinct clusters.
+///
 /// The result is a dendrogram: n - 1 merges in agglomeration order.
 /// Leaves are clusters 0..n-1; merge i creates cluster n + i. Flat
 /// clusterings are obtained by cutting to a cluster count or at a
 /// height.
 ///
-/// Kernel matrices are converted to distances either by the implicit
-/// feature-space metric d^2 = k(x,x) + k(y,y) - 2 k(x,y) (clamped at
-/// zero) or, for normalized matrices, by d = 1 - k.
+/// Normalized kernel matrices are converted to distances by d = 1 - k.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,10 +94,6 @@ private:
 /// Clusters the symmetric distance matrix \p Distance.
 Dendrogram clusterHierarchical(const Matrix &Distance,
                                Linkage Link = Linkage::Single);
-
-/// Feature-space distance from an (unnormalized or normalized) kernel
-/// matrix: d(i,j) = sqrt(max(0, k_ii + k_jj - 2 k_ij)).
-Matrix kernelToDistance(const Matrix &K);
 
 /// 1 - k distance for normalized kernel matrices (diagonal == 1).
 Matrix similarityToDistance(const Matrix &K);

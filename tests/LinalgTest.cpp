@@ -363,9 +363,9 @@ TEST(PsdTest, AlreadyPsdIsUnchanged) {
 TEST(PsdTest, IndefiniteGetsRepaired) {
   // [[0,1],[1,0]] has eigenvalues +1 and -1.
   Matrix K = Matrix::fromRows({{0, 1}, {1, 0}});
-  EXPECT_LT(minEigenvalue(K), -0.9);
+  EXPECT_LT(eigenSymmetric(K, 0).Values.back(), -0.9);
   Matrix P = projectToPsd(K);
-  EXPECT_GE(minEigenvalue(P), -1e-10);
+  EXPECT_GE(eigenSymmetric(P, 0).Values.back(), -1e-10);
   // The positive eigenpair is retained: P = 0.5 * [[1,1],[1,1]].
   EXPECT_NEAR(P.at(0, 0), 0.5, 1e-10);
   EXPECT_NEAR(P.at(0, 1), 0.5, 1e-10);
@@ -376,7 +376,7 @@ TEST(PsdTest, RandomMatricesBecomePsd) {
     Matrix A = randomSymmetric(8, Seed);
     Matrix P = projectToPsd(A);
     EXPECT_TRUE(P.isSymmetric(1e-9));
-    EXPECT_GE(minEigenvalue(P), -1e-8);
+    EXPECT_GE(eigenSymmetric(P, 0).Values.back(), -1e-8);
   }
 }
 
@@ -407,11 +407,12 @@ TEST(PsdTest, NegativeEigenvalueBeyondFloorIsRepaired) {
   // [[1, 1+d], [1+d, 1]] has eigenvalue -d: far above the noise floor
   // at d = 1e-6, so the matrix is rebuilt.
   Matrix K = Matrix::fromRows({{1.0, 1.0 + 1e-6}, {1.0 + 1e-6, 1.0}});
-  EXPECT_LT(minEigenvalue(K), -eigenNoiseFloor({2.0, -1e-6}));
+  EXPECT_LT(eigenSymmetric(K, 0).Values.back(),
+            -eigenNoiseFloor({2.0, -1e-6}));
   Matrix P = projectToPsdIfNeeded(K);
   EXPECT_GT(P.maxAbsDiff(K), 1e-7);
   EXPECT_TRUE(P.isSymmetric(0.0));
-  EXPECT_GE(minEigenvalue(P), -1e-15);
+  EXPECT_GE(eigenSymmetric(P, 0).Values.back(), -1e-15);
 }
 
 TEST(PsdTest, ProjectionIsIdempotent) {

@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 using namespace kast;
 
@@ -56,6 +57,78 @@ Matrix distOfPoints(const std::vector<std::pair<double, double>> &Points) {
       D.at(I, J) = std::sqrt(Dx * Dx + Dy * Dy);
     }
   return D;
+}
+
+/// Asserts that \p D is a dendrogram over its leaves: n - 1 merges,
+/// each joining two distinct clusters that exist and were not merged
+/// before, and one cluster at the top.
+void expectWellFormed(const Dendrogram &D) {
+  const size_t N = D.numLeaves();
+  ASSERT_EQ(D.merges().size(), N - 1);
+  std::vector<bool> Used(2 * N - 1, false);
+  for (size_t M = 0; M < D.merges().size(); ++M) {
+    const Merge &Step = D.merges()[M];
+    EXPECT_NE(Step.Left, Step.Right) << "merge " << M;
+    for (size_t Id : {Step.Left, Step.Right}) {
+      ASSERT_LT(Id, N + M) << "merge " << M;
+      EXPECT_FALSE(Used[Id]) << "merge " << M << " reuses cluster " << Id;
+      Used[Id] = true;
+    }
+  }
+  EXPECT_EQ(D.cutToClusters(1), std::vector<size_t>(N, 0));
+}
+
+/// The exhaustive closest-pair search over every active pair at every
+/// step, O(n^3): the oracle for clusterHierarchical's row-minimum
+/// cache. The pair is the first in (i, j) order at the smallest
+/// distance, NaN counting as +inf, so with no finite pair left it is
+/// the first two active slots at +inf. The Lance-Williams updates are
+/// the library's.
+std::vector<Merge> exhaustiveMerges(const Matrix &Distance, Linkage Link) {
+  const size_t N = Distance.rows();
+  const double Inf = std::numeric_limits<double>::infinity();
+  std::vector<double> D = Distance.data();
+  std::vector<size_t> Ids(N), Sizes(N, 1);
+  for (size_t I = 0; I < N; ++I)
+    Ids[I] = I;
+  std::vector<bool> Active(N, true);
+  std::vector<Merge> Merges;
+  for (size_t Step = 0; Step + 1 < N; ++Step) {
+    size_t BestI = N, BestJ = N;
+    double BestD = Inf;
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = I + 1; Active[I] && J < N; ++J) {
+        if (!Active[J])
+          continue;
+        const double V = std::isnan(D[I * N + J]) ? Inf : D[I * N + J];
+        if (BestI == N || V < BestD) {
+          BestI = I;
+          BestJ = J;
+          BestD = V;
+        }
+      }
+    for (size_t K = 0; K < N; ++K) {
+      if (!Active[K] || K == BestI || K == BestJ)
+        continue;
+      const double Dik = D[BestI * N + K], Djk = D[BestJ * N + K];
+      double NewD = std::min(Dik, Djk);
+      if (Link == Linkage::Complete)
+        NewD = std::max(Dik, Djk);
+      if (Link == Linkage::Average) {
+        const double Ni = static_cast<double>(Sizes[BestI]);
+        const double Nj = static_cast<double>(Sizes[BestJ]);
+        NewD = (Ni * Dik + Nj * Djk) / (Ni + Nj);
+      }
+      D[BestI * N + K] = NewD;
+      D[K * N + BestI] = NewD;
+    }
+    Merges.push_back(
+        {Ids[BestI], Ids[BestJ], BestD, Sizes[BestI] + Sizes[BestJ]});
+    Ids[BestI] = N + Step;
+    Sizes[BestI] += Sizes[BestJ];
+    Active[BestJ] = false;
+  }
+  return Merges;
 }
 
 } // namespace
@@ -337,17 +410,101 @@ TEST(ClusteringTest, DendrogramRendering) {
   EXPECT_NE(Out.find("d="), std::string::npos);
 }
 
+TEST(ClusteringTest, InfiniteBlocksJoinLastAtInfinity) {
+  // No finite distance joins {0, 1} and {2, 3}: the last merge joins
+  // those two clusters at +inf.
+  const double Inf = std::numeric_limits<double>::infinity();
+  Matrix Dist = Matrix::fromRows(
+      {{0, 1, Inf, Inf}, {1, 0, Inf, Inf}, {Inf, Inf, 0, 2}, {Inf, Inf, 2, 0}});
+  for (Linkage Link :
+       {Linkage::Single, Linkage::Complete, Linkage::Average}) {
+    SCOPED_TRACE(linkageName(Link));
+    Dendrogram D = clusterHierarchical(Dist, Link);
+    expectWellFormed(D);
+    ASSERT_EQ(D.merges().size(), 3u);
+    EXPECT_EQ(D.merges()[2].Left, 4u);
+    EXPECT_EQ(D.merges()[2].Right, 5u);
+    EXPECT_EQ(D.merges()[2].Distance, Inf);
+    EXPECT_EQ(D.merges()[2].Size, 4u);
+  }
+}
+
+TEST(ClusteringTest, NanDistancesCountAsInfinite) {
+  // Every pair NaN: each step joins the first two active slots at +inf.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  Matrix Dist(4, 4, NaN);
+  for (size_t I = 0; I < 4; ++I)
+    Dist.at(I, I) = 0.0;
+  for (Linkage Link :
+       {Linkage::Single, Linkage::Complete, Linkage::Average}) {
+    SCOPED_TRACE(linkageName(Link));
+    Dendrogram D = clusterHierarchical(Dist, Link);
+    expectWellFormed(D);
+    const size_t Expected[][2] = {{0, 1}, {4, 2}, {5, 3}};
+    for (size_t M = 0; M < 3; ++M) {
+      EXPECT_EQ(D.merges()[M].Left, Expected[M][0]);
+      EXPECT_EQ(D.merges()[M].Right, Expected[M][1]);
+      EXPECT_EQ(D.merges()[M].Distance,
+                std::numeric_limits<double>::infinity());
+    }
+  }
+}
+
+TEST(ClusteringTest, CachedSearchMatchesExhaustiveScan) {
+  // About 200 seeded symmetric matrices, mostly small, a few up to
+  // N = 300, in four kinds: values in {0, 1, 2, 3} (ties everywhere),
+  // values in [0, 1), and each of those split into blocks that only
+  // +inf joins, the second with some NaN pairs too.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<size_t> Sizes;
+  for (size_t N = 2; N < 66; ++N)
+    for (int Copy = 0; Copy < 3; ++Copy)
+      Sizes.push_back(N);
+  for (size_t N : {80, 110, 128, 150, 200, 256, 300})
+    Sizes.push_back(N);
+  Rng R(20111109);
+  for (size_t Case = 0; Case < Sizes.size(); ++Case) {
+    const size_t N = Sizes[Case], Kind = Case % 4;
+    std::vector<uint64_t> Block(N);
+    for (uint64_t &B : Block)
+      B = Kind >= 2 ? R.uniformInt(0, 3) : 0;
+    Matrix Dist(N, N, 0.0);
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = I + 1; J < N; ++J) {
+        double V = Kind % 2 == 0 ? static_cast<double>(R.uniformInt(0, 3))
+                                 : R.uniformReal();
+        if (Block[I] != Block[J])
+          V = Inf;
+        else if (Kind == 3 && R.flip(0.05))
+          V = NaN;
+        Dist.at(I, J) = V;
+        Dist.at(J, I) = V;
+      }
+    for (Linkage Link :
+         {Linkage::Single, Linkage::Complete, Linkage::Average}) {
+      const std::vector<Merge> Expected = exhaustiveMerges(Dist, Link);
+      const Dendrogram D = clusterHierarchical(Dist, Link);
+      ASSERT_EQ(D.merges().size(), Expected.size());
+      for (size_t M = 0; M < Expected.size(); ++M) {
+        const Merge &Got = D.merges()[M], &Want = Expected[M];
+        ASSERT_TRUE(Got.Left == Want.Left && Got.Right == Want.Right &&
+                    Got.Size == Want.Size &&
+                    std::memcmp(&Got.Distance, &Want.Distance,
+                                sizeof(double)) == 0)
+            << "case " << Case << " (N = " << N << ", kind " << Kind << ", "
+            << linkageName(Link) << ") merge " << M << ": got (" << Got.Left
+            << ", " << Got.Right << ", " << Got.Distance << ", " << Got.Size
+            << "), want (" << Want.Left << ", " << Want.Right << ", "
+            << Want.Distance << ", " << Want.Size << ")";
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Kernel-to-distance conversions
 //===----------------------------------------------------------------------===//
-
-TEST(DistanceTest, KernelToDistanceIsEuclidean) {
-  std::vector<std::pair<double, double>> Points = {{0, 0}, {3, 4}, {1, 1}};
-  Matrix K = gramOfPoints(Points);
-  Matrix D = kernelToDistance(K);
-  Matrix Expected = distOfPoints(Points);
-  EXPECT_LT(D.maxAbsDiff(Expected), 1e-9);
-}
 
 TEST(DistanceTest, SimilarityToDistanceBasics) {
   Matrix K = Matrix::fromRows({{1.0, 0.25}, {0.25, 1.0}});
