@@ -50,15 +50,16 @@ constexpr size_t MaxShifts = 30;
 /// with diagonal \p Diag and off-diagonal \p Off (Off[I] couples I and
 /// I + 1), eliminating rows from the last one up as tred2 does.
 ///
-/// Each step's B v reads the leading block B by rows, as axpys the
-/// compiler vectorizes, where a dot per row would read it by columns.
-/// The two agree bit for bit while B is bitwise symmetric, and the
-/// update keeps it so (v_j q_k + q_j v_k rounds as v_k q_j + q_k v_j
-/// does), so the precondition is a bitwise symmetric input. solve()
-/// asserts symmetry only to within 1e-6; no caller in the library,
-/// its benches or its tests passes a matrix that is not exactly
-/// symmetric (materialize, doubleCenter and rebuildClipped write one
-/// value per unordered pair).
+/// Each step's B v runs as axpys over the rows of the leading block B,
+/// which the compiler vectorizes, not as a dot product per row, which
+/// it cannot without reordering the sum. Row K of B stands in for
+/// column K, so the two agree bit for bit while B is bitwise
+/// symmetric, and the update keeps it so (v_j q_k + q_j v_k rounds as
+/// v_k q_j + q_k v_j does): the precondition is a bitwise symmetric
+/// input. solve() asserts symmetry only to within 1e-6, but no caller
+/// in the library, its examples, benches, perfbench or tests passes a
+/// matrix that is not exactly symmetric (materialize, doubleCenter and
+/// rebuildClipped write one value per unordered pair).
 static void tridiagonalize(Spectrum &S, std::vector<double> &Diag,
                            std::vector<double> &Off) {
   Matrix &A = S.Reflectors;
@@ -87,9 +88,8 @@ static void tridiagonalize(Spectrum &S, std::vector<double> &Diag,
     V[I - 1] = F - G;
     S.H[I] = H;
     // Leading block B <- R B R with R = I - v v^T / H: for p = B v / H
-    // and q = p - (v^T p / 2H) v, that is B - v q^T - q v^T. B v adds
-    // up row K of B times v_K for K in order, so each P[J] sums
-    // B[J][K] v_K from 0.0 in K order, as a dot with row J would.
+    // and q = p - (v^T p / 2H) v, that is B - v q^T - q v^T. B v runs
+    // by rows, K in order (see above).
     std::fill(P.begin(), P.begin() + I, 0.0);
     for (size_t K = 0; K < I; ++K) {
       const double *Row = &A.at(K, 0);
