@@ -8,7 +8,8 @@
 // the entries the new strings introduce (verified by an
 // evaluation-count probe) and produce the same matrix as a one-shot
 // build; the grouped Kast fill must reproduce the pairwise Gram bit for
-// bit, including past 2^53 where it falls back to the ordered sum; the
+// bit, including past 2^53 where it falls back to the ordered sum, and
+// its output on long parallel-trace strings is pinned by digest; the
 // closed-form pair-index inversions must agree with loop-based
 // references across the whole size range the float-root "nudge" is
 // supposed to cover; normalization must keep an exactly unit diagonal
@@ -18,9 +19,12 @@
 
 #include "core/KastKernel.h"
 #include "core/KernelMatrix.h"
+#include "core/Pipeline.h"
 #include "core/StringSerializer.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
+#include "workloads/Mutator.h"
+#include "workloads/ParallelTrace.h"
 
 #include <gtest/gtest.h>
 
@@ -142,6 +146,39 @@ void expectBitwiseEqual(const Matrix &A, const Matrix &B) {
                     << B.data()[P];
       return;
     }
+}
+
+/// FNV-1a over the bytes of every value fed in.
+struct Fnv1a {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  void doubles(const std::vector<double> &Values) {
+    const auto *Bytes = reinterpret_cast<const unsigned char *>(Values.data());
+    for (size_t I = 0; I < Values.size() * sizeof(double); ++I) {
+      Hash ^= Bytes[I];
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// A reduced `ranks` corpus: in each category, bases over 16 to 48
+/// interleaved ranks plus mutants of each, converted with bytes. The
+/// strings run to hundreds of tokens, share long runs and give deep
+/// suffix-link chains.
+std::vector<WeightedString> parallelTraceCorpus() {
+  Rng R(1648);
+  const Pipeline P = Pipeline::withBytes();
+  const Category Categories[] = {Category::FlashIO, Category::RandomPosix,
+                                 Category::NormalIO, Category::RandomAccess};
+  const size_t RankCounts[][2] = {{16, 37}, {27, 48}, {48, 21}, {32, 16}};
+  std::vector<WeightedString> Corpus;
+  for (size_t C = 0; C < 4; ++C)
+    for (size_t Ranks : RankCounts[C]) {
+      const Trace Base = generateParallelTrace(Categories[C], Ranks, R);
+      Corpus.push_back(P.convert(Base));
+      for (int M = 0; M < 3; ++M)
+        Corpus.push_back(P.convert(mutateTrace(Base, R)));
+    }
+  return Corpus;
 }
 
 void expectSameMatrix(const Matrix &A, const Matrix &B) {
@@ -355,6 +392,36 @@ TEST(KernelMatrixTest, GroupedKastGramFallsBackPast2To53) {
     Grouped.appendRows(Corpus);
     expectBitwiseEqual(Grouped.raw(), pairwiseReference(Kernel, Corpus));
   }
+}
+
+// The Kast Gram of long strings, pinned by digest: the raw and the
+// normalized matrix at cut 2 and 64 under PerOccurrence and at cut 2
+// under PerFeatureTotal, serially and in parallel. The paper corpus's
+// strings are a few dozen tokens long; these reach the long shared
+// runs and deep suffix-link chains of a many-rank trace. The digest
+// moves only if some entry's bits do.
+TEST(KernelMatrixTest, ParallelTraceGramIsPinned) {
+  const std::vector<WeightedString> Corpus = parallelTraceCorpus();
+  size_t Tokens = 0;
+  for (const WeightedString &S : Corpus)
+    Tokens += S.size();
+  ASSERT_GT(Tokens / Corpus.size(), 300u);
+
+  const KastKernelOptions Configs[] = {{2, CutPolicy::PerOccurrence},
+                                       {64, CutPolicy::PerOccurrence},
+                                       {2, CutPolicy::PerFeatureTotal}};
+  Fnv1a D;
+  for (const KastKernelOptions &Config : Configs)
+    for (size_t Threads : {1u, 0u}) {
+      KastSpectrumKernel Kernel(Config);
+      KernelMatrixOptions Options;
+      Options.Threads = Threads;
+      KernelMatrix Gram(Kernel, Options);
+      Gram.appendRows(Corpus);
+      D.doubles(Gram.raw().data());
+      D.doubles(Gram.materialize().data());
+    }
+  EXPECT_EQ(D.Hash, 0xd1e746ef311d327dULL) << std::hex << D.Hash;
 }
 
 TEST(KernelMatrixTest, AppendRowsWithoutPrecompute) {
