@@ -25,12 +25,23 @@ FigureContext kast::buildFigureContext() {
   return Ctx;
 }
 
-Matrix kast::paperGram(const StringKernel &Kernel,
-                       const LabeledDataset &Data) {
+/// Cosine normalization with §4.1's negative-eigenvalue repair.
+static KernelMatrixOptions paperOptions() {
   KernelMatrixOptions Options;
   Options.Normalize = true;
-  Options.RepairPsd = true; // §4.1 negative-eigenvalue repair.
-  return computeKernelMatrix(Kernel, Data.strings(), Options);
+  Options.RepairPsd = true;
+  return Options;
+}
+
+Matrix kast::paperGram(const StringKernel &Kernel,
+                       const LabeledDataset &Data) {
+  return computeKernelMatrix(Kernel, Data.strings(), paperOptions());
+}
+
+std::vector<Matrix> kast::paperKastGrams(std::span<const uint64_t> Cuts,
+                                         const LabeledDataset &Data) {
+  return computeKastGrams(Data.strings(), Cuts, CutPolicy::PerOccurrence,
+                          paperOptions());
 }
 
 char kast::categoryGlyph(const std::string &Label) {

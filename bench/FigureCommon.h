@@ -23,6 +23,7 @@
 #include "ml/HierarchicalClustering.h"
 #include "workloads/DatasetBuilder.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,11 @@ FigureContext buildFigureContext();
 
 /// Normalized Gram matrix with the paper's PSD repair applied.
 Matrix paperGram(const StringKernel &Kernel, const LabeledDataset &Data);
+
+/// paperGram of the Kast kernel at each cut weight of \p Cuts (default
+/// cut policy), from one computeKastGrams call.
+std::vector<Matrix> paperKastGrams(std::span<const uint64_t> Cuts,
+                                   const LabeledDataset &Data);
 
 /// Scatter glyph for a category label ("A" -> 'A', ...).
 char categoryGlyph(const std::string &Label);

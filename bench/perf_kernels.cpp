@@ -6,7 +6,9 @@
 //
 // Scaling of the kernel evaluations: the Kast kernel's suffix-automaton
 // path vs the quadratic reference matcher (the DESIGN.md ablation),
-// the spectrum-family baselines, and the parallel Gram-matrix build.
+// the spectrum-family baselines, and the parallel Gram-matrix build,
+// with the grouped Kast Gram on long parallel-trace strings and across
+// Table 1's ten cut weights.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,8 @@
 #include "util/Rng.h"
 #include "util/SimdDot.h"
 #include "workloads/DatasetBuilder.h"
+#include "workloads/Mutator.h"
+#include "workloads/ParallelTrace.h"
 
 #include <benchmark/benchmark.h>
 
@@ -304,6 +308,73 @@ BENCHMARK(BM_GramMatrixKast)
     ->Args({128, 0})
     ->Args({128, 1})
     ->Unit(benchmark::kMillisecond);
+
+/// The corpus of KernelMatrixTest.ParallelTraceGramIsPinned, a reduced
+/// perfbench `ranks`: in each category, two bases over 16 to 48
+/// interleaved ranks plus three mutants of each, converted with bytes.
+/// Its strings run to hundreds of tokens and share long runs.
+const std::vector<WeightedString> &parallelTraceCorpus() {
+  static const std::vector<WeightedString> Corpus = [] {
+    Rng R(1648);
+    const Pipeline P = Pipeline::withBytes();
+    const Category Categories[] = {Category::FlashIO, Category::RandomPosix,
+                                   Category::NormalIO, Category::RandomAccess};
+    const size_t RankCounts[][2] = {{16, 37}, {27, 48}, {48, 21}, {32, 16}};
+    std::vector<WeightedString> Out;
+    for (size_t C = 0; C < 4; ++C)
+      for (size_t Ranks : RankCounts[C]) {
+        const Trace Base = generateParallelTrace(Categories[C], Ranks, R);
+        Out.push_back(P.convert(Base));
+        for (int M = 0; M < 3; ++M)
+          Out.push_back(P.convert(mutateTrace(Base, R)));
+      }
+    return Out;
+  }();
+  return Corpus;
+}
+
+/// Kast Gram of the parallel-trace corpus at cut 2, inline: unlike
+/// BM_GramMatrixKast's random strings, these share long runs, so the
+/// candidate walk meets long matches and deep suffix-link chains.
+void BM_GramMatrixKastParallel(benchmark::State &State) {
+  KastSpectrumKernel Kernel({/*CutWeight=*/2});
+  KernelMatrixOptions Options;
+  Options.Threads = 1;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(
+        computeKernelMatrix(Kernel, parallelTraceCorpus(), Options));
+}
+BENCHMARK(BM_GramMatrixKastParallel)->Unit(benchmark::kMillisecond);
+
+/// Table 1's raw Kast Grams: the paper corpus with bytes at cut weights
+/// 2^1 .. 2^10, inline. Arg 0 fills one KernelMatrix per cut, which
+/// finds every group pair's candidates ten times; Arg 1 makes one
+/// computeKastGrams call, which finds them once for all ten cuts.
+void BM_GramMatrixKastCuts(benchmark::State &State) {
+  static const LabeledDataset Data =
+      convertCorpus(Pipeline::withBytes(), generateCorpus());
+  std::vector<uint64_t> Cuts;
+  for (uint64_t Exp = 1; Exp <= 10; ++Exp)
+    Cuts.push_back(uint64_t{1} << Exp);
+  KernelMatrixOptions Options;
+  Options.Normalize = false;
+  Options.Threads = 1;
+  for (auto _ : State) {
+    if (State.range(0) == 0) {
+      for (uint64_t Cut : Cuts) {
+        KastSpectrumKernel Kernel({Cut});
+        KernelMatrix Gram(Kernel, Options);
+        Gram.appendRows(Data.strings());
+        benchmark::DoNotOptimize(Gram.raw().data().data());
+      }
+    } else {
+      benchmark::DoNotOptimize(computeKastGrams(
+          Data.strings(), Cuts, CutPolicy::PerOccurrence, Options));
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GramMatrixKastCuts)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Cost of building one spectrum profile (the O(N·build) half of the
 /// fast path), over string length.

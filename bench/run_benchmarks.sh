@@ -8,6 +8,8 @@
 #   BENCH_pipeline.json  <- bench/perf_pipeline
 #   BENCH_index.json     <- bench/perf_index  (append-vs-recompute, queries)
 #   BENCH_serving.json   <- bench/perf_serving (async batched runtime)
+#   BENCH_ml.json        <- bench/perf_ml (eigensolver, PSD repair,
+#                           kernel PCA, clustering)
 #
 # Each JSON's "context" object is stamped with the git SHA and UTC run
 # date, so a committed artifact is traceable to the exact tree that
@@ -152,5 +154,6 @@ run_bench perf_kernels "$OUT_DIR/BENCH_kernels.json"
 run_bench perf_pipeline "$OUT_DIR/BENCH_pipeline.json"
 run_bench perf_index "$OUT_DIR/BENCH_index.json"
 run_bench perf_serving "$OUT_DIR/BENCH_serving.json"
+run_bench perf_ml "$OUT_DIR/BENCH_ml.json"
 
 echo "done: ${WRITTEN[*]:-no benchmark matched the filter}"

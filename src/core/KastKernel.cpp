@@ -10,9 +10,11 @@
 #include "util/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <optional>
 #include <ranges>
+#include <utility>
 
 using namespace kast;
 
@@ -26,7 +28,7 @@ std::string KastSpectrumKernel::name() const {
 namespace {
 
 /// Per-sequence precomputation: the reversed literal sequence and its
-/// suffix automaton — the partner index findMaximalMatches needs, and
+/// suffix automaton — the partner index visitMaximalMatches needs, and
 /// the end-position index that lists a feature's occurrences. Both
 /// depend on the literal ids alone, so strings that share a sequence
 /// share one.
@@ -54,6 +56,22 @@ struct Occurrences {
 struct Candidate {
   int32_t State[2] = {0, 0};
   uint32_t Length = 0;
+};
+
+/// The buffers one worker reuses across the group pairs it scores, so
+/// that scoring a pair allocates only while a buffer still grows.
+struct PairScratch {
+  /// Per state of the partner automaton being walked: Walk << 32 |
+  /// the length of the last maximal match that reached it in that walk.
+  std::vector<uint64_t> Seen;
+  uint32_t Walk = 0;
+  /// The candidates of the pair being scored.
+  std::vector<Candidate> Candidates;
+  /// Per side (G, H): the rows scored under the current cut, and row
+  /// R's qualifying weight per candidate at [R * K, (R + 1) * K) for K
+  /// candidates.
+  std::vector<const WeightedString *> Rows[2];
+  std::vector<uint64_t> Weights[2];
 };
 
 } // namespace
@@ -131,28 +149,32 @@ static void visitFeatures(const KastKernelOptions &Options,
   assert(A.table().get() == B.table().get() &&
          "kernel arguments must share one token table");
 
-  // Maximal match occurrences in both directions.
+  // The literal sequences of the maximal match occurrences in both
+  // directions, in lexicographic order, each once.
   const std::vector<uint32_t> &IdsA = A.literalIds(), &IdsB = B.literalIds();
-  std::vector<MaximalMatch> MatchesA, MatchesB;
+  std::vector<Literals> Candidates;
   std::optional<KastPrecomputation> OwnedA, OwnedB;
   if (Options.UseReferenceMatcher) {
-    MatchesA = findMaximalMatchesDP(IdsA, IdsB);
-    MatchesB = findMaximalMatchesDP(IdsB, IdsA);
+    for (const MaximalMatch &M : findMaximalMatchesDP(IdsA, IdsB))
+      Candidates.push_back(Literals(IdsA).subspan(M.Begin, M.length()));
+    for (const MaximalMatch &M : findMaximalMatchesDP(IdsB, IdsA))
+      Candidates.push_back(Literals(IdsB).subspan(M.Begin, M.length()));
     PrepA = PrepB = nullptr;
   } else {
     PrepA = PrepA ? PrepA : &OwnedA.emplace(IdsA);
     PrepB = PrepB ? PrepB : &OwnedB.emplace(IdsB);
-    MatchesA = findMaximalMatches(PrepA->Reversed, PrepB->ReversedSam);
-    MatchesB = findMaximalMatches(PrepB->Reversed, PrepA->ReversedSam);
+    auto Collect = [&Candidates](const std::vector<uint32_t> &Ids,
+                                 const KastPrecomputation &Subject,
+                                 const KastPrecomputation &Partner) {
+      visitMaximalMatches(Subject.Reversed, Partner.ReversedSam,
+                          [&](size_t End, uint32_t Length, int32_t) {
+                            Candidates.push_back(Literals(Ids).subspan(
+                                Ids.size() - 1 - End, Length));
+                          });
+    };
+    Collect(IdsA, *PrepA, *PrepB);
+    Collect(IdsB, *PrepB, *PrepA);
   }
-
-  // Their distinct literal sequences, in lexicographic order.
-  std::vector<Literals> Candidates;
-  Candidates.reserve(MatchesA.size() + MatchesB.size());
-  for (const MaximalMatch &M : MatchesA)
-    Candidates.push_back(Literals(IdsA).subspan(M.Begin, M.length()));
-  for (const MaximalMatch &M : MatchesB)
-    Candidates.push_back(Literals(IdsB).subspan(M.Begin, M.length()));
   std::ranges::sort(Candidates, [](Literals L, Literals R) {
     return std::ranges::lexicographical_compare(L, R);
   });
@@ -195,55 +217,61 @@ static double orderedSum(const KastKernelOptions &Options,
   return Sum;
 }
 
-/// Appends one candidate per distinct literal sequence among the
-/// maximal matches of \p Subject relative to \p Partner. The matching
-/// walk yields each match's state in the partner's automaton, and a
-/// state's factors differ in length, so (partner state, length) names
-/// a sequence without comparing literals; each distinct one is then
-/// read off one of its partner occurrences and located in the
-/// subject's automaton. \p Side is the subject's index into
-/// Candidate::State.
+/// Appends to \p Scratch.Candidates a candidate per distinct literal
+/// sequence among the maximal matches of \p Subject relative to
+/// \p Partner, and perhaps some more copies of one. The matching walk
+/// yields each match's state in the partner's automaton, and a state's
+/// factors differ in length, so (partner state, length) names a sequence
+/// without comparing literals. A match whose state last yielded the same
+/// length is a repeat and skipped; any other is read off one of its
+/// partner occurrences and located in the subject's automaton. \p Side
+/// is the subject's index into Candidate::State.
 static void collectCandidates(const KastPrecomputation &Subject,
                               const KastPrecomputation &Partner, int Side,
-                              std::vector<Candidate> &Out) {
-  std::vector<int32_t> PartnerStates;
-  const std::vector<MaximalMatch> Matches = findMaximalMatches(
-      Subject.Reversed, Partner.ReversedSam, &PartnerStates);
-  std::vector<uint64_t> Keys(Matches.size());
-  for (size_t M = 0; M < Matches.size(); ++M)
-    Keys[M] = static_cast<uint64_t>(PartnerStates[M]) << 32 |
-              Matches[M].length();
-  std::ranges::sort(Keys);
-  Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
-  for (uint64_t Key : Keys) {
-    Candidate C;
-    C.Length = static_cast<uint32_t>(Key);
-    C.State[1 - Side] = static_cast<int32_t>(Key >> 32);
-    // Reversed, the sequence ends at each of the state's end positions.
-    const uint32_t End =
-        Partner.ReversedSam.endPositions(C.State[1 - Side]).front();
-    auto First = Partner.Reversed.begin() + (End + 1 - C.Length);
-    C.State[Side] = Subject.ReversedSam.locate(First, First + C.Length);
-    assert(C.State[Side] != -1 && "a match occurs in the subject");
-    Out.push_back(C);
+                              PairScratch &Scratch) {
+  const SuffixAutomaton &PartnerSam = Partner.ReversedSam;
+  if (Scratch.Seen.size() < PartnerSam.numStates())
+    Scratch.Seen.resize(PartnerSam.numStates(), 0);
+  if (++Scratch.Walk == 0) {
+    // The tags wrapped: forget every earlier walk.
+    std::ranges::fill(Scratch.Seen, 0);
+    Scratch.Walk = 1;
   }
+  const uint64_t Tag = static_cast<uint64_t>(Scratch.Walk) << 32;
+  visitMaximalMatches(
+      Subject.Reversed, PartnerSam,
+      [&](size_t, uint32_t Length, int32_t State) {
+        if (std::exchange(Scratch.Seen[State], Tag | Length) == (Tag | Length))
+          return;
+        Candidate C;
+        C.Length = Length;
+        C.State[1 - Side] = State;
+        // Reversed, the sequence ends at each of the state's end
+        // positions.
+        const uint32_t End = PartnerSam.endPositions(State).front();
+        auto First = Partner.Reversed.begin() + (End + 1 - Length);
+        C.State[Side] = Subject.ReversedSam.locate(First, First + Length);
+        assert(C.State[Side] != -1 && "a match occurs in the subject");
+        Scratch.Candidates.push_back(C);
+      });
 }
 
-/// The candidate features of the group pair (G, H): every distinct
-/// literal sequence that is a maximal match in either direction.
-static std::vector<Candidate> sharedCandidates(const KastPrecomputation &G,
-                                               const KastPrecomputation &H) {
-  std::vector<Candidate> Candidates;
-  collectCandidates(G, H, 0, Candidates);
-  collectCandidates(H, G, 1, Candidates);
-  // A sequence that is maximal in both directions arrived twice.
+/// The candidate features of the group pair (G, H), into
+/// \p Scratch.Candidates: every distinct literal sequence that is a
+/// maximal match in either direction.
+static void findCandidates(const KastPrecomputation &G,
+                           const KastPrecomputation &H, PairScratch &Scratch) {
+  Scratch.Candidates.clear();
+  collectCandidates(G, H, 0, Scratch);
+  collectCandidates(H, G, 1, Scratch);
+  // A sequence that is maximal in both directions, or that one walk
+  // reached between other lengths of its state, arrived more than once.
   auto Key = [](const Candidate &C) {
     return std::pair(C.State[0], C.Length);
   };
-  std::ranges::sort(Candidates, {}, Key);
-  auto Tail = std::ranges::unique(Candidates, {}, Key);
-  Candidates.erase(Tail.begin(), Tail.end());
-  return Candidates;
+  std::ranges::sort(Scratch.Candidates, {}, Key);
+  auto Tail = std::ranges::unique(Scratch.Candidates, {}, Key);
+  Scratch.Candidates.erase(Tail.begin(), Tail.end());
 }
 
 /// sum_C QA[C] * QB[C], summed exactly in 128 bits, as a double — or
@@ -261,40 +289,40 @@ static std::optional<double> exactDot(const uint64_t *QA, const uint64_t *QB,
   return static_cast<double>(static_cast<uint64_t>(Sum));
 }
 
-/// Scores the member pairs of the group pair (G, H): finds their
-/// candidate features once, weighs each row's occurrences of every
-/// candidate once, then calls \p Store(I, J, k(*RowsG[I], *RowsH[J]))
-/// for each (I, J) that \p Needed(I, J) admits. Every row must carry
-/// its group's literal sequence and not be ignored().
+/// Scores the member pairs of the group pair (G, H) under \p Options
+/// over the candidates findCandidates() left in \p Scratch: weighs each
+/// of the rows Scratch.Rows[0] (of G) and Scratch.Rows[1] (of H) against
+/// every candidate once, then calls
+/// \p Store(I, J, k(*Scratch.Rows[0][I], *Scratch.Rows[1][J])) for each
+/// (I, J) that \p Needed(I, J) admits. Every row must carry its group's
+/// literal sequence and not be ignored().
 template <typename NeededFn, typename StoreFn>
-static void scoreGroupPair(const KastKernelOptions &Options,
-                           const KastPrecomputation &G,
-                           std::span<const WeightedString *const> RowsG,
-                           const KastPrecomputation &H,
-                           std::span<const WeightedString *const> RowsH,
-                           NeededFn Needed, StoreFn Store) {
-  const std::vector<Candidate> Candidates = sharedCandidates(G, H);
+static void scoreRows(const KastKernelOptions &Options,
+                      const KastPrecomputation &G, const KastPrecomputation &H,
+                      PairScratch &Scratch, NeededFn Needed, StoreFn Store) {
+  const std::vector<Candidate> &Candidates = Scratch.Candidates;
   const size_t K = Candidates.size();
-  // Row R's qualifying weight per candidate, at [R * K, (R + 1) * K).
-  auto Weigh = [&](std::span<const WeightedString *const> Rows,
-                   const KastPrecomputation &Prep, int Side) {
-    std::vector<uint64_t> Q(Rows.size() * K);
+  const KastPrecomputation *Prep[2] = {&G, &H};
+  for (int Side = 0; Side < 2; ++Side) {
+    const std::vector<const WeightedString *> &Rows = Scratch.Rows[Side];
+    std::vector<uint64_t> &Q = Scratch.Weights[Side];
+    Q.resize(Rows.size() * K);
     for (size_t R = 0; R < Rows.size(); ++R)
       for (size_t C = 0; C < K; ++C)
         Q[R * K + C] = qualifyingWeight(
-            occurrencesAt(*Rows[R], Prep.ReversedSam,
+            occurrencesAt(*Rows[R], Prep[Side]->ReversedSam,
                           Candidates[C].State[Side], Candidates[C].Length,
                           Options),
             Options);
-    return Q;
-  };
-  const std::vector<uint64_t> QG = Weigh(RowsG, G, 0), QH = Weigh(RowsH, H, 1);
+  }
+  const std::vector<const WeightedString *> &RowsG = Scratch.Rows[0],
+                                            &RowsH = Scratch.Rows[1];
   for (size_t I = 0; I < RowsG.size(); ++I)
     for (size_t J = 0; J < RowsH.size(); ++J) {
       if (!Needed(I, J))
         continue;
-      std::optional<double> V =
-          exactDot(QG.data() + I * K, QH.data() + J * K, K);
+      std::optional<double> V = exactDot(Scratch.Weights[0].data() + I * K,
+                                         Scratch.Weights[1].data() + J * K, K);
       Store(I, J, V ? *V : orderedSum(Options, *RowsG[I], &G, *RowsH[J], &H));
     }
 }
@@ -340,19 +368,25 @@ double KastSpectrumKernel::evaluatePrepared(
   const KastPrecomputation &GB =
       PrepB ? static_cast<const KastPrecomputation &>(*PrepB)
             : OwnedB.emplace(B.literalIds());
-  const WeightedString *RowA = &A, *RowB = &B;
+  PairScratch Scratch;
+  findCandidates(GA, GB, Scratch);
+  Scratch.Rows[0] = {&A};
+  Scratch.Rows[1] = {&B};
   double Value = 0.0;
-  scoreGroupPair(
-      Options, GA, {&RowA, 1}, GB, {&RowB, 1},
-      [](size_t, size_t) { return true; },
+  scoreRows(
+      Options, GA, GB, Scratch, [](size_t, size_t) { return true; },
       [&Value](size_t, size_t, double V) { Value = V; });
   return Value;
 }
 
+KastGramGroups::KastGramGroups(std::vector<uint64_t> Cuts, CutPolicy Policy)
+    : Cuts(std::move(Cuts)), Policy(Policy) {}
+
 void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
-                                Matrix &Raw, size_t Threads) {
+                                std::span<Matrix> Raw, size_t Threads) {
   const size_t OldN = Rows, OldGroups = Members.size();
   assert(Strings.size() >= OldN && "appendRows only grows the Gram");
+  assert(Raw.size() == Cuts.size() && "one raw matrix per cut weight");
 
   // Group the new rows; an unseen literal-id sequence opens a group.
   std::vector<bool> Grew(OldGroups, false);
@@ -383,46 +417,72 @@ void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
 
   // Every group pair with a new member. Each entry belongs to exactly
   // one of them, so concurrent pairs never write the same cell.
+  const size_t NumGroups = Members.size(),
+               Settled = static_cast<size_t>(std::ranges::count(Grew, false));
   std::vector<std::pair<uint32_t, uint32_t>> Pairs;
-  for (uint32_t G = 0; G < Members.size(); ++G)
-    for (uint32_t H = G; H < Members.size(); ++H)
+  Pairs.reserve(NumGroups * (NumGroups + 1) / 2 - Settled * (Settled + 1) / 2);
+  for (uint32_t G = 0; G < NumGroups; ++G)
+    for (uint32_t H = G; H < NumGroups; ++H)
       if (Grew[G] || Grew[H])
         Pairs.push_back({G, H});
+
+  auto RowOf = [&Strings](const WeightedString *S) {
+    return static_cast<size_t>(S - Strings.data());
+  };
+  // A side's rows with a new entry against the other side: all of them
+  // if the other side grew, else only its new rows — minus the rows the
+  // cut ignores, whose entries stay zero.
+  auto FillSide = [&](std::vector<const WeightedString *> &Out, uint32_t Own,
+                      uint32_t Other, const KastKernelOptions &Options) {
+    Out.clear();
+    for (uint32_t Row : Members[Own])
+      if ((Grew[Other] || Row >= OldN) && !ignored(Strings[Row], Options))
+        Out.push_back(&Strings[Row]);
+  };
+  auto ScorePair = [&](uint32_t G, uint32_t H, PairScratch &Scratch) {
+    const auto &PrepG = static_cast<const KastPrecomputation &>(*Prep[G]),
+               &PrepH = static_cast<const KastPrecomputation &>(*Prep[H]);
+    bool Found = false;
+    for (size_t C = 0; C < Cuts.size(); ++C) {
+      const KastKernelOptions Options{Cuts[C], Policy};
+      FillSide(Scratch.Rows[0], G, H, Options);
+      FillSide(Scratch.Rows[1], H, G, Options);
+      // An empty side leaves this cut's entries of the pair as they
+      // are; the candidates are found once, for the first cut that
+      // needs them.
+      if (Scratch.Rows[0].empty() || Scratch.Rows[1].empty())
+        continue;
+      if (!Found)
+        findCandidates(PrepG, PrepH, Scratch);
+      Found = true;
+      Matrix &Gram = Raw[C];
+      scoreRows(
+          Options, PrepG, PrepH, Scratch,
+          [&](size_t I, size_t J) {
+            const size_t A = RowOf(Scratch.Rows[0][I]),
+                         B = RowOf(Scratch.Rows[1][J]);
+            return (A >= OldN || B >= OldN) && (G != H || A <= B);
+          },
+          [&](size_t I, size_t J, double V) {
+            const size_t A = RowOf(Scratch.Rows[0][I]),
+                         B = RowOf(Scratch.Rows[1][J]);
+            Gram.at(A, B) = V;
+            Gram.at(B, A) = V;
+          });
+    }
+  };
+
+  // Each worker drains the shared pair counter with its own scratch.
+  const size_t Workers = std::min(
+      Pairs.size(), Threads ? Threads : ThreadPool::shared().threadCount() + 1);
+  std::atomic<size_t> Next{0};
   parallelFor(
-      Pairs.size(),
-      [&](size_t P) {
-        const auto [G, H] = Pairs[P];
-        // A side's rows with a new entry against the other side: all of
-        // them if the other side grew, else only its new rows — minus
-        // the rows the cut ignores, whose entries stay zero. An empty
-        // side skips the pair.
-        auto Side = [&](uint32_t Own, uint32_t Other) {
-          std::vector<const WeightedString *> Out;
-          for (uint32_t Row : Members[Own])
-            if ((Grew[Other] || Row >= OldN) &&
-                !ignored(Strings[Row], Options))
-              Out.push_back(&Strings[Row]);
-          return Out;
-        };
-        const std::vector<const WeightedString *> RowsG = Side(G, H),
-                                                  RowsH = Side(H, G);
-        if (RowsG.empty() || RowsH.empty())
-          return;
-        auto RowOf = [&Strings](const WeightedString *S) {
-          return static_cast<size_t>(S - Strings.data());
-        };
-        scoreGroupPair(
-            Options, static_cast<const KastPrecomputation &>(*Prep[G]), RowsG,
-            static_cast<const KastPrecomputation &>(*Prep[H]), RowsH,
-            [&](size_t I, size_t J) {
-              const size_t A = RowOf(RowsG[I]), B = RowOf(RowsH[J]);
-              return (A >= OldN || B >= OldN) && (G != H || A <= B);
-            },
-            [&](size_t I, size_t J, double V) {
-              const size_t A = RowOf(RowsG[I]), B = RowOf(RowsH[J]);
-              Raw.at(A, B) = V;
-              Raw.at(B, A) = V;
-            });
+      Workers,
+      [&](size_t) {
+        PairScratch Scratch;
+        for (size_t P; (P = Next.fetch_add(1, std::memory_order_relaxed)) <
+                       Pairs.size();)
+          ScorePair(Pairs[P].first, Pairs[P].second, Scratch);
       },
       Threads);
 }

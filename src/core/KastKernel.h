@@ -128,16 +128,20 @@ private:
   KastKernelOptions Options;
 };
 
-/// The Gram fill core/KernelMatrix runs for a KastSpectrumKernel on the
-/// suffix-automaton matcher with UsePrecompute on.
+/// The grouped Kast Gram: the fill core/KernelMatrix runs for a
+/// KastSpectrumKernel on the suffix-automaton matcher with UsePrecompute
+/// on (one cut weight), and computeKastGrams' for a list of cut weights.
 ///
 /// Which substrings become features depends only on the two strings'
 /// literal-id sequences; token weights and the cut enter only when
 /// occurrences are weighed. So rows are grouped by literal-id sequence,
 /// each group keeps one precomputation, and each pair of groups finds
 /// its candidate features and their occurrences once for all of its
-/// member pairs — the work grows with the distinct structure, not with
-/// the number of rows. A member entry is then the dot of the two
+/// member pairs and all cut weights — the work grows with the distinct
+/// structure, not with the number of rows or cuts. Candidates come from
+/// one matching walk per direction over the partner's frozen automaton
+/// (visitMaximalMatches), into buffers each worker reuses across its
+/// group pairs. A member entry is then, per cut, the dot of the two
 /// members' per-candidate qualifying weights, summed exactly in 128
 /// bits. Every product is an integer, so below 2^53 the exact sum is
 /// also the double sum in any order, the reference's lexicographic
@@ -146,20 +150,24 @@ private:
 /// same group-pair routine on two one-row groups.
 class KastGramGroups {
 public:
-  explicit KastGramGroups(KastKernelOptions Options) : Options(Options) {}
+  /// A Gram per cut weight in \p Cuts, all under \p Policy.
+  KastGramGroups(std::vector<uint64_t> Cuts, CutPolicy Policy);
 
-  /// Groups the rows \p Strings[size()..] and writes every entry of
-  /// \p Raw they introduce — (I, J) and (J, I) for each I <= J with
-  /// J >= size(), the diagonal included — in parallel over the group
-  /// pairs with a new member on \p Threads workers (0 = hardware
-  /// concurrency, 1 = inline). Entries of rows the cut ignores are
-  /// left as they are (zero in a freshly grown matrix). \p Strings
-  /// must extend the strings of earlier calls.
-  void appendRows(std::span<const WeightedString> Strings, Matrix &Raw,
-                  size_t Threads);
+  /// Groups the rows \p Strings[size()..] and writes, for each cut
+  /// weight Cuts[C], every entry of \p Raw[C] they introduce — (I, J)
+  /// and (J, I) for each I <= J with J >= size(), the diagonal
+  /// included — in parallel over the group pairs with a new member on
+  /// \p Threads workers (0 = hardware concurrency, 1 = inline). Entries
+  /// of rows the cut ignores are left as they are (zero in a freshly
+  /// grown matrix). \p Strings must extend the strings of earlier
+  /// calls, and \p Raw holds one matrix per cut weight, each at least
+  /// |Strings| square.
+  void appendRows(std::span<const WeightedString> Strings,
+                  std::span<Matrix> Raw, size_t Threads);
 
 private:
-  KastKernelOptions Options;
+  std::vector<uint64_t> Cuts;
+  CutPolicy Policy;
   size_t Rows = 0;
   /// Literal-id sequence -> group.
   std::map<std::vector<uint32_t>, uint32_t> GroupOf;

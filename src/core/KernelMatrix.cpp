@@ -67,7 +67,7 @@ KernelMatrix::KernelMatrix(const StringKernel &Kernel,
   // fill works per group of rows that share a sequence.
   const auto *K = dynamic_cast<const KastSpectrumKernel *>(&Kernel);
   if (K && !K->options().UseReferenceMatcher)
-    Kast.emplace(K->options());
+    Kast.emplace(std::vector{K->options().CutWeight}, K->options().Policy);
 }
 
 /// Row-tile edge for the cache-blocked fill: tile pairs of up to
@@ -192,7 +192,7 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
   // included, in one pass over group pairs.
   Diag.resize(N, 0.0);
   if (Kast) {
-    Kast->appendRows(Strings, Raw, Options.Threads);
+    Kast->appendRows(Strings, std::span(&Raw, 1), Options.Threads);
     for (size_t Row = OldN; Row < N; ++Row)
       Diag[Row] = Raw.at(Row, Row);
     return;
@@ -226,11 +226,15 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
     fillPrepared(OldN, N);
 }
 
-Matrix KernelMatrix::materialize() const {
-  const size_t N = Strings.size();
-  Matrix K = Raw;
-
+/// \p K with \p Options' post-processing applied: cosine normalization
+/// by its diagonal (zero-self-kernel rows get zero off-diagonals and an
+/// exact unit diagonal) and PSD repair.
+static Matrix postProcess(Matrix K, const KernelMatrixOptions &Options) {
+  const size_t N = K.rows();
   if (Options.Normalize) {
+    std::vector<double> Diag(N);
+    for (size_t I = 0; I < N; ++I)
+      Diag[I] = K.at(I, I);
     parallelFor(
         N,
         [&](size_t I) {
@@ -250,10 +254,24 @@ Matrix KernelMatrix::materialize() const {
   return K;
 }
 
+Matrix KernelMatrix::materialize() const { return postProcess(Raw, Options); }
+
 Matrix kast::computeKernelMatrix(const StringKernel &Kernel,
                                  const std::vector<WeightedString> &Strings,
                                  const KernelMatrixOptions &Options) {
   KernelMatrix Gram(Kernel, Options);
   Gram.appendRows(Strings);
   return Gram.materialize();
+}
+
+std::vector<Matrix> kast::computeKastGrams(
+    const std::vector<WeightedString> &Strings, std::span<const uint64_t> Cuts,
+    CutPolicy Policy, const KernelMatrixOptions &Options) {
+  const size_t N = Strings.size();
+  std::vector<Matrix> Grams(Cuts.size(), Matrix(N, N, 0.0));
+  KastGramGroups({Cuts.begin(), Cuts.end()}, Policy)
+      .appendRows(Strings, Grams, Options.Threads);
+  for (Matrix &K : Grams)
+    K = postProcess(std::move(K), Options);
+  return Grams;
 }

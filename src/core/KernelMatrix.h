@@ -48,6 +48,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace kast {
@@ -169,6 +170,18 @@ private:
 Matrix computeKernelMatrix(const StringKernel &Kernel,
                            const std::vector<WeightedString> &Strings,
                            const KernelMatrixOptions &Options = {});
+
+/// The Kast Spectrum Kernel's Gram over \p Strings at each cut weight
+/// of \p Cuts under \p Policy, post-processed as \p Options says: for
+/// each cut C, the matrix computeKernelMatrix gives for
+/// KastSpectrumKernel({C, Policy}), bit for bit. One KastGramGroups
+/// fills every cut's raw matrix, finding each group pair's candidate
+/// features once for all the cuts. Options.UsePrecompute is not
+/// consulted.
+std::vector<Matrix> computeKastGrams(const std::vector<WeightedString> &Strings,
+                                     std::span<const uint64_t> Cuts,
+                                     CutPolicy Policy,
+                                     const KernelMatrixOptions &Options = {});
 
 } // namespace kast
 

@@ -7,7 +7,6 @@
 #include "core/Matcher.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace kast;
 
@@ -15,24 +14,8 @@ std::vector<uint32_t> kast::reversed(const std::vector<uint32_t> &Sequence) {
   return std::vector<uint32_t>(Sequence.rbegin(), Sequence.rend());
 }
 
-std::vector<size_t>
-kast::matchingStatisticsStarts(const std::vector<uint32_t> &ReversedSubject,
-                               const SuffixAutomaton &PartnerOfReversed,
-                               std::vector<int32_t> *PartnerStates) {
-  // The longest prefix of Subject[i..] occurring in Partner equals the
-  // longest suffix of ReversedSubject[.. n-1-i] occurring in
-  // reverse(Partner): end-based statistics on the reversal, read back
-  // to front.
-  std::vector<size_t> Stats =
-      PartnerOfReversed.matchingStatisticsEnds(ReversedSubject, PartnerStates);
-  std::reverse(Stats.begin(), Stats.end());
-  if (PartnerStates)
-    std::reverse(PartnerStates->begin(), PartnerStates->end());
-  return Stats;
-}
-
-/// Shared tail: converts start-based matching statistics into maximal
-/// match occurrences. [i, i + MS[i]) is right-maximal by construction;
+/// Converts start-based matching statistics into maximal match
+/// occurrences. [i, i + MS[i]) is right-maximal by construction;
 /// it is left-maximal iff i == 0 or MS[i-1] <= MS[i] (otherwise
 /// [i-1, i-1 + MS[i-1]) covers it with one more token on the left).
 static std::vector<MaximalMatch>
@@ -44,22 +27,6 @@ maximalFromStatistics(const std::vector<size_t> &MS) {
     if (I > 0 && MS[I - 1] > MS[I])
       continue; // Contained in the previous start's window.
     Matches.push_back({I, I + MS[I]});
-  }
-  return Matches;
-}
-
-std::vector<MaximalMatch>
-kast::findMaximalMatches(const std::vector<uint32_t> &ReversedSubject,
-                         const SuffixAutomaton &PartnerOfReversed,
-                         std::vector<int32_t> *PartnerStates) {
-  std::vector<int32_t> States;
-  std::vector<MaximalMatch> Matches = maximalFromStatistics(
-      matchingStatisticsStarts(ReversedSubject, PartnerOfReversed,
-                               PartnerStates ? &States : nullptr));
-  if (PartnerStates) {
-    PartnerStates->clear();
-    for (const MaximalMatch &M : Matches)
-      PartnerStates->push_back(States[M.Begin]);
   }
   return Matches;
 }

@@ -17,10 +17,12 @@
 /// container.)
 ///
 /// Two implementations with identical semantics:
-///  * findMaximalMatches — matching statistics over a SuffixAutomaton,
-///    O(|X| + |Y|) per direction (start-based statistics are obtained
-///    by running end-based statistics on the reversed strings, so both
-///    sides are passed reversed);
+///  * visitMaximalMatches — one matching walk (SuffixAutomaton::walk)
+///    of the reversed subject through the automaton of the reversed
+///    partner, O(|X| + |Y|) per direction: end-based statistics on the
+///    reversals are start-based statistics on the strings, and each
+///    maximal match is reported, with the partner state it reaches, as
+///    soon as the next position shows that it does not extend;
 ///  * findMaximalMatchesDP — an O(|X|·|Y|) dynamic program kept as the
 ///    differential-testing oracle.
 ///
@@ -54,30 +56,41 @@ struct MaximalMatch {
   bool operator==(const MaximalMatch &Rhs) const = default;
 };
 
-/// Start-based matching statistics: Result[i] = length of the longest
-/// prefix of Subject[i..] occurring (anywhere) in the partner. Both
-/// sides come reversed: \p ReversedSubject is the subject read back to
-/// front and \p PartnerOfReversed the SuffixAutomaton of the reversed
-/// partner sequence. If \p PartnerStates is non-null,
-/// (*PartnerStates)[i] receives the state of \p PartnerOfReversed that
-/// that prefix, read back to front, reaches — where its partner
-/// occurrences are indexed.
-std::vector<size_t>
-matchingStatisticsStarts(const std::vector<uint32_t> &ReversedSubject,
+/// Streams the maximal match occurrences of the subject relative to
+/// the partner. Both sides come reversed: \p ReversedSubject is the
+/// subject read back to front and \p PartnerOfReversed the
+/// SuffixAutomaton of the reversed partner sequence. Calls
+/// \p Visit(End, Length, State) once per maximal match, in descending
+/// order of its start in the subject: the match is
+/// Subject[|Subject| - 1 - End, |Subject| - 1 - End + Length), i.e. it
+/// ends at End in \p ReversedSubject, and State is the state of
+/// \p PartnerOfReversed that it reaches read back to front — where its
+/// partner occurrences are indexed. Allocates nothing.
+template <typename VisitFn>
+void visitMaximalMatches(std::span<const uint32_t> ReversedSubject,
                          const SuffixAutomaton &PartnerOfReversed,
-                         std::vector<int32_t> *PartnerStates = nullptr);
+                         VisitFn &&Visit) {
+  // The walk's Length at J is MS[i], the longest prefix of Subject[i..]
+  // occurring in the partner, for i = |Subject| - 1 - J. [i, i + MS[i])
+  // is right-maximal by construction and left-maximal iff i == 0 or
+  // MS[i - 1] <= MS[i], i.e. iff J is the last position or the walk's
+  // next step does not extend the match.
+  int32_t MatchState = 0;
+  uint32_t MatchLength = 0;
+  PartnerOfReversed.walk(ReversedSubject, [&](size_t J, int32_t State,
+                                              uint32_t Length) {
+    if (MatchLength != 0 && Length <= MatchLength)
+      Visit(J - 1, MatchLength, MatchState);
+    MatchState = State;
+    MatchLength = Length;
+  });
+  if (MatchLength != 0)
+    Visit(ReversedSubject.size() - 1, MatchLength, MatchState);
+}
 
-/// Maximal match occurrences of the subject relative to the partner
-/// (suffix-automaton path), in subject coordinates; arguments as for
-/// matchingStatisticsStarts. Results are sorted by Begin and unique.
-/// If \p PartnerStates is non-null, (*PartnerStates)[m] receives match
-/// m's state, as matchingStatisticsStarts reports it.
-std::vector<MaximalMatch>
-findMaximalMatches(const std::vector<uint32_t> &ReversedSubject,
-                   const SuffixAutomaton &PartnerOfReversed,
-                   std::vector<int32_t> *PartnerStates = nullptr);
-
-/// Reference implementation by quadratic dynamic programming.
+/// The maximal match occurrences of \p Subject relative to \p Partner
+/// by quadratic dynamic programming, sorted by Begin: the oracle
+/// visitMaximalMatches is tested against.
 std::vector<MaximalMatch>
 findMaximalMatchesDP(const std::vector<uint32_t> &Subject,
                      const std::vector<uint32_t> &Partner);

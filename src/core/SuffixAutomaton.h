@@ -10,8 +10,8 @@
 /// *maximal match occurrence* — an interval of A whose literal sequence occurs
 /// in B and cannot be extended left or right while still occurring in
 /// B. The automaton of B answers "does this factor occur in B" in
-/// amortized O(1) per symbol, giving linear-time matching statistics;
-/// see Matcher.h for how those become maximal matches.
+/// amortized O(1) per symbol, giving linear-time matching statistics
+/// (walk()); see Matcher.h for how those become maximal matches.
 ///
 /// The automaton also indexes end positions (Blumer et al. 1985): the
 /// factors of one state share a set of end positions, and a state's set
@@ -19,10 +19,15 @@
 /// state is a clone, the position at which it was created. Laid out in
 /// DFS order of the suffix-link tree, every state's set is one
 /// contiguous run, so locate() + endPositions() list all occurrences of
-/// a factor in O(|factor| log σ + occurrences) for alphabet size σ.
+/// a factor in O(|factor| d + occurrences) for out-degree d.
 ///
-/// States are stored in a flat arena; transitions in small sorted
-/// vectors (token alphabets here are tiny, typically < 100 symbols).
+/// The automaton is frozen once built: lengths and suffix links are
+/// flat arrays, and the transitions sit in one compressed-sparse-row
+/// layout — per-state offsets into one symbol array and one target
+/// array, each state's run sorted by symbol and scanned linearly (token
+/// alphabets here are small, and most states have one or two
+/// transitions). Construction links each state's transitions through
+/// one edge arena, so a build allocates a fixed number of buffers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace kast {
@@ -41,10 +45,10 @@ namespace kast {
 class SuffixAutomaton {
 public:
   /// Builds the automaton of \p Sequence and its end-position index.
-  explicit SuffixAutomaton(const std::vector<uint32_t> &Sequence);
+  explicit SuffixAutomaton(std::span<const uint32_t> Sequence);
 
   /// \returns the number of states (at most 2n - 1 for n >= 2).
-  size_t numStates() const { return States.size(); }
+  size_t numStates() const { return Len.size(); }
 
   /// \returns true if \p Factor occurs as a contiguous factor.
   bool containsFactor(const std::vector<uint32_t> &Factor) const {
@@ -71,32 +75,59 @@ public:
                                                    RunLength[State]);
   }
 
-  /// Matching statistics: Result[j] = length of the longest suffix of
-  /// Query[0..j] that occurs in the indexed sequence (the standard
-  /// end-based form). If \p Reached is non-null, (*Reached)[j] receives
-  /// the state that suffix reaches from the initial state (0 where
-  /// nothing matches), i.e. what locate() would return for it.
-  std::vector<size_t>
-  matchingStatisticsEnds(const std::vector<uint32_t> &Query,
-                         std::vector<int32_t> *Reached = nullptr) const;
+  /// The matching walk over \p Query: for each J in order, calls
+  /// \p Step(J, State, Length), where Length is the length of the
+  /// longest suffix of Query[0..J] that occurs in the indexed sequence
+  /// (end-based matching statistics) and State the state that suffix
+  /// reaches from the initial state (0 where nothing matches), i.e.
+  /// what locate() would return for it. Each suffix-link hop costs one
+  /// transition lookup.
+  template <typename StepFn>
+  void walk(std::span<const uint32_t> Query, StepFn &&Step) const {
+    // Invariant: the matched suffix of length Length is one of State's
+    // factors, so a transition on the next symbol reaches the state of
+    // its one-symbol extension.
+    int32_t State = 0;
+    uint32_t Length = 0;
+    for (size_t J = 0; J < Query.size(); ++J) {
+      const uint32_t Symbol = Query[J];
+      for (;;) {
+        if (const int32_t To = transition(State, Symbol); To != -1) {
+          State = To;
+          ++Length;
+          break;
+        }
+        if (State == 0) {
+          // Not even from the initial state: no suffix ending at J
+          // matches.
+          Length = 0;
+          break;
+        }
+        // Shorten the match to the longest suffix in another class.
+        State = Link[State];
+        Length = Len[State];
+      }
+      Step(J, State, Length);
+    }
+  }
+
+  /// \returns the state \p State reaches on \p Symbol, or -1.
+  int32_t transition(int32_t State, uint32_t Symbol) const {
+    for (uint32_t E = Edges[State], End = Edges[State + 1]; E < End; ++E)
+      if (Symbols[E] >= Symbol)
+        return Symbols[E] == Symbol ? Targets[E] : -1;
+    return -1;
+  }
 
 private:
-  struct State {
-    /// Length of the longest factor in this state's class.
-    size_t Len = 0;
-    /// Suffix link; -1 for the initial state.
-    int32_t Link = -1;
-    /// Sorted (symbol, target) transitions.
-    std::vector<std::pair<uint32_t, int32_t>> Next;
-  };
-
-  int32_t transition(int32_t State, uint32_t Symbol) const;
-  void addTransition(int32_t From, uint32_t Symbol, int32_t To);
-  void setTransition(int32_t From, uint32_t Symbol, int32_t To);
-  int32_t extend(int32_t Last, uint32_t Symbol);
-  void indexEndPositions(const std::vector<uint32_t> &Created);
-
-  std::vector<State> States;
+  /// Per state: the length of the longest factor in its class, and its
+  /// suffix link (-1 for the initial state).
+  std::vector<uint32_t> Len;
+  std::vector<int32_t> Link;
+  /// State S's transitions are (Symbols[E], Targets[E]) for E in
+  /// [Edges[S], Edges[S + 1]), sorted by symbol.
+  std::vector<uint32_t> Edges, Symbols;
+  std::vector<int32_t> Targets;
   /// End-position index: state S's end positions are
   /// Ends[RunBegin[S], RunBegin[S] + RunLength[S]).
   std::vector<uint32_t> Ends, RunBegin, RunLength;

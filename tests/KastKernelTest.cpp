@@ -238,8 +238,8 @@ TEST(KastKernelTest, RepeatedSubstringAccumulates) {
 
 // The Gram names a candidate by the partner state its maximal match
 // reaches in the matching walk; that must be the state locate() finds
-// for the match read back to front, and asking for the states must not
-// change the matches.
+// for the match read back to front, and the walk must report exactly
+// the dynamic program's matches.
 TEST(KastKernelTest, MaximalMatchStatesLocateTheMatches) {
   Rng R(77);
   for (int Round = 0; Round < 20; ++Round) {
@@ -249,18 +249,19 @@ TEST(KastKernelTest, MaximalMatchStatesLocateTheMatches) {
     for (int I = 0; I < 30; ++I)
       Partner.push_back(static_cast<uint32_t>(R.uniformInt(0, 2)));
     SuffixAutomaton RevPartner(reversed(Partner));
-    std::vector<int32_t> States;
-    std::vector<MaximalMatch> Matches =
-        findMaximalMatches(reversed(Subject), RevPartner, &States);
-    EXPECT_EQ(Matches, findMaximalMatches(reversed(Subject), RevPartner));
-    ASSERT_EQ(States.size(), Matches.size());
-    for (size_t M = 0; M < Matches.size(); ++M) {
-      auto First = Subject.begin() + static_cast<ptrdiff_t>(Matches[M].Begin);
-      auto Last = Subject.begin() + static_cast<ptrdiff_t>(Matches[M].End);
-      EXPECT_EQ(States[M], RevPartner.locate(std::make_reverse_iterator(Last),
-                                             std::make_reverse_iterator(First)))
-          << "round " << Round << " match " << M;
-    }
+    std::vector<MaximalMatch> Matches;
+    visitMaximalMatches(
+        reversed(Subject), RevPartner,
+        [&](size_t End, uint32_t Length, int32_t State) {
+          const size_t Begin = Subject.size() - 1 - End;
+          auto First = Subject.begin() + static_cast<ptrdiff_t>(Begin);
+          EXPECT_EQ(State,
+                    RevPartner.locate(std::make_reverse_iterator(First + Length),
+                                      std::make_reverse_iterator(First)))
+              << "round " << Round << " match at " << Begin;
+          Matches.insert(Matches.begin(), {Begin, Begin + Length});
+        });
+    EXPECT_EQ(Matches, findMaximalMatchesDP(Subject, Partner));
   }
 }
 

@@ -8,8 +8,9 @@
 // the entries the new strings introduce (verified by an
 // evaluation-count probe) and produce the same matrix as a one-shot
 // build; the grouped Kast fill must reproduce the pairwise Gram bit for
-// bit, including past 2^53 where it falls back to the ordered sum, and
-// its output on long parallel-trace strings is pinned by digest; the
+// bit, including past 2^53 where it falls back to the ordered sum, its
+// output on long parallel-trace strings is pinned by digest, and one
+// multi-cut fill (computeKastGrams) must give each cut's Gram; the
 // closed-form pair-index inversions must agree with loop-based
 // references across the whole size range the float-root "nudge" is
 // supposed to cover; normalization must keep an exactly unit diagonal
@@ -422,6 +423,65 @@ TEST(KernelMatrixTest, ParallelTraceGramIsPinned) {
       D.doubles(Gram.materialize().data());
     }
   EXPECT_EQ(D.Hash, 0xd1e746ef311d327dULL) << std::hex << D.Hash;
+}
+
+// One multi-cut fill must give, for every cut, the bits of a KernelMatrix
+// at that cut alone: raw and materialized (normalized and PSD-repaired),
+// one-shot and grown in stages. The cuts run from below every string's
+// total weight to above all of them, so some rows drop out under each;
+// the strings with weights near 2^27 reach 2^53 at the low cuts, where
+// each cut falls back to its own ordered sum.
+TEST(KernelMatrixTest, MultiCutGramMatchesPerCutBitwise) {
+  Rng R(2718);
+  auto Table = TokenTable::create();
+  std::vector<WeightedString> Corpus = groupedCorpus(Table, R, 2, 36);
+  Corpus.push_back(parseWeightedString("a:4 a:4 a:3", Table).take());
+  Corpus.push_back(parseWeightedString("a:4 a:4 b:4 a:4 a:4", Table).take());
+  for (int B = 0; B < 3; ++B) {
+    const WeightedString Base = randomString(Table, R, 12, 3);
+    for (int I = 0; I < 2; ++I) {
+      WeightedString S(Table);
+      for (size_t T = 0; T < Base.size(); ++T)
+        S.append(Base.literalId(T),
+                 (uint64_t{1} << 27) + R.uniformInt(0, 4095));
+      Corpus.push_back(std::move(S));
+    }
+  }
+  uint64_t MaxTotal = 0;
+  for (const WeightedString &S : Corpus)
+    MaxTotal = std::max(MaxTotal, S.totalWeight());
+  const uint64_t Cuts[] = {1, 2, 12, MaxTotal / 2, MaxTotal + 1};
+  const size_t N = Corpus.size(), Stages[] = {0, 17, 17, 40, N};
+
+  for (CutPolicy Policy : {CutPolicy::PerOccurrence, CutPolicy::PerFeatureTotal})
+    for (size_t Threads : {1u, 0u}) {
+      KernelMatrixOptions Raw, Repaired;
+      Raw.Threads = Repaired.Threads = Threads;
+      Raw.Normalize = false;
+      Repaired.RepairPsd = true;
+      const std::vector<Matrix> RawGrams =
+          computeKastGrams(Corpus, Cuts, Policy, Raw);
+      const std::vector<Matrix> RepairedGrams =
+          computeKastGrams(Corpus, Cuts, Policy, Repaired);
+      std::vector<Matrix> StagedGrams(std::size(Cuts), Matrix(N, N, 0.0));
+      KastGramGroups Staged({std::begin(Cuts), std::end(Cuts)}, Policy);
+      for (size_t S = 1; S < std::size(Stages); ++S)
+        Staged.appendRows(std::span(Corpus).first(Stages[S]), StagedGrams,
+                          Threads);
+      ASSERT_EQ(RawGrams.size(), std::size(Cuts));
+      ASSERT_EQ(RepairedGrams.size(), std::size(Cuts));
+      for (size_t C = 0; C < std::size(Cuts); ++C) {
+        SCOPED_TRACE("cut " + std::to_string(Cuts[C]) + ", policy " +
+                     std::to_string(static_cast<int>(Policy)) + ", threads " +
+                     std::to_string(Threads));
+        KastSpectrumKernel Kernel({Cuts[C], Policy});
+        KernelMatrix Single(Kernel, Repaired);
+        Single.appendRows(Corpus);
+        expectBitwiseEqual(RawGrams[C], Single.raw());
+        expectBitwiseEqual(StagedGrams[C], Single.raw());
+        expectBitwiseEqual(RepairedGrams[C], Single.materialize());
+      }
+    }
 }
 
 TEST(KernelMatrixTest, AppendRowsWithoutPrecompute) {

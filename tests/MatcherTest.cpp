@@ -62,6 +62,40 @@ std::vector<size_t> startsViaReversedIndex(const SuffixAutomaton &Sam,
   return Starts;
 }
 
+/// End-based matching statistics of \p Query against \p Sam, off the
+/// automaton's matching walk, which must visit every position in order
+/// and name the state locate() finds for each matched suffix.
+std::vector<size_t> statisticsEnds(const SuffixAutomaton &Sam,
+                                   const Seq &Query) {
+  std::vector<size_t> Stats;
+  Sam.walk(Query, [&](size_t J, int32_t State, uint32_t Length) {
+    EXPECT_EQ(J, Stats.size());
+    EXPECT_EQ(State, Sam.locate(Query.begin() + (J + 1 - Length),
+                                Query.begin() + (J + 1)));
+    Stats.push_back(Length);
+  });
+  EXPECT_EQ(Stats.size(), Query.size());
+  return Stats;
+}
+
+/// The maximal matches of \p Subject relative to the partner whose
+/// reversal \p RevPartner indexes, off visitMaximalMatches, sorted by
+/// Begin. The walk reports them by descending Begin, each once.
+std::vector<MaximalMatch> maximalMatches(const Seq &Subject,
+                                         const SuffixAutomaton &RevPartner) {
+  std::vector<MaximalMatch> Matches;
+  visitMaximalMatches(reversed(Subject), RevPartner,
+                      [&](size_t End, uint32_t Length, int32_t) {
+                        const size_t Begin = Subject.size() - 1 - End;
+                        if (!Matches.empty()) {
+                          EXPECT_LT(Begin, Matches.back().Begin);
+                        }
+                        Matches.push_back({Begin, Begin + Length});
+                      });
+  std::reverse(Matches.begin(), Matches.end());
+  return Matches;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -152,7 +186,7 @@ TEST(SuffixAutomatonTest, EndPositionsMatchNaiveOccurrences) {
 TEST(SuffixAutomatonTest, MatchingStatisticsEndsKnownCase) {
   // Y = "ab", X = "cabd": longest suffix of X[..j] in Y: 0,1,2,0.
   SuffixAutomaton Sam(seq("ab"));
-  std::vector<size_t> MS = Sam.matchingStatisticsEnds(seq("cabd"));
+  std::vector<size_t> MS = statisticsEnds(Sam, seq("cabd"));
   EXPECT_EQ(MS, (std::vector<size_t>{0, 1, 2, 0}));
 }
 
@@ -162,7 +196,7 @@ TEST(SuffixAutomatonTest, MatchingStatisticsAgainstNaive) {
     Seq Y = randomSeq(R, 40, 3);
     Seq X = randomSeq(R, 30, 3);
     SuffixAutomaton Sam(Y);
-    std::vector<size_t> MS = Sam.matchingStatisticsEnds(X);
+    std::vector<size_t> MS = statisticsEnds(Sam, X);
     for (size_t J = 0; J < X.size(); ++J) {
       // Naive: longest suffix of X[0..J] occurring in Y.
       size_t Best = 0;
@@ -185,10 +219,12 @@ TEST(SuffixAutomatonTest, MatchingStatisticsAgainstNaive) {
 TEST(MatcherTest, StartStatisticsKnownCase) {
   // Subject "abcd", partner "bcx": prefixes starting at each i
   // occurring in partner: a->0, bc->2, c->1, d->0.
+  // Walked back to front, the start-based statistics come out
+  // reversed.
   Seq Subject = seq("abcd");
   SuffixAutomaton RevPartner(reversed(seq("bcx")));
-  std::vector<size_t> MS =
-      matchingStatisticsStarts(reversed(Subject), RevPartner);
+  std::vector<size_t> MS = statisticsEnds(RevPartner, reversed(Subject));
+  std::reverse(MS.begin(), MS.end());
   EXPECT_EQ(MS, (std::vector<size_t>{0, 2, 1, 0}));
 }
 
@@ -196,8 +232,7 @@ TEST(MatcherTest, MaximalMatchesSimple) {
   // Subject "xaby", partner "zabw": only "ab" is shared and maximal.
   Seq Subject = seq("xaby");
   SuffixAutomaton RevPartner(reversed(seq("zabw")));
-  std::vector<MaximalMatch> M =
-      findMaximalMatches(reversed(Subject), RevPartner);
+  std::vector<MaximalMatch> M = maximalMatches(Subject, RevPartner);
   ASSERT_EQ(M.size(), 1u);
   EXPECT_EQ(M[0].Begin, 1u);
   EXPECT_EQ(M[0].End, 3u);
@@ -208,7 +243,7 @@ TEST(MatcherTest, SelfMatchIsWholeString) {
   // maximal — the property that makes k(A,A) = weight(A)^2.
   Seq S = seq("abcabc");
   SuffixAutomaton RevSelf(reversed(S));
-  std::vector<MaximalMatch> M = findMaximalMatches(reversed(S), RevSelf);
+  std::vector<MaximalMatch> M = maximalMatches(S, RevSelf);
   ASSERT_EQ(M.size(), 1u);
   EXPECT_EQ(M[0].Begin, 0u);
   EXPECT_EQ(M[0].length(), S.size());
@@ -217,7 +252,7 @@ TEST(MatcherTest, SelfMatchIsWholeString) {
 TEST(MatcherTest, DisjointSequencesShareNothing) {
   Seq Subject = seq("aaa");
   SuffixAutomaton RevPartner(reversed(seq("bbb")));
-  EXPECT_TRUE(findMaximalMatches(reversed(Subject), RevPartner).empty());
+  EXPECT_TRUE(maximalMatches(Subject, RevPartner).empty());
 }
 
 TEST(MatcherTest, OverlappingWindowsBothReported) {
@@ -225,8 +260,7 @@ TEST(MatcherTest, OverlappingWindowsBothReported) {
   // [1,3) are each maximal ("aba" does not occur in partner "abba"?).
   Seq Subject = seq("aba");
   SuffixAutomaton RevPartner(reversed(seq("abba")));
-  std::vector<MaximalMatch> M =
-      findMaximalMatches(reversed(Subject), RevPartner);
+  std::vector<MaximalMatch> M = maximalMatches(Subject, RevPartner);
   ASSERT_EQ(M.size(), 2u);
   EXPECT_EQ(M[0], (MaximalMatch{0, 2}));
   EXPECT_EQ(M[1], (MaximalMatch{1, 3}));
@@ -241,7 +275,7 @@ TEST(MatcherTest, DPAndSamAgreeOnKnownCases) {
   for (const auto &[S, P] : Cases) {
     Seq Subject = seq(S), Partner = seq(P);
     SuffixAutomaton RevPartner(reversed(Partner));
-    EXPECT_EQ(findMaximalMatches(reversed(Subject), RevPartner),
+    EXPECT_EQ(maximalMatches(Subject, RevPartner),
               findMaximalMatchesDP(Subject, Partner))
         << "subject=" << S << " partner=" << P;
   }
@@ -264,7 +298,7 @@ TEST_P(MatcherSweep, SamMatchesDPOracle) {
     Seq Subject = randomSeq(R, P.SubjectLength, P.Alphabet);
     Seq Partner = randomSeq(R, P.PartnerLength, P.Alphabet);
     SuffixAutomaton RevPartner(reversed(Partner));
-    EXPECT_EQ(findMaximalMatches(reversed(Subject), RevPartner),
+    EXPECT_EQ(maximalMatches(Subject, RevPartner),
               findMaximalMatchesDP(Subject, Partner));
   }
 }
@@ -290,8 +324,7 @@ TEST(MatcherTest, MaximalWindowsAreNonExtendable) {
     Seq Subject = randomSeq(R, 40, 3);
     Seq Partner = randomSeq(R, 40, 3);
     SuffixAutomaton RevPartner(reversed(Partner));
-    for (const MaximalMatch &M :
-         findMaximalMatches(reversed(Subject), RevPartner)) {
+    for (const MaximalMatch &M : maximalMatches(Subject, RevPartner)) {
       Seq Window(Subject.begin() + M.Begin, Subject.begin() + M.End);
       EXPECT_TRUE(containsNaive(Partner, Window));
       if (M.Begin > 0) {
