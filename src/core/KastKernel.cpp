@@ -480,8 +480,7 @@ void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
       Workers,
       [&](size_t) {
         PairScratch Scratch;
-        for (size_t P; (P = Next.fetch_add(1, std::memory_order_relaxed)) <
-                       Pairs.size();)
+        for (size_t P; (P = Next++) < Pairs.size();)
           ScorePair(Pairs[P].first, Pairs[P].second, Scratch);
       },
       Threads);

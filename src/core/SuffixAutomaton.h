@@ -25,9 +25,10 @@
 /// flat arrays, and the transitions sit in one compressed-sparse-row
 /// layout — per-state offsets into one symbol array and one target
 /// array, each state's run sorted by symbol and scanned linearly (token
-/// alphabets here are small, and most states have one or two
-/// transitions). Construction links each state's transitions through
-/// one edge arena, so a build allocates a fixed number of buffers.
+/// alphabets here are small, and the automaton of n symbols has at most
+/// 3n - 4 transitions over at least n + 1 states). Construction links
+/// each state's transitions through one edge arena, so a build
+/// allocates a fixed number of buffers.
 ///
 //===----------------------------------------------------------------------===//
 
