@@ -290,9 +290,11 @@ BENCHMARK(BM_GramMatrixSpectrum)
     ->Unit(benchmark::kMillisecond);
 
 /// Kast Gram matrix over random strings: Args are {N, UsePrecompute}.
-/// No two of these strings share a literal-id sequence, so the grouped
-/// fill has one string per group and one group pair per string pair:
-/// the row where grouping has nothing to share and must cost nothing.
+/// The UsePrecompute=0 rows time the pairwise fill, one evaluate() (the
+/// ordered reference sum) per entry. No two of these strings share a
+/// literal-id sequence, so the grouped fill has one string per group
+/// and one group pair per string pair: the row where grouping has
+/// nothing to share and must cost nothing.
 void BM_GramMatrixKast(benchmark::State &State) {
   const std::vector<WeightedString> &Corpus =
       randomCorpus(static_cast<size_t>(State.range(0)));

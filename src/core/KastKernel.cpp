@@ -25,20 +25,20 @@ std::string KastSpectrumKernel::name() const {
   return "kast-spectrum(cut=" + std::to_string(Options.CutWeight) + ")";
 }
 
-namespace {
-
-/// Per-sequence precomputation: the reversed literal sequence and its
-/// suffix automaton — the partner index visitMaximalMatches needs, and
-/// the end-position index that lists a feature's occurrences. Both
-/// depend on the literal ids alone, so strings that share a sequence
-/// share one.
-struct KastPrecomputation final : KernelPrecomputation {
-  explicit KastPrecomputation(const std::vector<uint32_t> &Ids)
+/// Per-sequence index: the reversed literal sequence and its suffix
+/// automaton — the partner index visitMaximalMatches needs, and the
+/// end-position index that lists a feature's occurrences. Both depend
+/// on the literal ids alone, so strings that share a sequence share
+/// one.
+struct kast::KastSequenceIndex {
+  explicit KastSequenceIndex(const std::vector<uint32_t> &Ids)
       : Reversed(reversed(Ids)), ReversedSam(Reversed) {}
 
   std::vector<uint32_t> Reversed;
   SuffixAutomaton ReversedSam;
 };
+
+namespace {
 
 /// A candidate feature: a span of A's or B's literal ids.
 using Literals = std::span<const uint32_t>;
@@ -137,13 +137,13 @@ static uint64_t qualifyingWeight(const Occurrences &In,
 
 /// Calls \p Visit(Literals, InA, InB) per feature of (A, B), in ascending
 /// lexicographic literal order (the reference summation order).
-/// \p PrepA / \p PrepB are optional; the reference matcher uses none.
+/// \p IndexA / \p IndexB are optional; the reference matcher uses none.
 template <typename VisitFn>
 static void visitFeatures(const KastKernelOptions &Options,
                           const WeightedString &A,
-                          const KastPrecomputation *PrepA,
+                          const KastSequenceIndex *IndexA,
                           const WeightedString &B,
-                          const KastPrecomputation *PrepB, VisitFn Visit) {
+                          const KastSequenceIndex *IndexB, VisitFn Visit) {
   if (ignored(A, Options) || ignored(B, Options))
     return;
   assert(A.table().get() == B.table().get() &&
@@ -153,27 +153,27 @@ static void visitFeatures(const KastKernelOptions &Options,
   // directions, in lexicographic order, each once.
   const std::vector<uint32_t> &IdsA = A.literalIds(), &IdsB = B.literalIds();
   std::vector<Literals> Candidates;
-  std::optional<KastPrecomputation> OwnedA, OwnedB;
+  std::optional<KastSequenceIndex> OwnedA, OwnedB;
   if (Options.UseReferenceMatcher) {
     for (const MaximalMatch &M : findMaximalMatchesDP(IdsA, IdsB))
       Candidates.push_back(Literals(IdsA).subspan(M.Begin, M.length()));
     for (const MaximalMatch &M : findMaximalMatchesDP(IdsB, IdsA))
       Candidates.push_back(Literals(IdsB).subspan(M.Begin, M.length()));
-    PrepA = PrepB = nullptr;
+    IndexA = IndexB = nullptr;
   } else {
-    PrepA = PrepA ? PrepA : &OwnedA.emplace(IdsA);
-    PrepB = PrepB ? PrepB : &OwnedB.emplace(IdsB);
+    IndexA = IndexA ? IndexA : &OwnedA.emplace(IdsA);
+    IndexB = IndexB ? IndexB : &OwnedB.emplace(IdsB);
     auto Collect = [&Candidates](const std::vector<uint32_t> &Ids,
-                                 const KastPrecomputation &Subject,
-                                 const KastPrecomputation &Partner) {
+                                 const KastSequenceIndex &Subject,
+                                 const KastSequenceIndex &Partner) {
       visitMaximalMatches(Subject.Reversed, Partner.ReversedSam,
                           [&](size_t End, uint32_t Length, int32_t) {
                             Candidates.push_back(Literals(Ids).subspan(
                                 Ids.size() - 1 - End, Length));
                           });
     };
-    Collect(IdsA, *PrepA, *PrepB);
-    Collect(IdsB, *PrepB, *PrepA);
+    Collect(IdsA, *IndexA, *IndexB);
+    Collect(IdsB, *IndexB, *IndexA);
   }
   std::ranges::sort(Candidates, [](Literals L, Literals R) {
     return std::ranges::lexicographical_compare(L, R);
@@ -186,16 +186,16 @@ static void visitFeatures(const KastKernelOptions &Options,
   // Occurrences come off the automaton's end-position index, or from a
   // scan of X under the reference matcher.
   auto Score = [&Options](const WeightedString &X,
-                          const KastPrecomputation *Prep, Literals Key) {
-    if (!Prep)
+                          const KastSequenceIndex *Index, Literals Key) {
+    if (!Index)
       return weighOccurrences(X, findOccurrences(X.literalIds(), Key),
                               Key.size(), Options);
-    int32_t State = Prep->ReversedSam.locate(Key.rbegin(), Key.rend());
+    int32_t State = Index->ReversedSam.locate(Key.rbegin(), Key.rend());
     assert(State != -1 && "a candidate occurs in both strings");
-    return occurrencesAt(X, Prep->ReversedSam, State, Key.size(), Options);
+    return occurrencesAt(X, Index->ReversedSam, State, Key.size(), Options);
   };
   for (Literals Key : Candidates) {
-    Occurrences InA = Score(A, PrepA, Key), InB = Score(B, PrepB, Key);
+    Occurrences InA = Score(A, IndexA, Key), InB = Score(B, IndexB, Key);
     if (qualifies(InA, InB, Options))
       Visit(Key, InA, InB);
   }
@@ -205,11 +205,11 @@ static void visitFeatures(const KastKernelOptions &Options,
 /// double in visitFeatures' lexicographic order.
 static double orderedSum(const KastKernelOptions &Options,
                          const WeightedString &A,
-                         const KastPrecomputation *PrepA,
+                         const KastSequenceIndex *IndexA,
                          const WeightedString &B,
-                         const KastPrecomputation *PrepB) {
+                         const KastSequenceIndex *IndexB) {
   double Sum = 0.0;
-  visitFeatures(Options, A, PrepA, B, PrepB,
+  visitFeatures(Options, A, IndexA, B, IndexB,
                 [&Sum](Literals, Occurrences InA, Occurrences InB) {
                   Sum += static_cast<double>(InA.Weight) *
                          static_cast<double>(InB.Weight);
@@ -226,8 +226,8 @@ static double orderedSum(const KastKernelOptions &Options,
 /// length is a repeat and skipped; any other is read off one of its
 /// partner occurrences and located in the subject's automaton. \p Side
 /// is the subject's index into Candidate::State.
-static void collectCandidates(const KastPrecomputation &Subject,
-                              const KastPrecomputation &Partner, int Side,
+static void collectCandidates(const KastSequenceIndex &Subject,
+                              const KastSequenceIndex &Partner, int Side,
                               PairScratch &Scratch) {
   const SuffixAutomaton &PartnerSam = Partner.ReversedSam;
   if (Scratch.Seen.size() < PartnerSam.numStates())
@@ -259,8 +259,8 @@ static void collectCandidates(const KastPrecomputation &Subject,
 /// The candidate features of the group pair (G, H), into
 /// \p Scratch.Candidates: every distinct literal sequence that is a
 /// maximal match in either direction.
-static void findCandidates(const KastPrecomputation &G,
-                           const KastPrecomputation &H, PairScratch &Scratch) {
+static void findCandidates(const KastSequenceIndex &G,
+                           const KastSequenceIndex &H, PairScratch &Scratch) {
   Scratch.Candidates.clear();
   collectCandidates(G, H, 0, Scratch);
   collectCandidates(H, G, 1, Scratch);
@@ -298,11 +298,11 @@ static std::optional<double> exactDot(const uint64_t *QA, const uint64_t *QB,
 /// literal sequence and not be ignored().
 template <typename NeededFn, typename StoreFn>
 static void scoreRows(const KastKernelOptions &Options,
-                      const KastPrecomputation &G, const KastPrecomputation &H,
+                      const KastSequenceIndex &G, const KastSequenceIndex &H,
                       PairScratch &Scratch, NeededFn Needed, StoreFn Store) {
   const std::vector<Candidate> &Candidates = Scratch.Candidates;
   const size_t K = Candidates.size();
-  const KastPrecomputation *Prep[2] = {&G, &H};
+  const KastSequenceIndex *Index[2] = {&G, &H};
   for (int Side = 0; Side < 2; ++Side) {
     const std::vector<const WeightedString *> &Rows = Scratch.Rows[Side];
     std::vector<uint64_t> &Q = Scratch.Weights[Side];
@@ -310,7 +310,7 @@ static void scoreRows(const KastKernelOptions &Options,
     for (size_t R = 0; R < Rows.size(); ++R)
       for (size_t C = 0; C < K; ++C)
         Q[R * K + C] = qualifyingWeight(
-            occurrencesAt(*Rows[R], Prep[Side]->ReversedSam,
+            occurrencesAt(*Rows[R], Index[Side]->ReversedSam,
                           Candidates[C].State[Side], Candidates[C].Length,
                           Options),
             Options);
@@ -339,48 +339,15 @@ KastSpectrumKernel::features(const WeightedString &A,
   return Result;
 }
 
-std::unique_ptr<KernelPrecomputation>
-KastSpectrumKernel::precompute(const WeightedString &X) const {
-  // The reference matcher never consults the automaton.
-  if (Options.UseReferenceMatcher)
-    return nullptr;
-  return std::make_unique<KastPrecomputation>(X.literalIds());
-}
-
 double KastSpectrumKernel::evaluate(const WeightedString &A,
                                     const WeightedString &B) const {
   return orderedSum(Options, A, nullptr, B, nullptr);
 }
 
-double KastSpectrumKernel::evaluatePrepared(
-    const WeightedString &A, const KernelPrecomputation *PrepA,
-    const WeightedString &B, const KernelPrecomputation *PrepB) const {
-  if (Options.UseReferenceMatcher)
-    return orderedSum(Options, A, nullptr, B, nullptr);
-  if (ignored(A, Options) || ignored(B, Options))
-    return 0.0;
-  assert(A.table().get() == B.table().get() &&
-         "kernel arguments must share one token table");
-  std::optional<KastPrecomputation> OwnedA, OwnedB;
-  const KastPrecomputation &GA =
-      PrepA ? static_cast<const KastPrecomputation &>(*PrepA)
-            : OwnedA.emplace(A.literalIds());
-  const KastPrecomputation &GB =
-      PrepB ? static_cast<const KastPrecomputation &>(*PrepB)
-            : OwnedB.emplace(B.literalIds());
-  PairScratch Scratch;
-  findCandidates(GA, GB, Scratch);
-  Scratch.Rows[0] = {&A};
-  Scratch.Rows[1] = {&B};
-  double Value = 0.0;
-  scoreRows(
-      Options, GA, GB, Scratch, [](size_t, size_t) { return true; },
-      [&Value](size_t, size_t, double V) { Value = V; });
-  return Value;
-}
-
 KastGramGroups::KastGramGroups(std::vector<uint64_t> Cuts, CutPolicy Policy)
     : Cuts(std::move(Cuts)), Policy(Policy) {}
+
+KastGramGroups::~KastGramGroups() = default;
 
 void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
                                 std::span<Matrix> Raw, size_t Threads) {
@@ -404,14 +371,14 @@ void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
   }
   Rows = Strings.size();
 
-  // One precomputation per new group, from its first row's ids.
-  Prep.resize(Members.size());
+  // One sequence index per new group, from its first row's ids.
+  Index.resize(Members.size());
   parallelFor(
       Members.size() - OldGroups,
       [&](size_t I) {
         const std::vector<uint32_t> &Ids =
             Strings[Members[OldGroups + I].front()].literalIds();
-        Prep[OldGroups + I] = std::make_unique<KastPrecomputation>(Ids);
+        Index[OldGroups + I] = std::make_unique<KastSequenceIndex>(Ids);
       },
       Threads);
 
@@ -440,8 +407,7 @@ void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
         Out.push_back(&Strings[Row]);
   };
   auto ScorePair = [&](uint32_t G, uint32_t H, PairScratch &Scratch) {
-    const auto &PrepG = static_cast<const KastPrecomputation &>(*Prep[G]),
-               &PrepH = static_cast<const KastPrecomputation &>(*Prep[H]);
+    const KastSequenceIndex &IndexG = *Index[G], &IndexH = *Index[H];
     bool Found = false;
     for (size_t C = 0; C < Cuts.size(); ++C) {
       const KastKernelOptions Options{Cuts[C], Policy};
@@ -453,11 +419,11 @@ void KastGramGroups::appendRows(std::span<const WeightedString> Strings,
       if (Scratch.Rows[0].empty() || Scratch.Rows[1].empty())
         continue;
       if (!Found)
-        findCandidates(PrepG, PrepH, Scratch);
+        findCandidates(IndexG, IndexH, Scratch);
       Found = true;
       Matrix &Gram = Raw[C];
       scoreRows(
-          Options, PrepG, PrepH, Scratch,
+          Options, IndexG, IndexH, Scratch,
           [&](size_t I, size_t J) {
             const size_t A = RowOf(Scratch.Rows[0][I]),
                          B = RowOf(Scratch.Rows[1][J]);

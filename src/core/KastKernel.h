@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -86,35 +87,30 @@ struct KastFeature {
   bool operator==(const KastFeature &Rhs) const = default;
 };
 
+/// A literal-id sequence reversed, with the suffix automaton of that
+/// (defined in KastKernel.cpp).
+struct KastSequenceIndex;
+
 /// The Kast Spectrum Kernel.
 ///
 /// The kernel's features are pair-dependent (maximal matches of A
-/// *relative to B*), so it has no per-string profile. Instead
-/// precompute() caches the reversed literal sequence and its suffix
-/// automaton with end-position index, which depend on X's literal ids
-/// alone. evaluatePrepared() then costs O(|A| + |B|) for the matching
-/// statistics against each partner's automaton, which also name every
-/// maximal match by its (state, length) there; locating each distinct
-/// candidate in its own string's automaton (O(its length)); and O(1)
-/// per occurrence to weigh it with the prefix-sum rangeWeight — output
-/// sensitive, with no rescan of either string and no literal
-/// comparison. evaluate() and features() are the reference: candidates
-/// sorted lexicographically and the inner product summed in double in
-/// that order, which evaluatePrepared() matches bit for bit (see
-/// KastGramGroups). UseReferenceMatcher swaps the matching for the
-/// quadratic matcher and a scan per feature.
+/// *relative to B*), so it has no per-string profile. evaluate() builds
+/// both strings' reversed suffix automata, finds the maximal matches in
+/// both directions with one O(|A| + |B|) matching walk each over the
+/// partner's automaton, sorts the candidate literal spans
+/// lexicographically, reads each one's occurrences off its own string's
+/// end-position index and weighs them with the prefix-sum rangeWeight,
+/// and sums the inner product in double in that order. That ordered sum
+/// is the reference value, and features() lists its terms. A Gram takes
+/// KastGramGroups instead, which gives the same bits while finding the
+/// candidates once per pair of literal sequences. UseReferenceMatcher
+/// swaps the matching for the quadratic matcher and a scan per feature.
 class KastSpectrumKernel final : public StringKernel {
 public:
   explicit KastSpectrumKernel(KastKernelOptions Options = {});
 
   double evaluate(const WeightedString &A,
                   const WeightedString &B) const override;
-  std::unique_ptr<KernelPrecomputation>
-  precompute(const WeightedString &X) const override;
-  double evaluatePrepared(const WeightedString &A,
-                          const KernelPrecomputation *PrepA,
-                          const WeightedString &B,
-                          const KernelPrecomputation *PrepB) const override;
   std::string name() const override;
 
   /// Computes the explicit shared-feature embedding of (A, B); the
@@ -135,7 +131,7 @@ private:
 /// Which substrings become features depends only on the two strings'
 /// literal-id sequences; token weights and the cut enter only when
 /// occurrences are weighed. So rows are grouped by literal-id sequence,
-/// each group keeps one precomputation, and each pair of groups finds
+/// each group keeps one KastSequenceIndex, and each pair of groups finds
 /// its candidate features and their occurrences once for all of its
 /// member pairs and all cut weights — the work grows with the distinct
 /// structure, not with the number of rows or cuts. Candidates come from
@@ -146,12 +142,12 @@ private:
 /// bits. Every product is an integer, so below 2^53 the exact sum is
 /// also the double sum in any order, the reference's lexicographic
 /// order included; an entry that reaches 2^53 takes the reference's
-/// ordered sum instead. KastSpectrumKernel::evaluatePrepared runs the
-/// same group-pair routine on two one-row groups.
+/// ordered sum instead.
 class KastGramGroups {
 public:
   /// A Gram per cut weight in \p Cuts, all under \p Policy.
   KastGramGroups(std::vector<uint64_t> Cuts, CutPolicy Policy);
+  ~KastGramGroups();
 
   /// Groups the rows \p Strings[size()..] and writes, for each cut
   /// weight Cuts[C], every entry of \p Raw[C] they introduce — (I, J)
@@ -171,8 +167,8 @@ private:
   size_t Rows = 0;
   /// Literal-id sequence -> group.
   std::map<std::vector<uint32_t>, uint32_t> GroupOf;
-  /// Per group: its precomputation and its rows, ascending.
-  std::vector<std::unique_ptr<KernelPrecomputation>> Prep;
+  /// Per group: its sequence index and its rows, ascending.
+  std::vector<std::unique_ptr<KastSequenceIndex>> Index;
   std::vector<std::vector<uint32_t>> Members;
 };
 

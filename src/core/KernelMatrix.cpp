@@ -112,13 +112,12 @@ void KernelMatrix::fillTiled(size_t OldN, size_t N) {
       Options.Threads);
 }
 
-/// The opaque-handle fill: evaluatePrepared over the flattened pair
-/// index space (the path of combinators, plain pairwise kernels and
-/// the UsePrecompute=off differential baselines).
-void KernelMatrix::fillPrepared(size_t OldN, size_t N) {
+/// The pairwise fill: evaluate() over the flattened pair index space
+/// (the path of kernels without per-string state and of the
+/// UsePrecompute=off differential baselines).
+void KernelMatrix::fillPairwise(size_t OldN, size_t N) {
   auto Fill = [&](size_t I, size_t J) {
-    double V = Kernel.evaluatePrepared(Strings[I], Prep[I].get(), Strings[J],
-                                       Prep[J].get());
+    double V = Kernel.evaluate(Strings[I], Strings[J]);
     Raw.at(I, J) = V;
     Raw.at(J, I) = V;
   };
@@ -155,12 +154,11 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
 
   Strings.insert(Strings.end(), NewStrings.begin(), NewStrings.end());
 
-  // Per-string state for the new rows only, amortized across every
-  // pair each new string participates in. Profiled kernels stage their
-  // profiles in parallel, then append them to the arena (a flat copy);
-  // the Kast fill builds its per-group state itself; other kernels
-  // keep opaque handles (plain kernels nullptr at zero cost). The old
-  // rows keep the state built when they were appended.
+  // Profiles for the new rows only, amortized across every pair each
+  // new string participates in: staged in parallel, then appended to
+  // the arena (a flat copy). The old rows keep the profiles built when
+  // they were appended; the Kast fill builds its per-group state
+  // itself.
   if (UseStore()) {
     std::vector<KernelProfile> Staged(M);
     parallelFor(
@@ -168,15 +166,6 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
         [&](size_t I) { Staged[I] = Profiled->profile(Strings[OldN + I]); },
         Options.Threads);
     Store.appendAll(Staged);
-  } else if (!Kast) {
-    Prep.resize(N);
-    if (Options.UsePrecompute)
-      parallelFor(
-          M,
-          [&](size_t I) {
-            Prep[OldN + I] = Kernel.precompute(Strings[OldN + I]);
-          },
-          Options.Threads);
   }
 
   // Grow the raw matrix by copying the existing block row-wise — a
@@ -211,8 +200,7 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
         M,
         [&](size_t I) {
           const size_t Row = OldN + I;
-          Diag[Row] = Kernel.evaluatePrepared(Strings[Row], Prep[Row].get(),
-                                              Strings[Row], Prep[Row].get());
+          Diag[Row] = Kernel.evaluate(Strings[Row], Strings[Row]);
           Raw.at(Row, Row) = Diag[Row];
         },
         Options.Threads);
@@ -223,7 +211,7 @@ void KernelMatrix::appendRows(const std::vector<WeightedString> &NewStrings) {
   if (UseStore())
     fillTiled(OldN, N);
   else
-    fillPrepared(OldN, N);
+    fillPairwise(OldN, N);
 }
 
 /// \p K with \p Options' post-processing applied: cosine normalization

@@ -21,7 +21,7 @@
 ///     a served corpus grow one batch of traces at a time without the
 ///     O(N²·dot) rebuild.
 ///
-/// With UsePrecompute on, three fills share that contract:
+/// Three fills share that contract:
 ///
 ///   * ProfiledStringKernel instances keep their per-string state in a
 ///     core/ProfileStore arena — one flat structure-of-arrays for the
@@ -33,8 +33,11 @@
 ///     rows to core/KastKernel's KastGramGroups, which groups them by
 ///     literal-id sequence and finds each group pair's candidate
 ///     features once for all of its member pairs.
-///   * Other kernels (combinators, plain pairwise kernels) keep the
-///     opaque KernelPrecomputation handle per row.
+///   * Every other kernel is evaluated pair by pair, over the flattened
+///     index of the entries the new rows introduce.
+///
+/// The first two need UsePrecompute; with it off, every kernel takes
+/// the pairwise fill.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +49,6 @@
 #include "core/StringKernel.h"
 #include "linalg/Matrix.h"
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -65,10 +67,10 @@ struct KernelMatrixOptions {
   /// Worker threads for pairwise evaluation; 0 = hardware concurrency,
   /// 1 = inline (deterministic execution order).
   size_t Threads = 0;
-  /// Build every string's kernel precomputation (feature profile,
-  /// suffix automaton, ...) once up front and reuse it for all N-1
-  /// pairs — the O(N·build + N²·dot) fast path. Off = evaluate every
-  /// pair from scratch (the differential-testing baseline).
+  /// Build per-string state once up front and reuse it for all N-1
+  /// pairs: a profiled kernel's profile arena (the O(N·build + N²·dot)
+  /// fast path) or the Kast kernel's grouped fill. Off = evaluate()
+  /// every pair from scratch (the differential-testing baseline).
   bool UsePrecompute = true;
 };
 
@@ -107,7 +109,7 @@ public:
   explicit KernelMatrix(const StringKernel &Kernel,
                         KernelMatrixOptions Options = {});
 
-  /// Appends \p NewStrings, precomputing their per-string state and
+  /// Appends \p NewStrings, building their per-string state and
   /// evaluating only the entries they introduce: M self-kernels, the
   /// old-N × M rectangle and the M(M-1)/2 new-pair triangle. No
   /// existing entry is re-evaluated.
@@ -140,19 +142,18 @@ public:
 private:
   bool UseStore() const { return Profiled != nullptr; }
   void fillTiled(size_t OldN, size_t N);
-  void fillPrepared(size_t OldN, size_t N);
+  void fillPairwise(size_t OldN, size_t N);
 
   const StringKernel &Kernel;
   /// Non-null iff Kernel is a ProfiledStringKernel and UsePrecompute
-  /// is on — then Store (not Prep) carries the per-string state.
+  /// is on — then Store carries the per-string state.
   const ProfiledStringKernel *Profiled = nullptr;
   KernelMatrixOptions Options;
   std::vector<WeightedString> Strings;
-  std::vector<std::unique_ptr<KernelPrecomputation>> Prep;
   ProfileStore Store;
   /// Engaged iff Kernel is a KastSpectrumKernel on the automaton
-  /// matcher and UsePrecompute is on — then it (not Prep) carries the
-  /// per-group state.
+  /// matcher and UsePrecompute is on — then it carries the per-group
+  /// state.
   std::optional<KastGramGroups> Kast;
   std::vector<double> Diag;
   Matrix Raw;
@@ -161,12 +162,11 @@ private:
 /// Computes the full symmetric Gram matrix of \p Kernel over
 /// \p Strings (one-shot KernelMatrix build + materialize).
 ///
-/// Per-string work is amortized through StringKernel::precompute: all N
-/// precomputations are built in one parallelFor, then the N(N-1)/2
-/// upper-triangle entries are filled with evaluatePrepared. For
-/// ProfiledStringKernel instances the pair step is a sparse-profile dot
-/// product, turning Gram construction from O(N²·build) into
-/// O(N·build + N²·dot).
+/// With UsePrecompute on, a ProfiledStringKernel builds its N profiles
+/// in one parallelFor and fills the N(N-1)/2 upper-triangle entries
+/// with sparse-profile dots, turning Gram construction from
+/// O(N²·build) into O(N·build + N²·dot), and a KastSpectrumKernel takes
+/// the grouped fill. Every other kernel is evaluated per pair.
 Matrix computeKernelMatrix(const StringKernel &Kernel,
                            const std::vector<WeightedString> &Strings,
                            const KernelMatrixOptions &Options = {});

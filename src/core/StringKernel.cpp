@@ -11,21 +11,7 @@
 
 using namespace kast;
 
-KernelPrecomputation::~KernelPrecomputation() = default;
-
 StringKernel::~StringKernel() = default;
-
-std::unique_ptr<KernelPrecomputation>
-StringKernel::precompute(const WeightedString &) const {
-  return nullptr;
-}
-
-double StringKernel::evaluatePrepared(const WeightedString &A,
-                                      const KernelPrecomputation *,
-                                      const WeightedString &B,
-                                      const KernelPrecomputation *) const {
-  return evaluate(A, B);
-}
 
 double StringKernel::evaluateNormalized(const WeightedString &A,
                                         const WeightedString &B) const {
@@ -37,34 +23,9 @@ double StringKernel::evaluateNormalized(const WeightedString &A,
   return Kab / std::sqrt(Kaa * Kbb);
 }
 
-double ProfiledStringKernel::dot(const KernelProfile &A,
-                                 const KernelProfile &B) const {
-  return A.dot(B);
-}
-
 double ProfiledStringKernel::evaluate(const WeightedString &A,
                                       const WeightedString &B) const {
   assert((A.empty() || B.empty() || A.table().get() == B.table().get()) &&
          "kernel arguments must share one token table");
-  return dot(profile(A), profile(B));
-}
-
-std::unique_ptr<KernelPrecomputation>
-ProfiledStringKernel::precompute(const WeightedString &X) const {
-  return std::make_unique<ProfilePrecomputation>(profile(X));
-}
-
-double ProfiledStringKernel::evaluatePrepared(
-    const WeightedString &A, const KernelPrecomputation *PrepA,
-    const WeightedString &B, const KernelPrecomputation *PrepB) const {
-  const auto *CachedA = static_cast<const ProfilePrecomputation *>(PrepA);
-  const auto *CachedB = static_cast<const ProfilePrecomputation *>(PrepB);
-  if (CachedA && CachedB)
-    return dot(CachedA->profile(), CachedB->profile());
-  // One side missing: rebuild it (the other stays cached).
-  if (CachedA)
-    return dot(CachedA->profile(), profile(B));
-  if (CachedB)
-    return dot(profile(A), CachedB->profile());
-  return evaluate(A, B);
+  return profile(A).dot(profile(B));
 }

@@ -13,13 +13,12 @@
 /// matrix").
 ///
 /// Because the Gram matrix evaluates every string against N-1 partners,
-/// the interface exposes a per-string precomputation seam: precompute()
-/// returns an opaque handle (a feature profile, a suffix automaton,
-/// ...) that evaluatePrepared() reuses for every pair the string
-/// participates in. Kernels with an explicit per-string embedding
-/// implement the stronger ProfiledStringKernel contract, where the
-/// handle is a KernelProfile and pairwise evaluation is a sparse dot
+/// kernels with an explicit per-string embedding implement the stronger
+/// ProfiledStringKernel contract: each string's features are one
+/// KernelProfile, built once, and pairwise evaluation is a sparse dot
 /// product — the O(N·build + N²·dot) fast path of computeKernelMatrix.
+/// The Kast kernel's Gram amortizes per literal-id sequence instead
+/// (KastGramGroups); every other kernel is evaluated pair by pair.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,19 +28,9 @@
 #include "core/KernelProfile.h"
 #include "core/Token.h"
 
-#include <memory>
 #include <string>
 
 namespace kast {
-
-/// Opaque per-string state a kernel derives once and reuses across all
-/// pairwise evaluations involving that string (e.g. a feature profile
-/// or a suffix automaton). Lifetime is managed by the caller; handles
-/// are immutable after construction and safe to share across threads.
-class KernelPrecomputation {
-public:
-  virtual ~KernelPrecomputation();
-};
 
 /// Abstract kernel function over weighted strings.
 class StringKernel {
@@ -51,20 +40,6 @@ public:
   /// Unnormalized kernel value k(A, B).
   virtual double evaluate(const WeightedString &A,
                           const WeightedString &B) const = 0;
-
-  /// Derives the reusable per-string state for \p X, or nullptr when
-  /// this kernel has nothing to precompute (the default).
-  virtual std::unique_ptr<KernelPrecomputation>
-  precompute(const WeightedString &X) const;
-
-  /// k(A, B) given the strings' precomputation handles. Either handle
-  /// may be nullptr (then the kernel recomputes what it needs); when
-  /// non-null, a handle must come from precompute() on the same string
-  /// of the same kernel instance. Default: plain evaluate().
-  virtual double evaluatePrepared(const WeightedString &A,
-                                  const KernelPrecomputation *PrepA,
-                                  const WeightedString &B,
-                                  const KernelPrecomputation *PrepB) const;
 
   /// Human-readable kernel name (for bench/table output).
   virtual std::string name() const = 0;
@@ -79,47 +54,24 @@ public:
 
 /// A kernel with an explicit per-string embedding: k(A, B) equals the
 /// inner product of two independently computed sparse feature vectors.
-/// Subclasses implement profile(); evaluate() and the precomputation
-/// seam come for free, and computeKernelMatrix amortizes profile
-/// construction across the whole Gram matrix.
+/// Subclasses implement profile(); evaluate() comes for free, and
+/// computeKernelMatrix amortizes profile construction across the whole
+/// Gram matrix.
+///
+/// The contract is that k(A, B) *is* the plain merge-join dot of the
+/// two profiles (KernelProfile::dot): the arena fast paths
+/// (KernelMatrix's tiled fill, IndexService retrieval) dot stored
+/// ProfileViews directly without consulting the kernel, so a kernel
+/// whose value is not the plain dot must not be profiled; fold the
+/// transform into profile() instead.
 class ProfiledStringKernel : public StringKernel {
 public:
   /// The explicit (hashed) feature embedding of \p X, finalized.
   virtual KernelProfile profile(const WeightedString &X) const = 0;
 
-  /// Inner product of two profiles. Deliberately non-virtual: the
-  /// ProfiledStringKernel contract is that k(A, B) *is* the plain
-  /// merge-join dot of the two profiles — the arena fast paths
-  /// (KernelMatrix's tiled fill, IndexService retrieval) dot stored
-  /// ProfileViews directly without consulting the kernel, so a kernel
-  /// whose value is not the plain dot must not be profiled; fold the
-  /// transform into profile() instead.
-  double dot(const KernelProfile &A, const KernelProfile &B) const;
-
-  /// k(A, B) = dot(profile(A), profile(B)).
+  /// k(A, B) = profile(A).dot(profile(B)).
   double evaluate(const WeightedString &A,
                   const WeightedString &B) const override;
-
-  /// Wraps profile(X) in a precomputation handle.
-  std::unique_ptr<KernelPrecomputation>
-  precompute(const WeightedString &X) const override;
-
-  /// Dots the cached profiles, recomputing any missing side.
-  double evaluatePrepared(const WeightedString &A,
-                          const KernelPrecomputation *PrepA,
-                          const WeightedString &B,
-                          const KernelPrecomputation *PrepB) const override;
-};
-
-/// The handle ProfiledStringKernel::precompute returns; exposed so
-/// combinators can unwrap nested profiles.
-class ProfilePrecomputation final : public KernelPrecomputation {
-public:
-  explicit ProfilePrecomputation(KernelProfile P) : Profile(std::move(P)) {}
-  const KernelProfile &profile() const { return Profile; }
-
-private:
-  KernelProfile Profile;
 };
 
 } // namespace kast

@@ -17,14 +17,6 @@ GapWeightedKernel::GapWeightedKernel(size_t P, double Lambda)
   assert(Lambda > 0.0 && Lambda <= 1.0 && "lambda must be in (0, 1]");
 }
 
-std::unique_ptr<KernelPrecomputation>
-GapWeightedKernel::precompute(const WeightedString &) const {
-  // Deliberate pass-through (see header): the DP has no per-string
-  // half, so the seam contract is "nothing to cache" rather than the
-  // base class's silent default.
-  return nullptr;
-}
-
 std::string GapWeightedKernel::name() const {
   return "gap-weighted(p=" + std::to_string(P) + ")";
 }

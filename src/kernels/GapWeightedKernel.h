@@ -33,18 +33,12 @@ public:
   /// \param Lambda gap decay in (0, 1]
   explicit GapWeightedKernel(size_t P = 3, double Lambda = 0.5);
 
+  /// The Lodhi DP is inherently pairwise — its K' tables depend on
+  /// both strings — so there is no per-string state to derive once, and
+  /// Gram builds pay O(N² · dp) on this kernel by nature, not by
+  /// omission: computeKernelMatrix calls this per pair.
   double evaluate(const WeightedString &A,
                   const WeightedString &B) const override;
-
-  /// Explicit pass-through of the precomputation seam: the Lodhi DP is
-  /// inherently pairwise — its K' tables depend on both strings — so
-  /// there is no per-string state to derive once, and Gram builds pay
-  /// O(N² · dp) on this kernel by nature, not by omission. Returns
-  /// nullptr; evaluatePrepared (inherited) degrades to evaluate, which
-  /// keeps this kernel observationally identical through both paths of
-  /// computeKernelMatrix.
-  std::unique_ptr<KernelPrecomputation>
-  precompute(const WeightedString &X) const override;
 
   std::string name() const override;
 

@@ -272,9 +272,9 @@ TEST(KastKernelTest, NameMentionsCut) {
 
 // Property sweep: on random weighted strings, under both cut policies,
 // the kernel must be symmetric, produce the reference matcher's whole
-// embedding (literals, weights, counts and their order), give the same
-// value through cached precomputations, and normalize self-similarity
-// to 1. The long low-alphabet rows make occurrences overlap and nest.
+// embedding (literals, weights, counts and their order) and value, and
+// normalize self-similarity to 1. The long low-alphabet rows make
+// occurrences overlap and nest.
 class KastKernelSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, CutPolicy>> {
 };
@@ -304,11 +304,6 @@ TEST_P(KastKernelSweep, SymmetryAndMatcherEquivalence) {
     EXPECT_DOUBLE_EQ(Kst, KFast.evaluate(T, S));
     EXPECT_EQ(Kst, KSlow.evaluate(S, T));
 
-    std::unique_ptr<KernelPrecomputation> PrepS = KFast.precompute(S),
-                                          PrepT = KFast.precompute(T);
-    EXPECT_EQ(KFast.evaluatePrepared(S, PrepS.get(), T, PrepT.get()), Kst);
-    EXPECT_EQ(KFast.evaluatePrepared(S, PrepS.get(), T, nullptr), Kst);
-    EXPECT_EQ(KFast.evaluatePrepared(S, nullptr, T, PrepT.get()), Kst);
     if (S.totalWeight() >= static_cast<uint64_t>(Cut)) {
       EXPECT_NEAR(KFast.evaluateNormalized(S, S), 1.0, 1e-12);
     }

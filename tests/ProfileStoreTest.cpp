@@ -234,7 +234,7 @@ TEST(ProfileStoreTest, NonProfiledKernelsKeepTheHandlePath) {
   BlendedSpectrumKernel Profiled(2);
   KernelMatrixOptions NoPrecompute;
   NoPrecompute.UsePrecompute = false;
-  // UsePrecompute off: even a profiled kernel takes the handle path.
+  // UsePrecompute off: even a profiled kernel takes the pairwise path.
   KernelMatrix Off(Profiled, NoPrecompute);
   Off.appendRows(Corpus);
   EXPECT_EQ(Off.profileStore(), nullptr);

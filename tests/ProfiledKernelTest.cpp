@@ -8,11 +8,10 @@
 // direct pairwise evaluation. The reference evaluators below rebuild
 // the pre-profile tree-map semantics (aggregate every feature of both
 // strings per pair, multiply shared aggregates), and the randomized
-// sweeps assert dot(profile(A), profile(B)) matches them to 1e-9
+// sweeps assert profile(A).dot(profile(B)) matches them to 1e-9
 // relative across alphabet sizes, lengths, weights and cut
-// configurations. The precomputation seam (Kast suffix-automaton
-// cache, combinator forwarding, computeKernelMatrix fast path) is
-// checked against its unprepared counterpart the same way.
+// configurations. computeKernelMatrix's fast fills are checked against
+// its pairwise fill the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +19,6 @@
 #include "core/KernelMatrix.h"
 #include "core/StringSerializer.h"
 #include "kernels/BagOfWordsKernel.h"
-#include "kernels/Combinators.h"
-#include "kernels/GapWeightedKernel.h"
 #include "kernels/SpectrumKernels.h"
 #include "util/Rng.h"
 
@@ -172,7 +169,7 @@ TEST(ProfiledKernelTest, SpectrumFamilyMatchesReferenceRandomized) {
       SpectrumFamilyKernel Kernel(Options);
 
       double Direct = referenceSpectrum(A, B, Options);
-      double Profiled = Kernel.dot(Kernel.profile(A), Kernel.profile(B));
+      double Profiled = Kernel.profile(A).dot(Kernel.profile(B));
       expectRelNear(Profiled, Direct, Kernel.name());
       EXPECT_DOUBLE_EQ(Kernel.evaluate(A, B), Profiled) << Kernel.name();
       ++Pairs;
@@ -187,18 +184,18 @@ TEST(ProfiledKernelTest, SpectrumFamilyMatchesReferenceRandomized) {
     uint64_t Cut = Cuts[R.uniformInt(0, 2)];
 
     KSpectrumKernel KSpec(R.uniformInt(1, 4), Weighted, Cut);
-    expectRelNear(KSpec.dot(KSpec.profile(A), KSpec.profile(B)),
+    expectRelNear(KSpec.profile(A).dot(KSpec.profile(B)),
                   referenceSpectrum(A, B, KSpec.options()), KSpec.name());
 
     BlendedSpectrumKernel Blended(R.uniformInt(1, 3),
                                   Lambdas[R.uniformInt(0, 2)], Weighted,
                                   Cut);
-    expectRelNear(Blended.dot(Blended.profile(A), Blended.profile(B)),
+    expectRelNear(Blended.profile(A).dot(Blended.profile(B)),
                   referenceSpectrum(A, B, Blended.options()),
                   Blended.name());
 
     BagOfTokensKernel Bag(Weighted, Cut);
-    expectRelNear(Bag.dot(Bag.profile(A), Bag.profile(B)),
+    expectRelNear(Bag.profile(A).dot(Bag.profile(B)),
                   referenceSpectrum(A, B, Bag.options()), Bag.name());
     Pairs += 3;
   }
@@ -216,7 +213,7 @@ TEST(ProfiledKernelTest, BagOfWordsMatchesReferenceRandomized) {
     bool Weighted = R.flip(0.5);
     BagOfWordsKernel Kernel(Weighted);
     double Direct = referenceBagOfWords(A, B, Weighted);
-    double Profiled = Kernel.dot(Kernel.profile(A), Kernel.profile(B));
+    double Profiled = Kernel.profile(A).dot(Kernel.profile(B));
     expectRelNear(Profiled, Direct, Kernel.name());
     EXPECT_DOUBLE_EQ(Kernel.evaluate(A, B), Profiled);
   }
@@ -273,113 +270,6 @@ TEST(ProfiledKernelTest, WordSegmentationIsPartOfTheFeature) {
 }
 
 //===----------------------------------------------------------------------===//
-// Precomputation seam: prepared == unprepared
-//===----------------------------------------------------------------------===//
-
-TEST(ProfiledKernelTest, KastPreparedMatchesDirect) {
-  Rng R(424242);
-  auto Table = TokenTable::create();
-  KastSpectrumKernel Kernel({/*CutWeight=*/2});
-  for (int Trial = 0; Trial < 32; ++Trial) {
-    WeightedString A = randomString(Table, R, R.uniformInt(0, 48), 6);
-    WeightedString B = randomString(Table, R, R.uniformInt(0, 48), 6);
-    auto PrepA = Kernel.precompute(A);
-    auto PrepB = Kernel.precompute(B);
-    double Direct = Kernel.evaluate(A, B);
-    EXPECT_DOUBLE_EQ(
-        Kernel.evaluatePrepared(A, PrepA.get(), B, PrepB.get()), Direct);
-    // One-sided caches must work too.
-    EXPECT_DOUBLE_EQ(Kernel.evaluatePrepared(A, PrepA.get(), B, nullptr),
-                     Direct);
-    EXPECT_DOUBLE_EQ(Kernel.evaluatePrepared(A, nullptr, B, PrepB.get()),
-                     Direct);
-  }
-}
-
-TEST(ProfiledKernelTest, CombinatorsPreparedMatchesDirect) {
-  Rng R(8899);
-  auto Table = TokenTable::create();
-  auto Blended =
-      std::make_shared<BlendedSpectrumKernel>(3, 0.8, /*Weighted=*/true,
-                                              /*CutWeight=*/2);
-  auto Kast = std::make_shared<KastSpectrumKernel>(
-      KastKernelOptions{/*CutWeight=*/2, CutPolicy::PerOccurrence, false});
-  SumKernel Sum({Blended, Kast}, {0.25, 2.0});
-  ProductKernel Product({Blended, Kast});
-  NormalizedKernel Normalized(Blended);
-  for (int Trial = 0; Trial < 24; ++Trial) {
-    WeightedString A = randomString(Table, R, R.uniformInt(1, 32), 4);
-    WeightedString B = randomString(Table, R, R.uniformInt(1, 32), 4);
-    for (const StringKernel *Kernel :
-         std::initializer_list<const StringKernel *>{&Sum, &Product,
-                                                     &Normalized}) {
-      auto PrepA = Kernel->precompute(A);
-      auto PrepB = Kernel->precompute(B);
-      double Direct = Kernel->evaluate(A, B);
-      double Prepared =
-          Kernel->evaluatePrepared(A, PrepA.get(), B, PrepB.get());
-      expectRelNear(Prepared, Direct, Kernel->name());
-    }
-  }
-}
-
-TEST(ProfiledKernelTest, AllShippedKernelsPreparedMatchesDirect) {
-  // Every kernel in the library — including GapWeightedKernel, whose
-  // seam is a documented pass-through — must be observationally
-  // identical through evaluate and evaluatePrepared, with two, one, or
-  // zero cached handles.
-  Rng R(20260731);
-  auto Table = TokenTable::create();
-  auto Blended =
-      std::make_shared<BlendedSpectrumKernel>(3, 0.8, /*Weighted=*/true,
-                                              /*CutWeight=*/2);
-  auto Kast = std::make_shared<KastSpectrumKernel>(
-      KastKernelOptions{/*CutWeight=*/2});
-  KSpectrumKernel KSpec(2, /*Weighted=*/true, /*CutWeight=*/2);
-  BagOfTokensKernel Bag;
-  BagOfWordsKernel Words(true);
-  GapWeightedKernel Gap(3, 0.5);
-  SumKernel Sum({Blended, Kast}, {0.5, 1.5});
-  ProductKernel Product({Blended, Kast});
-  NormalizedKernel Normalized(Blended);
-  const std::initializer_list<const StringKernel *> Kernels = {
-      Blended.get(), Kast.get(), &KSpec, &Bag,       &Words,
-      &Gap,          &Sum,       &Product, &Normalized};
-  for (int Trial = 0; Trial < 12; ++Trial) {
-    WeightedString A = randomString(Table, R, R.uniformInt(1, 24), 4,
-                                    /*StructuralEvery=*/6);
-    WeightedString B = randomString(Table, R, R.uniformInt(1, 24), 4,
-                                    /*StructuralEvery=*/6);
-    for (const StringKernel *Kernel : Kernels) {
-      auto PrepA = Kernel->precompute(A);
-      auto PrepB = Kernel->precompute(B);
-      double Direct = Kernel->evaluate(A, B);
-      expectRelNear(Kernel->evaluatePrepared(A, PrepA.get(), B, PrepB.get()),
-                    Direct, Kernel->name() + " (both handles)");
-      expectRelNear(Kernel->evaluatePrepared(A, PrepA.get(), B, nullptr),
-                    Direct, Kernel->name() + " (left handle)");
-      expectRelNear(Kernel->evaluatePrepared(A, nullptr, B, PrepB.get()),
-                    Direct, Kernel->name() + " (right handle)");
-      expectRelNear(Kernel->evaluatePrepared(A, nullptr, B, nullptr),
-                    Direct, Kernel->name() + " (no handles)");
-    }
-  }
-}
-
-TEST(ProfiledKernelTest, NormalizedPreparedHandlesVanishingSelfKernel) {
-  auto Table = TokenTable::create();
-  NormalizedKernel Kernel(std::make_shared<KSpectrumKernel>(3));
-  WeightedString Short = fromText(Table, "a b"); // No 3-grams: k(x,x) = 0.
-  WeightedString Long = fromText(Table, "a b c d");
-  auto PrepShort = Kernel.precompute(Short);
-  auto PrepLong = Kernel.precompute(Long);
-  EXPECT_DOUBLE_EQ(
-      Kernel.evaluatePrepared(Short, PrepShort.get(), Long, PrepLong.get()),
-      0.0);
-  EXPECT_DOUBLE_EQ(Kernel.evaluate(Short, Long), 0.0);
-}
-
-//===----------------------------------------------------------------------===//
 // Gram matrix: fast path == generic path
 //===----------------------------------------------------------------------===//
 
@@ -406,16 +296,13 @@ TEST(ProfiledKernelTest, GramFastPathMatchesGenericPath) {
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus = randomCorpus(Table, R, 12);
 
-  auto Blended =
-      std::make_shared<BlendedSpectrumKernel>(3, 1.0, /*Weighted=*/true,
-                                              /*CutWeight=*/2);
-  auto Kast = std::make_shared<KastSpectrumKernel>(
-      KastKernelOptions{/*CutWeight=*/2, CutPolicy::PerOccurrence, false});
-  SumKernel Sum({Blended, Kast});
+  const BlendedSpectrumKernel Blended(3, 1.0, /*Weighted=*/true,
+                                      /*CutWeight=*/2);
+  const KastSpectrumKernel Kast(
+      {/*CutWeight=*/2, CutPolicy::PerOccurrence, false});
 
   for (const StringKernel *Kernel :
-       std::initializer_list<const StringKernel *>{Blended.get(),
-                                                   Kast.get(), &Sum}) {
+       std::initializer_list<const StringKernel *>{&Blended, &Kast}) {
     for (bool Normalize : {false, true}) {
       KernelMatrixOptions Fast;
       Fast.Normalize = Normalize;
@@ -433,7 +320,9 @@ TEST(ProfiledKernelTest, GramFastPathMatchesGenericPath) {
 TEST(ProfiledKernelTest, GramPairIndexInversionCoversAllCells) {
   // Off-diagonal zeros would betray a mis-inverted pair index; use a
   // kernel that is nonzero for every pair (bag of tokens over a shared
-  // alphabet with every string containing token "t0").
+  // alphabet with every string containing token "t0"), on the pairwise
+  // fill, which walks that index (a profiled kernel would otherwise
+  // take the tiled arena fill).
   auto Table = TokenTable::create();
   std::vector<WeightedString> Corpus;
   for (size_t I = 0; I < 9; ++I) {
@@ -445,6 +334,7 @@ TEST(ProfiledKernelTest, GramPairIndexInversionCoversAllCells) {
   BagOfTokensKernel Kernel;
   KernelMatrixOptions Options;
   Options.Normalize = false;
+  Options.UsePrecompute = false;
   for (size_t Threads : {size_t(1), size_t(0)}) {
     Options.Threads = Threads;
     Matrix K = computeKernelMatrix(Kernel, Corpus, Options);

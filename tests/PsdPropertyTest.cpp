@@ -1,23 +1,21 @@
-//===- tests/KernelAlgebraTest.cpp - combinators and PSD properties --------===//
+//===- tests/PsdPropertyTest.cpp - PSD properties of the Gram matrices -----===//
 //
 // Part of KAST, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Kernel-algebra laws for the combinators, and the PSD facts that
-/// motivate the paper's §4.1 repair step: explicit-embedding kernels
-/// (spectrum family, gap-weighted) always yield PSD Gram matrices,
-/// whereas the Kast kernel's *pair-dependent* feature set gives up
-/// that guarantee — which is exactly why the paper clips negative
-/// eigenvalues.
+/// The PSD facts that motivate the paper's §4.1 repair step:
+/// explicit-embedding kernels (spectrum family, gap-weighted) always
+/// yield PSD Gram matrices, whereas the Kast kernel's *pair-dependent*
+/// feature set gives up that guarantee — which is exactly why the paper
+/// clips negative eigenvalues.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/KastKernel.h"
 #include "core/KernelMatrix.h"
 #include "core/StringSerializer.h"
-#include "kernels/Combinators.h"
 #include "kernels/GapWeightedKernel.h"
 #include "kernels/SpectrumKernels.h"
 #include "linalg/Eigen.h"
@@ -55,66 +53,6 @@ randomCorpus(const std::shared_ptr<TokenTable> &Table, Rng &R,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Combinators
-//===----------------------------------------------------------------------===//
-
-TEST(KernelAlgebraTest, SumEqualsManualSum) {
-  auto Table = TokenTable::create();
-  WeightedString S = fromText(Table, "a b a c");
-  WeightedString T = fromText(Table, "b a c");
-  auto K1 = std::make_shared<KSpectrumKernel>(1);
-  auto K2 = std::make_shared<KSpectrumKernel>(2);
-  SumKernel Sum({K1, K2});
-  EXPECT_DOUBLE_EQ(Sum.evaluate(S, T),
-                   K1->evaluate(S, T) + K2->evaluate(S, T));
-}
-
-TEST(KernelAlgebraTest, WeightedSumScales) {
-  auto Table = TokenTable::create();
-  WeightedString S = fromText(Table, "a b");
-  auto K1 = std::make_shared<BagOfTokensKernel>();
-  SumKernel Sum({K1}, {2.5});
-  EXPECT_DOUBLE_EQ(Sum.evaluate(S, S), 2.5 * K1->evaluate(S, S));
-}
-
-TEST(KernelAlgebraTest, ProductEqualsManualProduct) {
-  auto Table = TokenTable::create();
-  WeightedString S = fromText(Table, "a b a");
-  WeightedString T = fromText(Table, "a b");
-  auto K1 = std::make_shared<KSpectrumKernel>(1);
-  auto K2 = std::make_shared<BagOfTokensKernel>(true);
-  ProductKernel Product({K1, K2});
-  EXPECT_DOUBLE_EQ(Product.evaluate(S, T),
-                   K1->evaluate(S, T) * K2->evaluate(S, T));
-}
-
-TEST(KernelAlgebraTest, NormalizedWrapperSelfIsOne) {
-  auto Table = TokenTable::create();
-  WeightedString S = fromText(Table, "a:3 b:2 a:4");
-  NormalizedKernel N(std::make_shared<BlendedSpectrumKernel>(2));
-  EXPECT_NEAR(N.evaluate(S, S), 1.0, 1e-12);
-}
-
-TEST(KernelAlgebraTest, CombinatorsCompose) {
-  auto Table = TokenTable::create();
-  WeightedString S = fromText(Table, "a b c");
-  WeightedString T = fromText(Table, "c b a");
-  auto Mixed = std::make_shared<SumKernel>(
-      std::vector<std::shared_ptr<StringKernel>>{
-          std::make_shared<NormalizedKernel>(
-              std::make_shared<KastSpectrumKernel>(
-                  KastKernelOptions{2})),
-          std::make_shared<NormalizedKernel>(
-              std::make_shared<BagOfTokensKernel>())},
-      std::vector<double>{0.7, 0.3});
-  double V = Mixed->evaluate(S, T);
-  EXPECT_GE(V, 0.0);
-  EXPECT_LE(V, 1.0 + 1e-12);
-  EXPECT_NEAR(Mixed->evaluate(S, S), 1.0, 1e-12);
-  EXPECT_NE(Mixed->name().find("sum("), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
 // PSD properties — why §4.1 needs the repair step
 //===----------------------------------------------------------------------===//
 
@@ -136,26 +74,6 @@ TEST_P(PsdPropertySweep, ExplicitEmbeddingKernelsArePsd) {
     Matrix K = computeKernelMatrix(*Kernel, Corpus, Options);
     EXPECT_GE(eigenSymmetric(K, 0).Values.back(), -1e-8) << Kernel->name();
   }
-}
-
-TEST_P(PsdPropertySweep, SumAndProductPreservePsd) {
-  Rng R(GetParam() ^ 0xFEED);
-  auto Table = TokenTable::create();
-  std::vector<WeightedString> Corpus = randomCorpus(Table, R, 10, 12);
-  auto K1 = std::make_shared<KSpectrumKernel>(1);
-  auto K2 = std::make_shared<KSpectrumKernel>(2);
-  SumKernel Sum({K1, K2}, {1.5, 0.5});
-  ProductKernel Product({K1, K2});
-  KernelMatrixOptions Options;
-  Options.Normalize = false;
-  EXPECT_GE(
-      eigenSymmetric(computeKernelMatrix(Sum, Corpus, Options), 0)
-          .Values.back(),
-      -1e-8);
-  EXPECT_GE(
-      eigenSymmetric(computeKernelMatrix(Product, Corpus, Options), 0)
-          .Values.back(),
-      -1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PsdPropertySweep,

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "util/AsciiPlot.h"
-#include "util/Csv.h"
 #include "util/Error.h"
 #include "util/Rng.h"
 #include "util/StringUtil.h"
@@ -240,7 +239,7 @@ TEST(ErrorTest, ExpectedTake) {
 }
 
 //===----------------------------------------------------------------------===//
-// TextTable / Csv / AsciiPlot
+// TextTable / AsciiPlot
 //===----------------------------------------------------------------------===//
 
 TEST(TextTableTest, AlignsColumns) {
@@ -269,19 +268,6 @@ TEST(TextTableTest, SeparatorRows) {
 TEST(TextTableTest, FormatDouble) {
   EXPECT_EQ(formatDouble(0.30588, 4), "0.3059");
   EXPECT_EQ(formatDouble(1.0, 2), "1.00");
-}
-
-TEST(CsvTest, QuotesSpecialCells) {
-  CsvWriter W;
-  W.addRow({"plain", "with,comma", "with\"quote"});
-  EXPECT_EQ(W.str(), "plain,\"with,comma\",\"with\"\"quote\"\n");
-}
-
-TEST(CsvTest, MultipleRows) {
-  CsvWriter W;
-  W.addRow({"a", "b"});
-  W.addRow({"1", "2"});
-  EXPECT_EQ(W.str(), "a,b\n1,2\n");
 }
 
 TEST(AsciiPlotTest, RendersAllGlyphs) {
