@@ -7,7 +7,7 @@
 // Per-stage cost of the trace-to-string conversion: parsing, tree
 // construction, compression (with the pass-count ablation from
 // DESIGN.md), and flattening. Trace size scales with the generator's
-// Scale knob.
+// Scale knob; BM_ParseTraceParallel parses one interleaved 32-rank run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "util/Rng.h"
 #include "workloads/DatasetBuilder.h"
 #include "workloads/Generators.h"
+#include "workloads/ParallelTrace.h"
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +46,19 @@ void BM_ParseTrace(benchmark::State &State) {
                           static_cast<int64_t>(T.size()));
 }
 BENCHMARK(BM_ParseTrace)->RangeMultiplier(4)->Range(1, 64);
+
+// The perfbench ranks shape: one 32-rank FlashIO run with its handles
+// interleaved, as formatTrace writes it (2,731 lines).
+void BM_ParseTraceParallel(benchmark::State &State) {
+  Rng R(32);
+  const Trace T = generateParallelTrace(Category::FlashIO, 32, R);
+  const std::string Text = formatTrace(T);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(parseTrace(Text, "bench"));
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(T.size()));
+}
+BENCHMARK(BM_ParseTraceParallel);
 
 void BM_BuildTree(benchmark::State &State) {
   Trace T = scaledTrace(static_cast<size_t>(State.range(0)));

@@ -6,6 +6,7 @@
 
 #include "trace/TraceWriter.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -26,8 +27,13 @@ std::string kast::formatTraceEvent(const TraceEvent &Event) {
 
 std::string kast::formatTrace(const Trace &T) {
   std::string Out;
-  if (!T.name().empty())
-    Out += "# trace: " + T.name() + "\n";
+  if (!T.name().empty()) {
+    // One header line whatever the name holds: a '\n' in it would start
+    // a line of its own, which parseTrace would read as an event.
+    std::string Name = T.name();
+    std::replace(Name.begin(), Name.end(), '\n', ' ');
+    Out += "# trace: " + Name + "\n";
+  }
   for (const TraceEvent &E : T.events()) {
     Out += formatTraceEvent(E);
     Out += '\n';

@@ -24,7 +24,8 @@ namespace kast {
 std::string formatTraceEvent(const TraceEvent &Event);
 
 /// Renders the whole trace, one line per event, each newline-terminated,
-/// preceded by a comment header naming the trace.
+/// preceded by a comment header naming the trace (each '\n' of the name
+/// written as a space, so the header stays one line).
 std::string formatTrace(const Trace &T);
 
 /// Writes formatTrace(T) to \p Path. \returns false on I/O failure.

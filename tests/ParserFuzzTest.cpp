@@ -10,7 +10,9 @@
 // checks the reader's invariants on one input. A util/Rng-seeded
 // mutator drives it for a fixed budget, so every run sees the same
 // inputs; the sanitizer build turns the same run into a memory-safety
-// check.
+// check. parseTrace, which reads its text 16 bytes at a time, is also
+// held to a reference decoder that walks the same grammar a byte at a
+// time, on inputs shaped around its 16-byte chunks and 32-byte steps.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,15 +24,20 @@
 #include "kernels/SpectrumKernels.h"
 #include "trace/StraceAdapter.h"
 #include "trace/TraceParser.h"
+#include "trace/TraceScan.h"
 #include "trace/TraceWriter.h"
 #include "util/Hashing.h"
+#include "util/StringUtil.h"
 #include "workloads/ParallelTrace.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 
 using namespace kast;
 
@@ -57,6 +64,147 @@ int fuzzOne(const uint8_t *Data, size_t Size) {
   return 0;
 }
 } // namespace trace_parser
+
+namespace reference_trace {
+/// The lower-case form of each byte an operation name may hold
+/// ([A-Za-z0-9_+]), and 0 for every other byte.
+constexpr std::array<char, 256> OpNameChars = [] {
+  std::array<char, 256> Table{};
+  for (char C = 'a'; C <= 'z'; ++C) {
+    Table[static_cast<unsigned char>(C)] = C;
+    Table[static_cast<unsigned char>(C - 'a' + 'A')] = C;
+  }
+  for (char C = '0'; C <= '9'; ++C)
+    Table[static_cast<unsigned char>(C)] = C;
+  Table['_'] = '_';
+  Table['+'] = '+';
+  return Table;
+}();
+
+/// The byte-at-a-time decoder parseTrace replaced, kept as its oracle:
+/// lines split at '\n', whitespace-separated fields walked with a
+/// cursor, a '#' ending the line, numbers through the overflow-checked
+/// parseUnsigned.
+Expected<Trace> parseTrace(std::string_view Text, std::string Name) {
+  using Result = Expected<Trace>;
+  Trace Out(std::move(Name));
+  size_t LineNumber = 0;
+  auto Fail = [&](const std::string &Why) {
+    return Result::error("line " + std::to_string(LineNumber) + ": " + Why);
+  };
+  for (size_t Start = 0, End = 0; Start <= Text.size(); Start = End + 1) {
+    End = std::min(Text.find('\n', Start), Text.size());
+    ++LineNumber;
+    const std::string_view Line = Text.substr(Start, End - Start);
+    size_t Cursor = 0;
+    auto NextField = [&]() {
+      while (Cursor < Line.size() && isAsciiSpace(Line[Cursor]))
+        ++Cursor;
+      size_t Begin = Cursor;
+      while (Cursor < Line.size() && !isAsciiSpace(Line[Cursor]) &&
+             Line[Cursor] != '#')
+        ++Cursor;
+      return Line.substr(Begin, Cursor - Begin);
+    };
+    std::string_view OpField = NextField();
+    if (OpField.empty())
+      continue;
+    std::string_view HandleField = NextField();
+    if (HandleField.empty())
+      return Fail("expected '<op> <handle> [fields...]'");
+
+    TraceEvent &Event = Out.events().emplace_back();
+    Event.Op.resize(OpField.size());
+    for (size_t I = 0; I < OpField.size(); ++I) {
+      Event.Op[I] = OpNameChars[static_cast<unsigned char>(OpField[I])];
+      if (Event.Op[I] == 0)
+        return Fail("malformed operation name '" + std::string(OpField) +
+                    "'");
+    }
+
+    std::optional<uint64_t> Handle = parseUnsigned(HandleField);
+    if (!Handle)
+      return Fail("malformed handle '" + std::string(HandleField) + "'");
+    Event.Handle = *Handle;
+
+    bool SawBytes = false;
+    for (std::string_view Field = NextField(); !Field.empty();
+         Field = NextField()) {
+      if (startsWith(Field, "bytes=")) {
+        std::optional<uint64_t> Bytes = parseUnsigned(Field.substr(6));
+        if (!Bytes)
+          return Fail("malformed byte count '" + std::string(Field) + "'");
+        Event.Bytes = *Bytes;
+        SawBytes = true;
+        continue;
+      }
+      if (startsWith(Field, "addr=")) {
+        std::optional<uint64_t> Addr = parseHex(Field.substr(5));
+        if (!Addr)
+          return Fail("malformed address '" + std::string(Field) + "'");
+        Event.Address = *Addr;
+        continue;
+      }
+      std::optional<uint64_t> Bytes = parseUnsigned(Field);
+      if (Bytes && !SawBytes) {
+        Event.Bytes = *Bytes;
+        SawBytes = true;
+        continue;
+      }
+      return Fail("unrecognized field '" + std::string(Field) + "'");
+    }
+  }
+  return Out;
+}
+
+/// parseTrace gives the reference decoder's events or its error message.
+/// The input is copied into an allocation of exactly its size, so under
+/// ASan a load past the end of the text fails the run.
+int fuzzOne(const uint8_t *Data, size_t Size) {
+  const std::unique_ptr<char[]> Exact(new char[Size]);
+  if (Size > 0)
+    std::memcpy(Exact.get(), Data, Size);
+  const std::string_view Text(Exact.get(), Size);
+  Expected<Trace> Want = parseTrace(Text, "fuzz");
+  Expected<Trace> Got = kast::parseTrace(Text, "fuzz");
+  EXPECT_EQ(Got.hasValue(), Want.hasValue()) << Text;
+  if (Got && Want) {
+    EXPECT_EQ(Got->events(), Want->events()) << Text;
+  } else if (!Got && !Want) {
+    EXPECT_EQ(Got.message(), Want.message()) << Text;
+  }
+  return 0;
+}
+
+/// Inputs shaped around parseTrace's 16-byte chunks and 32-byte steps:
+/// lines of 15 to 33 and 64 and more bytes, fields across a chunk or
+/// step edge, 19- and 20-digit numbers, every space byte, '#' against a
+/// field, and no final '\n'.
+std::vector<std::string> chunkEdgeSeeds() {
+  std::vector<std::string> Seeds;
+  for (size_t Length : {15, 16, 17, 31, 32, 33, 64, 65, 100}) {
+    // "read 1 bytes=" then digits, and a run of blanks before "open 1".
+    const std::string Head = "read 1 bytes=";
+    Seeds.push_back(Head + std::string(Length - Head.size(), '7') + "\n");
+    Seeds.push_back(std::string(Length - 6, ' ') + "open 1\n");
+    // One long op name, and one long comment after a short line.
+    Seeds.push_back(std::string(Length - 2, 'W') + " 3\nclose 3");
+    Seeds.push_back("write 2 5 #" + std::string(Length - 11, 'c') + "\n");
+  }
+  // Every field of "lseek 12 bytes=345" across the 16- and 32-byte edges.
+  for (size_t Pad = 0; Pad < 32; ++Pad)
+    Seeds.push_back(std::string(Pad, ' ') + "lseek 12 bytes=345\nread 1");
+  Seeds.push_back("read 1 bytes=18446744073709551615\n");
+  Seeds.push_back("read 1 bytes=18446744073709551616\n");
+  Seeds.push_back("read 18446744073709551615 9999999999999999999\n");
+  Seeds.push_back("read 18446744073709551616 1\n");
+  Seeds.push_back("write 000000000000000000000042 bytes=0000000000000000000007\n");
+  Seeds.push_back("read\t1\vbytes=2\f\r\nwrite\r3\t4\r\n\v\f\n");
+  Seeds.push_back("write 2 7#glued\nread#1\nread 1#\n#\nread 1 bytes=#\n");
+  Seeds.push_back("read 1 bytes=5 addr=0x7f#x\nopen 3");
+  return Seeds;
+}
+} // namespace reference_trace
 
 namespace strace_adapter {
 /// Every non-blank line is an event, a skip or a failed call, and the
@@ -417,6 +565,47 @@ void driveText(Target FuzzOne, const std::vector<std::string> &Seeds,
 
 TEST(ParserFuzzTest, TraceParserRoundTripsWhatItAccepts) {
   driveText(trace_parser::fuzzOne, seeds(), TraceDictionary, 20000);
+}
+
+TEST(ParserFuzzTest, TraceParserMatchesReferenceDecoder) {
+  std::vector<std::string> Seeds = seeds();
+  for (std::string &Seed : reference_trace::chunkEdgeSeeds())
+    Seeds.push_back(std::move(Seed));
+  driveText(reference_trace::fuzzOne, Seeds, TraceDictionary, 20000);
+}
+
+TEST(ParserFuzzTest, TraceParserMatchesReferenceAtEveryEnd) {
+  // Every prefix of every seed, so documents end 0-31 bytes past a
+  // step edge, in the middle of every field and right after it.
+  std::vector<std::string> Seeds = reference_trace::chunkEdgeSeeds();
+  Seeds.push_back(seeds().back().substr(0, 400));
+  for (const std::string &Seed : Seeds)
+    for (size_t Size = 0; Size <= Seed.size() && !HasFailure(); ++Size)
+      reference_trace::fuzzOne(reinterpret_cast<const uint8_t *>(Seed.data()),
+                               Size);
+}
+
+TEST(ParserFuzzTest, ChunkClassifierMatchesByteLoop) {
+  // classifyChunk is the SSE2 classifier on x86-64; the byte loop is
+  // what every other target runs. The first 256 inputs repeat one byte
+  // value; in the rest, each byte is random or one at a class edge.
+  const std::vector<char> Edges = {' ',    '\t',   '\n',   '\v', '\f', '\r',
+                                   '#',    '0',    '9',    '/',  ':',  '\x08',
+                                   '\x0e', '\x1f', '\x80', '\xff'};
+  Rng R(16);
+  char Chunk[detail::ChunkBytes];
+  for (int Input = 0; Input < 20000; ++Input) {
+    for (char &C : Chunk) {
+      if (Input < 256)
+        C = static_cast<char>(Input);
+      else if (R.uniformInt(0, 1) == 0)
+        C = R.pick(Edges);
+      else
+        C = static_cast<char>(R.uniformInt(0, 255));
+    }
+    ASSERT_EQ(detail::classifyChunk(Chunk), detail::classifyChunkBytes(Chunk))
+        << "input " << Input;
+  }
 }
 
 TEST(ParserFuzzTest, StraceAdapterStatsAccountForEveryLine) {

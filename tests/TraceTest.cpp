@@ -143,6 +143,21 @@ TEST(TraceParserTest, ErrorMessagesNameLineAndCause) {
   }
 }
 
+TEST(TraceParserTest, NumbersUpToTheLargestUint64) {
+  // Up to 19 digits convert without an overflow test; 20 are checked.
+  Expected<Trace> T = parseTrace("read 1 bytes=18446744073709551615\n"
+                                 "write 9999999999999999999 000000000000000000000042");
+  ASSERT_TRUE(T.hasValue()) << T.message();
+  EXPECT_EQ(T->events(),
+            (std::vector<TraceEvent>{{"read", 1, 18446744073709551615ULL},
+                                     {"write", 9999999999999999999ULL, 42}}));
+  Expected<Trace> Over = parseTrace("read 1 bytes=18446744073709551616");
+  ASSERT_FALSE(Over.hasValue());
+  EXPECT_EQ(Over.message(),
+            "line 1: malformed byte count 'bytes=18446744073709551616'");
+  EXPECT_FALSE(parseTrace("read 18446744073709551616").hasValue());
+}
+
 TEST(TraceParserTest, ParsesWholeDocumentWithLineNumbers) {
   const char *Doc = "# demo\n"
                     "open 3\n"
@@ -185,6 +200,18 @@ TEST(TraceWriterTest, RoundTripsThroughParser) {
   T.append(OpKind::Close, 3);
   Expected<Trace> Back = parseTrace(formatTrace(T), "rt");
   ASSERT_TRUE(Back.hasValue());
+  EXPECT_EQ(Back->events(), T.events());
+}
+
+TEST(TraceWriterTest, NameStaysOnTheHeaderLine) {
+  // A newline in the name would start a line of its own, which the
+  // parser would read as an event.
+  Trace T("x\nread 5 bytes=9");
+  T.append(OpKind::Close, 3);
+  const std::string Text = formatTrace(T);
+  EXPECT_EQ(Text, "# trace: x read 5 bytes=9\nclose 3\n");
+  Expected<Trace> Back = parseTrace(Text, "x");
+  ASSERT_TRUE(Back.hasValue()) << Back.message();
   EXPECT_EQ(Back->events(), T.events());
 }
 
