@@ -59,22 +59,10 @@ ChunkMasks classifyAt(std::string_view Text, size_t Base) {
 
 /// The value of the decimal digits Text[Begin, End), or nullopt if it
 /// overflows uint64_t. At most 19 digits stay below 10^19, so they
-/// convert without an overflow test. Up to eight digits convert at once
-/// from the eight bytes that end them, on a little-endian target:
-/// digits map to 0-9 by XOR with '0', the bytes before the run clear to
-/// leading zeros, and adjacent digits, pairs and quads are summed in
-/// place (Lemire's eight-digit SWAR conversion).
+/// convert without an overflow test.
 std::optional<uint64_t> decimalValue(std::string_view Text, size_t Begin,
                                      size_t End) {
   const size_t Length = End - Begin;
-  if (std::endian::native == std::endian::little && Length <= 8 && End >= 8) {
-    uint64_t Word;
-    std::memcpy(&Word, Text.data() + End - 8, 8);
-    Word = (Word ^ 0x3030303030303030ULL) & (~0ULL << (8 * (8 - Length)));
-    Word = (Word * 10 + (Word >> 8)) & 0x00FF00FF00FF00FFULL;
-    Word = (Word * 100 + (Word >> 16)) & 0x0000FFFF0000FFFFULL;
-    return (Word * 10000 + (Word >> 32)) & 0xFFFFFFFFULL;
-  }
   if (Length > 19)
     return parseUnsigned(Text.substr(Begin, Length));
   uint64_t Value = 0;
